@@ -53,14 +53,19 @@ class NoiseSpec:
     param: float
 
     def __post_init__(self) -> None:
-        if self.channel not in ("dephasing", "rotation"):
+        if self.channel == "dephasing":
+            u = np.diag([1.0, np.exp(1j * self.param)])
+        elif self.channel == "rotation":
+            c, s = np.cos(self.param), np.sin(self.param)
+            u = np.array([[c, -s], [s, c]], dtype=complex)
+        else:
             raise ValueError(f"unknown noise channel {self.channel!r}")
+        u.flags.writeable = False
+        object.__setattr__(self, "_matrix", u)
 
     def matrix(self) -> np.ndarray:
-        if self.channel == "dephasing":
-            return np.diag([1.0, np.exp(1j * self.param)])
-        c, s = np.cos(self.param), np.sin(self.param)
-        return np.array([[c, -s], [s, c]], dtype=complex)
+        """The channel unitary, built once per spec and read-only."""
+        return self._matrix
 
     @classmethod
     def parse(cls, text: str) -> "NoiseSpec":

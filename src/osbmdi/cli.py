@@ -95,6 +95,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
+    if args.trials <= 0:
+        raise ConfigError("--trials must be positive")
     grid = parse_grid(args.grid)
     if args.kind == "noise":
         label = BellLabel.parse(args.label)

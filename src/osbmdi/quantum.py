@@ -9,6 +9,14 @@ new state, so values can be shared freely.  Measurements are destructive —
 the measured qubits are removed from the returned register and survive only
 as the classical record.
 
+Kernel convention: every gate and measurement first moves the qubits it acts
+on to the front, viewing the amplitudes as a ``(2**m, 2**(k-m))`` matrix.  The
+row index spells the m named qubits in the order given (first one most
+significant); the column index spells the other qubits in register order.  A
+gate left-multiplies that matrix and moves the axes back; a measurement
+projects onto rows, and each projected row is already the amplitude vector of
+the surviving register.
+
 Bell-label convention: psi+/- live on |00> +/- |11>, phi+/- on |01> +/- |10>.
 Note this is swapped relative to the more common psi/phi usage; the whole
 package follows this labeling.
@@ -136,19 +144,23 @@ class StateVector:
     amplitudes: np.ndarray
 
     def __post_init__(self) -> None:
-        ids = tuple(self.qubit_ids)
+        ids = self.qubit_ids
+        if type(ids) is not tuple:
+            ids = tuple(ids)
+            object.__setattr__(self, "qubit_ids", ids)
         if len(set(ids)) != len(ids):
             raise InvalidRegisterError(f"duplicate qubit ids in register: {ids}")
-        object.__setattr__(self, "qubit_ids", ids)
-        amps = np.asarray(self.amplitudes, dtype=complex).reshape(-1)
+        amps = self.amplitudes
+        if not (type(amps) is np.ndarray and amps.dtype == np.complex128 and amps.ndim == 1):
+            amps = np.asarray(amps, dtype=complex).reshape(-1)
+            object.__setattr__(self, "amplitudes", amps)
         if amps.shape[0] != 2 ** len(ids):
             raise InvalidRegisterError(
                 f"amplitude length {amps.shape[0]} does not match {len(ids)} qubits"
             )
-        norm2 = float(np.real(np.vdot(amps, amps)))
+        norm2 = np.vdot(amps, amps).real
         if abs(norm2 - 1.0) > ATOL:
-            raise InvalidRegisterError(f"squared norm {norm2} is not 1")
-        object.__setattr__(self, "amplitudes", amps)
+            raise InvalidRegisterError(f"squared norm {float(norm2)} is not 1")
 
     @property
     def n_qubits(self) -> int:
@@ -191,19 +203,47 @@ def tensor(a: StateVector, b: StateVector) -> StateVector:
     overlap = set(a.qubit_ids) & set(b.qubit_ids)
     if overlap:
         raise InvalidRegisterError(f"overlapping qubit ids: {sorted(overlap)}")
-    return StateVector(a.qubit_ids + b.qubit_ids, np.kron(a.amplitudes, b.amplitudes))
+    # For 1-D inputs outer-then-flatten is np.kron, element for element.
+    return StateVector(
+        a.qubit_ids + b.qubit_ids, np.outer(a.amplitudes, b.amplitudes).reshape(-1)
+    )
 
 
-def _apply_1q_matrix(s: StateVector, qubit_id: str, matrix: np.ndarray) -> StateVector:
-    ax = s.axis(qubit_id)
-    t = np.tensordot(matrix, s.tensor_view(), axes=([1], [ax]))
-    t = np.moveaxis(t, 0, ax)
-    return StateVector(s.qubit_ids, t.reshape(-1))
+@lru_cache(maxsize=1024)
+def _front_index(n_qubits: int, axes: tuple[int, ...]) -> np.ndarray:
+    """Gather index that moves ``axes`` to the front (see the module docstring)."""
+    rest = tuple(ax for ax in range(n_qubits) if ax not in axes)
+    index = np.arange(2**n_qubits).reshape((2,) * n_qubits).transpose(axes + rest)
+    index = index.reshape(2 ** len(axes), -1)
+    index.flags.writeable = False
+    return index
+
+
+def _to_front(s: StateVector, axes: tuple[int, ...]) -> np.ndarray:
+    """``(2**len(axes), rest)`` matrix of ``s`` with ``axes`` moved to the front."""
+    return s.amplitudes[_front_index(s.n_qubits, axes)]
+
+
+def _from_front(m: np.ndarray, n_qubits: int, axes: tuple[int, ...]) -> np.ndarray:
+    """Inverse of ``_to_front``: the flat amplitude vector in register order."""
+    out = np.empty(m.size, dtype=complex)
+    out[_front_index(n_qubits, axes)] = m
+    return out
+
+
+def _apply_matrix(s: StateVector, axes: tuple[int, ...], matrix: np.ndarray) -> StateVector:
+    moved = matrix @ _to_front(s, axes)
+    return StateVector(s.qubit_ids, _from_front(moved, s.n_qubits, axes))
 
 
 def apply_pauli(s: StateVector, qubit_id: str, p: PauliLabel) -> StateVector:
     """Apply I, X, iY or Z to one qubit."""
-    return _apply_1q_matrix(s, qubit_id, PAULI_MATRICES[p])
+    return _apply_matrix(s, (s.axis(qubit_id),), PAULI_MATRICES[p])
+
+
+# np.allclose(u^dag u, I, atol=ATOL) with its default rtol=1e-5 applied to |I|.
+_UNITARY_TOL = ATOL + 1e-5 * np.eye(2)
+_IDENTITY2 = np.eye(2)
 
 
 def apply_unitary1q(s: StateVector, qubit_id: str, u: np.ndarray) -> StateVector:
@@ -211,39 +251,27 @@ def apply_unitary1q(s: StateVector, qubit_id: str, u: np.ndarray) -> StateVector
     u = np.asarray(u, dtype=complex)
     if u.shape != (2, 2):
         raise InvalidOperatorError(f"operator shape {u.shape} is not 2x2")
-    if not np.allclose(u.conj().T @ u, np.eye(2), atol=ATOL):
+    if not (np.abs(u.conj().T @ u - _IDENTITY2) <= _UNITARY_TOL).all():
         raise InvalidOperatorError("operator is not unitary")
-    return _apply_1q_matrix(s, qubit_id, u)
+    return _apply_matrix(s, (s.axis(qubit_id),), u)
+
+
+# Rows and columns |control, target>: swaps |10> and |11>.
+_CNOT = np.array(
+    [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]], dtype=complex
+)
 
 
 def apply_cnot(s: StateVector, control: str, target: str) -> StateVector:
     """Controlled-NOT in the computational basis."""
     if control == target:
         raise InvalidRegisterError("control and target must differ")
-    c_ax, t_ax = s.axis(control), s.axis(target)
-    t = s.tensor_view().copy()
-    sel: list = [slice(None)] * s.n_qubits
-    sel[c_ax] = 1
-    # Indexing with an int drops the control axis, shifting later axes left.
-    sub_t_ax = t_ax - 1 if t_ax > c_ax else t_ax
-    t[tuple(sel)] = np.flip(t[tuple(sel)], axis=sub_t_ax)
-    return StateVector(s.qubit_ids, t.reshape(-1))
+    return _apply_matrix(s, (s.axis(control), s.axis(target)), _CNOT)
 
 
-def _bell_branches(
-    s: StateVector, q_a: str, q_b: str
-) -> tuple[np.ndarray, list[np.ndarray]]:
-    """Projection norms and (unnormalized) residual vectors per Bell label."""
-    axes = (s.axis(q_a), s.axis(q_b))
-    t = s.tensor_view()
-    probs = np.empty(4)
-    residuals = []
-    for i, lab in enumerate(BellLabel):
-        bv = BELL_VECTORS[lab].reshape(2, 2).conj()
-        v = np.tensordot(bv, t, axes=([0, 1], list(axes)))
-        probs[i] = float(np.real(np.vdot(v, v)))
-        residuals.append(v)
-    return probs, residuals
+_BELL_ORDER = tuple(BellLabel)
+# Row i is <b_i| for the i-th label in BellLabel order.
+_BELL_BRAS = np.array([BELL_VECTORS[lab].conj() for lab in _BELL_ORDER])
 
 
 def bell_measure(
@@ -256,31 +284,27 @@ def bell_measure(
     """
     if q_a == q_b:
         raise InvalidRegisterError("cannot Bell-measure a qubit against itself")
-    probs, residuals = _bell_branches(s, q_a, q_b)
+    branches = _BELL_BRAS @ _to_front(s, (s.axis(q_a), s.axis(q_b)))
+    probs = (np.abs(branches) ** 2).sum(axis=1)
     pick = _sample_index(probs, rng)
-    label = list(BellLabel)[pick]
     remaining = tuple(q for q in s.qubit_ids if q not in (q_a, q_b))
     if not remaining:
-        return label, None
-    v = residuals[pick] / np.sqrt(probs[pick])
-    return label, StateVector(remaining, v.reshape(-1))
+        return _BELL_ORDER[pick], None
+    return _BELL_ORDER[pick], StateVector(remaining, branches[pick] / np.sqrt(probs[pick]))
 
 
 def comp_measure(
     s: StateVector, qubit_id: str, rng: np.random.Generator
 ) -> tuple[int, StateVector | None]:
     """Destructive computational-basis measurement of one qubit."""
-    ax = s.axis(qubit_id)
-    t = s.tensor_view()
-    v1 = np.take(t, 1, axis=ax)
-    p1 = float(np.real(np.vdot(v1, v1)))
+    rows = _to_front(s, (s.axis(qubit_id),))
+    p1 = np.vdot(rows[1], rows[1]).real
     bit = 1 if rng.random() < p1 else 0
-    v = v1 if bit else np.take(t, 0, axis=ax)
     p = p1 if bit else 1.0 - p1
     remaining = tuple(q for q in s.qubit_ids if q != qubit_id)
     if not remaining:
         return bit, None
-    return bit, StateVector(remaining, (v / np.sqrt(p)).reshape(-1))
+    return bit, StateVector(remaining, rows[bit] / np.sqrt(p))
 
 
 def _sample_index(probs: np.ndarray, rng: np.random.Generator) -> int:

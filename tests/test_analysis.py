@@ -150,6 +150,20 @@ def test_noise_spec_validation():
         noise_fidelity(PSIP, "dephasing", [0.0], apply_to="everywhere")
 
 
+@pytest.mark.parametrize("channel", ["dephasing", "rotation"])
+def test_noise_matrix_is_built_once_and_read_only(channel):
+    spec = NoiseSpec(channel, 0.3)
+    u = spec.matrix()
+    assert spec.matrix() is u
+    assert not u.flags.writeable
+    assert np.allclose(u.conj().T @ u, np.eye(2), atol=1e-12)
+    c, s = math.cos(0.3), math.sin(0.3)
+    expected = (
+        np.diag([1.0, np.exp(0.3j)]) if channel == "dephasing" else [[c, -s], [s, c]]
+    )
+    assert np.array_equal(u, expected)
+
+
 # --- detection aggregation ------------------------------------------------------------
 
 

@@ -1,5 +1,7 @@
 """Command-line interface tests: subcommands, exit codes, determinism."""
+import hashlib
 import math
+import os
 
 import pytest
 
@@ -175,6 +177,43 @@ def test_run_workers_do_not_change_bytes(tmp_path):
     assert out.read_bytes() == first
 
 
+# SHA-256 of `run --sessions 30` reports without the out_path line, recorded
+# before the engine kernels were rewritten; the numerics must not move them.
+PINNED_REPORTS = [
+    (
+        ["--mode", "qsdc", "--seed", "42"],
+        0,
+        "3a70f4dbc3c34abab49c592b012a802864fd6361972c8a1051b3b632bd6b1c04",
+    ),
+    (
+        ["--mode", "qd", "--noise", "rotation:0.4"],
+        2,
+        "41217bcf3c19f432d57612bb60cc1e4fb559ef4c4824e5d89f8196043095ed08",
+    ),
+    (
+        ["--mode", "qsdc", "--attack", "entangle_measure:beta2=0.3"],
+        2,
+        "870b463e17323cabcbad777a0e5448e6d581e15927b88f6bdd3ed22d7bbe8669",
+    ),
+    (
+        ["--mode", "qd", "--attack", "disturb:mode=reorder"],
+        2,
+        "88affabf60d086fb0deafe9d94b610f6bcbbb37d48d7ded5c340442f51064fa4",
+    ),
+]
+
+
+@pytest.mark.parametrize("flags,exit_code,digest", PINNED_REPORTS)
+def test_run_report_bytes_are_pinned(tmp_path, monkeypatch, flags, exit_code, digest):
+    for key in [k for k in os.environ if k.startswith("OSBMDI_")]:
+        monkeypatch.delenv(key)
+    out = tmp_path / "report.txt"
+    assert run_cli(["run", "--sessions", "30", *flags, "--out", str(out)]) == exit_code
+    lines = out.read_text(encoding="utf-8").splitlines(keepends=True)
+    kept = "".join(line for line in lines if not line.startswith("out_path = "))
+    assert hashlib.sha256(kept.encode("utf-8")).hexdigest() == digest
+
+
 # --- sweep ----------------------------------------------------------------------
 
 
@@ -227,6 +266,17 @@ def test_sweep_attack_strength_tracks_beta2(tmp_path):
         expect = float(param)
         se = math.sqrt(max(expect * (1 - expect), 1e-12) / 20000)
         assert abs(float(detection) - expect) <= max(4 * se, 1e-9)
+
+
+@pytest.mark.parametrize("trials", ["0", "-5"])
+def test_sweep_nonpositive_trials_is_usage_error(tmp_path, capsys, trials):
+    out = tmp_path / "detect.tsv"
+    args = ["sweep", "--kind", "attack-strength", "--grid", "0.5", "--trials", trials]
+    assert run_cli(args + ["--out", str(out)]) == 1
+    assert "trials" in capsys.readouterr().err
+    assert not out.exists()
+    assert run_cli(args) == 1
+    assert capsys.readouterr().out == ""
 
 
 def test_sweep_empty_grid_is_usage_error():

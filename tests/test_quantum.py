@@ -147,6 +147,20 @@ def test_apply_unitary_rejects_nonunitary():
         apply_unitary1q(make_bell(PSIP, "a", "b"), "a", np.eye(3))
 
 
+def test_unitarity_tolerance_matches_allclose_boundary():
+    # The accepted set is |u^dag u - I| <= ATOL + 1e-5 * |I| elementwise, the
+    # tolerance np.allclose(u^dag u, I, atol=ATOL) applies with its default rtol.
+    # |1> keeps its norm under the stretched |0> component, so the result is valid.
+    s = basis_state(("a", "b"), (1, 0))
+    diagonal = np.diag([np.sqrt(1.0 + 5e-6), 1.0])
+    assert np.allclose(diagonal.conj().T @ diagonal, np.eye(2), atol=ATOL)
+    assert np.array_equal(apply_unitary1q(s, "a", diagonal).amplitudes, s.amplitudes)
+    off_diagonal = np.array([[1.0, 1e-6], [0.0, 1.0]])
+    assert not np.allclose(off_diagonal.conj().T @ off_diagonal, np.eye(2), atol=ATOL)
+    with pytest.raises(InvalidOperatorError):
+        apply_unitary1q(s, "a", off_diagonal)
+
+
 @pytest.mark.parametrize("theta", np.linspace(0.0, 2 * np.pi, 9))
 def test_collective_rotation_fixes_psi_plus_and_phi_minus(theta):
     for lab in (PSIP, PHIM):
