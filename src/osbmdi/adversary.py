@@ -1,4 +1,5 @@
-"""Adversary strategies applied as channel interceptors.
+"""Channel layer: adversary strategies applied as interceptors, and
+collective channel noise.
 
 Each strategy operates on the qubits of one channel leg while they are in
 transit, so the protocol layer stays attack-agnostic.  Legs are named
@@ -7,10 +8,13 @@ transit, so the protocol layer stays attack-agnostic.  Legs are named
 
 The dishonest-measurement-node behavior (announcing outcomes without
 measuring) is carried on the same spec via ``fake_stages``; it is consulted
-by the session rather than applied to a leg.
+by the session rather than applied to a leg.  Collective noise
+(``NoiseSpec``) is the honest channel's unitary, which the session applies to
+every transmitted qubit before any interceptor runs.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -128,6 +132,46 @@ class AttackSpec:
         if self.legs:
             parts.append("legs=" + "+".join(sorted(self.legs)))
         return ":".join([parts[0], ",".join(parts[1:])]) if parts[1:] else parts[0]
+
+
+@dataclass(frozen=True)
+class NoiseSpec:
+    """Collective channel noise: the same unknown single-qubit unitary on
+    every qubit traversing a leg.
+
+    ``dephasing`` applies diag(1, e^{i*param}); ``rotation`` applies the real
+    rotation by ``param`` (|0> -> cos|0> + sin|1>, |1> -> -sin|0> + cos|1>).
+    """
+
+    channel: str
+    param: float
+
+    def __post_init__(self) -> None:
+        if not math.isfinite(self.param):
+            raise ValueError(f"noise parameter must be finite, got {self.param!r}")
+        if self.channel == "dephasing":
+            u = np.diag([1.0, np.exp(1j * self.param)])
+        elif self.channel == "rotation":
+            c, s = np.cos(self.param), np.sin(self.param)
+            u = np.array([[c, -s], [s, c]], dtype=complex)
+        else:
+            raise ValueError(f"unknown noise channel {self.channel!r}")
+        u.flags.writeable = False
+        object.__setattr__(self, "_matrix", u)
+
+    def matrix(self) -> np.ndarray:
+        """The channel unitary, built once per spec and read-only."""
+        return self._matrix
+
+    @classmethod
+    def parse(cls, text: str) -> "NoiseSpec":
+        name, _, value = text.partition(":")
+        if not value:
+            raise ValueError("noise syntax is CHANNEL:PARAM, e.g. dephasing:0.35")
+        return cls(name.strip(), float(value))
+
+    def describe(self) -> str:
+        return f"{self.channel}:{self.param:.10g}"
 
 
 @dataclass

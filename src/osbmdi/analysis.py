@@ -14,6 +14,7 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
+from .adversary import NoiseSpec
 from .quantum import (
     BellLabel,
     PauliLabel,
@@ -38,44 +39,6 @@ _Z95 = 1.959963984540054
 
 class IntegrityError(Exception):
     """A consistency enumeration came up empty; inputs are corrupt."""
-
-
-@dataclass(frozen=True)
-class NoiseSpec:
-    """Collective channel noise: the same unknown single-qubit unitary on
-    every qubit traversing a leg.
-
-    ``dephasing`` applies diag(1, e^{i*param}); ``rotation`` applies the real
-    rotation by ``param`` (|0> -> cos|0> + sin|1>, |1> -> -sin|0> + cos|1>).
-    """
-
-    channel: str
-    param: float
-
-    def __post_init__(self) -> None:
-        if self.channel == "dephasing":
-            u = np.diag([1.0, np.exp(1j * self.param)])
-        elif self.channel == "rotation":
-            c, s = np.cos(self.param), np.sin(self.param)
-            u = np.array([[c, -s], [s, c]], dtype=complex)
-        else:
-            raise ValueError(f"unknown noise channel {self.channel!r}")
-        u.flags.writeable = False
-        object.__setattr__(self, "_matrix", u)
-
-    def matrix(self) -> np.ndarray:
-        """The channel unitary, built once per spec and read-only."""
-        return self._matrix
-
-    @classmethod
-    def parse(cls, text: str) -> "NoiseSpec":
-        name, _, value = text.partition(":")
-        if not value:
-            raise ValueError("noise syntax is CHANNEL:PARAM, e.g. dephasing:0.35")
-        return cls(name.strip(), float(value))
-
-    def describe(self) -> str:
-        return f"{self.channel}:{self.param:.10g}"
 
 
 @dataclass(frozen=True)

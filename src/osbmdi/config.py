@@ -25,8 +25,7 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 
-from .adversary import AttackSpec
-from .analysis import NoiseSpec
+from .adversary import AttackSpec, NoiseSpec
 from .protocol import ConfigError, DecoyPolicy, Mode, SessionConfig
 from .quantum import BellLabel
 

@@ -26,8 +26,14 @@ from typing import Sequence
 
 import numpy as np
 
-from .adversary import AttackSpec, EveState, apply_leg_attack, fake_bmo_outcome, measure_ancillas
-from .analysis import NoiseSpec
+from .adversary import (
+    AttackSpec,
+    EveState,
+    NoiseSpec,
+    apply_leg_attack,
+    fake_bmo_outcome,
+    measure_ancillas,
+)
 from .quantum import (
     BellLabel,
     PauliLabel,
@@ -81,6 +87,13 @@ class SlotKind(str, enum.Enum):
     DECOY_PARTNER = "d"
 
 
+def draw_label(labels: Sequence[BellLabel], rng: np.random.Generator) -> BellLabel:
+    """One uniform label from a set; a one-label set takes no draw."""
+    if len(labels) == 1:
+        return labels[0]
+    return labels[int(rng.integers(len(labels)))]
+
+
 @dataclass(frozen=True)
 class DecoyPolicy:
     """How verification-pair labels are chosen: one fixed label, or an
@@ -98,9 +111,7 @@ class DecoyPolicy:
             raise ConfigError("fixed decoy policy takes exactly one label")
 
     def draw(self, rng: np.random.Generator) -> BellLabel:
-        if self.kind == "fixed":
-            return self.labels[0]
-        return self.labels[int(rng.integers(len(self.labels)))]
+        return draw_label(self.labels, rng)
 
     @classmethod
     def parse(cls, text: str) -> "DecoyPolicy":
@@ -332,20 +343,18 @@ class CharlieState:
 
 @dataclass
 class PairGroup:
-    """One aligned swap-round slot: the joined view of both contributions."""
+    """One aligned swap-round slot: the joined view of both contributions.
+
+    ``home``, ``kind``, ``init`` and ``ref`` are (alice, bob) pairs: the home
+    qubit, slot kind, prepared label and pair/decoy index on each side.
+    """
 
     id: int
-    a_home: str
-    a_travel: str
-    b_home: str
-    b_travel: str
-    kind_a: SlotKind
-    kind_b: SlotKind
-    alice_init: BellLabel
-    bob_init: BellLabel
+    home: tuple[str, str]
+    kind: tuple[SlotKind, SlotKind]
+    init: tuple[BellLabel, BellLabel]
+    ref: tuple[int, int]
     case: CaseTag
-    a_ref: int
-    b_ref: int
     bmo1: BellLabel | None = None
     bmo2: BellLabel | None = None
 
@@ -371,16 +380,6 @@ class SessionReport:
     transcript: Transcript
     eve_views: tuple = ()
     nested: tuple = ()
-
-    @property
-    def stage1_rate(self) -> float:
-        return self.stage1_failures / self.stage1_checks if self.stage1_checks else 0.0
-
-    @property
-    def stage2_rate(self) -> float:
-        total = self.stage2_gv_checks + self.stage2_split_checks
-        fails = self.stage2_gv_failures + self.stage2_split_failures
-        return fails / total if total else 0.0
 
     @property
     def symbols_total(self) -> int:
@@ -430,6 +429,11 @@ class Session:
     All randomness (preparation draws, insertion positions, measurement
     sampling, attack sampling) comes from ``rng`` in a fixed order, so a
     session is a pure function of (config, stream).
+
+    Per-party state is indexed by side, 0 = alice and 1 = bob (the
+    ``pauli_frame`` convention): ``parties[side]``, ``state_sets[side]``,
+    ``known[side]`` (that party's knowledge of the partner's initial labels,
+    per pair index) and ``enc[side]`` (its encoding operators).
     """
 
     def __init__(
@@ -450,6 +454,8 @@ class Session:
         self.eve = EveState()
         self.alice = PartyState("alice")
         self.bob = PartyState("bob")
+        self.parties = (self.alice, self.bob)
+        self.state_sets = (cfg.alice_state_set, cfg.bob_state_set)
         fake = frozenset()
         if self.attack is not None and self.attack.strategy == "fake_bmo":
             fake = self.attack.fake_stages
@@ -464,9 +470,8 @@ class Session:
         self.split_checks = self.split_fails = 0
         self.eve_views: list = []
         self.nested_reports: list[SessionReport] = []
-        # decoders' knowledge of the partner's initial labels (per pair index)
-        self.alice_knows_bob: list[BellLabel] | None = None
-        self.bob_knows_alice: list[BellLabel] | None = None
+        self.known: list[list[BellLabel] | None] = [None, None]
+        self.enc: list[list[PauliLabel] | None] = [None, None]
 
     # -- public ------------------------------------------------------------
 
@@ -509,42 +514,28 @@ class Session:
 
     # -- preparation ---------------------------------------------------------
 
-    def _draw_label(self, label_set: tuple[BellLabel, ...]) -> BellLabel:
-        if len(label_set) == 1:
-            return label_set[0]
-        return label_set[int(self.rng.integers(len(label_set)))]
-
     def _prepare(self) -> None:
         cfg = self.cfg
-        for party, state_set in (
-            (self.alice, cfg.alice_state_set),
-            (self.bob, cfg.bob_state_set),
-        ):
+        for party, state_set in zip(self.parties, self.state_sets):
             p = party.name[0]
             for i in range(cfg.n_pairs):
-                label = self._draw_label(state_set)
+                label = draw_label(state_set, self.rng)
                 home, travel = f"{p}m{i}h", f"{p}m{i}t"
                 self.arena.add_state(make_bell(label, home, travel), party.name)
                 party.pairs.append(MessagePair(i, home, travel, label))
-            for i in range(cfg.stage1_decoy_count):
-                label = cfg.decoy_policy.draw(self.rng)
-                q1, q2 = f"{p}d{i}h", f"{p}d{i}t"
-                self.arena.add_state(make_bell(label, q1, q2), party.name)
-                party.s1_decoys.append(Decoy(i, q1, q2, label, split=True))
-            for i in range(cfg.whole_decoy_count):
-                label = cfg.decoy_policy.draw(self.rng)
-                q1, q2 = f"{p}w{i}a", f"{p}w{i}b"
-                self.arena.add_state(make_bell(label, q1, q2), party.name)
-                party.s2_whole.append(Decoy(i, q1, q2, label, split=False))
-            for i in range(cfg.split_decoy_count):
-                label = cfg.decoy_policy.draw(self.rng)
-                q1, q2 = f"{p}s{i}h", f"{p}s{i}t"
-                self.arena.add_state(make_bell(label, q1, q2), party.name)
-                party.s2_split.append(Decoy(i, q1, q2, label, split=True))
-        if len(cfg.bob_state_set) == 1:
-            self.alice_knows_bob = [cfg.bob_state_set[0]] * cfg.n_pairs
-        if len(cfg.alice_state_set) == 1:
-            self.bob_knows_alice = [cfg.alice_state_set[0]] * cfg.n_pairs
+            for decoys, tag, count, (s1, s2), split in (
+                (party.s1_decoys, "d", cfg.stage1_decoy_count, "ht", True),
+                (party.s2_whole, "w", cfg.whole_decoy_count, "ab", False),
+                (party.s2_split, "s", cfg.split_decoy_count, "ht", True),
+            ):
+                for i in range(count):
+                    label = cfg.decoy_policy.draw(self.rng)
+                    q1, q2 = f"{p}{tag}{i}{s1}", f"{p}{tag}{i}{s2}"
+                    self.arena.add_state(make_bell(label, q1, q2), party.name)
+                    decoys.append(Decoy(i, q1, q2, label, split))
+        for side, state_set in enumerate(self.state_sets):
+            if len(state_set) == 1:
+                self.known[1 - side] = [state_set[0]] * cfg.n_pairs
 
     # -- dialogue preliminaries ----------------------------------------------
 
@@ -554,19 +545,18 @@ class Session:
 
         One choice costs ceil(log2(set size)) bits; the nested session is
         sized at n_pairs * bits_per_choice, whose guaranteed case-IV floor of
-        half the pair count always covers the payload.
+        half the pair count always covers the payload.  A decoded index
+        outside the set is a corrupt share and aborts the session.
         """
         cfg = self.cfg
-        plans = []
-        if len(cfg.bob_state_set) > 1:
-            plans.append(("bob", cfg.bob_state_set, [p.label for p in self.bob.pairs]))
-        if len(cfg.alice_state_set) > 1:
-            plans.append(("alice", cfg.alice_state_set, [p.label for p in self.alice.pairs]))
-        for owner, state_set, labels in plans:
+        for side in (1, 0):
+            state_set = self.state_sets[side]
+            if len(state_set) == 1:
+                continue
             bpc = _bits_per_choice(len(state_set))
             bits: list[int] = []
-            for lab in labels:
-                idx = state_set.index(lab)
+            for pair in self.parties[side].pairs:
+                idx = state_set.index(pair.label)
                 bits.extend((idx >> (bpc - 1 - k)) & 1 for k in range(bpc))
             payload = _pack_bits_to_symbols(bits)
             nested_cfg = SessionConfig(
@@ -589,11 +579,10 @@ class Session:
                 idx = 0
                 for k in range(bpc):
                     idx = (idx << 1) | decoded_bits[i * bpc + k]
-                known.append(state_set[idx % len(state_set)])
-            if owner == "bob":
-                self.alice_knows_bob = known
-            else:
-                self.bob_knows_alice = known
+                if idx >= len(state_set):
+                    raise _Abort("nested", 1.0)
+                known.append(state_set[idx])
+            self.known[1 - side] = known
 
     # -- round 1: swap ---------------------------------------------------------
 
@@ -608,13 +597,15 @@ class Session:
         return arrived
 
     def _stage1(self) -> None:
-        for party in (self.alice, self.bob):
+        for party in self.parties:
             base = [(p.travel, Entangled(p.index)) for p in party.pairs]
             decoys = [(d.q2, DecoyPartner(d.index)) for d in party.s1_decoys]
             party.seq1 = ExtendedSequence(party.name, insert_decoys(base, decoys, self.rng))
+        for party in self.parties:
+            party.seq1.occupants = self._transmit(
+                f"stage1_{party.name}", party, party.seq1.qubits()
+            )
         a_seq, b_seq = self.alice.seq1, self.bob.seq1
-        a_seq.occupants = self._transmit("stage1_alice", self.alice, a_seq.qubits())
-        b_seq.occupants = self._transmit("stage1_bob", self.bob, b_seq.qubits())
         if len(a_seq) != len(b_seq):
             raise ProtocolError("swap-round sequences differ in length")
         self.bmo1: list[BellLabel] = []
@@ -628,52 +619,21 @@ class Session:
             self.bmo1.append(outcome)
 
     def _build_groups(self) -> None:
-        a_tags = dict(enumerate(tag for _, tag in self.alice.seq1.slots))
-        b_tags = dict(enumerate(tag for _, tag in self.bob.seq1.slots))
-        cases = classify_cases(
-            self.alice.seq1.split_positions(),
-            self.bob.seq1.split_positions(),
-            len(self.alice.seq1),
-        )
+        a_seq, b_seq = self.alice.seq1, self.bob.seq1
+        cases = classify_cases(a_seq.split_positions(), b_seq.split_positions(), len(a_seq))
         for i, case in enumerate(cases):
-            a_tag, b_tag = a_tags[i], b_tags[i]
-            if isinstance(a_tag, Entangled):
-                ap = self.alice.pairs[a_tag.ref]
-                a_home, a_travel, a_label, a_kind, a_ref = ap.home, ap.travel, ap.label, SlotKind.ENTANGLED, ap.index
-            else:
-                ad = self.alice.s1_decoys[a_tag.ref]
-                a_home, a_travel, a_label, a_kind, a_ref = ad.q1, ad.q2, ad.label, SlotKind.DECOY_PARTNER, ad.index
-            if isinstance(b_tag, Entangled):
-                bp = self.bob.pairs[b_tag.ref]
-                b_home, b_travel, b_label, b_kind, b_ref = bp.home, bp.travel, bp.label, SlotKind.ENTANGLED, bp.index
-            else:
-                bd = self.bob.s1_decoys[b_tag.ref]
-                b_home, b_travel, b_label, b_kind, b_ref = bd.q1, bd.q2, bd.label, SlotKind.DECOY_PARTNER, bd.index
-            group = PairGroup(
-                id=i,
-                a_home=a_home,
-                a_travel=a_travel,
-                b_home=b_home,
-                b_travel=b_travel,
-                kind_a=a_kind,
-                kind_b=b_kind,
-                alice_init=a_label,
-                bob_init=b_label,
-                case=case,
-                a_ref=a_ref,
-                b_ref=b_ref,
-                bmo1=self.bmo1[i],
-            )
-            self.groups.append(group)
+            slots = (_slot(party, party.seq1.slots[i][1]) for party in self.parties)
+            home, kind, init, ref = zip(*slots)
+            self.groups.append(PairGroup(i, home, kind, init, ref, case, bmo1=self.bmo1[i]))
             self.case_counts[case.value] += 1
 
     def _stage1_checks(self) -> None:
-        for party in (self.alice, self.bob):
+        for party in self.parties:
             self.transcript.append(
                 party.name,
                 DecoyPositions(party.name, 1, split_positions=party.seq1.split_positions()),
             )
-        for party in (self.alice, self.bob):
+        for party in self.parties:
             labels = tuple((d.index, d.label) for d in party.s1_decoys)
             self.transcript.append(
                 party.name, InitialStateReveal(party.name, 1, "decoy", labels)
@@ -686,26 +646,19 @@ class Session:
             if g.case is not CaseTag.CASE_IV
             and not (use_msg and g.case in (CaseTag.CASE_II, CaseTag.CASE_III))
         ]
-        case3 = tuple(
-            (g.b_ref, g.bob_init) for g in checked if g.case is CaseTag.CASE_III
-        )
-        if case3:
-            self.transcript.append(
-                "bob", InitialStateReveal("bob", 1, "message", case3)
-            )
-        if len(self.cfg.alice_state_set) > 1:
-            case2 = tuple(
-                (g.a_ref, g.alice_init) for g in checked if g.case is CaseTag.CASE_II
-            )
-            if case2:
-                self.transcript.append(
-                    "alice", InitialStateReveal("alice", 1, "message", case2)
-                )
+        # the entangled side of a mixed slot discloses its label for the
+        # check: bob always, alice only when her choices are private
+        for side, case in ((1, CaseTag.CASE_III), (0, CaseTag.CASE_II)):
+            if side == 0 and len(self.cfg.alice_state_set) == 1:
+                continue
+            labels = tuple((g.ref[side], g.init[side]) for g in checked if g.case is case)
+            if labels:
+                name = self.parties[side].name
+                self.transcript.append(name, InitialStateReveal(name, 1, "message", labels))
         for g in checked:
-            a_bit = self.arena.comp_measure(g.a_home, self.rng)
-            b_bit = self.arena.comp_measure(g.b_home, self.rng)
-            self.transcript.append("alice", CorrelationRecord(1, g.id, (a_bit, b_bit)))
-            ok = correlation_check(g.bmo1, a_bit, b_bit, g.alice_init, g.bob_init)
+            bits = tuple(self.arena.comp_measure(q, self.rng) for q in g.home)
+            self.transcript.append("alice", CorrelationRecord(1, g.id, bits))
+            ok = correlation_check(g.bmo1, *bits, *g.init)
             self.s1_checks += 1
             self.s1_fails += 0 if ok else 1
         rate = self.s1_fails / self.s1_checks if self.s1_checks else 0.0
@@ -721,32 +674,24 @@ class Session:
         return [g for g in self.groups if g.case in keep]
 
     def _encode_and_send(self) -> None:
-        cfg = self.cfg
         self.survivors = self._survivor_groups()
         n_sym = len(self.survivors)
-        if self.payload is not None:
-            if len(self.payload) > n_sym:
-                raise ProtocolError(
-                    f"payload of {len(self.payload)} symbols exceeds capacity {n_sym}"
-                )
-            symbols_a = tuple(self.payload + [0] * (n_sym - len(self.payload)))
-        else:
-            symbols_a = tuple(int(v) for v in self.rng.integers(0, 4, size=n_sym))
-        self.sent["alice"] = symbols_a
-        self.enc_a = [PauliLabel.from_symbol(s) for s in symbols_a]
-        for g, op in zip(self.survivors, self.enc_a):
-            self.arena.apply_pauli(g.a_home, op)
-        if cfg.mode is Mode.QD:
-            symbols_b = tuple(int(v) for v in self.rng.integers(0, 4, size=n_sym))
-            self.sent["bob"] = symbols_b
-            self.enc_b = [PauliLabel.from_symbol(s) for s in symbols_b]
-            for g, op in zip(self.survivors, self.enc_b):
-                self.arena.apply_pauli(g.b_home, op)
-        for party, side in ((self.alice, "a"), (self.bob, "b")):
-            base = [
-                (g.a_home if side == "a" else g.b_home, Entangled(k))
-                for k, g in enumerate(self.survivors)
-            ]
+        senders = (0, 1) if self.cfg.mode is Mode.QD else (0,)
+        for side in senders:
+            if side == 0 and self.payload is not None:
+                if len(self.payload) > n_sym:
+                    raise ProtocolError(
+                        f"payload of {len(self.payload)} symbols exceeds capacity {n_sym}"
+                    )
+                symbols = tuple(self.payload + [0] * (n_sym - len(self.payload)))
+            else:
+                symbols = tuple(int(v) for v in self.rng.integers(0, 4, size=n_sym))
+            self.sent[self.parties[side].name] = symbols
+            self.enc[side] = [PauliLabel.from_symbol(s) for s in symbols]
+            for g, op in zip(self.survivors, self.enc[side]):
+                self.arena.apply_pauli(g.home[side], op)
+        for side, party in enumerate(self.parties):
+            base = [(g.home[side], Entangled(k)) for k, g in enumerate(self.survivors)]
             decoys: list[tuple[str, object]] = []
             for d in party.s2_whole:
                 decoys.append((d.q1, DecoyWholeHalf(d.index, 0)))
@@ -754,12 +699,13 @@ class Session:
             for d in party.s2_split:
                 decoys.append((d.q2, DecoyPartner(d.index)))
             party.seq2 = ExtendedSequence(party.name, insert_decoys(base, decoys, self.rng))
-            leg = "stage2_alice" if party is self.alice else "stage2_bob"
-            party.seq2.occupants = self._transmit(leg, party, party.seq2.qubits())
+            party.seq2.occupants = self._transmit(
+                f"stage2_{party.name}", party, party.seq2.qubits()
+            )
 
     def _stage2_checks(self) -> None:
         self.transcript.append("charlie", Receipt(2))
-        for party in (self.alice, self.bob):
+        for party in self.parties:
             self.transcript.append(
                 party.name,
                 DecoyPositions(
@@ -770,7 +716,7 @@ class Session:
                 ),
             )
         fake = 2 in self.charlie.fake_stages
-        for party in (self.alice, self.bob):
+        for party in self.parties:
             occupants = party.seq2.occupants
             for d, (i, j) in zip(party.s2_whole, party.seq2.whole_positions()):
                 if fake:
@@ -790,7 +736,7 @@ class Session:
                 self.split_checks += 1
                 ok = (c_bit == o_bit) == d.label.correlated
                 self.split_fails += 0 if ok else 1
-        for party in (self.alice, self.bob):
+        for party in self.parties:
             labels = tuple(
                 (d.index, d.label) for d in (*party.s2_whole, *party.s2_split)
             )
@@ -806,66 +752,53 @@ class Session:
     # -- round 3: decode ---------------------------------------------------------
 
     def _decode_round(self) -> None:
-        cfg = self.cfg
-        if cfg.mode is not Mode.QD and len(cfg.alice_state_set) > 1:
+        qd = self.cfg.mode is Mode.QD
+        if not qd and len(self.cfg.alice_state_set) > 1:
             # the sender's choices are disclosed for decoding once the swap
             # round is committed; the receiver's stay private
             labels = tuple(
-                (g.a_ref, g.alice_init)
+                (g.ref[0], g.init[0])
                 for g in self.survivors
-                if g.kind_a is SlotKind.ENTANGLED
+                if g.kind[0] is SlotKind.ENTANGLED
             )
             self.transcript.append(
                 "alice", InitialStateReveal("alice", 3, "message", labels)
             )
-            self.bob_knows_alice = [p.label for p in self.alice.pairs]
-        a_msg = [self.alice.seq2.occupants[p] for p in self.alice.seq2.message_positions()]
-        b_msg = [self.bob.seq2.occupants[p] for p in self.bob.seq2.message_positions()]
-        decoded_by_bob: list[int] = []
-        decoded_by_alice: list[int] = []
+            self.known[1] = [p.label for p in self.alice.pairs]
+        a_msg, b_msg = (
+            [party.seq2.occupants[p] for p in party.seq2.message_positions()]
+            for party in self.parties
+        )
+        # each decoder recovers the other side's operator
+        decoders = (1, 0) if qd else (1,)
+        decoded: dict[int, list[int]] = {decoder: [] for decoder in decoders}
         for k, g in enumerate(self.survivors):
             outcome = self.arena.bell_measure(a_msg[k], b_msg[k], self.rng)
             self.transcript.append("charlie", BMOAnnouncement(3, k, outcome))
             g.bmo2 = outcome
-            alice_init_for_bob = (
-                g.alice_init
-                if g.kind_a is SlotKind.DECOY_PARTNER
-                else self.bob_knows_alice[g.a_ref]
-            )
-            bob_init_for_alice = (
-                g.bob_init
-                if g.kind_b is SlotKind.DECOY_PARTNER
-                else (self.alice_knows_bob[g.b_ref] if self.alice_knows_bob else None)
-            )
-            own_b = self.enc_b[k] if cfg.mode is Mode.QD else None
-            decoded_by_bob.append(
-                decode_message(
-                    alice_init_for_bob, g.bob_init, g.bmo1, outcome,
-                    own_encoding=own_b, decode_side=0,
-                ).symbol
-            )
-            if cfg.mode is Mode.QD:
-                decoded_by_alice.append(
+            for decoder in decoders:
+                side = 1 - decoder
+                init = list(g.init)
+                if g.kind[side] is SlotKind.ENTANGLED:
+                    init[side] = self.known[decoder][g.ref[side]]
+                own = self.enc[decoder][k] if qd else None
+                decoded[decoder].append(
                     decode_message(
-                        g.alice_init, bob_init_for_alice, g.bmo1, outcome,
-                        own_encoding=self.enc_a[k], decode_side=1,
+                        *init, g.bmo1, outcome, own_encoding=own, decode_side=side
                     ).symbol
                 )
             self.eve_views.append([g.bmo1.value, outcome.value, []])
-        self.decoded["bob"] = tuple(decoded_by_bob)
-        if cfg.mode is Mode.QD:
-            self.decoded["alice"] = tuple(decoded_by_alice)
+        for decoder, symbols in decoded.items():
+            self.decoded[self.parties[decoder].name] = tuple(symbols)
 
     # -- wrap-up -------------------------------------------------------------------
 
     def _attach_ancilla_bits(self) -> None:
         pos_to_survivor = {}
-        if self.alice.seq2 is not None:
-            for k, p in enumerate(self.alice.seq2.message_positions()):
-                pos_to_survivor[("stage2_alice", p)] = k
-        if self.bob.seq2 is not None:
-            for k, p in enumerate(self.bob.seq2.message_positions()):
-                pos_to_survivor[("stage2_bob", p)] = k
+        for party in self.parties:
+            if party.seq2 is not None:
+                for k, p in enumerate(party.seq2.message_positions()):
+                    pos_to_survivor[(f"stage2_{party.name}", p)] = k
         for note in self.eve.notes:
             if note.get("kind") != "ancilla":
                 continue
@@ -880,11 +813,20 @@ class Session:
     def _validate_transcript(self) -> None:
         allowed: dict[str, set[int]] = {"alice": set(), "bob": set()}
         for g in self.groups:
-            if g.case is CaseTag.CASE_III and g.kind_b is SlotKind.ENTANGLED:
-                allowed["bob"].add(g.b_ref)
+            if g.case is CaseTag.CASE_III and g.kind[1] is SlotKind.ENTANGLED:
+                allowed["bob"].add(g.ref[1])
         if len(self.cfg.alice_state_set) > 1:
             allowed["alice"] = {p.index for p in self.alice.pairs}
         validate_order(self.transcript, allowed)
+
+
+def _slot(party: PartyState, tag: object) -> tuple[str, SlotKind, BellLabel, int]:
+    """Home qubit, kind, prepared label and index behind one swap-round slot."""
+    if isinstance(tag, Entangled):
+        pair = party.pairs[tag.ref]
+        return pair.home, SlotKind.ENTANGLED, pair.label, pair.index
+    decoy = party.s1_decoys[tag.ref]
+    return decoy.q1, SlotKind.DECOY_PARTNER, decoy.label, decoy.index
 
 
 def session_rng(master_seed: int, session_index: int) -> np.random.Generator:

@@ -150,6 +150,14 @@ def test_noise_spec_validation():
         noise_fidelity(PSIP, "dephasing", [0.0], apply_to="everywhere")
 
 
+@pytest.mark.parametrize("param", [math.inf, -math.inf, math.nan])
+def test_noise_spec_rejects_non_finite_param(param):
+    with pytest.raises(ValueError, match="finite"):
+        NoiseSpec("dephasing", param)
+    with pytest.raises(ValueError, match="finite"):
+        NoiseSpec.parse(f"rotation:{param}")
+
+
 @pytest.mark.parametrize("channel", ["dephasing", "rotation"])
 def test_noise_matrix_is_built_once_and_read_only(channel):
     spec = NoiseSpec(channel, 0.3)

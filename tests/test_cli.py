@@ -163,6 +163,14 @@ def test_run_malformed_config_exit_one_no_report(tmp_path):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("noise", ["dephasing:inf", "rotation:nan", "dephasing:-inf"])
+def test_run_non_finite_noise_exit_one_no_report(tmp_path, capsys, noise):
+    out = tmp_path / "never.txt"
+    assert run_cli(["run", "--sessions", "2", "--noise", noise, "--out", str(out)]) == 1
+    assert "error: noise parameter must be finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_run_missing_config_exit_one(tmp_path):
     code = run_cli(["run", "--config", str(tmp_path / "nope.cfg")])
     assert code == 1
@@ -277,6 +285,14 @@ def test_sweep_nonpositive_trials_is_usage_error(tmp_path, capsys, trials):
     assert not out.exists()
     assert run_cli(args) == 1
     assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize("grid", ["nan", "0,inf"])
+def test_sweep_non_finite_noise_grid_is_usage_error(tmp_path, capsys, grid):
+    out = tmp_path / "fid.tsv"
+    assert run_cli(["sweep", "--kind", "noise", "--grid", grid, "--out", str(out)]) == 1
+    assert "error: noise parameter must be finite" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_sweep_empty_grid_is_usage_error():

@@ -1,9 +1,14 @@
 """Protocol-layer tests: preparation, cases, checks, encoding, sessions."""
+import hashlib
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+from osbmdi.adversary import AttackSpec
 from osbmdi.analysis import NoiseSpec
 from osbmdi.protocol import (
     DECODE_REFERENCE,
@@ -369,6 +374,47 @@ def test_qkd_mode_key_agreement():
         assert rep.sent_symbols["alice"] == rep.decoded_symbols["bob"]
 
 
+def test_corrupt_nested_share_aborts_instead_of_wrapping():
+    # a three-label set takes two bits per choice, so each nested symbol is
+    # one index; collective dephasing turns some into index 3, which must
+    # abort the session rather than be mapped onto a wrong label
+    cfg = SessionConfig(
+        n_pairs=8,
+        mode=Mode.QD,
+        master_seed=0,
+        bob_state_set=(PSIP, PSIM, PHIP),
+        decoy_policy=DecoyPolicy("fixed", (PHIP,)),
+        noise=NoiseSpec("dephasing", 0.3),
+    )
+    corrupt = 0
+    for i in range(20):
+        rep = run_session(cfg, i)
+        (nested,) = rep.nested
+        assert not nested.aborted
+        if max(nested.decoded_symbols["bob"][: cfg.n_pairs]) >= 3:
+            corrupt += 1
+            assert rep.aborted and rep.abort_stage == "nested"
+            assert "alice" not in rep.decoded_symbols
+        else:
+            assert rep.abort_stage != "nested"
+    assert corrupt > 0
+
+
+def test_protocol_layer_does_not_import_analysis():
+    import osbmdi
+
+    src = os.path.dirname(os.path.dirname(osbmdi.__file__))
+    code = "import sys, osbmdi.protocol; print('osbmdi.analysis' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        check=True,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert out.stdout.strip() == "False"
+
+
 # --- determinism ------------------------------------------------------------------------
 
 
@@ -440,3 +486,147 @@ def test_rotated_channel_detected_by_split_checks():
     assert rep.aborted and rep.abort_stage == "stage2"
     assert rep.stage2_split_failures == rep.stage2_split_checks
     assert rep.stage2_gv_failures == 0
+
+
+# --- session differential digests ------------------------------------------------------------
+#
+# SHA-256 over six sessions per config of everything a session makes
+# observable.  The digests were recorded before the party-state refactor of
+# ``Session`` and must not move under any behaviour-preserving change of the
+# protocol layer.  Three-label sets stay honest here: under noise or attack a
+# corrupt nested decode now aborts instead of wrapping (tested separately).
+
+_ONE, _TWO, _THREE = (PSIP,), (PSIP, PSIM), (PSIP, PSIM, PHIP)
+_SETS = {1: _ONE, 2: _TWO, 3: _THREE}
+
+
+def _digest_configs():
+    out = {}
+    for mode in Mode:
+        for na, a_set in _SETS.items():
+            for nb, b_set in _SETS.items():
+                out[f"{mode.value}-a{na}-b{nb}"] = SessionConfig(
+                    n_pairs=8, mode=mode, master_seed=5,
+                    alice_state_set=a_set, bob_state_set=b_set,
+                )
+    attacks = (
+        "intercept_resend",
+        "entangle_measure:beta2=0.5,legs=stage1_alice+stage2_bob",
+        "flip_all",
+        "disturb:mode=reorder,fraction=0.5",
+        "disturb:mode=random_pauli,fraction=0.5",
+        "fake_bmo:stages=1+2",
+    )
+    for mode in (Mode.QSDC, Mode.QD):
+        for text in attacks:
+            # threshold 1 lets attacked sessions reach the decode round
+            out[f"{mode.value}-{text}"] = SessionConfig(
+                n_pairs=8, mode=mode, master_seed=6,
+                attack=AttackSpec.parse(text), error_threshold=1.0,
+            )
+        for policy in ("fixed:phi-", "random:psi+", "random:psi+,psi-,phi+,phi-"):
+            out[f"{mode.value}-{policy}"] = SessionConfig(
+                n_pairs=8, mode=mode, master_seed=7,
+                decoy_policy=DecoyPolicy.parse(policy),
+            )
+        # default threshold: every exit (stage-1 abort, stage-2 abort, done)
+        out[f"{mode.value}-entangle_measure-all-legs"] = SessionConfig(
+            n_pairs=8, mode=mode, master_seed=6,
+            attack=AttackSpec.parse(
+                "entangle_measure:beta2=0.05,"
+                "legs=stage1_alice+stage1_bob+stage2_alice+stage2_bob"
+            ),
+        )
+        out[f"{mode.value}-dephasing"] = SessionConfig(
+            n_pairs=8, mode=mode, master_seed=8, noise=NoiseSpec("dephasing", 0.3),
+        )
+    for m in (0, 4):
+        out[f"qd-split{m}-cases"] = SessionConfig(
+            n_pairs=8, mode=Mode.QD, master_seed=9, m_split_decoys=m,
+            use_cases_ii_iii=True, alice_state_set=_TWO,
+        )
+    return out
+
+
+def _report_material(rep):
+    return (
+        rep.transcript.serialize(),
+        tuple(_report_material(n) for n in rep.nested),
+        sorted(rep.sent_symbols.items()),
+        sorted(rep.decoded_symbols.items()),
+        rep.eve_views,
+        sorted(rep.case_counts.items()),
+        (rep.stage1_checks, rep.stage1_failures, rep.stage2_gv_checks,
+         rep.stage2_gv_failures, rep.stage2_split_checks, rep.stage2_split_failures),
+        rep.abort_stage,
+    )
+
+
+def session_digest(cfg, sessions=6):
+    h = hashlib.sha256()
+    for i in range(sessions):
+        h.update(repr(_report_material(run_session(cfg, i))).encode())
+    return h.hexdigest()
+
+
+SESSION_DIGESTS = {
+    "qd-a1-b1": "b9eb33481d186bc378a777ae0ab1c6dba35971439ea2055d0d44cd992a38b7cd",
+    "qd-a1-b2": "0a36ebbf6d3ea96f73cb7a6f2def139d2d680c98086bcdebc01fad1d28d37fa6",
+    "qd-a1-b3": "57b68efb1baf30935d77c6ad5c5e0a91103776a9508df7be9c88d70c000cd63d",
+    "qd-a2-b1": "eeb968174cddd811dffddfee6cbc717cdbf157da5b7d4f57d32a00f0a32a4739",
+    "qd-a2-b2": "cc6146ae5509b0fce9bbb43c6d807b79acef9822c8fab08372f4a4367c43296f",
+    "qd-a2-b3": "bab196cbce6518d3fc85a68297a68d4ec66f232d74219a4d8886b109b1092d74",
+    "qd-a3-b1": "d8036b95a50c2c470ae9a60392059ab62ec7967acf2a13815c734bab8588ad00",
+    "qd-a3-b2": "471d62e68c47f2549cde9262bb7764c1d87fc6ff5e278286be8df5ed89a00910",
+    "qd-a3-b3": "2492fae00ab4573cb1d23cbd20edea522cd276486fce94db091bf05f03861b38",
+    "qd-dephasing": "c809b0c16d1fccb959f972a039356754fc167897f30360d8281d70b2ccf86a7c",
+    "qd-disturb:mode=random_pauli,fraction=0.5": "746d171a8875bff16a92ca91e602c0113367730564bde094486c44003004c6c9",
+    "qd-disturb:mode=reorder,fraction=0.5": "6196c0f1c80e961d3b9e7f2206fbd8f418a28928638741b4424ca9c1118e879d",
+    "qd-entangle_measure-all-legs": "2cef95bfbf9d00d7d0ac1af3674be74b4b31133a4c0a0dbf908752ef3c7df2a5",
+    "qd-entangle_measure:beta2=0.5,legs=stage1_alice+stage2_bob": "23fc51a9606d00edeed03f4a2ef7c625c7da48e00f8d7234b0483820cfcc0669",
+    "qd-fake_bmo:stages=1+2": "fca1c9e9159d03c44cbe6ac6cbfb7e6284022147f5826ae935ce08fe13b3031b",
+    "qd-fixed:phi-": "622bc41bb92cd55f107380df30ee1515c2d06b749d6cde3bc8082d0437f00d3c",
+    "qd-flip_all": "9fedec8f8977bfe9dd2686190b5d1344d8e5583aa1b32c48dac66628949db4d5",
+    "qd-intercept_resend": "8460abd420841daf0bcdb0f2fb9d5d9e24eab0afbe62afb1c92d4b4994fff006",
+    "qd-random:psi+": "d0fef3997841366c50b4fe3d3ca3db187d72a7bcc839070f9e6357fb46e6d5cb",
+    "qd-random:psi+,psi-,phi+,phi-": "46d90440b45d2bd38acb0fad488fd321724ae025b88ef00f20f3250647998dc3",
+    "qd-split0-cases": "c1e7a5459d103ff4ecac47536c01e72a6fe6489c5f3e86e4aee06c0715f3a94b",
+    "qd-split4-cases": "36201f51af691aee5fe3bd40fac3051bf827cb1cfa66446e3f7c781492426abb",
+    "qkd-a1-b1": "ff588fa07ebc1448de423c662eb06bb1bd0898ea6b8ca1e14235eb97c97706dd",
+    "qkd-a1-b2": "4e94de06417e0f82081ad2ba62f92afd2e41d11c6c2a45ec81f6d7e0d326a3a1",
+    "qkd-a1-b3": "5737b2ef116d051f5fde2ed20554afbde749fb5e8ec4c1533475f123f1f09aae",
+    "qkd-a2-b1": "cfd13901ad6dc1e6209e9384767968f1cbaf2bd710ad4022ada4efaa00c794fa",
+    "qkd-a2-b2": "9c53d743ada5ace5d8ded43a1d060daf58a139c2e4f68e92cb10a241497dcfe3",
+    "qkd-a2-b3": "dcdec6d3484c318d6fee0738fcb0ae1e55f0a7686123c9c89ccf8bd71f225056",
+    "qkd-a3-b1": "9e2e4aa2e5ce05a4544ea4e9bfe3df67c63093c1855ee0b196fd89cb2cb7b792",
+    "qkd-a3-b2": "2c023db6ecc5ca4858e360f17e862cf676fd614f1f88f8f0208b92599ad94e31",
+    "qkd-a3-b3": "733d97d4d5c21a9593483447406dac3d95703bd28892b5be0993a9d6031a303e",
+    "qsdc-a1-b1": "ff588fa07ebc1448de423c662eb06bb1bd0898ea6b8ca1e14235eb97c97706dd",
+    "qsdc-a1-b2": "4e94de06417e0f82081ad2ba62f92afd2e41d11c6c2a45ec81f6d7e0d326a3a1",
+    "qsdc-a1-b3": "5737b2ef116d051f5fde2ed20554afbde749fb5e8ec4c1533475f123f1f09aae",
+    "qsdc-a2-b1": "cfd13901ad6dc1e6209e9384767968f1cbaf2bd710ad4022ada4efaa00c794fa",
+    "qsdc-a2-b2": "9c53d743ada5ace5d8ded43a1d060daf58a139c2e4f68e92cb10a241497dcfe3",
+    "qsdc-a2-b3": "dcdec6d3484c318d6fee0738fcb0ae1e55f0a7686123c9c89ccf8bd71f225056",
+    "qsdc-a3-b1": "9e2e4aa2e5ce05a4544ea4e9bfe3df67c63093c1855ee0b196fd89cb2cb7b792",
+    "qsdc-a3-b2": "2c023db6ecc5ca4858e360f17e862cf676fd614f1f88f8f0208b92599ad94e31",
+    "qsdc-a3-b3": "733d97d4d5c21a9593483447406dac3d95703bd28892b5be0993a9d6031a303e",
+    "qsdc-dephasing": "a60e27def8763942167b7d5c5b8553d972ac679e05e92fd10d0a5be09cb9681a",
+    "qsdc-disturb:mode=random_pauli,fraction=0.5": "e42de0147dadf2325ddc28fe376c554dc9c65e1a706947d13c099edd5fb4b7ba",
+    "qsdc-disturb:mode=reorder,fraction=0.5": "aaea5778c52e69894fdf3ab5f7152046be3d25a6d06d8792659040a917efa09c",
+    "qsdc-entangle_measure-all-legs": "b1fedaf90063e68fb1d86291bdb8b142c13b489425780836b6937f1b99d03eb1",
+    "qsdc-entangle_measure:beta2=0.5,legs=stage1_alice+stage2_bob": "a3ff94ced701f57a3bdf1500e73e1b68d428da5fe5b75bfdcbfa244761864b38",
+    "qsdc-fake_bmo:stages=1+2": "3a7b83a68ca421cffcf6b97a85ea9c3f2b9d3b44328ae2064dca624eb638aebc",
+    "qsdc-fixed:phi-": "318062c770b7d56c799009c7e2089375d0b57d0ed7dba34e973c9c98ab6db014",
+    "qsdc-flip_all": "d09eac960381a57dc9cf2b04531a7b12988975fc7df33f2867507acb7e6db3dd",
+    "qsdc-intercept_resend": "99799360210d517fd05d851c8777eed83cfe9d16a679148cc5d83c0a945cf723",
+    "qsdc-random:psi+": "faf624a6403f0c98219605d7f00da8107ef7694468bf51fec3f2aebbd8547709",
+    "qsdc-random:psi+,psi-,phi+,phi-": "f95ac0ae616e32c8ecc0389feaed0cb152d9bb706816a4a36128287a635ae35b",
+}
+
+
+_CONFIGS = _digest_configs()
+
+
+@pytest.mark.parametrize("name", sorted(_CONFIGS))
+def test_session_digest_unchanged(name):
+    assert session_digest(_CONFIGS[name]) == SESSION_DIGESTS[name]
