@@ -40,7 +40,6 @@ from .quantum import (
     QuantumError,
     QubitArena,
     frame_correction,
-    make_bell,
     pauli_frame,
     swapped_home_label,
 )
@@ -94,6 +93,14 @@ def draw_label(labels: Sequence[BellLabel], rng: np.random.Generator) -> BellLab
     return labels[int(rng.integers(len(labels)))]
 
 
+def _reject_repeats(what: str, labels: Sequence[BellLabel]) -> None:
+    """A label set names each label once: a repeat would skew the uniform
+    draw and every leakage and nested-share count built on the set size."""
+    repeated = sorted({lab.value for lab in labels if labels.count(lab) > 1})
+    if repeated:
+        raise ConfigError(f"{what} repeats {', '.join(repeated)}")
+
+
 @dataclass(frozen=True)
 class DecoyPolicy:
     """How verification-pair labels are chosen: one fixed label, or an
@@ -107,6 +114,7 @@ class DecoyPolicy:
             raise ConfigError(f"unknown decoy policy kind {self.kind!r}")
         if not self.labels:
             raise ConfigError("decoy policy needs at least one label")
+        _reject_repeats("decoy policy", self.labels)
         if self.kind == "fixed" and len(self.labels) != 1:
             raise ConfigError("fixed decoy policy takes exactly one label")
 
@@ -147,6 +155,8 @@ class SessionConfig:
             raise ConfigError(f"unknown mode {self.mode!r}")
         if not self.alice_state_set or not self.bob_state_set:
             raise ConfigError("state sets must be nonempty")
+        _reject_repeats("alice state set", self.alice_state_set)
+        _reject_repeats("bob state set", self.bob_state_set)
         if not 0.0 <= self.error_threshold <= 1.0:
             raise ConfigError("error_threshold must lie in [0, 1]")
         if not 0 <= self.master_seed < 2**64:
@@ -380,6 +390,9 @@ class SessionReport:
     transcript: Transcript
     eve_views: tuple = ()
     nested: tuple = ()
+    # Partner labels a nested share delivered wrong (in range, so undetected);
+    # simulation ground truth, kept out of the rendered report.
+    nested_label_errors: int = 0
 
     @property
     def symbols_total(self) -> int:
@@ -434,6 +447,24 @@ class Session:
     ``pauli_frame`` convention): ``parties[side]``, ``state_sets[side]``,
     ``known[side]`` (that party's knowledge of the partner's initial labels,
     per pair index) and ``enc[side]`` (its encoding operators).
+
+    Each round hands the arena whole rounds of items (``QubitArena``'s
+    ``*_many`` operations), which give the same results and draws as one
+    scalar call per slot in slot order:
+
+      preparation   ``add_bell_pairs`` once per party;
+      every leg     ``apply_unitary_many`` for the channel noise, if any;
+      round 1       ``bell_measure_many`` over the aligned slots, then
+                    ``comp_measure_many`` over the home qubits of the checked
+                    slots (alice's then bob's per slot);
+      round 2       ``apply_pauli_many`` once per sender; per party,
+                    ``bell_measure_many`` over its whole pairs and
+                    ``comp_measure_many`` over its split pairs (the node's
+                    qubit, then the home half);
+      round 3       ``bell_measure_many`` over the aligned message slots.
+
+    A dishonest node (``fake_bmo``) draws its announcements instead of
+    measuring, slot by slot.  Adversary interceptors use the scalar ops.
     """
 
     def __init__(
@@ -470,6 +501,7 @@ class Session:
         self.split_checks = self.split_fails = 0
         self.eve_views: list = []
         self.nested_reports: list[SessionReport] = []
+        self.nested_label_errors = 0
         self.known: list[list[BellLabel] | None] = [None, None]
         self.enc: list[list[PauliLabel] | None] = [None, None]
 
@@ -508,6 +540,7 @@ class Session:
             transcript=self.transcript,
             eve_views=tuple(self.eve_views),
             nested=tuple(self.nested_reports),
+            nested_label_errors=self.nested_label_errors,
         )
         self._validate_transcript()
         return report
@@ -518,10 +551,11 @@ class Session:
         cfg = self.cfg
         for party, state_set in zip(self.parties, self.state_sets):
             p = party.name[0]
+            bells = []
             for i in range(cfg.n_pairs):
                 label = draw_label(state_set, self.rng)
                 home, travel = f"{p}m{i}h", f"{p}m{i}t"
-                self.arena.add_state(make_bell(label, home, travel), party.name)
+                bells.append((label, home, travel))
                 party.pairs.append(MessagePair(i, home, travel, label))
             for decoys, tag, count, (s1, s2), split in (
                 (party.s1_decoys, "d", cfg.stage1_decoy_count, "ht", True),
@@ -531,8 +565,9 @@ class Session:
                 for i in range(count):
                     label = cfg.decoy_policy.draw(self.rng)
                     q1, q2 = f"{p}{tag}{i}{s1}", f"{p}{tag}{i}{s2}"
-                    self.arena.add_state(make_bell(label, q1, q2), party.name)
+                    bells.append((label, q1, q2))
                     decoys.append(Decoy(i, q1, q2, label, split))
+            self.arena.add_bell_pairs(bells, party.name)
         for side, state_set in enumerate(self.state_sets):
             if len(state_set) == 1:
                 self.known[1 - side] = [state_set[0]] * cfg.n_pairs
@@ -546,7 +581,9 @@ class Session:
         One choice costs ceil(log2(set size)) bits; the nested session is
         sized at n_pairs * bits_per_choice, whose guaranteed case-IV floor of
         half the pair count always covers the payload.  A decoded index
-        outside the set is a corrupt share and aborts the session.
+        outside the set is a corrupt share and aborts the session; a wrong
+        label inside the set cannot be seen by the parties and is only counted
+        (``SessionReport.nested_label_errors``).
         """
         cfg = self.cfg
         for side in (1, 0):
@@ -583,14 +620,18 @@ class Session:
                     raise _Abort("nested", 1.0)
                 known.append(state_set[idx])
             self.known[1 - side] = known
+            self.nested_label_errors += sum(
+                got is not pair.label for got, pair in zip(known, self.parties[side].pairs)
+            )
 
     # -- round 1: swap ---------------------------------------------------------
 
     def _transmit(self, leg: str, party: PartyState, qubits: list[str]) -> list[str]:
         for q in qubits:
             self.arena.transfer(q, "channel", expect=party.name)
-            if self.cfg.noise is not None:
-                self.arena.apply_unitary(q, self.cfg.noise.matrix())
+        if self.cfg.noise is not None:
+            u = self.cfg.noise.matrix()
+            self.arena.apply_unitary_many([(q, u) for q in qubits])
         arrived = apply_leg_attack(self.attack, self.arena, self.eve, leg, qubits, self.rng)
         for q in arrived:
             self.arena.transfer(q, "charlie")
@@ -608,15 +649,14 @@ class Session:
         a_seq, b_seq = self.alice.seq1, self.bob.seq1
         if len(a_seq) != len(b_seq):
             raise ProtocolError("swap-round sequences differ in length")
-        self.bmo1: list[BellLabel] = []
-        fake = 1 in self.charlie.fake_stages
-        for i in range(len(a_seq)):
-            if fake:
-                outcome = fake_bmo_outcome(self.rng)
-            else:
-                outcome = self.arena.bell_measure(a_seq.occupants[i], b_seq.occupants[i], self.rng)
+        if 1 in self.charlie.fake_stages:
+            self.bmo1 = [fake_bmo_outcome(self.rng) for _ in range(len(a_seq))]
+        else:
+            self.bmo1 = self.arena.bell_measure_many(
+                list(zip(a_seq.occupants, b_seq.occupants)), self.rng
+            )
+        for i, outcome in enumerate(self.bmo1):
             self.transcript.append("charlie", BMOAnnouncement(1, i, outcome))
-            self.bmo1.append(outcome)
 
     def _build_groups(self) -> None:
         a_seq, b_seq = self.alice.seq1, self.bob.seq1
@@ -655,8 +695,8 @@ class Session:
             if labels:
                 name = self.parties[side].name
                 self.transcript.append(name, InitialStateReveal(name, 1, "message", labels))
-        for g in checked:
-            bits = tuple(self.arena.comp_measure(q, self.rng) for q in g.home)
+        flat = self.arena.comp_measure_many([q for g in checked for q in g.home], self.rng)
+        for g, bits in zip(checked, zip(flat[::2], flat[1::2])):
             self.transcript.append("alice", CorrelationRecord(1, g.id, bits))
             ok = correlation_check(g.bmo1, *bits, *g.init)
             self.s1_checks += 1
@@ -688,8 +728,9 @@ class Session:
                 symbols = tuple(int(v) for v in self.rng.integers(0, 4, size=n_sym))
             self.sent[self.parties[side].name] = symbols
             self.enc[side] = [PauliLabel.from_symbol(s) for s in symbols]
-            for g, op in zip(self.survivors, self.enc[side]):
-                self.arena.apply_pauli(g.home[side], op)
+            self.arena.apply_pauli_many(
+                [(g.home[side], op) for g, op in zip(self.survivors, self.enc[side])]
+            )
         for side, party in enumerate(self.parties):
             base = [(g.home[side], Entangled(k)) for k, g in enumerate(self.survivors)]
             decoys: list[tuple[str, object]] = []
@@ -718,20 +759,30 @@ class Session:
         fake = 2 in self.charlie.fake_stages
         for party in self.parties:
             occupants = party.seq2.occupants
-            for d, (i, j) in zip(party.s2_whole, party.seq2.whole_positions()):
-                if fake:
-                    outcome = fake_bmo_outcome(self.rng)
-                else:
-                    outcome = self.arena.bell_measure(occupants[i], occupants[j], self.rng)
+            whole = party.seq2.whole_positions()
+            if fake:
+                outcomes = [fake_bmo_outcome(self.rng) for _ in whole]
+            else:
+                outcomes = self.arena.bell_measure_many(
+                    [(occupants[i], occupants[j]) for i, j in whole], self.rng
+                )
+            for d, (i, _), outcome in zip(party.s2_whole, whole, outcomes):
                 self.transcript.append("charlie", BMOAnnouncement(2, i, outcome))
                 self.gv_checks += 1
                 self.gv_fails += 0 if outcome is d.label else 1
-            for d, pos in zip(party.s2_split, party.seq2.split_positions()):
-                if fake:
-                    c_bit = int(self.rng.integers(2))
-                else:
-                    c_bit = self.arena.comp_measure(occupants[pos], self.rng)
-                o_bit = self.arena.comp_measure(d.q1, self.rng)
+            split = list(zip(party.s2_split, party.seq2.split_positions()))
+            if fake:
+                # the node's bit is a draw, interleaved with the home readouts
+                pairs = [
+                    (int(self.rng.integers(2)), self.arena.comp_measure(d.q1, self.rng))
+                    for d, _ in split
+                ]
+            else:
+                flat = self.arena.comp_measure_many(
+                    [q for d, pos in split for q in (occupants[pos], d.q1)], self.rng
+                )
+                pairs = list(zip(flat[::2], flat[1::2]))
+            for (d, pos), (c_bit, o_bit) in zip(split, pairs):
                 self.transcript.append("charlie", CorrelationRecord(2, pos, (c_bit, o_bit)))
                 self.split_checks += 1
                 ok = (c_bit == o_bit) == d.label.correlated
@@ -772,8 +823,10 @@ class Session:
         # each decoder recovers the other side's operator
         decoders = (1, 0) if qd else (1,)
         decoded: dict[int, list[int]] = {decoder: [] for decoder in decoders}
-        for k, g in enumerate(self.survivors):
-            outcome = self.arena.bell_measure(a_msg[k], b_msg[k], self.rng)
+        outcomes = self.arena.bell_measure_many(
+            [(a_msg[k], b_msg[k]) for k in range(len(self.survivors))], self.rng
+        )
+        for k, (g, outcome) in enumerate(zip(self.survivors, outcomes)):
             self.transcript.append("charlie", BMOAnnouncement(3, k, outcome))
             g.bmo2 = outcome
             for decoder in decoders:

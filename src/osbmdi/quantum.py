@@ -17,6 +17,17 @@ gate left-multiplies that matrix and moves the axes back; a measurement
 projects onto rows, and each projected row is already the amplitude vector of
 the surviving register.
 
+Stacked registers: ``StateVector.stack(ids, amps)`` holds k registers of one
+layout, ``amps`` of shape ``(k, 2**n)`` with one state per row, named by the
+``ids`` of a template register (the arena uses the first row's).  Every free
+gate and measurement below also takes a stack and acts on it row by row, so
+row i of the result is the single-register result for row i.  A single
+register draws its outcome from a ``Generator``; a stack instead takes one
+pre-drawn uniform per row, and row i samples with that uniform exactly as the
+single-register form samples with its one ``rng.random()`` draw.  Because
+``rng.random(k)`` yields the same doubles as k scalar draws, a round of k
+measurements can draw its uniforms once and keep the random stream unchanged.
+
 Bell-label convention: psi+/- live on |00> +/- |11>, phi+/- on |01> +/- |10>.
 Note this is swapped relative to the more common psi/phi usage; the whole
 package follows this labeling.
@@ -26,6 +37,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import Sequence
 
 import numpy as np
 
@@ -130,6 +142,11 @@ BELL_VECTORS: dict[BellLabel, np.ndarray] = {
     BellLabel.PHI_MINUS: np.array([0, _SQ2, -_SQ2, 0], dtype=complex),
 }
 
+# Read-only copies that freshly prepared arena pairs share.
+_BELL_ROWS = {lab: v.copy() for lab, v in BELL_VECTORS.items()}
+for _row in _BELL_ROWS.values():
+    _row.flags.writeable = False
+
 
 @dataclass(frozen=True)
 class StateVector:
@@ -162,6 +179,25 @@ class StateVector:
         if abs(norm2 - 1.0) > ATOL:
             raise InvalidRegisterError(f"squared norm {float(norm2)} is not 1")
 
+    @classmethod
+    def stack(cls, qubit_ids: Sequence[str], amplitudes: np.ndarray) -> "StateVector":
+        """k registers of one layout: ``amplitudes`` has shape ``(k, 2**n)``,
+        one state per row, each checked like a single register."""
+        ids = tuple(qubit_ids)
+        if len(set(ids)) != len(ids):
+            raise InvalidRegisterError(f"duplicate qubit ids in register: {ids}")
+        amps = np.ascontiguousarray(amplitudes, dtype=complex)
+        if amps.ndim != 2 or amps.shape[0] == 0 or amps.shape[1] != 2 ** len(ids):
+            raise InvalidRegisterError(
+                f"stack shape {amps.shape} is not (k, {2 ** len(ids)}) for {len(ids)} qubits"
+            )
+        parts = amps.view(np.float64)
+        norm2 = (parts * parts).sum(axis=1)
+        if not (abs(norm2 - 1.0) <= ATOL).all():
+            bad = int(np.argmin(abs(norm2 - 1.0) <= ATOL))
+            raise InvalidRegisterError(f"row {bad} squared norm {norm2[bad]} is not 1")
+        return _trusted(ids, amps)
+
     @property
     def n_qubits(self) -> int:
         return len(self.qubit_ids)
@@ -174,6 +210,16 @@ class StateVector:
 
     def tensor_view(self) -> np.ndarray:
         return self.amplitudes.reshape([2] * self.n_qubits)
+
+
+def _trusted(ids: tuple[str, ...], amps: np.ndarray) -> StateVector:
+    """A state whose checks already hold: a row of a checked stack, a shared
+    Bell row, or a stack that ``StateVector.stack`` has just checked."""
+    s = object.__new__(StateVector)
+    fields = s.__dict__  # a frozen dataclass only blocks attribute assignment
+    fields["qubit_ids"] = ids
+    fields["amplitudes"] = amps
+    return s
 
 
 def single_qubit(qubit_id: str, alpha: complex, beta: complex) -> StateVector:
@@ -199,13 +245,19 @@ def make_bell(label: BellLabel, q_a: str, q_b: str) -> StateVector:
 
 
 def tensor(a: StateVector, b: StateVector) -> StateVector:
-    """Kronecker product; qubit id sets must be disjoint."""
+    """Kronecker product; qubit id sets must be disjoint.  Two stacks of
+    equal height give the row-wise products."""
     overlap = set(a.qubit_ids) & set(b.qubit_ids)
     if overlap:
         raise InvalidRegisterError(f"overlapping qubit ids: {sorted(overlap)}")
-    # For 1-D inputs outer-then-flatten is np.kron, element for element.
-    return StateVector(
-        a.qubit_ids + b.qubit_ids, np.outer(a.amplitudes, b.amplitudes).reshape(-1)
+    x, y = a.amplitudes, b.amplitudes
+    if x.ndim == 1 and y.ndim == 1:
+        # For 1-D inputs outer-then-flatten is np.kron, element for element.
+        return StateVector(a.qubit_ids + b.qubit_ids, np.outer(x, y).reshape(-1))
+    if x.ndim != y.ndim or len(x) != len(y):
+        raise InvalidRegisterError(f"cannot tensor stacks of shapes {x.shape} and {y.shape}")
+    return StateVector.stack(
+        a.qubit_ids + b.qubit_ids, (x[:, :, None] * y[:, None, :]).reshape(len(x), -1)
     )
 
 
@@ -220,20 +272,30 @@ def _front_index(n_qubits: int, axes: tuple[int, ...]) -> np.ndarray:
 
 
 def _to_front(s: StateVector, axes: tuple[int, ...]) -> np.ndarray:
-    """``(2**len(axes), rest)`` matrix of ``s`` with ``axes`` moved to the front."""
-    return s.amplitudes[_front_index(s.n_qubits, axes)]
+    """``(2**len(axes), rest)`` matrix of ``s`` with ``axes`` moved to the front
+    (one such matrix per row for a stack)."""
+    amps = s.amplitudes
+    if amps.ndim == 1:
+        return amps[_front_index(s.n_qubits, axes)]
+    return amps[:, _front_index(s.n_qubits, axes)]
 
 
 def _from_front(m: np.ndarray, n_qubits: int, axes: tuple[int, ...]) -> np.ndarray:
-    """Inverse of ``_to_front``: the flat amplitude vector in register order."""
-    out = np.empty(m.size, dtype=complex)
-    out[_front_index(n_qubits, axes)] = m
+    """Inverse of ``_to_front``: the flat amplitude vector(s) in register order."""
+    if m.ndim == 2:
+        out = np.empty(m.size, dtype=complex)
+        out[_front_index(n_qubits, axes)] = m
+        return out
+    out = np.empty((len(m), 2**n_qubits), dtype=complex)
+    out[:, _front_index(n_qubits, axes)] = m
     return out
 
 
 def _apply_matrix(s: StateVector, axes: tuple[int, ...], matrix: np.ndarray) -> StateVector:
-    moved = matrix @ _to_front(s, axes)
-    return StateVector(s.qubit_ids, _from_front(moved, s.n_qubits, axes))
+    amps = _from_front(matrix @ _to_front(s, axes), s.n_qubits, axes)
+    if amps.ndim == 1:
+        return StateVector(s.qubit_ids, amps)
+    return StateVector.stack(s.qubit_ids, amps)
 
 
 def apply_pauli(s: StateVector, qubit_id: str, p: PauliLabel) -> StateVector:
@@ -275,16 +337,20 @@ _BELL_BRAS = np.array([BELL_VECTORS[lab].conj() for lab in _BELL_ORDER])
 
 
 def bell_measure(
-    s: StateVector, q_a: str, q_b: str, rng: np.random.Generator
+    s: StateVector, q_a: str, q_b: str, rng: np.random.Generator | np.ndarray
 ) -> tuple[BellLabel, StateVector | None]:
     """Destructive Bell-basis measurement of the pair (q_a, q_b).
 
     The outcome is Born-sampled from ``rng``; the measured qubits are removed
-    from the returned register (None when the register is exhausted).
+    from the returned register (None when the register is exhausted).  A
+    stack takes an array of row uniforms for ``rng`` and returns a list of
+    labels with the stack of surviving rows.
     """
     if q_a == q_b:
         raise InvalidRegisterError("cannot Bell-measure a qubit against itself")
     branches = _BELL_BRAS @ _to_front(s, (s.axis(q_a), s.axis(q_b)))
+    if branches.ndim == 3:
+        return _bell_measure_rows(s, (q_a, q_b), branches, rng)
     probs = (np.abs(branches) ** 2).sum(axis=1)
     pick = _sample_index(probs, rng)
     remaining = tuple(q for q in s.qubit_ids if q not in (q_a, q_b))
@@ -294,10 +360,13 @@ def bell_measure(
 
 
 def comp_measure(
-    s: StateVector, qubit_id: str, rng: np.random.Generator
+    s: StateVector, qubit_id: str, rng: np.random.Generator | np.ndarray
 ) -> tuple[int, StateVector | None]:
-    """Destructive computational-basis measurement of one qubit."""
+    """Destructive computational-basis measurement of one qubit.  A stack
+    takes an array of row uniforms for ``rng`` and returns a list of bits."""
     rows = _to_front(s, (s.axis(qubit_id),))
+    if rows.ndim == 3:
+        return _comp_measure_rows(s, qubit_id, rows, rng)
     p1 = np.vdot(rows[1], rows[1]).real
     bit = 1 if rng.random() < p1 else 0
     p = p1 if bit else 1.0 - p1
@@ -316,6 +385,46 @@ def _sample_index(probs: np.ndarray, rng: np.random.Generator) -> int:
         if r < acc:
             return i
     return int(len(probs) - 1)
+
+
+def _row_uniforms(uniforms: np.ndarray, k: int) -> np.ndarray:
+    u = np.asarray(uniforms, dtype=float)
+    if u.shape != (k,):
+        raise InvalidRegisterError(f"a stack of {k} rows needs {k} uniforms, got shape {u.shape}")
+    return u
+
+
+def _bell_measure_rows(
+    s: StateVector, pair: tuple[str, str], branches: np.ndarray, uniforms: np.ndarray
+) -> tuple[list[BellLabel], StateVector | None]:
+    """Stacked ``bell_measure``: row i samples like ``_sample_index`` with
+    uniform i (first label whose running sum exceeds u * total)."""
+    probs = (np.abs(branches) ** 2).sum(axis=2)
+    k = len(probs)
+    r = _row_uniforms(uniforms, k) * probs.sum(axis=1)
+    picks = np.minimum((np.cumsum(probs, axis=1) <= r[:, None]).sum(axis=1), 3)
+    labels = [_BELL_ORDER[i] for i in picks.tolist()]
+    remaining = tuple(q for q in s.qubit_ids if q not in pair)
+    if not remaining:
+        return labels, None
+    rows = np.arange(k)
+    kept = branches[rows, picks] / np.sqrt(probs[rows, picks])[:, None]
+    return labels, StateVector.stack(remaining, kept)
+
+
+def _comp_measure_rows(
+    s: StateVector, qubit_id: str, front: np.ndarray, uniforms: np.ndarray
+) -> tuple[list[int], StateVector | None]:
+    """Stacked ``comp_measure``: row i reads 1 when uniform i < p1 of row i."""
+    ones = front[:, 1]
+    p1 = (ones.real**2 + ones.imag**2).sum(axis=1)
+    bits = _row_uniforms(uniforms, len(p1)) < p1
+    remaining = tuple(q for q in s.qubit_ids if q != qubit_id)
+    if not remaining:
+        return bits.astype(int).tolist(), None
+    p = np.where(bits, p1, 1.0 - p1)
+    kept = np.where(bits[:, None], ones, front[:, 0]) / np.sqrt(p)[:, None]
+    return bits.astype(int).tolist(), StateVector.stack(remaining, kept)
 
 
 @dataclass(frozen=True)
@@ -437,6 +546,11 @@ def frame_correction(start: BellLabel, end: BellLabel, side: int = 0) -> PauliLa
     )  # pragma: no cover - the frame action is transitive
 
 
+# Round operations with fewer items run the scalar ops: a stacked engine call
+# costs more than a scalar one and pays only once its stack is several rows tall.
+_MIN_ROUND = 16
+
+
 class QubitArena:
     """Registry of disjoint registers with merge-on-demand and holder tracking.
 
@@ -444,11 +558,30 @@ class QubitArena:
     operation spans two of them; measured qubits disappear.  Every qubit id
     is held by exactly one actor at a time; re-registering an id or failing
     a transfer expectation raises immediately.
+
+    The round operations (``*_many``) take a whole round of items and leave
+    the arena, the results and the random stream exactly as the scalar op
+    called on each item in order would; see ``_round``.
     """
 
     def __init__(self) -> None:
         self._registers: dict[str, StateVector] = {}
         self._holders: dict[str, str] = {}
+
+    def add_bell_pairs(
+        self, pairs: Sequence[tuple[BellLabel, str, str]], holder: str
+    ) -> None:
+        """Register one Bell pair per (label, q1, q2), as ``add_state`` of
+        ``make_bell`` would; pairs of one label share a read-only row."""
+        registers, holders = self._registers, self._holders
+        for label, q1, q2 in pairs:
+            if q1 == q2:
+                raise InvalidRegisterError(f"duplicate qubit ids in register: {(q1, q2)}")
+            for q in (q1, q2):
+                if q in registers:
+                    raise InvalidRegisterError(f"qubit {q!r} already registered")
+            registers[q1] = registers[q2] = _trusted((q1, q2), _BELL_ROWS[label])
+            holders[q1] = holders[q2] = holder
 
     def add_state(self, state: StateVector, holder: str) -> None:
         for q in state.qubit_ids:
@@ -526,3 +659,144 @@ class QubitArena:
         self._swap_register(state, rest)
         del self._holders[qubit_id]
         return bit
+
+    # -- round operations ------------------------------------------------------
+
+    def apply_pauli_many(self, items: Sequence[tuple[str, PauliLabel]]) -> None:
+        """``apply_pauli`` on each (qubit, label) in order."""
+        if len(items) < _MIN_ROUND:
+            for q, p in items:
+                self.apply_pauli(q, p)
+            return
+        self._round(
+            [(q,) for q, _ in items], [p for _, p in items], None,
+            lambda s, names, p, _: (None, apply_pauli(s, names[0], p)),
+        )
+
+    def apply_unitary_many(self, items: Sequence[tuple[str, np.ndarray]]) -> None:
+        """``apply_unitary`` on each (qubit, matrix) in order."""
+        if len(items) < _MIN_ROUND:
+            for q, u in items:
+                self.apply_unitary(q, u)
+            return
+        self._round(
+            [(q,) for q, _ in items], [u for _, u in items], None,
+            lambda s, names, u, _: (None, apply_unitary1q(s, names[0], u)),
+        )
+
+    def bell_measure_many(
+        self, pairs: Sequence[tuple[str, str]], rng: np.random.Generator
+    ) -> list[BellLabel]:
+        """``bell_measure`` on each (q_a, q_b) in order; the outcomes."""
+        if len(pairs) < _MIN_ROUND:
+            return [self.bell_measure(q_a, q_b, rng) for q_a, q_b in pairs]
+        return self._round(
+            [tuple(pair) for pair in pairs], None, rng,
+            lambda s, names, _, u: bell_measure(s, *names, u),
+        )
+
+    def comp_measure_many(
+        self, qubits: Sequence[str], rng: np.random.Generator
+    ) -> list[int]:
+        """``comp_measure`` on each qubit in order; the bits."""
+        if len(qubits) < _MIN_ROUND:
+            return [self.comp_measure(q, rng) for q in qubits]
+        return self._round(
+            [(q,) for q in qubits], None, rng,
+            lambda s, names, _, u: comp_measure(s, names[0], u),
+        )
+
+    def _round(self, targets, params, rng, op) -> list:
+        """Run item i (acting on the qubits ``targets[i]``, with ``params[i]``)
+        as stacked calls of ``op(stack, target names, param, row uniforms)``.
+
+        A measuring round (``rng`` given) draws one uniform per item up front,
+        item i taking the i-th, which is the draw the scalar op would make.
+        Each wave (see ``_waves``) groups its items by register widths, target
+        axes and parameter; a group is one stack, the tensor of two stacks
+        when the targets lie in two registers, and one engine call.
+        """
+        measuring = rng is not None
+        registers, holders = self._registers, self._holders
+        waves = self._waves(targets, measuring)
+        uniforms = rng.random(len(targets)) if measuring else None
+        results: list = [None] * len(targets)
+        for wave in waves:
+            groups: dict[tuple, list] = {}
+            for i in wave:
+                qubits = targets[i]
+                regs = [registers[q] for q in qubits]
+                if len(regs) == 2 and regs[1] is regs[0]:
+                    del regs[1]
+                ids = regs[0].qubit_ids if len(regs) == 1 else regs[0].qubit_ids + regs[1].qubit_ids
+                pid = id(params[i]) if params else 0
+                key = (len(regs[0].qubit_ids), len(ids), tuple(map(ids.index, qubits)), pid)
+                groups.setdefault(key, []).append((i, regs, ids))
+            for (_, _, axes, _), members in groups.items():
+                # rows of checked registers need no second check
+                parts = [
+                    _trusted(reg.qubit_ids, np.array([m[1][j].amplitudes for m in members]))
+                    for j, reg in enumerate(members[0][1])
+                ]
+                joint = parts[0] if len(parts) == 1 else tensor(*parts)
+                outcomes, out = op(
+                    joint,
+                    tuple(joint.qubit_ids[a] for a in axes),
+                    params[members[0][0]] if params else None,
+                    uniforms[[m[0] for m in members]] if measuring else None,
+                )
+                for row, (i, _, ids) in enumerate(members):
+                    if measuring:
+                        qubits = targets[i]
+                        for q in qubits:
+                            del registers[q], holders[q]
+                        results[i] = outcomes[row]
+                        if out is None:
+                            continue
+                        ids = tuple(q for q in ids if q not in qubits)
+                    new = _trusted(ids, out.amplitudes[row])
+                    for q in ids:
+                        registers[q] = new
+        return results
+
+    def _waves(self, targets, measuring: bool) -> list[list[int]]:
+        """Split items into dependency waves, in call order.
+
+        An item runs one wave after the last earlier item that touched any of
+        its registers; registers an item acts on together count as one from
+        then on (a measurement never splits a register).  So no register
+        appears twice in a wave and each register sees its items in order.
+        """
+        registers = self._registers
+        touched = []
+        for qubits in targets:
+            try:
+                touched.append({id(registers[q]) for q in qubits})
+            except KeyError as exc:
+                raise UnknownQubitError(f"qubit {exc.args[0]!r} not in arena") from None
+        if len(set().union(*touched)) == sum(map(len, touched)):
+            return [list(range(len(targets)))]  # no register is touched twice
+        merged: dict[int, int] = {}
+        last: dict[int, int] = {}
+        gone: set[str] = set()
+        waves: list[list[int]] = []
+        for i, keys in enumerate(touched):
+            if measuring:
+                if gone.intersection(targets[i]):
+                    raise UnknownQubitError(f"qubits {targets[i]} were measured earlier in the round")
+                gone.update(targets[i])
+            roots = []
+            for key in keys:
+                while key in merged:
+                    key = merged[key]
+                roots.append(key)
+            root = roots[0]
+            wave = 1 + max([last.get(key, -1) for key in roots])
+            for key in roots[1:]:
+                if key != root:
+                    merged[key] = root
+            last[root] = wave
+            if wave == len(waves):
+                waves.append([])
+            waves[wave].append(i)
+        return waves

@@ -171,6 +171,23 @@ def test_run_non_finite_noise_exit_one_no_report(tmp_path, capsys, noise):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "line,message",
+    [
+        ("bob_states = psi+,psi+", "bob state set repeats psi+"),
+        ("alice_states = psi+,phi-,phi-", "alice state set repeats phi-"),
+        ("decoy_policy = random:psi+,phi+,psi+", "decoy policy repeats psi+"),
+    ],
+)
+def test_run_repeated_label_exit_one_no_report(tmp_path, capsys, line, message):
+    cfg = tmp_path / "repeat.cfg"
+    cfg.write_text(line + "\n")
+    out = tmp_path / "never.txt"
+    assert run_cli(["run", "--config", str(cfg), "--sessions", "2", "--out", str(out)]) == 1
+    assert f"error: {message}" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_run_missing_config_exit_one(tmp_path):
     code = run_cli(["run", "--config", str(tmp_path / "nope.cfg")])
     assert code == 1
@@ -322,6 +339,22 @@ def test_leakage_command_four_state(capsys):
     assert code == 0
     text = capsys.readouterr().out
     assert "leaked_bits = 0" in text
+
+
+@pytest.mark.parametrize(
+    "flags,message",
+    [
+        (["--alice-states", "psi+,psi-,psi-"], "alice state set repeats psi-"),
+        (["--bob-states", "psi+,psi+"], "bob state set repeats psi+"),
+    ],
+)
+def test_leakage_repeated_label_exit_one_no_table(tmp_path, capsys, flags, message):
+    out = tmp_path / "never.txt"
+    assert run_cli(["leakage", *flags, "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert f"error: {message}" in captured.err
+    assert "leaked_bits" not in captured.out
+    assert not out.exists()
 
 
 def test_table2_command_exits_zero(capsys):

@@ -19,6 +19,7 @@ from osbmdi.quantum import (
     InvalidOperatorError,
     InvalidRegisterError,
     PauliLabel,
+    QubitArena,
     StateVector,
     UnknownQubitError,
     apply_cnot,
@@ -313,3 +314,275 @@ def test_errors_raise_where_the_reference_raises(error, op, ref):
     with pytest.raises(error):
         op(s)
     assert_untouched(snap)
+
+
+# --- stacked registers --------------------------------------------------------------------
+#
+# A stack of k rows must give, row for row, what the single-register op gives
+# on that row; a stacked measurement takes one uniform per row, the value the
+# single-register op would draw from its generator.
+
+ROWS = 5
+
+
+def random_stack(width, seed, prefix="q"):
+    rows = [random_state(width, seed * ROWS + r, prefix) for r in range(ROWS)]
+    return StateVector.stack(ids_of(width, prefix), np.array([s.amplitudes for s in rows])), rows
+
+
+def assert_rows_match(stacked, singles):
+    assert stacked.amplitudes.shape == (len(singles), 2 ** len(singles[0].qubit_ids))
+    for row, single in zip(stacked.amplitudes, singles):
+        assert stacked.qubit_ids == single.qubit_ids
+        assert np.max(np.abs(row - single.amplitudes)) <= 1e-12
+
+
+def one_draw_generators(seed, k):
+    """Per-row generators and the one uniform each would draw first."""
+    gens = [np.random.default_rng([seed, r]) for r in range(k)]
+    uniforms = np.array([np.random.default_rng([seed, r]).random() for r in range(k)])
+    return gens, uniforms
+
+
+@pytest.mark.parametrize("width", WIDTHS)
+def test_stacked_single_qubit_gates_match_rows(width):
+    for seed in SEEDS:
+        stack, rows = random_stack(width, seed)
+        u = random_unitary(seed)
+        snap = frozen(stack, *rows)
+        for q in stack.qubit_ids:
+            for p in PauliLabel:
+                assert_rows_match(apply_pauli(stack, q, p), [apply_pauli(r, q, p) for r in rows])
+            assert_rows_match(
+                apply_unitary1q(stack, q, u), [apply_unitary1q(r, q, u) for r in rows]
+            )
+        assert_untouched(snap)
+
+
+@pytest.mark.parametrize("width", range(2, 7))
+def test_stacked_cnot_matches_rows_on_every_ordered_pair(width):
+    stack, rows = random_stack(width, 0)
+    for control, target in itertools.permutations(stack.qubit_ids, 2):
+        assert_rows_match(
+            apply_cnot(stack, control, target), [apply_cnot(r, control, target) for r in rows]
+        )
+
+
+@pytest.mark.parametrize("width_a,width_b", [(a, 6 - a) for a in range(1, 6)] + [(1, 1), (2, 2)])
+def test_stacked_tensor_matches_rows_exactly(width_a, width_b):
+    a, rows_a = random_stack(width_a, 1, "a")
+    b, rows_b = random_stack(width_b, 2, "b")
+    got = tensor(a, b)
+    assert got.qubit_ids == ids_of(width_a, "a") + ids_of(width_b, "b")
+    for row, ra, rb in zip(got.amplitudes, rows_a, rows_b):
+        assert np.array_equal(row, tensor(ra, rb).amplitudes)
+
+
+def assert_stacked_measurement_matches_rows(op, stack, rows, *qubits):
+    for seed in SEEDS:
+        gens, uniforms = one_draw_generators(seed, len(rows))
+        snap = frozen(stack, *rows)
+        outcomes, rest = op(stack, *qubits, uniforms)
+        singles = [op(r, *qubits, g) for r, g in zip(rows, gens)]
+        assert outcomes == [outcome for outcome, _ in singles]
+        if rest is None:
+            assert all(s is None for _, s in singles)
+        else:
+            assert_rows_match(rest, [s for _, s in singles])
+        assert_untouched(snap)
+
+
+@pytest.mark.parametrize("width", WIDTHS)
+def test_stacked_comp_measure_matches_rows_on_every_axis(width):
+    stack, rows = random_stack(width, 3)
+    for q in stack.qubit_ids:
+        assert_stacked_measurement_matches_rows(comp_measure, stack, rows, q)
+
+
+@pytest.mark.parametrize("width", range(2, 7))
+def test_stacked_bell_measure_matches_rows_on_every_ordered_pair(width):
+    stack, rows = random_stack(width, 4)
+    for q_a, q_b in itertools.permutations(stack.qubit_ids, 2):
+        assert_stacked_measurement_matches_rows(bell_measure, stack, rows, q_a, q_b)
+
+
+def test_stacked_measurements_match_rows_on_bell_products():
+    """Outcomes with probability 0, 1/2 or 1, as in honest sessions."""
+    labels = list(BellLabel)
+    products = [
+        tensor(
+            StateVector(("ah", "at"), BELL_VECTORS[la].copy()),
+            StateVector(("bh", "bt"), BELL_VECTORS[lb].copy()),
+        )
+        for la, lb in itertools.product(labels, labels)
+    ]
+    stack = StateVector.stack(products[0].qubit_ids, np.array([p.amplitudes for p in products]))
+    for q_a, q_b in itertools.permutations(stack.qubit_ids, 2):
+        assert_stacked_measurement_matches_rows(bell_measure, stack, products, q_a, q_b)
+    for q in stack.qubit_ids:
+        assert_stacked_measurement_matches_rows(comp_measure, stack, products, q)
+
+
+STACK_ERRORS = [
+    ("bad row norm", lambda: StateVector.stack(("a",), np.array([[1, 0], [1, 1]]))),
+    ("nan row", lambda: StateVector.stack(("a",), np.array([[1, 0], [np.nan, 0]]))),
+    ("one-dimensional", lambda: StateVector.stack(("a",), np.array([1, 0]))),
+    ("width mismatch", lambda: StateVector.stack(("a", "b"), np.eye(2))),
+    ("no rows", lambda: StateVector.stack(("a",), np.zeros((0, 2)))),
+    ("duplicate ids", lambda: StateVector.stack(("a", "a"), np.eye(4))),
+    ("tensor heights", lambda: tensor(
+        StateVector.stack(("a",), np.eye(2)), StateVector.stack(("b",), np.eye(2)[:1]))),
+    ("tensor stack with register", lambda: tensor(
+        StateVector.stack(("a",), np.eye(2)), StateVector(("b",), np.array([1, 0])))),
+    ("too few uniforms", lambda: comp_measure(
+        StateVector.stack(("a",), np.eye(2)), "a", np.array([0.5]))),
+    ("too many uniforms", lambda: bell_measure(
+        StateVector.stack(("a", "b"), np.eye(4)), "a", "b", np.zeros(5))),
+]
+
+
+@pytest.mark.parametrize("build", [c[1] for c in STACK_ERRORS], ids=[c[0] for c in STACK_ERRORS])
+def test_bad_stacks_raise(build):
+    with pytest.raises(InvalidRegisterError):
+        build()
+
+
+# --- arena round operations -------------------------------------------------------------
+#
+# Each ``*_many`` call must leave the arena, the outcomes and the random stream
+# exactly as the scalar arena op called on every item in order.
+
+
+def random_arena(seed, n_regs):
+    """Two identical arenas of random 1-3 qubit registers r{i}_{j}."""
+    rng = np.random.default_rng(seed)
+    arenas = (QubitArena(), QubitArena())
+    for i in range(n_regs):
+        width = int(rng.integers(1, 4))
+        state = random_state(width, int(rng.integers(1 << 20)), prefix=f"r{i}_")
+        for arena in arenas:
+            arena.add_state(state, "node")
+    return arenas
+
+
+def arena_contents(arena):
+    regs = {id(s): s for s in arena._registers.values()}
+    return sorted((s.qubit_ids, s.amplitudes.tolist()) for s in regs.values()), dict(
+        arena._holders
+    )
+
+
+def assert_same_arena(batched, scalar):
+    (regs_b, holders_b), (regs_s, holders_s) = arena_contents(batched), arena_contents(scalar)
+    assert holders_b == holders_s
+    assert [ids for ids, _ in regs_b] == [ids for ids, _ in regs_s]
+    for (_, amps_b), (_, amps_s) in zip(regs_b, regs_s):
+        assert np.max(np.abs(np.array(amps_b) - np.array(amps_s))) <= 1e-12
+
+
+def live_qubits(arena, rng):
+    qubits = sorted(arena._registers)
+    return [qubits[i] for i in rng.permutation(len(qubits))]
+
+
+def run_both(batched, scalar, seed, many, one, items):
+    rng_b, rng_s = np.random.default_rng(seed), np.random.default_rng(seed)
+    got = many(batched, items, rng_b)
+    want = [one(scalar, item, rng_s) for item in items]
+    assert got == want
+    assert rng_b.bit_generator.state == rng_s.bit_generator.state
+    assert_same_arena(batched, scalar)
+
+
+@pytest.mark.parametrize("seed", range(8))
+@pytest.mark.parametrize("n_regs", [6, 40])
+def test_round_operations_match_scalar_calls(seed, n_regs):
+    """Rounds of gates, Bell measurements across and within registers (so
+    items share registers and split into several waves), and readouts."""
+    batched, scalar = random_arena(seed, n_regs)
+    rng = np.random.default_rng(seed + 100)
+    u = random_unitary(seed)
+    paulis = list(PauliLabel)
+
+    qubits = live_qubits(batched, rng)  # every qubit: registers repeat
+    items = [(q, u) for q in qubits]
+    batched.apply_unitary_many(items)
+    for q, m in items:
+        scalar.apply_unitary(q, m)
+    assert_same_arena(batched, scalar)
+
+    items = [(q, paulis[int(rng.integers(4))]) for q in live_qubits(batched, rng)]
+    batched.apply_pauli_many(items)
+    for q, p in items:
+        scalar.apply_pauli(q, p)
+    assert_same_arena(batched, scalar)
+
+    qubits = live_qubits(batched, rng)
+    pairs = list(zip(qubits[0::2], qubits[1::2]))[: len(qubits) // 3]
+    run_both(batched, scalar, seed, lambda a, it, r: a.bell_measure_many(it, r),
+             lambda a, it, r: a.bell_measure(*it, r), pairs)
+
+    qubits = live_qubits(batched, rng)
+    run_both(batched, scalar, seed + 1, lambda a, it, r: a.comp_measure_many(it, r),
+             lambda a, it, r: a.comp_measure(it, r), qubits)
+    assert not batched._registers and not scalar._registers
+
+
+def chained_arena(k):
+    """k two-qubit registers c{i}a, c{i}b."""
+    arenas = (QubitArena(), QubitArena())
+    for i in range(k):
+        state = random_state(2, i, prefix=f"c{i}")
+        for arena in arenas:
+            arena.add_state(StateVector((f"c{i}a", f"c{i}b"), state.amplitudes), "node")
+    return arenas
+
+
+def test_bell_round_with_chained_registers_runs_in_waves():
+    """Item i joins registers i and i+1, so every item waits for the last:
+    one wave per item, each register seeing its items in call order."""
+    k = 24
+    batched, scalar = chained_arena(k)
+    pairs = [(f"c{i}b", f"c{i + 1}a") for i in range(k - 1)]
+    assert batched._waves(pairs, True) == [[i] for i in range(k - 1)]
+    run_both(batched, scalar, 3, lambda a, it, r: a.bell_measure_many(it, r),
+             lambda a, it, r: a.bell_measure(*it, r), pairs)
+
+
+def test_readout_round_of_shared_registers_runs_in_two_waves():
+    """Both qubits of each register, interleaved: as in the swap-round
+    correlation checks."""
+    k = 16
+    batched, scalar = chained_arena(k)
+    qubits = [q for i in range(k) for q in (f"c{i}a", f"c{i}b")]
+    assert batched._waves([(q,) for q in qubits], True) == [
+        list(range(0, 2 * k, 2)), list(range(1, 2 * k, 2))
+    ]
+    run_both(batched, scalar, 4, lambda a, it, r: a.comp_measure_many(it, r),
+             lambda a, it, r: a.comp_measure(it, r), qubits)
+
+
+def test_round_measuring_a_qubit_twice_raises_like_the_scalar_ops():
+    for k in (4, 24):  # the scalar fall-through and the stacked path
+        batched, scalar = chained_arena(k)
+        qubits = [f"c{i}a" for i in range(k)] + ["c0a"]
+        with pytest.raises(UnknownQubitError):
+            batched.comp_measure_many(qubits, np.random.default_rng(0))
+        with pytest.raises(UnknownQubitError):
+            for q in qubits:
+                scalar.comp_measure(q, np.random.default_rng(0))
+
+
+def test_bell_pairs_share_read_only_rows_and_match_add_state():
+    batched, scalar = QubitArena(), QubitArena()
+    labels = list(BellLabel) * 2
+    batched.add_bell_pairs([(lab, f"p{i}h", f"p{i}t") for i, lab in enumerate(labels)], "alice")
+    for i, lab in enumerate(labels):
+        scalar.add_state(StateVector((f"p{i}h", f"p{i}t"), BELL_VECTORS[lab].copy()), "alice")
+    assert_same_arena(batched, scalar)
+    rows = batched.state_of("p0h").amplitudes, batched.state_of("p4h").amplitudes
+    assert rows[0] is rows[1] and not rows[0].flags.writeable
+    with pytest.raises(InvalidRegisterError):
+        batched.add_bell_pairs([(BellLabel.PSI_PLUS, "x", "p0t")], "bob")
+    with pytest.raises(InvalidRegisterError):
+        batched.add_bell_pairs([(BellLabel.PSI_PLUS, "y", "y")], "bob")

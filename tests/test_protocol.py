@@ -18,6 +18,7 @@ from osbmdi.protocol import (
     DecoyPartner,
     Entangled,
     Mode,
+    Session,
     SessionConfig,
     classify_cases,
     correlation_check,
@@ -53,6 +54,20 @@ def test_config_rejects_bad_values():
         SessionConfig(bob_state_set=())
     with pytest.raises(ConfigError):
         SessionConfig(m_split_decoys=9, n_pairs=8)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: SessionConfig(alice_state_set=(PSIP, PSIP)),
+        lambda: SessionConfig(bob_state_set=(PSIP, PSIM, PSIM)),
+        lambda: DecoyPolicy("random", (PHIP, PSIP, PHIP)),
+        lambda: DecoyPolicy.parse("random:psi-,psi-"),
+    ],
+)
+def test_config_rejects_repeated_labels(build):
+    with pytest.raises(ConfigError, match="repeats"):
+        build()
 
 
 def test_config_decoy_split_defaults():
@@ -374,6 +389,29 @@ def test_qkd_mode_key_agreement():
         assert rep.sent_symbols["alice"] == rep.decoded_symbols["bob"]
 
 
+def test_wrong_in_range_nested_labels_are_counted():
+    # decoherence-free decoys pass every check under dephasing, while the
+    # nested share's message pairs decode some of bob's choices wrong
+    cfg = SessionConfig(
+        n_pairs=8,
+        mode=Mode.QD,
+        bob_state_set=(PSIP, PSIM),
+        decoy_policy=DecoyPolicy("fixed", (PHIP,)),
+        noise=NoiseSpec("dephasing", 0.3),
+    )
+    wrong_sessions = 0
+    for i in range(100):
+        session = Session(cfg, session_rng(cfg.master_seed, i), i)
+        rep = session.run()
+        assert not rep.aborted
+        truth = sum(k is not p.label for k, p in zip(session.known[0], session.bob.pairs))
+        assert rep.nested_label_errors == truth
+        wrong_sessions += truth > 0
+    assert wrong_sessions == 40
+    honest = SessionConfig(n_pairs=8, mode=Mode.QD, bob_state_set=(PSIP, PSIM))
+    assert all(run_session(honest, i).nested_label_errors == 0 for i in range(20))
+
+
 def test_corrupt_nested_share_aborts_instead_of_wrapping():
     # a three-label set takes two bits per choice, so each nested symbol is
     # one index; collective dephasing turns some into index 3, which must
@@ -545,7 +583,42 @@ def _digest_configs():
             n_pairs=8, mode=Mode.QD, master_seed=9, m_split_decoys=m,
             use_cases_ii_iii=True, alice_state_set=_TWO,
         )
+    out.update(_wide_digest_configs())
     return out
+
+
+def _wide_digest_configs():
+    """Wide rounds: many slots per round, so the arena's round operations
+    stack registers and split calls into several dependency waves."""
+    all_legs = "legs=stage1_alice+stage1_bob+stage2_alice+stage2_bob"
+    return {
+        "wide-qd64-dephasing-phi+": SessionConfig(
+            n_pairs=64, mode=Mode.QD, master_seed=10,
+            noise=NoiseSpec("dephasing", 0.3), decoy_policy=DecoyPolicy.parse("fixed:phi+"),
+        ),
+        "wide-qsdc64-rotation": SessionConfig(
+            n_pairs=64, master_seed=11, noise=NoiseSpec("rotation", 0.2),
+            error_threshold=1.0,
+        ),
+        "wide-qsdc32-reorder-stage2": SessionConfig(
+            n_pairs=32, master_seed=12, error_threshold=1.0,
+            attack=AttackSpec.parse(
+                "disturb:mode=reorder,fraction=1,legs=stage2_alice+stage2_bob"
+            ),
+        ),
+        "wide-qsdc32-entangle-all-legs": SessionConfig(
+            n_pairs=32, master_seed=13, error_threshold=1.0,
+            attack=AttackSpec.parse(f"entangle_measure:beta2=0.3,{all_legs}"),
+        ),
+        "wide-qd32-intercept_resend": SessionConfig(
+            n_pairs=32, mode=Mode.QD, master_seed=14, error_threshold=1.0,
+            attack=AttackSpec.parse("intercept_resend:legs=stage1_alice+stage2_bob"),
+        ),
+        "wide-qd32-random4": SessionConfig(
+            n_pairs=32, mode=Mode.QD, master_seed=15,
+            decoy_policy=DecoyPolicy.parse("random:psi+,psi-,phi+,phi-"),
+        ),
+    }
 
 
 def _report_material(rep):
@@ -621,6 +694,13 @@ SESSION_DIGESTS = {
     "qsdc-intercept_resend": "99799360210d517fd05d851c8777eed83cfe9d16a679148cc5d83c0a945cf723",
     "qsdc-random:psi+": "faf624a6403f0c98219605d7f00da8107ef7694468bf51fec3f2aebbd8547709",
     "qsdc-random:psi+,psi-,phi+,phi-": "f95ac0ae616e32c8ecc0389feaed0cb152d9bb706816a4a36128287a635ae35b",
+    # recorded before the arena gained its stacked round operations
+    "wide-qd32-intercept_resend": "16530a70c8031abe75045c00e24d999c04a14e77982e4544cf5586064e01a9c6",
+    "wide-qd32-random4": "676c914010687762c07580fecc786e239232017f3c4984356d496dec6cbc23d8",
+    "wide-qd64-dephasing-phi+": "31c28170117b3654c11bae8d6dd0b95710023687318a401f04c2809917f7190b",
+    "wide-qsdc32-entangle-all-legs": "935a48b666709922dc16aaf4e3e03227f0d041f7aaf1b912079f3e934df4f222",
+    "wide-qsdc32-reorder-stage2": "c10a0e8e651236e71982cbf6776e95eef3bee78cebfafb1f98d8c3c6629636b6",
+    "wide-qsdc64-rotation": "29b5c76f8e113a5f871c19e0dca77ae120329e203211d1bd05130a0295830c18",
 }
 
 
