@@ -76,7 +76,7 @@ class AttackSpec:
             object.__setattr__(self, "legs", _DEFAULT_LEGS[self.strategy])
         if self.strategy == "entangle_measure":
             norm = abs(self.alpha) ** 2 + abs(self.beta) ** 2
-            if abs(norm - 1.0) > 1e-9:
+            if not abs(norm - 1.0) <= 1e-9:  # also rejects a NaN amplitude
                 raise ValueError(f"ancilla amplitudes not normalized: {norm}")
         if self.strategy == "disturb":
             if self.mode not in DISTURB_MODES:

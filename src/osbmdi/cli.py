@@ -208,7 +208,9 @@ def build_parser() -> argparse.ArgumentParser:
     run_p.add_argument("--config", help="path to a key = value config file")
     run_p.add_argument("--sessions", type=int, help="number of sessions")
     run_p.add_argument("--seed", type=int, help="64-bit master seed")
-    run_p.add_argument("--mode", choices=["qsdc", "qd", "qkd"], help="protocol mode")
+    run_p.add_argument(
+        "--mode", choices=["qsdc", "qd", "qkd"], help="protocol mode (qkd is an alias of qsdc)"
+    )
     run_p.add_argument("--n-pairs", type=int, help="message pairs per session")
     run_p.add_argument("--attack", help="adversary strategy NAME[:k=v,...]")
     run_p.add_argument("--noise", help="collective channel noise NAME:PARAM")

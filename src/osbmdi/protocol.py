@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Generator, Sequence
 
 import numpy as np
 
@@ -41,6 +41,7 @@ from .quantum import (
     QubitArena,
     frame_correction,
     pauli_frame,
+    run_round,
     swapped_home_label,
 )
 from .transcript import (
@@ -67,6 +68,12 @@ class DecodeIntegrityError(ProtocolError):
 
 
 class Mode(str, enum.Enum):
+    """Protocol mode: one-way direct messaging (``qsdc``), two-way dialogue
+    (``qd``), or key agreement (``qkd``).  ``qkd`` is an alias of ``qsdc``:
+    the same one-way session, whose delivered symbols serve as the shared
+    key; no step branches on it, so a ``qkd`` report differs from the
+    ``qsdc`` report only in its ``mode`` line."""
+
     QSDC = "qsdc"
     QD = "qd"
     QKD = "qkd"
@@ -448,23 +455,29 @@ class Session:
     ``known[side]`` (that party's knowledge of the partner's initial labels,
     per pair index) and ``enc[side]`` (its encoding operators).
 
-    Each round hands the arena whole rounds of items (``QubitArena``'s
-    ``*_many`` operations), which give the same results and draws as one
-    scalar call per slot in slot order:
+    ``steps()`` is the session as a generator.  Each engine round is not
+    called but yielded as a request ``(arena, op, items, rng)``, and the
+    round's results come back through ``send``; ``run_lockstep`` serves the
+    pending requests of a whole cohort of sessions as one ``run_round`` per
+    op, which gives every session the same results and draws as one scalar
+    call per slot in slot order.  The requests, in order:
 
-      preparation   ``add_bell_pairs`` once per party;
-      every leg     ``apply_unitary_many`` for the channel noise, if any;
-      round 1       ``bell_measure_many`` over the aligned slots, then
-                    ``comp_measure_many`` over the home qubits of the checked
+      every leg     ``apply_unitary`` over the leg's qubits for the channel
+                    noise, if any;
+      round 1       ``bell_measure`` over the aligned slots, then
+                    ``comp_measure`` over the home qubits of the checked
                     slots (alice's then bob's per slot);
-      round 2       ``apply_pauli_many`` once per sender; per party,
-                    ``bell_measure_many`` over its whole pairs and
-                    ``comp_measure_many`` over its split pairs (the node's
-                    qubit, then the home half);
-      round 3       ``bell_measure_many`` over the aligned message slots.
+      round 2       ``apply_pauli`` once per sender; per party,
+                    ``bell_measure`` over its whole pairs and
+                    ``comp_measure`` over its split pairs (the node's qubit,
+                    then the home half);
+      round 3       ``bell_measure`` over the aligned message slots.
 
-    A dishonest node (``fake_bmo``) draws its announcements instead of
-    measuring, slot by slot.  Adversary interceptors use the scalar ops.
+    Preparation registers each party's pairs with one ``add_bell_pairs``.  A
+    round with no items is not yielded.  A dishonest node (``fake_bmo``)
+    draws its announcements instead of measuring, slot by slot; adversary
+    interceptors use the scalar ops, and a dialogue's nested sessions run
+    inside the step that needs them.  An aborted session ends early.
     """
 
     def __init__(
@@ -508,16 +521,22 @@ class Session:
     # -- public ------------------------------------------------------------
 
     def run(self) -> SessionReport:
+        """Run this session alone to its report."""
+        return run_lockstep([self])[0]
+
+    def steps(self) -> Generator[tuple, list, SessionReport]:
+        """The session as a generator of engine round requests ``(arena, op,
+        items, rng)``, each sent back its results; returns the report."""
         aborted, abort_stage = False, None
         try:
             self._prepare()
             if self.cfg.mode is Mode.QD:
                 self._nested_shares()
-            self._stage1()
-            self._stage1_checks()
-            self._encode_and_send()
-            self._stage2_checks()
-            self._decode_round()
+            yield from self._stage1()
+            yield from self._stage1_checks()
+            yield from self._encode_and_send()
+            yield from self._stage2_checks()
+            yield from self._decode_round()
         except _Abort as signal:
             aborted, abort_stage = True, signal.stage
         measure_ancillas(self.arena, self.eve, self.rng)
@@ -544,6 +563,12 @@ class Session:
         )
         self._validate_transcript()
         return report
+
+    def _round(self, op: str, items: list, rng: np.random.Generator | None = None):
+        """Yield one engine round of ``op`` on this session's arena; its results."""
+        if not items:
+            return []
+        return (yield self.arena, op, items, rng)
 
     # -- preparation ---------------------------------------------------------
 
@@ -626,24 +651,24 @@ class Session:
 
     # -- round 1: swap ---------------------------------------------------------
 
-    def _transmit(self, leg: str, party: PartyState, qubits: list[str]) -> list[str]:
+    def _transmit(self, leg: str, party: PartyState, qubits: list[str]):
         for q in qubits:
             self.arena.transfer(q, "channel", expect=party.name)
         if self.cfg.noise is not None:
             u = self.cfg.noise.matrix()
-            self.arena.apply_unitary_many([(q, u) for q in qubits])
+            yield from self._round("apply_unitary", [(q, u) for q in qubits])
         arrived = apply_leg_attack(self.attack, self.arena, self.eve, leg, qubits, self.rng)
         for q in arrived:
             self.arena.transfer(q, "charlie")
         return arrived
 
-    def _stage1(self) -> None:
+    def _stage1(self):
         for party in self.parties:
             base = [(p.travel, Entangled(p.index)) for p in party.pairs]
             decoys = [(d.q2, DecoyPartner(d.index)) for d in party.s1_decoys]
             party.seq1 = ExtendedSequence(party.name, insert_decoys(base, decoys, self.rng))
         for party in self.parties:
-            party.seq1.occupants = self._transmit(
+            party.seq1.occupants = yield from self._transmit(
                 f"stage1_{party.name}", party, party.seq1.qubits()
             )
         a_seq, b_seq = self.alice.seq1, self.bob.seq1
@@ -652,8 +677,8 @@ class Session:
         if 1 in self.charlie.fake_stages:
             self.bmo1 = [fake_bmo_outcome(self.rng) for _ in range(len(a_seq))]
         else:
-            self.bmo1 = self.arena.bell_measure_many(
-                list(zip(a_seq.occupants, b_seq.occupants)), self.rng
+            self.bmo1 = yield from self._round(
+                "bell_measure", list(zip(a_seq.occupants, b_seq.occupants)), self.rng
             )
         for i, outcome in enumerate(self.bmo1):
             self.transcript.append("charlie", BMOAnnouncement(1, i, outcome))
@@ -667,7 +692,7 @@ class Session:
             self.groups.append(PairGroup(i, home, kind, init, ref, case, bmo1=self.bmo1[i]))
             self.case_counts[case.value] += 1
 
-    def _stage1_checks(self) -> None:
+    def _stage1_checks(self):
         for party in self.parties:
             self.transcript.append(
                 party.name,
@@ -695,7 +720,9 @@ class Session:
             if labels:
                 name = self.parties[side].name
                 self.transcript.append(name, InitialStateReveal(name, 1, "message", labels))
-        flat = self.arena.comp_measure_many([q for g in checked for q in g.home], self.rng)
+        flat = yield from self._round(
+            "comp_measure", [q for g in checked for q in g.home], self.rng
+        )
         for g, bits in zip(checked, zip(flat[::2], flat[1::2])):
             self.transcript.append("alice", CorrelationRecord(1, g.id, bits))
             ok = correlation_check(g.bmo1, *bits, *g.init)
@@ -713,7 +740,7 @@ class Session:
             keep |= {CaseTag.CASE_II, CaseTag.CASE_III}
         return [g for g in self.groups if g.case in keep]
 
-    def _encode_and_send(self) -> None:
+    def _encode_and_send(self):
         self.survivors = self._survivor_groups()
         n_sym = len(self.survivors)
         senders = (0, 1) if self.cfg.mode is Mode.QD else (0,)
@@ -728,8 +755,9 @@ class Session:
                 symbols = tuple(int(v) for v in self.rng.integers(0, 4, size=n_sym))
             self.sent[self.parties[side].name] = symbols
             self.enc[side] = [PauliLabel.from_symbol(s) for s in symbols]
-            self.arena.apply_pauli_many(
-                [(g.home[side], op) for g, op in zip(self.survivors, self.enc[side])]
+            yield from self._round(
+                "apply_pauli",
+                [(g.home[side], op) for g, op in zip(self.survivors, self.enc[side])],
             )
         for side, party in enumerate(self.parties):
             base = [(g.home[side], Entangled(k)) for k, g in enumerate(self.survivors)]
@@ -740,11 +768,11 @@ class Session:
             for d in party.s2_split:
                 decoys.append((d.q2, DecoyPartner(d.index)))
             party.seq2 = ExtendedSequence(party.name, insert_decoys(base, decoys, self.rng))
-            party.seq2.occupants = self._transmit(
+            party.seq2.occupants = yield from self._transmit(
                 f"stage2_{party.name}", party, party.seq2.qubits()
             )
 
-    def _stage2_checks(self) -> None:
+    def _stage2_checks(self):
         self.transcript.append("charlie", Receipt(2))
         for party in self.parties:
             self.transcript.append(
@@ -763,8 +791,8 @@ class Session:
             if fake:
                 outcomes = [fake_bmo_outcome(self.rng) for _ in whole]
             else:
-                outcomes = self.arena.bell_measure_many(
-                    [(occupants[i], occupants[j]) for i, j in whole], self.rng
+                outcomes = yield from self._round(
+                    "bell_measure", [(occupants[i], occupants[j]) for i, j in whole], self.rng
                 )
             for d, (i, _), outcome in zip(party.s2_whole, whole, outcomes):
                 self.transcript.append("charlie", BMOAnnouncement(2, i, outcome))
@@ -778,8 +806,10 @@ class Session:
                     for d, _ in split
                 ]
             else:
-                flat = self.arena.comp_measure_many(
-                    [q for d, pos in split for q in (occupants[pos], d.q1)], self.rng
+                flat = yield from self._round(
+                    "comp_measure",
+                    [q for d, pos in split for q in (occupants[pos], d.q1)],
+                    self.rng,
                 )
                 pairs = list(zip(flat[::2], flat[1::2]))
             for (d, pos), (c_bit, o_bit) in zip(split, pairs):
@@ -802,7 +832,7 @@ class Session:
 
     # -- round 3: decode ---------------------------------------------------------
 
-    def _decode_round(self) -> None:
+    def _decode_round(self):
         qd = self.cfg.mode is Mode.QD
         if not qd and len(self.cfg.alice_state_set) > 1:
             # the sender's choices are disclosed for decoding once the swap
@@ -823,8 +853,8 @@ class Session:
         # each decoder recovers the other side's operator
         decoders = (1, 0) if qd else (1,)
         decoded: dict[int, list[int]] = {decoder: [] for decoder in decoders}
-        outcomes = self.arena.bell_measure_many(
-            [(a_msg[k], b_msg[k]) for k in range(len(self.survivors))], self.rng
+        outcomes = yield from self._round(
+            "bell_measure", [(a_msg[k], b_msg[k]) for k in range(len(self.survivors))], self.rng
         )
         for k, (g, outcome) in enumerate(zip(self.survivors, outcomes)):
             self.transcript.append("charlie", BMOAnnouncement(3, k, outcome))
@@ -902,13 +932,53 @@ def run_session(cfg: SessionConfig, session_index: int = 0) -> SessionReport:
     return session.run()
 
 
+# Sessions a batch runs in lockstep at a time.  A merged round stacks this
+# many sessions' items, which is already tall enough to pay; the cap bounds
+# the live arenas and party states (about 30 kB per n_pairs=8 session) and
+# the stacked arrays a batch holds at once.
+COHORT = 16
+
+
+def run_lockstep(sessions: Sequence[Session]) -> list[SessionReport]:
+    """Run sessions side by side to their reports, in the given order.
+
+    Every step serves the one pending request of each live session: the
+    requests of one op become one ``run_round`` across the sessions' arenas,
+    and each session gets its results back.  Each session draws from its own
+    stream at its own turn, so its report is the one it makes alone.
+    """
+    runs: list = [session.steps() for session in sessions]
+    reports: list = [None] * len(runs)
+    replies: dict[int, list | None] = dict.fromkeys(range(len(runs)))
+    while replies:
+        rounds: dict[str, list] = {}
+        for k, reply in replies.items():
+            try:
+                arena, op, items, rng = runs[k].send(reply)
+            except StopIteration as done:
+                reports[k], runs[k] = done.value, None
+                continue
+            rounds.setdefault(op, []).append((k, (arena, items, rng)))
+        replies = {}
+        for op, requests in rounds.items():
+            results = run_round(op, [request for _, request in requests])
+            replies.update((k, result) for (k, _), result in zip(requests, results))
+    return reports
+
+
 def run_batch(
     cfg: SessionConfig, sessions: int, workers: int = 1
 ) -> list[SessionReport]:
-    """Run independent sessions; results are ordered by session index, so the
-    outcome does not depend on scheduling."""
+    """Run independent sessions, ``COHORT`` at a time in lockstep; results are
+    ordered by session index, so the outcome does not depend on scheduling."""
     if workers <= 1:
-        return [run_session(cfg, i) for i in range(sessions)]
+        reports: list[SessionReport] = []
+        for start in range(0, sessions, COHORT):
+            reports += run_lockstep([
+                Session(cfg, session_rng(cfg.master_seed, i), i)
+                for i in range(start, min(start + COHORT, sessions))
+            ])
+        return reports
     from concurrent.futures import ThreadPoolExecutor
 
     with ThreadPoolExecutor(max_workers=workers) as pool:

@@ -22,11 +22,12 @@ layout, ``amps`` of shape ``(k, 2**n)`` with one state per row, named by the
 ``ids`` of a template register (the arena uses the first row's).  Every free
 gate and measurement below also takes a stack and acts on it row by row, so
 row i of the result is the single-register result for row i.  A single
-register draws its outcome from a ``Generator``; a stack instead takes one
-pre-drawn uniform per row, and row i samples with that uniform exactly as the
-single-register form samples with its one ``rng.random()`` draw.  Because
-``rng.random(k)`` yields the same doubles as k scalar draws, a round of k
-measurements can draw its uniforms once and keep the random stream unchanged.
+register draws its outcome from a ``Generator`` (or takes that draw as a
+pre-drawn uniform ``float``); a stack instead takes one pre-drawn uniform per
+row, and row i samples with that uniform exactly as the single-register form
+samples with its one ``rng.random()`` draw.  Because ``rng.random(k)`` yields
+the same doubles as k scalar draws, a round of k measurements can draw its
+uniforms once and keep the random stream unchanged.
 
 Bell-label convention: psi+/- live on |00> +/- |11>, phi+/- on |01> +/- |10>.
 Note this is swapped relative to the more common psi/phi usage; the whole
@@ -176,7 +177,7 @@ class StateVector:
                 f"amplitude length {amps.shape[0]} does not match {len(ids)} qubits"
             )
         norm2 = np.vdot(amps, amps).real
-        if abs(norm2 - 1.0) > ATOL:
+        if not abs(norm2 - 1.0) <= ATOL:  # also rejects a NaN norm
             raise InvalidRegisterError(f"squared norm {float(norm2)} is not 1")
 
     @classmethod
@@ -337,7 +338,7 @@ _BELL_BRAS = np.array([BELL_VECTORS[lab].conj() for lab in _BELL_ORDER])
 
 
 def bell_measure(
-    s: StateVector, q_a: str, q_b: str, rng: np.random.Generator | np.ndarray
+    s: StateVector, q_a: str, q_b: str, rng: np.random.Generator | float | np.ndarray
 ) -> tuple[BellLabel, StateVector | None]:
     """Destructive Bell-basis measurement of the pair (q_a, q_b).
 
@@ -360,7 +361,7 @@ def bell_measure(
 
 
 def comp_measure(
-    s: StateVector, qubit_id: str, rng: np.random.Generator | np.ndarray
+    s: StateVector, qubit_id: str, rng: np.random.Generator | float | np.ndarray
 ) -> tuple[int, StateVector | None]:
     """Destructive computational-basis measurement of one qubit.  A stack
     takes an array of row uniforms for ``rng`` and returns a list of bits."""
@@ -368,7 +369,8 @@ def comp_measure(
     if rows.ndim == 3:
         return _comp_measure_rows(s, qubit_id, rows, rng)
     p1 = np.vdot(rows[1], rows[1]).real
-    bit = 1 if rng.random() < p1 else 0
+    u = rng if isinstance(rng, float) else rng.random()  # pre-drawn, or drawn now
+    bit = 1 if u < p1 else 0
     p = p1 if bit else 1.0 - p1
     remaining = tuple(q for q in s.qubit_ids if q != qubit_id)
     if not remaining:
@@ -376,9 +378,9 @@ def comp_measure(
     return bit, StateVector(remaining, rows[bit] / np.sqrt(p))
 
 
-def _sample_index(probs: np.ndarray, rng: np.random.Generator) -> int:
+def _sample_index(probs: np.ndarray, rng: np.random.Generator | float) -> int:
     total = probs.sum()
-    r = rng.random() * total
+    r = (rng if isinstance(rng, float) else rng.random()) * total
     acc = 0.0
     for i, p in enumerate(probs):
         acc += p
@@ -546,9 +548,140 @@ def frame_correction(start: BellLabel, end: BellLabel, side: int = 0) -> PauliLa
     )  # pragma: no cover - the frame action is transitive
 
 
-# Round operations with fewer items run the scalar ops: a stacked engine call
-# costs more than a scalar one and pays only once its stack is several rows tall.
-_MIN_ROUND = 16
+# A stacked engine call costs more than a scalar one and pays only once its
+# stack is several rows tall (from 3-8 rows, depending on the op): a round's
+# group with fewer rows runs the scalar op on each of its items.
+_MIN_ROWS = 8
+
+
+def _gate_targets(items):
+    return [(q,) for q, _ in items], [p for _, p in items]
+
+
+# Round op -> (measures?, items -> (target qubits, parameters or None), engine
+# call on a joint register: (stack or register, target names, parameter,
+# uniforms or uniform) -> (outcomes, surviving register)).  The calls look the
+# engine functions up when they run.
+_ROUND_OPS = {
+    "bell_measure": (
+        True, lambda items: (items, None), lambda s, names, _, u: bell_measure(s, *names, u),
+    ),
+    "comp_measure": (
+        True, lambda items: ([(q,) for q in items], None),
+        lambda s, names, _, u: comp_measure(s, names[0], u),
+    ),
+    "apply_pauli": (
+        False, _gate_targets, lambda s, names, p, _: (None, apply_pauli(s, names[0], p)),
+    ),
+    "apply_unitary": (
+        False, _gate_targets, lambda s, names, u, _: (None, apply_unitary1q(s, names[0], u)),
+    ),
+}
+
+
+def run_round(
+    op: str, requests: Sequence[tuple["QubitArena", Sequence, np.random.Generator | None]]
+) -> list[list]:
+    """One round of ``op`` over the items of any number of arenas at once.
+
+    ``op`` names an arena operation (``bell_measure``, ``comp_measure``,
+    ``apply_pauli``, ``apply_unitary``).  Request r is ``(arena, items, rng)``
+    with the items that operation takes and, for a measurement, the ``rng``
+    to draw from (None for a gate).  It gets back the list of what
+    ``arena.<op>`` called on each item in order would return, and its arena
+    and ``rng`` end as after those calls: a measuring request draws one
+    uniform per item up front, item i taking the i-th, which is the draw the
+    scalar op would make.
+
+    Each arena splits its items into dependency waves (see
+    ``QubitArena._waves``), and wave w of every request runs together.  The
+    items of a wave are grouped by register widths, target axes and
+    parameter.  A group of ``_MIN_ROWS`` or more rows is one stack (the
+    tensor of two stacks when the targets lie in two registers) and one
+    engine call; a smaller group makes one scalar call per item.
+    """
+    measuring, targets_of, call = _ROUND_OPS[op]
+    plans = [_Plan(arena, items, rng, targets_of, measuring) for arena, items, rng in requests]
+    for w in range(max((len(plan.waves) for plan in plans), default=0)):
+        groups: dict[tuple, list] = {}
+        for plan in plans:
+            if w >= len(plan.waves):
+                continue
+            registers, targets, params = plan.registers, plan.targets, plan.params
+            for i in plan.waves[w]:
+                qubits = targets[i]
+                first = registers[qubits[0]]
+                ids = first.qubit_ids
+                regs = (first,)
+                if len(qubits) == 2:
+                    second = registers[qubits[1]]
+                    if second is not first:
+                        regs = (first, second)
+                        ids = ids + second.qubit_ids
+                    axes = (ids.index(qubits[0]), ids.index(qubits[1]))
+                else:
+                    axes = (ids.index(qubits[0]),)
+                key = (len(first.qubit_ids), len(ids), axes, params and id(params[i]))
+                group = groups.get(key)
+                if group is None:
+                    groups[key] = group = []
+                group.append((plan, i, regs, ids))
+        for (_, width, axes, _), members in groups.items():
+            if len(members) < _MIN_ROWS:
+                for plan, i, regs, _ in members:
+                    joint = regs[0] if len(regs) == 1 else tensor(*regs)
+                    param = plan.params and plan.params[i]
+                    u = plan.uniforms[i] if measuring else None
+                    plan.settle(i, *call(joint, plan.targets[i], param, u))
+                continue
+            # rows of checked registers need no second check
+            parts = [
+                _trusted(reg.qubit_ids, np.array([m[2][j].amplitudes for m in members]))
+                for j, reg in enumerate(members[0][2])
+            ]
+            joint = parts[0] if len(parts) == 1 else tensor(*parts)
+            plan, i = members[0][:2]
+            uniforms = np.array([m[0].uniforms[m[1]] for m in members]) if measuring else None
+            outcomes, out = call(
+                joint, tuple(joint.qubit_ids[a] for a in axes), plan.params and plan.params[i],
+                uniforms,
+            )
+            rows = None if out is None else list(out.amplitudes)
+            keep = [a for a in range(width) if a not in axes]
+            for row, (plan, i, _, ids) in enumerate(members):
+                new = None
+                if rows is not None:
+                    if measuring:
+                        ids = tuple(map(ids.__getitem__, keep))
+                    new = _trusted(ids, rows[row])
+                plan.settle(i, outcomes and outcomes[row], new)
+    return [plan.results for plan in plans]
+
+
+class _Plan:
+    """One request's part of a round: its items as target qubits and
+    parameters, its waves, its pre-drawn uniforms and its results."""
+
+    __slots__ = ("registers", "holders", "targets", "params", "waves", "uniforms", "results")
+
+    def __init__(self, arena: "QubitArena", items, rng, targets_of, measuring: bool) -> None:
+        self.registers, self.holders = arena._registers, arena._holders
+        self.targets, self.params = targets_of(items)
+        self.waves = arena._waves(self.targets, measuring)
+        self.uniforms = rng.random(len(self.targets)) if measuring else None
+        self.results: list = [None] * len(self.targets)
+
+    def settle(self, i: int, outcome, new: StateVector | None) -> None:
+        """Record item i's outcome and put its surviving register in the arena."""
+        registers = self.registers
+        if self.uniforms is not None:  # a measurement: the measured qubits are gone
+            holders = self.holders
+            for q in self.targets[i]:
+                del registers[q], holders[q]
+            self.results[i] = outcome
+        if new is not None:
+            for q in new.qubit_ids:
+                registers[q] = new
 
 
 class QubitArena:
@@ -561,7 +694,8 @@ class QubitArena:
 
     The round operations (``*_many``) take a whole round of items and leave
     the arena, the results and the random stream exactly as the scalar op
-    called on each item in order would; see ``_round``.
+    called on each item in order would; they are ``run_round`` over this
+    arena alone.
     """
 
     def __init__(self) -> None:
@@ -664,100 +798,23 @@ class QubitArena:
 
     def apply_pauli_many(self, items: Sequence[tuple[str, PauliLabel]]) -> None:
         """``apply_pauli`` on each (qubit, label) in order."""
-        if len(items) < _MIN_ROUND:
-            for q, p in items:
-                self.apply_pauli(q, p)
-            return
-        self._round(
-            [(q,) for q, _ in items], [p for _, p in items], None,
-            lambda s, names, p, _: (None, apply_pauli(s, names[0], p)),
-        )
+        run_round("apply_pauli", [(self, items, None)])
 
     def apply_unitary_many(self, items: Sequence[tuple[str, np.ndarray]]) -> None:
         """``apply_unitary`` on each (qubit, matrix) in order."""
-        if len(items) < _MIN_ROUND:
-            for q, u in items:
-                self.apply_unitary(q, u)
-            return
-        self._round(
-            [(q,) for q, _ in items], [u for _, u in items], None,
-            lambda s, names, u, _: (None, apply_unitary1q(s, names[0], u)),
-        )
+        run_round("apply_unitary", [(self, items, None)])
 
     def bell_measure_many(
         self, pairs: Sequence[tuple[str, str]], rng: np.random.Generator
     ) -> list[BellLabel]:
         """``bell_measure`` on each (q_a, q_b) in order; the outcomes."""
-        if len(pairs) < _MIN_ROUND:
-            return [self.bell_measure(q_a, q_b, rng) for q_a, q_b in pairs]
-        return self._round(
-            [tuple(pair) for pair in pairs], None, rng,
-            lambda s, names, _, u: bell_measure(s, *names, u),
-        )
+        return run_round("bell_measure", [(self, pairs, rng)])[0]
 
     def comp_measure_many(
         self, qubits: Sequence[str], rng: np.random.Generator
     ) -> list[int]:
         """``comp_measure`` on each qubit in order; the bits."""
-        if len(qubits) < _MIN_ROUND:
-            return [self.comp_measure(q, rng) for q in qubits]
-        return self._round(
-            [(q,) for q in qubits], None, rng,
-            lambda s, names, _, u: comp_measure(s, names[0], u),
-        )
-
-    def _round(self, targets, params, rng, op) -> list:
-        """Run item i (acting on the qubits ``targets[i]``, with ``params[i]``)
-        as stacked calls of ``op(stack, target names, param, row uniforms)``.
-
-        A measuring round (``rng`` given) draws one uniform per item up front,
-        item i taking the i-th, which is the draw the scalar op would make.
-        Each wave (see ``_waves``) groups its items by register widths, target
-        axes and parameter; a group is one stack, the tensor of two stacks
-        when the targets lie in two registers, and one engine call.
-        """
-        measuring = rng is not None
-        registers, holders = self._registers, self._holders
-        waves = self._waves(targets, measuring)
-        uniforms = rng.random(len(targets)) if measuring else None
-        results: list = [None] * len(targets)
-        for wave in waves:
-            groups: dict[tuple, list] = {}
-            for i in wave:
-                qubits = targets[i]
-                regs = [registers[q] for q in qubits]
-                if len(regs) == 2 and regs[1] is regs[0]:
-                    del regs[1]
-                ids = regs[0].qubit_ids if len(regs) == 1 else regs[0].qubit_ids + regs[1].qubit_ids
-                pid = id(params[i]) if params else 0
-                key = (len(regs[0].qubit_ids), len(ids), tuple(map(ids.index, qubits)), pid)
-                groups.setdefault(key, []).append((i, regs, ids))
-            for (_, _, axes, _), members in groups.items():
-                # rows of checked registers need no second check
-                parts = [
-                    _trusted(reg.qubit_ids, np.array([m[1][j].amplitudes for m in members]))
-                    for j, reg in enumerate(members[0][1])
-                ]
-                joint = parts[0] if len(parts) == 1 else tensor(*parts)
-                outcomes, out = op(
-                    joint,
-                    tuple(joint.qubit_ids[a] for a in axes),
-                    params[members[0][0]] if params else None,
-                    uniforms[[m[0] for m in members]] if measuring else None,
-                )
-                for row, (i, _, ids) in enumerate(members):
-                    if measuring:
-                        qubits = targets[i]
-                        for q in qubits:
-                            del registers[q], holders[q]
-                        results[i] = outcomes[row]
-                        if out is None:
-                            continue
-                        ids = tuple(q for q in ids if q not in qubits)
-                    new = _trusted(ids, out.amplitudes[row])
-                    for q in ids:
-                        registers[q] = new
-        return results
+        return run_round("comp_measure", [(self, qubits, rng)])[0]
 
     def _waves(self, targets, measuring: bool) -> list[list[int]]:
         """Split items into dependency waves, in call order.
@@ -768,33 +825,31 @@ class QubitArena:
         appears twice in a wave and each register sees its items in order.
         """
         registers = self._registers
-        touched = []
-        for qubits in targets:
-            try:
-                touched.append({id(registers[q]) for q in qubits})
-            except KeyError as exc:
-                raise UnknownQubitError(f"qubit {exc.args[0]!r} not in arena") from None
-        if len(set().union(*touched)) == sum(map(len, touched)):
-            return [list(range(len(targets)))]  # no register is touched twice
-        merged: dict[int, int] = {}
-        last: dict[int, int] = {}
+        joined: dict[int, int] = {}  # register key -> key it was joined into
+        last: dict[int, int] = {}  # register key -> wave of its last item
         gone: set[str] = set()
         waves: list[list[int]] = []
-        for i, keys in enumerate(touched):
+        for i, qubits in enumerate(targets):
             if measuring:
-                if gone.intersection(targets[i]):
-                    raise UnknownQubitError(f"qubits {targets[i]} were measured earlier in the round")
-                gone.update(targets[i])
-            roots = []
-            for key in keys:
-                while key in merged:
-                    key = merged[key]
-                roots.append(key)
-            root = roots[0]
-            wave = 1 + max([last.get(key, -1) for key in roots])
-            for key in roots[1:]:
-                if key != root:
-                    merged[key] = root
+                if not gone.isdisjoint(qubits):
+                    raise UnknownQubitError(f"qubits {qubits} were measured earlier in the round")
+                gone.update(qubits)
+            wave = 0
+            root = None
+            for q in qubits:
+                try:
+                    key = id(registers[q])
+                except KeyError:
+                    raise UnknownQubitError(f"qubit {q!r} not in arena") from None
+                while key in joined:
+                    key = joined[key]
+                seen = last.get(key)
+                if seen is not None and seen >= wave:
+                    wave = seen + 1
+                if root is None:
+                    root = key
+                elif key != root:
+                    joined[key] = root
             last[root] = wave
             if wave == len(waves):
                 waves.append([])

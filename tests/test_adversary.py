@@ -366,6 +366,12 @@ def test_attack_spec_validation():
         AttackSpec(strategy="entangle_measure", alpha=1.0, beta=1.0)
 
 
+@pytest.mark.parametrize("alpha, beta", [(np.nan, 0.0), (1.0, np.nan), (np.inf, 0.0)])
+def test_attack_spec_rejects_non_finite_ancilla_amplitudes(alpha, beta):
+    with pytest.raises(ValueError):
+        AttackSpec("entangle_measure", alpha=alpha, beta=beta)
+
+
 def test_default_legs_per_strategy():
     assert AttackSpec.parse("intercept_resend").legs == frozenset({"stage1_bob"})
     assert AttackSpec.parse("flip_all").legs == frozenset({"stage2_alice", "stage2_bob"})

@@ -239,6 +239,22 @@ def test_run_report_bytes_are_pinned(tmp_path, monkeypatch, flags, exit_code, di
     assert hashlib.sha256(kept.encode("utf-8")).hexdigest() == digest
 
 
+@pytest.mark.parametrize("flags", [[], ["--attack", "intercept_resend"]])
+def test_qkd_report_is_the_qsdc_report_but_for_the_mode_line(tmp_path, monkeypatch, flags):
+    """``qkd`` is an alias of ``qsdc``: the same sessions, the same report."""
+    for key in [k for k in os.environ if k.startswith("OSBMDI_")]:
+        monkeypatch.delenv(key)
+    out = tmp_path / "report.txt"
+    reports = {}
+    for mode in ("qsdc", "qkd"):
+        code = run_cli(["run", "--sessions", "20", "--seed", "5", "--mode", mode, *flags,
+                        "--out", str(out)])
+        reports[mode] = (code, out.read_text(encoding="utf-8").splitlines())
+    (code_s, qsdc), (code_k, qkd) = reports["qsdc"], reports["qkd"]
+    assert code_s == code_k and len(qsdc) == len(qkd)
+    assert [(a, b) for a, b in zip(qsdc, qkd) if a != b] == [("mode = qsdc", "mode = qkd")]
+
+
 # --- sweep ----------------------------------------------------------------------
 
 

@@ -11,6 +11,7 @@ import itertools
 import numpy as np
 import pytest
 
+from osbmdi import quantum
 from osbmdi.quantum import (
     ATOL,
     BELL_VECTORS,
@@ -27,6 +28,7 @@ from osbmdi.quantum import (
     apply_unitary1q,
     bell_measure,
     comp_measure,
+    run_round,
     tensor,
 )
 
@@ -560,6 +562,100 @@ def test_readout_round_of_shared_registers_runs_in_two_waves():
     ]
     run_both(batched, scalar, 4, lambda a, it, r: a.comp_measure_many(it, r),
              lambda a, it, r: a.comp_measure(it, r), qubits)
+
+
+@pytest.mark.parametrize("k", [8, 12, 15])
+def test_short_two_wave_readout_matches_scalar_calls(k):
+    """16-31 items: both qubits of k registers, waves of k rows each."""
+    batched, scalar = chained_arena(k)
+    qubits = [q for i in range(k) for q in (f"c{i}a", f"c{i}b")]
+    run_both(batched, scalar, 5, lambda a, it, r: a.comp_measure_many(it, r),
+             lambda a, it, r: a.comp_measure(it, r), qubits)
+
+
+def test_round_groups_run_scalar_or_stacked_by_row_count(monkeypatch):
+    """A group under ``_MIN_ROWS`` rows makes one scalar call per item; a
+    group of ``_MIN_ROWS`` rows makes one stacked call, however many items
+    the round has in all."""
+    calls = []
+    real = quantum.comp_measure
+    monkeypatch.setattr(
+        quantum, "comp_measure", lambda s, q, u: calls.append(s.amplitudes.ndim) or real(s, q, u)
+    )
+    for k, want in ((quantum._MIN_ROWS - 1, [1] * 2 * (quantum._MIN_ROWS - 1)),
+                    (quantum._MIN_ROWS, [2, 2])):
+        calls.clear()
+        arena, _ = chained_arena(k)
+        arena.comp_measure_many([q for i in range(k) for q in (f"c{i}a", f"c{i}b")],
+                                np.random.default_rng(0))
+        assert calls == want
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_cross_arena_round_matches_each_arena_alone(seed):
+    """One round over five arenas, each with its own generator, leaves every
+    arena, outcome and generator as that arena's scalar calls would; groups
+    merge items of several arenas."""
+    pairs = [random_arena(10 * seed + a, 24) for a in range(5)]
+    picks = np.random.default_rng(seed)
+    u = random_unitary(seed)
+    paulis = list(PauliLabel)
+
+    def bell_pairs(arena):
+        qubits = live_qubits(arena, picks)
+        return list(zip(qubits[0::2], qubits[1::2]))[: len(qubits) // 3]
+
+    rounds = (
+        ("apply_unitary", lambda a: [(q, u) for q in live_qubits(a, picks)],
+         lambda a, it, _: a.apply_unitary(*it)),
+        ("apply_pauli",
+         lambda a: [(q, paulis[int(picks.integers(4))]) for q in live_qubits(a, picks)],
+         lambda a, it, _: a.apply_pauli(*it)),
+        ("bell_measure", bell_pairs, lambda a, it, r: a.bell_measure(*it, r)),
+        ("comp_measure", lambda a: live_qubits(a, picks), lambda a, it, r: a.comp_measure(it, r)),
+    )
+    for op, make_items, one in rounds:
+        measuring = op.endswith("measure")
+        items = [make_items(batched) for batched, _ in pairs]
+        rngs = [np.random.default_rng([seed, a]) for a in range(len(pairs))]
+        got = run_round(op, [
+            (batched, its, rng if measuring else None)
+            for (batched, _), its, rng in zip(pairs, items, rngs)
+        ])
+        for a, ((batched, scalar), its, rng) in enumerate(zip(pairs, items, rngs)):
+            rng_s = np.random.default_rng([seed, a])
+            want = [one(scalar, item, rng_s) for item in its]
+            assert_same_arena(batched, scalar)
+            if measuring:
+                assert got[a] == want
+                assert rng.bit_generator.state == rng_s.bit_generator.state
+    assert all(not b._registers and not s._registers for b, s in pairs)
+
+
+def test_cross_arena_round_stacks_what_no_arena_could_stack_alone(monkeypatch):
+    """Two Bell measurements per arena, then both qubits of each joined
+    register: every group stays under ``_MIN_ROWS`` rows in one arena and
+    reaches it across the arenas."""
+    stacked = []
+    for name in ("bell_measure", "comp_measure"):
+        real = getattr(quantum, name)
+        monkeypatch.setattr(quantum, name, lambda s, *a, real=real, name=name: (
+            stacked.append(name) if s.amplitudes.ndim == 2 else None) or real(s, *a))
+    pairs = [chained_arena(4) for _ in range(quantum._MIN_ROWS // 2)]
+    bell = [("c0b", "c1a"), ("c2b", "c3a")]
+    readout = ["c0a", "c1b", "c2a", "c3b"]
+    for op, items, one in (
+        ("bell_measure", bell, lambda a, it, r: a.bell_measure(*it, r)),
+        ("comp_measure", readout, lambda a, it, r: a.comp_measure(it, r)),
+    ):
+        rngs = [np.random.default_rng([7, a]) for a in range(len(pairs))]
+        got = run_round(op, [(batched, items, rng) for (batched, _), rng in zip(pairs, rngs)])
+        for a, ((batched, scalar), rng) in enumerate(zip(pairs, rngs)):
+            rng_s = np.random.default_rng([7, a])
+            assert got[a] == [one(scalar, item, rng_s) for item in items]
+            assert rng.bit_generator.state == rng_s.bit_generator.state
+            assert_same_arena(batched, scalar)
+    assert stacked == ["bell_measure", "comp_measure", "comp_measure"]
 
 
 def test_round_measuring_a_qubit_twice_raises_like_the_scalar_ops():

@@ -11,6 +11,7 @@ import pytest
 from osbmdi.adversary import AttackSpec
 from osbmdi.analysis import NoiseSpec
 from osbmdi.protocol import (
+    COHORT,
     DECODE_REFERENCE,
     CaseTag,
     ConfigError,
@@ -710,3 +711,38 @@ _CONFIGS = _digest_configs()
 @pytest.mark.parametrize("name", sorted(_CONFIGS))
 def test_session_digest_unchanged(name):
     assert session_digest(_CONFIGS[name]) == SESSION_DIGESTS[name]
+
+
+@pytest.mark.parametrize("name", sorted(_CONFIGS))
+def test_batch_digest_unchanged(name):
+    """The pinned sessions run as one lockstep cohort report exactly what
+    each reports alone."""
+    h = hashlib.sha256()
+    for rep in run_batch(_CONFIGS[name], 6):
+        h.update(repr(_report_material(rep)).encode())
+    assert h.hexdigest() == SESSION_DIGESTS[name]
+
+
+@pytest.mark.parametrize(
+    "cfg",
+    [
+        SessionConfig(
+            n_pairs=8, master_seed=21,
+            attack=AttackSpec.parse(
+                "entangle_measure:beta2=0.05,"
+                "legs=stage1_alice+stage1_bob+stage2_alice+stage2_bob"
+            ),
+        ),
+        SessionConfig(n_pairs=8, mode=Mode.QD, master_seed=22, noise=NoiseSpec("dephasing", 0.3)),
+    ],
+    ids=["qsdc-entangle-all-legs", "qd-dephasing"],
+)
+def test_lockstep_matches_sessions_run_alone_across_cohorts(cfg):
+    n = 2 * COHORT + 3
+    batch = run_batch(cfg, n)
+    assert [rep.session_index for rep in batch] == list(range(n))
+    alone = [run_session(cfg, i) for i in range(n)]
+    assert [_report_material(rep) for rep in batch] == [_report_material(rep) for rep in alone]
+    # sessions leave their cohort early, at more than one stage
+    stages = {rep.abort_stage for rep in batch}
+    assert None in stages and len(stages) >= 3

@@ -76,6 +76,12 @@ def test_statevector_validates_norm_and_length():
         StateVector(("a", "b"), np.array([1.0, 0.0]))
 
 
+@pytest.mark.parametrize("amps", [[np.nan, 0.0], [1.0, np.nan], [np.inf, 0.0]])
+def test_statevector_rejects_non_finite_amplitudes(amps):
+    with pytest.raises(InvalidRegisterError):
+        StateVector(("a",), amps)
+
+
 def test_tensor_of_basis_states():
     s = tensor(single_qubit("a", 1, 0), single_qubit("b", 0, 1))
     assert np.allclose(s.amplitudes, [0, 1, 0, 0])
