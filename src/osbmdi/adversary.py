@@ -47,6 +47,9 @@ _DEFAULT_LEGS = {
 
 DISTURB_MODES = ("reorder", "random_pauli")
 
+# The Paulis a ``random_pauli`` disturbance draws from, uniformly.
+NON_IDENTITY = (PauliLabel.X, PauliLabel.IY, PauliLabel.Z)
+
 
 @dataclass(frozen=True)
 class AttackSpec:
@@ -176,15 +179,14 @@ class NoiseSpec:
 
 @dataclass
 class EveState:
-    """Quantum and classical material the adversary accumulates.
+    """Classical material the adversary accumulates.
 
-    ``held`` lists qubits currently in Eve's hands with a provenance tag;
-    handles move — Eve never holds a qubit an honest party still believes it
-    has.  ``ancillas`` are measured after the session and the outcomes land
-    in ``notes``.
+    The qubits Eve holds are those the arena lists under the holder
+    ``"eve"``; handles move, so Eve never holds a qubit an honest party still
+    believes it has.  ``ancillas`` are measured after the session and the
+    outcomes land in ``notes``.
     """
 
-    held: list[tuple[str, str]] = field(default_factory=list)
     ancillas: list[tuple[str, str, int]] = field(default_factory=list)
     notes: list[dict] = field(default_factory=list)
     _fresh: int = 0
@@ -207,13 +209,11 @@ def intercept_resend(
     for later inspection.
     """
     out = []
-    for slot, q in enumerate(qubits):
+    for q in qubits:
         keep = eve.new_id("k")
         send = eve.new_id("s")
         arena.add_state(make_bell(BellLabel.PSI_PLUS, keep, send), "eve")
         arena.transfer(q, "eve")
-        eve.held.append((q, f"stolen:{leg}:{slot}"))
-        eve.held.append((keep, f"fake_half:{leg}:{slot}"))
         out.append(send)
     return out
 
@@ -279,9 +279,8 @@ def disturb(
         for dst, src in zip(chosen, perm):
             out[dst] = qubits[chosen[src]]
     else:
-        non_identity = (PauliLabel.X, PauliLabel.IY, PauliLabel.Z)
         for slot in chosen:
-            p = non_identity[rng.integers(3)]
+            p = NON_IDENTITY[rng.integers(3)]
             arena.apply_pauli(out[slot], p)
             eve.notes.append({"kind": "pauli", "leg": leg, "slot": slot, "op": p.value})
     return out

@@ -14,12 +14,21 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .adversary import NoiseSpec
+from .adversary import (
+    LEGS,
+    NON_IDENTITY,
+    AttackSpec,
+    EveState,
+    NoiseSpec,
+    apply_leg_attack,
+    fake_bmo_outcome,
+)
+from .protocol import correlation_check
 from .quantum import (
     BellLabel,
     PauliLabel,
+    QubitArena,
     StateVector,
-    apply_cnot,
     apply_pauli,
     apply_unitary1q,
     bell_measure,
@@ -27,7 +36,6 @@ from .quantum import (
     fidelity,
     make_bell,
     pauli_frame,
-    single_qubit,
     swapped_home_label,
     tensor,
 )
@@ -247,18 +255,13 @@ def cnot_attack_profile(alpha: complex, beta: complex) -> dict:
     Schmidt rank (rank 1 would mean a product state), and the probability
     that a Bell measurement of the pair no longer returns psi+.
     """
-    s = tensor(make_bell(BellLabel.PSI_PLUS, "h", "t"), single_qubit("e", alpha, beta))
-    s = apply_cnot(s, "e", "t")
-    # amplitudes ordered (h, t, e); fold the pair axes together
-    mat = s.amplitudes.reshape(4, 2)
+    # amplitudes ordered (ancilla, a0, a1); fold the pair axes together
+    mat = _entangled(alpha, beta).amplitudes.reshape(2, 4).T
     svals = np.linalg.svd(mat, compute_uv=False)
     rank = int(np.sum(svals > 1e-9))
-    # detection: project the (h, t) pair on psi+ and sum over the ancilla
+    # detection: project the (a0, a1) pair on psi+ and sum over the ancilla
     psi = make_bell(BellLabel.PSI_PLUS, "h", "t").amplitudes
-    keep = 0.0
-    for e_bit in (0, 1):
-        branch = mat[:, e_bit]
-        keep += abs(np.vdot(psi, branch)) ** 2
+    keep = sum(abs(np.vdot(psi, mat[:, e_bit])) ** 2 for e_bit in (0, 1))
     return {
         "schmidt_coefficients": tuple(float(v) for v in svals),
         "schmidt_rank": rank,
@@ -270,105 +273,101 @@ def cnot_attack_profile(alpha: complex, beta: complex) -> dict:
 # ---------------------------------------------------------------------------
 # Single-check trial experiments
 #
-# Each function replays exactly one verification check under one attack
-# geometry through the real measurement path, returning True when the check
-# fails (the attack is detected).  They are deliberately tiny so that rate
-# estimates over >= 1e5 trials stay fast.
+# Each function replays one verification check through the real measurement
+# path and returns True when the check fails (the attack is detected).  The
+# ``adversary`` interceptor builds its state once, on a one-slot arena.
 # ---------------------------------------------------------------------------
 
 _PSIP = BellLabel.PSI_PLUS
 
 
-def _parity_ok(announced: BellLabel, bit_a: int, bit_b: int) -> bool:
-    expected = swapped_home_label(_PSIP, _PSIP, announced)
-    return (bit_a == bit_b) == expected.correlated
+def _attack_slot(strategy: str, travel: list[str], **params) -> tuple[list[str], QubitArena]:
+    """Psi+ pairs (a0, a1) and (b0, b1) on a fresh arena after ``strategy``
+    attacks ``travel`` on its first default leg; the arriving qubits and the arena."""
+    arena = QubitArena()
+    arena.add_bell_pairs([(_PSIP, "a0", "a1")], "alice")
+    arena.add_bell_pairs([(_PSIP, "b0", "b1")], "bob")
+    spec = AttackSpec(strategy, **params)
+    leg = min(spec.legs, default=LEGS[0])
+    # these strategies draw nothing; a generator would load numpy.random at import
+    return apply_leg_attack(spec, arena, EveState(), leg, travel, None), arena
 
 
-_IR_JOINT = tensor(make_bell(_PSIP, "d1", "d2"), make_bell(_PSIP, "e1", "e2"))
-_BOB_PAIR = make_bell(_PSIP, "d3", "d4")
+# the node Bell-measures a1 with the half of a fresh pair Eve sent on in place of b1
+(_IR_SENT,), _IR = _attack_slot("intercept_resend", ["b1"])
+_IR_NODE = tensor(_IR.state_of("a1"), _IR.state_of(_IR_SENT))
 
 
 def trial_intercept_resend_case1(rng: np.random.Generator) -> bool:
     """Both-decoy slot with the responder's travel half stolen and replaced."""
-    announced, rest = bell_measure(_IR_JOINT, "d2", "e2", rng)
-    bit_a, _ = comp_measure(rest, "d1", rng)
-    bit_b, _ = comp_measure(_BOB_PAIR, "d3", rng)
-    return not _parity_ok(announced, bit_a, bit_b)
+    announced, rest = bell_measure(_IR_NODE, "a1", _IR_SENT, rng)
+    bit_a, _ = comp_measure(rest, "a0", rng)
+    bit_b, _ = comp_measure(_IR.state_of("b0"), "b0", rng)
+    return not correlation_check(announced, bit_a, bit_b, _PSIP, _PSIP)
 
 
-_ALICE_PAIR = make_bell(_PSIP, "d1", "d2")
+_HONEST = _attack_slot("fake_bmo", [])[1]  # the dishonest node touches no qubit
 
 
 def trial_fake_bmo_case1(rng: np.random.Generator) -> bool:
     """Both-decoy slot where the node announces without measuring."""
-    announced = list(BellLabel)[rng.integers(4)]
-    bit_a, _ = comp_measure(_ALICE_PAIR, "d1", rng)
-    bit_b, _ = comp_measure(_BOB_PAIR, "d3", rng)
-    return not _parity_ok(announced, bit_a, bit_b)
+    announced = fake_bmo_outcome(rng)
+    bit_a, _ = comp_measure(_HONEST.state_of("a0"), "a0", rng)
+    bit_b, _ = comp_measure(_HONEST.state_of("b0"), "b0", rng)
+    return not correlation_check(announced, bit_a, bit_b, _PSIP, _PSIP)
 
 
-def _split_attacked_state(beta2: float) -> StateVector:
-    alpha, beta = math.sqrt(1.0 - beta2), math.sqrt(beta2)
-    s = tensor(make_bell(_PSIP, "h", "t"), single_qubit("e", alpha, beta))
-    return apply_cnot(s, "e", "t")
+def _entangled(alpha: complex, beta: complex) -> StateVector:
+    """Pair (a0, a1) with an ancilla CNOT-coupled to a1, ordered (ancilla, a0, a1)."""
+    return _attack_slot("entangle_measure", ["a1"], alpha=alpha, beta=beta)[1].state_of("a1")
 
 
-def make_trial_entangle_split(beta2: float) -> Callable[[np.random.Generator], bool]:
-    """Split decoy whose traveling half was CNOT-coupled to an ancilla."""
-    attacked = _split_attacked_state(beta2)
+def _whole_check(pair: StateVector) -> Callable[[np.random.Generator], bool]:
+    """Trial of a whole decoy pair (a0, a1): its Bell label must stay psi+."""
 
     def trial(rng: np.random.Generator) -> bool:
-        c_bit, rest = comp_measure(attacked, "t", rng)
-        o_bit, _ = comp_measure(rest, "h", rng)
-        return c_bit != o_bit  # psi+ expects equal bits
-
-    return trial
-
-
-def make_trial_entangle_whole(beta2: float) -> Callable[[np.random.Generator], bool]:
-    """Whole traveling pair with one half CNOT-coupled to an ancilla."""
-    attacked = _split_attacked_state(beta2)
-
-    def trial(rng: np.random.Generator) -> bool:
-        announced, _ = bell_measure(attacked, "h", "t", rng)
+        announced, _ = bell_measure(pair, "a0", "a1", rng)
         return announced is not _PSIP
 
     return trial
 
 
-_FLIPPED_WHOLE = apply_pauli(
-    apply_pauli(make_bell(_PSIP, "q1", "q2"), "q1", PauliLabel.X), "q2", PauliLabel.X
-)
-_FLIPPED_SPLIT = apply_pauli(make_bell(_PSIP, "h", "t"), "t", PauliLabel.X)
+def _split_check(pair: StateVector) -> Callable[[np.random.Generator], bool]:
+    """Trial of a split decoy: halves a1 and a0 must read equal bits, as psi+."""
+
+    def trial(rng: np.random.Generator) -> bool:
+        c_bit, rest = comp_measure(pair, "a1", rng)
+        o_bit, _ = comp_measure(rest, "a0", rng)
+        return c_bit != o_bit
+
+    return trial
 
 
-def trial_flip_whole(rng: np.random.Generator) -> bool:
-    """Whole decoy pair with X on both halves: label unchanged, check blind."""
-    announced, _ = bell_measure(_FLIPPED_WHOLE, "q1", "q2", rng)
-    return announced is not _PSIP
+def make_trial_entangle_split(beta2: float) -> Callable[[np.random.Generator], bool]:
+    """Split decoy whose traveling half was CNOT-coupled to an ancilla."""
+    return _split_check(_entangled(math.sqrt(1.0 - beta2), math.sqrt(beta2)))
 
 
-def trial_flip_split(rng: np.random.Generator) -> bool:
-    """Split decoy with X on the traveling half only: always anti-correlated."""
-    c_bit, rest = comp_measure(_FLIPPED_SPLIT, "t", rng)
-    o_bit, _ = comp_measure(rest, "h", rng)
-    return c_bit != o_bit
+def make_trial_entangle_whole(beta2: float) -> Callable[[np.random.Generator], bool]:
+    """Whole traveling pair with one half CNOT-coupled to an ancilla."""
+    return _whole_check(_entangled(math.sqrt(1.0 - beta2), math.sqrt(beta2)))
 
 
-_NON_IDENTITY = (PauliLabel.X, PauliLabel.IY, PauliLabel.Z)
-_PAULI_HIT_STATES = tuple(
-    apply_pauli(apply_pauli(make_bell(_PSIP, "q1", "q2"), "q1", p1), "q2", p2)
-    for p1 in _NON_IDENTITY
-    for p2 in _NON_IDENTITY
+# Whole decoy pair with X on both halves: label unchanged, check blind.
+trial_flip_whole = _whole_check(_attack_slot("flip_all", ["a0", "a1"])[1].state_of("a0"))
+# Split decoy with X on the traveling half only: always anti-correlated.
+trial_flip_split = _split_check(_attack_slot("flip_all", ["a1"])[1].state_of("a0"))
+
+_PAULI_HIT_TRIALS = tuple(
+    _whole_check(apply_pauli(apply_pauli(make_bell(_PSIP, "a0", "a1"), "a0", p1), "a1", p2))
+    for p1 in NON_IDENTITY for p2 in NON_IDENTITY
 )
 
 
 def trial_random_pauli_whole(rng: np.random.Generator) -> bool:
     """Whole decoy pair with independent uniform non-identity Paulis on both
     halves (a full-leg disturbance hits both)."""
-    s = _PAULI_HIT_STATES[int(rng.integers(9))]
-    announced, _ = bell_measure(s, "q1", "q2", rng)
-    return announced is not _PSIP
+    return _PAULI_HIT_TRIALS[int(rng.integers(9))](rng)
 
 
 def run_check_trials(

@@ -692,10 +692,9 @@ class QubitArena:
     is held by exactly one actor at a time; re-registering an id or failing
     a transfer expectation raises immediately.
 
-    The round operations (``*_many``) take a whole round of items and leave
-    the arena, the results and the random stream exactly as the scalar op
-    called on each item in order would; they are ``run_round`` over this
-    arena alone.
+    A whole round of one op, over this arena or several, is ``run_round``:
+    it leaves each arena, the results and the random stream exactly as the
+    scalar method called on each item in order would.
     """
 
     def __init__(self) -> None:
@@ -793,28 +792,6 @@ class QubitArena:
         self._swap_register(state, rest)
         del self._holders[qubit_id]
         return bit
-
-    # -- round operations ------------------------------------------------------
-
-    def apply_pauli_many(self, items: Sequence[tuple[str, PauliLabel]]) -> None:
-        """``apply_pauli`` on each (qubit, label) in order."""
-        run_round("apply_pauli", [(self, items, None)])
-
-    def apply_unitary_many(self, items: Sequence[tuple[str, np.ndarray]]) -> None:
-        """``apply_unitary`` on each (qubit, matrix) in order."""
-        run_round("apply_unitary", [(self, items, None)])
-
-    def bell_measure_many(
-        self, pairs: Sequence[tuple[str, str]], rng: np.random.Generator
-    ) -> list[BellLabel]:
-        """``bell_measure`` on each (q_a, q_b) in order; the outcomes."""
-        return run_round("bell_measure", [(self, pairs, rng)])[0]
-
-    def comp_measure_many(
-        self, qubits: Sequence[str], rng: np.random.Generator
-    ) -> list[int]:
-        """``comp_measure`` on each qubit in order; the bits."""
-        return run_round("comp_measure", [(self, qubits, rng)])[0]
 
     def _waves(self, targets, measuring: bool) -> list[list[int]]:
         """Split items into dependency waves, in call order.

@@ -10,6 +10,7 @@ Stage numbering: 1 = swap round, 2 = verification round, 3 = decode round.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterator, Union
 
@@ -126,9 +127,6 @@ class Transcript:
     def __len__(self) -> int:
         return len(self._entries)
 
-    def events(self, kind: type) -> list[TranscriptEntry]:
-        return [e for e in self._entries if isinstance(e.event, kind)]
-
     def serialize(self) -> str:
         """One announcement per line: seq, stage, actor, kind, payload."""
         lines = []
@@ -159,49 +157,48 @@ def validate_order(
         must stay private, as for the receiver's pairs used for decoding).
     """
     allowed = allowed_message_reveals or {}
-    last = -1
+    # first and last seq of each (event type, stage, reveal kind)
+    first: dict[tuple, int] = {}
+    last: dict[tuple, int] = {}
+    messages: list[TranscriptEntry] = []
+    prev = -1
     for entry in transcript:
-        if entry.seq <= last:
+        if entry.seq <= prev:
             raise TranscriptOrderError("sequence numbers must increase")
-        last = entry.seq
+        prev = entry.seq
+        event = entry.event
+        kind = event.kind if isinstance(event, InitialStateReveal) else None
+        key = (type(event), event.stage, kind)
+        first.setdefault(key, entry.seq)
+        last[key] = entry.seq
+        if kind == "message":
+            messages.append(entry)
 
-    def seqs(event_type: type, **attrs) -> list[int]:
-        out = []
-        for e in transcript.events(event_type):
-            if all(getattr(e.event, k) == v for k, v in attrs.items()):
-                out.append(e.seq)
-        return out
-
-    bmo1 = seqs(BMOAnnouncement, stage=1)
-    pos1 = seqs(DecoyPositions, stage=1)
-    if bmo1 and pos1 and min(pos1) < max(bmo1):
+    # a rule holds vacuously when either of its events is absent
+    inf = math.inf
+    bmo1, bmo2 = (BMOAnnouncement, 1, None), (BMOAnnouncement, 2, None)
+    pos1, pos2 = (DecoyPositions, 1, None), (DecoyPositions, 2, None)
+    receipt2 = (Receipt, 2, None)
+    if first.get(pos1, inf) < last.get(bmo1, -inf):
         raise TranscriptOrderError("stage-1 positions announced before all stage-1 outcomes")
-    reveals1 = seqs(InitialStateReveal, stage=1, kind="decoy")
-    if bmo1 and reveals1 and min(reveals1) < max(bmo1):
+    if first.get((InitialStateReveal, 1, "decoy"), inf) < last.get(bmo1, -inf):
         raise TranscriptOrderError("stage-1 decoy labels revealed before all stage-1 outcomes")
-
-    receipts2 = seqs(Receipt, stage=2)
-    pos2 = seqs(DecoyPositions, stage=2)
-    if pos2:
-        if not receipts2:
+    if pos2 in first:
+        if receipt2 not in first:
             raise TranscriptOrderError("stage-2 positions announced without a receipt")
-        if min(pos2) < min(receipts2):
+        if first[pos2] < first[receipt2]:
             raise TranscriptOrderError("stage-2 positions announced before the receipt")
-    bmo2 = seqs(BMOAnnouncement, stage=2)
-    if bmo2 and pos2 and min(bmo2) < max(pos2):
+    if first.get(bmo2, inf) < last.get(pos2, -inf):
         raise TranscriptOrderError("stage-2 outcomes announced before positions")
-    reveals2 = seqs(InitialStateReveal, stage=2, kind="decoy")
-    if bmo2 and reveals2 and min(reveals2) < max(bmo2):
+    if first.get((InitialStateReveal, 2, "decoy"), inf) < last.get(bmo2, -inf):
         raise TranscriptOrderError("stage-2 decoy labels revealed before all stage-2 outcomes")
 
-    for e in transcript.events(InitialStateReveal):
-        if e.event.kind != "message":
-            continue
+    for e in messages:
         permitted = allowed.get(e.event.owner, set())
         for index, _lab in e.event.labels:
             if index not in permitted:
                 raise TranscriptOrderError(
                     f"{e.event.owner} revealed a private message-pair label (index {index})"
                 )
-        if bmo1 and e.seq < max(bmo1):
+        if e.seq < last.get(bmo1, -inf):
             raise TranscriptOrderError("message-pair label revealed before stage-1 outcomes")

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from osbmdi import analysis
 from osbmdi.analysis import (
     DetectionEstimate,
     NoiseSpec,
@@ -316,3 +317,28 @@ def test_trials_are_deterministic_under_seed():
     a = run_check_trials(make_trial_entangle_split(0.5), 2000, 11)
     b = run_check_trials(make_trial_entangle_split(0.5), 2000, 11)
     assert a.failures == b.failures
+
+
+# Failure counts of the eleven detection-trial experiments (the ``analysis``
+# trial name and its argument) at 20,000 trials under seed 2026.  They pin
+# each trial's draw pattern: a faster trial path must draw the same numbers.
+TRIAL_COUNTS = {
+    ("trial_intercept_resend_case1", None): 10135,
+    ("trial_fake_bmo_case1", None): 10065,
+    ("make_trial_entangle_split", 0.1): 1964,
+    ("make_trial_entangle_split", 0.25): 4918,
+    ("make_trial_entangle_split", 0.5): 9982,
+    ("make_trial_entangle_whole", 0.1): 2061,
+    ("make_trial_entangle_whole", 0.25): 4954,
+    ("make_trial_entangle_whole", 0.5): 10010,
+    ("trial_flip_whole", None): 0,
+    ("trial_flip_split", None): 20000,
+    ("trial_random_pauli_whole", None): 13270,
+}
+
+
+@pytest.mark.parametrize("name, arg", list(TRIAL_COUNTS), ids=lambda v: str(v))
+def test_trial_failure_counts_are_pinned(name, arg):
+    trial = getattr(analysis, name)
+    trial = trial(arg) if arg is not None else trial
+    assert run_check_trials(trial, 20_000, 2026).failures == TRIAL_COUNTS[(name, arg)]

@@ -451,8 +451,8 @@ def test_bad_stacks_raise(build):
 
 # --- arena round operations -------------------------------------------------------------
 #
-# Each ``*_many`` call must leave the arena, the outcomes and the random stream
-# exactly as the scalar arena op called on every item in order.
+# Each ``run_round`` over one arena must leave the arena, the outcomes and the
+# random stream exactly as the scalar arena op called on every item in order.
 
 
 def random_arena(seed, n_regs):
@@ -487,9 +487,9 @@ def live_qubits(arena, rng):
     return [qubits[i] for i in rng.permutation(len(qubits))]
 
 
-def run_both(batched, scalar, seed, many, one, items):
+def run_both(batched, scalar, seed, op, one, items):
     rng_b, rng_s = np.random.default_rng(seed), np.random.default_rng(seed)
-    got = many(batched, items, rng_b)
+    got = run_round(op, [(batched, items, rng_b)])[0]
     want = [one(scalar, item, rng_s) for item in items]
     assert got == want
     assert rng_b.bit_generator.state == rng_s.bit_generator.state
@@ -508,24 +508,24 @@ def test_round_operations_match_scalar_calls(seed, n_regs):
 
     qubits = live_qubits(batched, rng)  # every qubit: registers repeat
     items = [(q, u) for q in qubits]
-    batched.apply_unitary_many(items)
+    run_round("apply_unitary", [(batched, items, None)])
     for q, m in items:
         scalar.apply_unitary(q, m)
     assert_same_arena(batched, scalar)
 
     items = [(q, paulis[int(rng.integers(4))]) for q in live_qubits(batched, rng)]
-    batched.apply_pauli_many(items)
+    run_round("apply_pauli", [(batched, items, None)])
     for q, p in items:
         scalar.apply_pauli(q, p)
     assert_same_arena(batched, scalar)
 
     qubits = live_qubits(batched, rng)
     pairs = list(zip(qubits[0::2], qubits[1::2]))[: len(qubits) // 3]
-    run_both(batched, scalar, seed, lambda a, it, r: a.bell_measure_many(it, r),
+    run_both(batched, scalar, seed, "bell_measure",
              lambda a, it, r: a.bell_measure(*it, r), pairs)
 
     qubits = live_qubits(batched, rng)
-    run_both(batched, scalar, seed + 1, lambda a, it, r: a.comp_measure_many(it, r),
+    run_both(batched, scalar, seed + 1, "comp_measure",
              lambda a, it, r: a.comp_measure(it, r), qubits)
     assert not batched._registers and not scalar._registers
 
@@ -547,7 +547,7 @@ def test_bell_round_with_chained_registers_runs_in_waves():
     batched, scalar = chained_arena(k)
     pairs = [(f"c{i}b", f"c{i + 1}a") for i in range(k - 1)]
     assert batched._waves(pairs, True) == [[i] for i in range(k - 1)]
-    run_both(batched, scalar, 3, lambda a, it, r: a.bell_measure_many(it, r),
+    run_both(batched, scalar, 3, "bell_measure",
              lambda a, it, r: a.bell_measure(*it, r), pairs)
 
 
@@ -560,7 +560,7 @@ def test_readout_round_of_shared_registers_runs_in_two_waves():
     assert batched._waves([(q,) for q in qubits], True) == [
         list(range(0, 2 * k, 2)), list(range(1, 2 * k, 2))
     ]
-    run_both(batched, scalar, 4, lambda a, it, r: a.comp_measure_many(it, r),
+    run_both(batched, scalar, 4, "comp_measure",
              lambda a, it, r: a.comp_measure(it, r), qubits)
 
 
@@ -569,7 +569,7 @@ def test_short_two_wave_readout_matches_scalar_calls(k):
     """16-31 items: both qubits of k registers, waves of k rows each."""
     batched, scalar = chained_arena(k)
     qubits = [q for i in range(k) for q in (f"c{i}a", f"c{i}b")]
-    run_both(batched, scalar, 5, lambda a, it, r: a.comp_measure_many(it, r),
+    run_both(batched, scalar, 5, "comp_measure",
              lambda a, it, r: a.comp_measure(it, r), qubits)
 
 
@@ -586,8 +586,8 @@ def test_round_groups_run_scalar_or_stacked_by_row_count(monkeypatch):
                     (quantum._MIN_ROWS, [2, 2])):
         calls.clear()
         arena, _ = chained_arena(k)
-        arena.comp_measure_many([q for i in range(k) for q in (f"c{i}a", f"c{i}b")],
-                                np.random.default_rng(0))
+        qubits = [q for i in range(k) for q in (f"c{i}a", f"c{i}b")]
+        run_round("comp_measure", [(arena, qubits, np.random.default_rng(0))])
         assert calls == want
 
 
@@ -663,7 +663,7 @@ def test_round_measuring_a_qubit_twice_raises_like_the_scalar_ops():
         batched, scalar = chained_arena(k)
         qubits = [f"c{i}a" for i in range(k)] + ["c0a"]
         with pytest.raises(UnknownQubitError):
-            batched.comp_measure_many(qubits, np.random.default_rng(0))
+            run_round("comp_measure", [(batched, qubits, np.random.default_rng(0))])
         with pytest.raises(UnknownQubitError):
             for q in qubits:
                 scalar.comp_measure(q, np.random.default_rng(0))

@@ -10,6 +10,7 @@ from osbmdi.transcript import (
     InitialStateReveal,
     Receipt,
     Transcript,
+    TranscriptEntry,
     TranscriptOrderError,
     validate_order,
 )
@@ -84,6 +85,47 @@ def test_validator_rejects_private_message_reveal():
     with pytest.raises(TranscriptOrderError):
         validate_order(t, {"bob": {0, 1}})
     validate_order(t, {"bob": {2}})
+
+
+BMO1, BMO2 = BMOAnnouncement(1, 0, PSIP), BMOAnnouncement(2, 0, PSIP)
+POS1 = DecoyPositions("alice", 1, split_positions=(0,))
+POS2 = DecoyPositions("alice", 2, whole_positions=((0, 1),))
+DECOYS1 = InitialStateReveal("alice", 1, "decoy", ((0, PSIP),))
+DECOYS2 = InitialStateReveal("alice", 2, "decoy", ((0, PSIP),))
+MESSAGE = InitialStateReveal("bob", 1, "message", ((2, PSIP),))
+
+# One transcript per ordering error; each breaks one rule, except the last,
+# which breaks two and gets the message of the rule checked first.
+ORDER_ERRORS = [
+    ("repeated seq", (BMO1, BMO1), "sequence numbers must increase"),
+    ("stage-1 positions", (POS1, BMO1), "stage-1 positions announced before all stage-1 outcomes"),
+    ("stage-1 labels", (DECOYS1, BMO1),
+     "stage-1 decoy labels revealed before all stage-1 outcomes"),
+    ("no receipt", (POS2,), "stage-2 positions announced without a receipt"),
+    ("stage-2 positions", (POS2, Receipt(2)), "stage-2 positions announced before the receipt"),
+    ("stage-2 outcomes", (Receipt(2), BMO2, POS2), "stage-2 outcomes announced before positions"),
+    ("stage-2 labels", (Receipt(2), POS2, DECOYS2, BMO2),
+     "stage-2 decoy labels revealed before all stage-2 outcomes"),
+    ("private message label", (BMO1, InitialStateReveal("bob", 1, "message", ((3, PSIP),))),
+     "bob revealed a private message-pair label (index 3)"),
+    ("message label", (MESSAGE, BMO1), "message-pair label revealed before stage-1 outcomes"),
+    ("first rule wins", (MESSAGE, POS1, BMO1),
+     "stage-1 positions announced before all stage-1 outcomes"),
+]
+
+
+@pytest.mark.parametrize(
+    "events, message", [c[1:] for c in ORDER_ERRORS], ids=[c[0] for c in ORDER_ERRORS]
+)
+def test_validator_names_each_ordering_error(events, message):
+    t = Transcript()
+    for event in events:
+        t.append("node", event)
+    if message == "sequence numbers must increase":
+        t._entries[1] = TranscriptEntry(0, "node", events[1])
+    with pytest.raises(TranscriptOrderError) as err:
+        validate_order(t, {"bob": {2}})
+    assert str(err.value) == message
 
 
 # Frozen replay of a tiny honest session.  Any change to the announcement
