@@ -6,6 +6,11 @@ transit, so the protocol layer stays attack-agnostic.  Legs are named
 ``stage1_alice``, ``stage1_bob`` (swap-round transmissions) and
 ``stage2_alice``, ``stage2_bob`` (verification/decode-round transmissions).
 
+Interceptors that act on qubits, and Eve's ancilla readout, are step
+generators like the session: each yields its engine round as a request
+``(arena, op, items, rng)`` (``quantum.engine_round``) for the session's
+lockstep driver, and returns its result.
+
 The dishonest-measurement-node behavior (announcing outcomes without
 measuring) is carried on the same spec via ``fake_stages``; it is consulted
 by the session rather than applied to a leg.  Collective noise
@@ -23,6 +28,7 @@ from .quantum import (
     BellLabel,
     PauliLabel,
     QubitArena,
+    engine_round,
     make_bell,
     single_qubit,
 )
@@ -179,16 +185,16 @@ class NoiseSpec:
 
 @dataclass
 class EveState:
-    """Classical material the adversary accumulates.
+    """What the adversary keeps between its interceptions.
 
     The qubits Eve holds are those the arena lists under the holder
     ``"eve"``; handles move, so Eve never holds a qubit an honest party still
-    believes it has.  ``ancillas`` are measured after the session and the
-    outcomes land in ``notes``.
+    believes it has.  ``ancillas`` lists each entangling ancilla with the leg
+    and slot it coupled to; ``measure_ancillas`` reads them out after the
+    session.
     """
 
     ancillas: list[tuple[str, str, int]] = field(default_factory=list)
-    notes: list[dict] = field(default_factory=list)
     _fresh: int = 0
 
     def new_id(self, prefix: str) -> str:
@@ -196,13 +202,7 @@ class EveState:
         return f"ev_{prefix}{self._fresh}"
 
 
-def intercept_resend(
-    arena: QubitArena,
-    eve: EveState,
-    leg: str,
-    qubits: list[str],
-    rng: np.random.Generator,
-) -> list[str]:
+def intercept_resend(arena: QubitArena, eve: EveState, qubits: list[str]) -> list[str]:
     """Steal every travel qubit on the leg; forward halves of fresh Bell pairs.
 
     Eve keeps the stolen qubit and the partner half of each substituted pair
@@ -219,54 +219,38 @@ def intercept_resend(
 
 
 def entangle_measure(
-    arena: QubitArena,
-    eve: EveState,
-    leg: str,
-    qubits: list[str],
-    rng: np.random.Generator,
-    alpha: complex,
-    beta: complex,
-) -> list[str]:
-    """CNOT a fresh ancilla (control) onto each travel qubit (target).
+    arena: QubitArena, eve: EveState, leg: str, qubits: list[str], alpha: complex, beta: complex
+):
+    """CNOT a fresh ancilla (control) onto each travel qubit (target), as one
+    ``apply_cnot`` round.
 
     Ancillas are retained and measured after the session; the travel qubits
     continue to the measurement node.
     """
+    pairs = []
     for slot, q in enumerate(qubits):
         anc = eve.new_id("a")
         arena.add_state(single_qubit(anc, alpha, beta), "eve")
-        arena.apply_cnot(anc, q)
         eve.ancillas.append((anc, leg, slot))
+        pairs.append((anc, q))
+    yield from engine_round(arena, "apply_cnot", pairs)
     return list(qubits)
 
 
-def flip_all(
-    arena: QubitArena,
-    eve: EveState,
-    leg: str,
-    qubits: list[str],
-    rng: np.random.Generator,
-) -> list[str]:
-    """Apply X to every qubit on the leg."""
-    for q in qubits:
-        arena.apply_pauli(q, PauliLabel.X)
+def flip_all(arena: QubitArena, qubits: list[str]):
+    """Apply X to every qubit on the leg, as one ``apply_pauli`` round."""
+    yield from engine_round(arena, "apply_pauli", [(q, PauliLabel.X) for q in qubits])
     return list(qubits)
 
 
 def disturb(
-    arena: QubitArena,
-    eve: EveState,
-    leg: str,
-    qubits: list[str],
-    rng: np.random.Generator,
-    mode: str,
-    fraction: float,
-) -> list[str]:
+    arena: QubitArena, qubits: list[str], rng: np.random.Generator, mode: str, fraction: float
+):
     """Denial-of-service style tampering with a uniformly chosen slot subset.
 
     ``reorder`` permutes the selected slots (within this leg only);
-    ``random_pauli`` applies an independent uniform non-identity Pauli to
-    each selected qubit.
+    ``random_pauli`` draws an independent uniform non-identity Pauli for each
+    selected qubit, then applies them as one ``apply_pauli`` round.
     """
     n = len(qubits)
     k = int(round(fraction * n))
@@ -279,10 +263,8 @@ def disturb(
         for dst, src in zip(chosen, perm):
             out[dst] = qubits[chosen[src]]
     else:
-        for slot in chosen:
-            p = NON_IDENTITY[rng.integers(3)]
-            arena.apply_pauli(out[slot], p)
-            eve.notes.append({"kind": "pauli", "leg": leg, "slot": slot, "op": p.value})
+        hits = [(out[slot], NON_IDENTITY[rng.integers(3)]) for slot in chosen]
+        yield from engine_round(arena, "apply_pauli", hits)
     return out
 
 
@@ -298,26 +280,24 @@ def apply_leg_attack(
     leg: str,
     qubits: list[str],
     rng: np.random.Generator,
-) -> list[str]:
-    """Run the configured strategy on one leg; returns the arriving qubits."""
+):
+    """Run the configured strategy on one leg, as a step generator of engine
+    rounds; returns the arriving qubits."""
     if spec is None or leg not in spec.legs:
         return list(qubits)
     if spec.strategy == "intercept_resend":
-        return intercept_resend(arena, eve, leg, qubits, rng)
+        return intercept_resend(arena, eve, qubits)
     if spec.strategy == "entangle_measure":
-        return entangle_measure(arena, eve, leg, qubits, rng, spec.alpha, spec.beta)
+        return (yield from entangle_measure(arena, eve, leg, qubits, spec.alpha, spec.beta))
     if spec.strategy == "flip_all":
-        return flip_all(arena, eve, leg, qubits, rng)
+        return (yield from flip_all(arena, qubits))
     if spec.strategy == "disturb":
-        return disturb(arena, eve, leg, qubits, rng, spec.mode, spec.fraction)
+        return (yield from disturb(arena, qubits, rng, spec.mode, spec.fraction))
     return list(qubits)
 
 
-def measure_ancillas(
-    arena: QubitArena, eve: EveState, rng: np.random.Generator
-) -> None:
-    """Post-session computational-basis readout of Eve's retained ancillas."""
-    for anc, leg, slot in eve.ancillas:
-        if arena.has(anc):
-            bit = arena.comp_measure(anc, rng)
-            eve.notes.append({"kind": "ancilla", "leg": leg, "slot": slot, "bit": bit})
+def measure_ancillas(arena: QubitArena, eve: EveState, rng: np.random.Generator):
+    """Post-session computational-basis readout of Eve's ancillas, as one
+    ``comp_measure`` round; returns a ``(leg, slot, bit)`` record per ancilla."""
+    bits = yield from engine_round(arena, "comp_measure", [a for a, _, _ in eve.ancillas], rng)
+    return [(leg, slot, bit) for (_, leg, slot), bit in zip(eve.ancillas, bits)]

@@ -23,7 +23,7 @@ from .adversary import (
     apply_leg_attack,
     fake_bmo_outcome,
 )
-from .protocol import correlation_check
+from .protocol import correlation_check, run_lockstep
 from .quantum import (
     BellLabel,
     PauliLabel,
@@ -290,7 +290,8 @@ def _attack_slot(strategy: str, travel: list[str], **params) -> tuple[list[str],
     spec = AttackSpec(strategy, **params)
     leg = min(spec.legs, default=LEGS[0])
     # these strategies draw nothing; a generator would load numpy.random at import
-    return apply_leg_attack(spec, arena, EveState(), leg, travel, None), arena
+    attack = apply_leg_attack(spec, arena, EveState(), leg, travel, None)
+    return run_lockstep([attack])[0], arena
 
 
 # the node Bell-measures a1 with the half of a fresh pair Eve sent on in place of b1

@@ -39,6 +39,7 @@ from .quantum import (
     PauliLabel,
     QuantumError,
     QubitArena,
+    engine_round,
     frame_correction,
     pauli_frame,
     run_round,
@@ -217,7 +218,6 @@ class ExtendedSequence:
     arrived at the measurement node (attacks may substitute or permute).
     """
 
-    owner: str
     slots: list[tuple[str, object]]
     occupants: list[str] = field(default_factory=list)
 
@@ -339,7 +339,6 @@ class Decoy:
     q1: str  # home half for split pairs
     q2: str
     label: BellLabel
-    split: bool
 
 
 @dataclass
@@ -373,7 +372,6 @@ class PairGroup:
     ref: tuple[int, int]
     case: CaseTag
     bmo1: BellLabel | None = None
-    bmo2: BellLabel | None = None
 
 
 @dataclass
@@ -460,10 +458,16 @@ class Session:
     round's results come back through ``send``; ``run_lockstep`` serves the
     pending requests of a whole cohort of sessions as one ``run_round`` per
     op, which gives every session the same results and draws as one scalar
-    call per slot in slot order.  The requests, in order:
+    call per slot in slot order.  It is the only driver: every qubit
+    operation of the session, Eve's and the node's included, is such a
+    request.  The requests, in order:
 
+      dialogue      a nested share's requests, on the nested session's
+                    arena, for each party with a private choice set;
       every leg     ``apply_unitary`` over the leg's qubits for the channel
-                    noise, if any;
+                    noise, if any; then the attack's round on the leg:
+                    ``apply_cnot`` (entangle), ``apply_pauli`` (flip, or a
+                    ``random_pauli`` disturbance), or none;
       round 1       ``bell_measure`` over the aligned slots, then
                     ``comp_measure`` over the home qubits of the checked
                     slots (alice's then bob's per slot);
@@ -471,13 +475,14 @@ class Session:
                     ``bell_measure`` over its whole pairs and
                     ``comp_measure`` over its split pairs (the node's qubit,
                     then the home half);
-      round 3       ``bell_measure`` over the aligned message slots.
+      round 3       ``bell_measure`` over the aligned message slots;
+      wrap-up       ``comp_measure`` over Eve's live ancillas, if any.
 
     Preparation registers each party's pairs with one ``add_bell_pairs``.  A
     round with no items is not yielded.  A dishonest node (``fake_bmo``)
-    draws its announcements instead of measuring, slot by slot; adversary
-    interceptors use the scalar ops, and a dialogue's nested sessions run
-    inside the step that needs them.  An aborted session ends early.
+    draws its announcements instead of measuring; in round 2 it draws each
+    split slot's bit and then reads the home half as a one-item
+    ``comp_measure``, slot by slot.  An aborted session ends early.
     """
 
     def __init__(
@@ -486,13 +491,11 @@ class Session:
         rng: np.random.Generator,
         session_index: int = 0,
         payload: Sequence[int] | None = None,
-        attack_enabled: bool = True,
     ) -> None:
         self.cfg = cfg
         self.rng = rng
         self.session_index = session_index
         self.payload = None if payload is None else list(payload)
-        self.attack = cfg.attack if attack_enabled else None
         self.arena = QubitArena()
         self.transcript = Transcript()
         self.eve = EveState()
@@ -501,8 +504,8 @@ class Session:
         self.parties = (self.alice, self.bob)
         self.state_sets = (cfg.alice_state_set, cfg.bob_state_set)
         fake = frozenset()
-        if self.attack is not None and self.attack.strategy == "fake_bmo":
-            fake = self.attack.fake_stages
+        if cfg.attack is not None and cfg.attack.strategy == "fake_bmo":
+            fake = cfg.attack.fake_stages
         self.charlie = CharlieState(fake_stages=fake)
         self.groups: list[PairGroup] = []
         self.survivors: list[PairGroup] = []
@@ -522,7 +525,7 @@ class Session:
 
     def run(self) -> SessionReport:
         """Run this session alone to its report."""
-        return run_lockstep([self])[0]
+        return run_lockstep([self.steps()])[0]
 
     def steps(self) -> Generator[tuple, list, SessionReport]:
         """The session as a generator of engine round requests ``(arena, op,
@@ -531,7 +534,7 @@ class Session:
         try:
             self._prepare()
             if self.cfg.mode is Mode.QD:
-                self._nested_shares()
+                yield from self._nested_shares()
             yield from self._stage1()
             yield from self._stage1_checks()
             yield from self._encode_and_send()
@@ -539,8 +542,8 @@ class Session:
             yield from self._decode_round()
         except _Abort as signal:
             aborted, abort_stage = True, signal.stage
-        measure_ancillas(self.arena, self.eve, self.rng)
-        self._attach_ancilla_bits()
+        records = yield from measure_ancillas(self.arena, self.eve, self.rng)
+        self._attach_ancilla_bits(records)
         report = SessionReport(
             mode=self.cfg.mode.value,
             n_pairs=self.cfg.n_pairs,
@@ -565,10 +568,8 @@ class Session:
         return report
 
     def _round(self, op: str, items: list, rng: np.random.Generator | None = None):
-        """Yield one engine round of ``op`` on this session's arena; its results."""
-        if not items:
-            return []
-        return (yield self.arena, op, items, rng)
+        """One engine round of ``op`` on this session's arena (``engine_round``)."""
+        return engine_round(self.arena, op, items, rng)
 
     # -- preparation ---------------------------------------------------------
 
@@ -582,16 +583,16 @@ class Session:
                 home, travel = f"{p}m{i}h", f"{p}m{i}t"
                 bells.append((label, home, travel))
                 party.pairs.append(MessagePair(i, home, travel, label))
-            for decoys, tag, count, (s1, s2), split in (
-                (party.s1_decoys, "d", cfg.stage1_decoy_count, "ht", True),
-                (party.s2_whole, "w", cfg.whole_decoy_count, "ab", False),
-                (party.s2_split, "s", cfg.split_decoy_count, "ht", True),
+            for decoys, tag, count, (s1, s2) in (
+                (party.s1_decoys, "d", cfg.stage1_decoy_count, "ht"),
+                (party.s2_whole, "w", cfg.whole_decoy_count, "ab"),
+                (party.s2_split, "s", cfg.split_decoy_count, "ht"),
             ):
                 for i in range(count):
                     label = cfg.decoy_policy.draw(self.rng)
                     q1, q2 = f"{p}{tag}{i}{s1}", f"{p}{tag}{i}{s2}"
                     bells.append((label, q1, q2))
-                    decoys.append(Decoy(i, q1, q2, label, split))
+                    decoys.append(Decoy(i, q1, q2, label))
             self.arena.add_bell_pairs(bells, party.name)
         for side, state_set in enumerate(self.state_sets):
             if len(state_set) == 1:
@@ -599,7 +600,7 @@ class Session:
 
     # -- dialogue preliminaries ----------------------------------------------
 
-    def _nested_shares(self) -> None:
+    def _nested_shares(self):
         """Dialogue step 1: each party with a private choice set transmits its
         prepared labels to the other through a nested direct-message session.
 
@@ -608,7 +609,8 @@ class Session:
         half the pair count always covers the payload.  A decoded index
         outside the set is a corrupt share and aborts the session; a wrong
         label inside the set cannot be seen by the parties and is only counted
-        (``SessionReport.nested_label_errors``).
+        (``SessionReport.nested_label_errors``).  The nested session's rounds
+        are yielded with this session's, so they join its cohort.
         """
         cfg = self.cfg
         for side in (1, 0):
@@ -631,7 +633,7 @@ class Session:
             )
             child = np.random.default_rng(int(self.rng.integers(2**63)))
             nested = Session(nested_cfg, child, self.session_index, payload=payload)
-            rep = nested.run()
+            rep = yield from nested.steps()
             self.nested_reports.append(rep)
             if rep.aborted:
                 raise _Abort("nested", 1.0)
@@ -657,7 +659,9 @@ class Session:
         if self.cfg.noise is not None:
             u = self.cfg.noise.matrix()
             yield from self._round("apply_unitary", [(q, u) for q in qubits])
-        arrived = apply_leg_attack(self.attack, self.arena, self.eve, leg, qubits, self.rng)
+        arrived = yield from apply_leg_attack(
+            self.cfg.attack, self.arena, self.eve, leg, qubits, self.rng
+        )
         for q in arrived:
             self.arena.transfer(q, "charlie")
         return arrived
@@ -666,7 +670,7 @@ class Session:
         for party in self.parties:
             base = [(p.travel, Entangled(p.index)) for p in party.pairs]
             decoys = [(d.q2, DecoyPartner(d.index)) for d in party.s1_decoys]
-            party.seq1 = ExtendedSequence(party.name, insert_decoys(base, decoys, self.rng))
+            party.seq1 = ExtendedSequence(insert_decoys(base, decoys, self.rng))
         for party in self.parties:
             party.seq1.occupants = yield from self._transmit(
                 f"stage1_{party.name}", party, party.seq1.qubits()
@@ -767,7 +771,7 @@ class Session:
                 decoys.append((d.q2, DecoyWholeHalf(d.index, 1)))
             for d in party.s2_split:
                 decoys.append((d.q2, DecoyPartner(d.index)))
-            party.seq2 = ExtendedSequence(party.name, insert_decoys(base, decoys, self.rng))
+            party.seq2 = ExtendedSequence(insert_decoys(base, decoys, self.rng))
             party.seq2.occupants = yield from self._transmit(
                 f"stage2_{party.name}", party, party.seq2.qubits()
             )
@@ -801,10 +805,11 @@ class Session:
             split = list(zip(party.s2_split, party.seq2.split_positions()))
             if fake:
                 # the node's bit is a draw, interleaved with the home readouts
-                pairs = [
-                    (int(self.rng.integers(2)), self.arena.comp_measure(d.q1, self.rng))
-                    for d, _ in split
-                ]
+                pairs = []
+                for d, _ in split:
+                    c_bit = int(self.rng.integers(2))
+                    (o_bit,) = yield from self._round("comp_measure", [d.q1], self.rng)
+                    pairs.append((c_bit, o_bit))
             else:
                 flat = yield from self._round(
                     "comp_measure",
@@ -858,7 +863,6 @@ class Session:
         )
         for k, (g, outcome) in enumerate(zip(self.survivors, outcomes)):
             self.transcript.append("charlie", BMOAnnouncement(3, k, outcome))
-            g.bmo2 = outcome
             for decoder in decoders:
                 side = 1 - decoder
                 init = list(g.init)
@@ -876,19 +880,18 @@ class Session:
 
     # -- wrap-up -------------------------------------------------------------------
 
-    def _attach_ancilla_bits(self) -> None:
+    def _attach_ancilla_bits(self, records: list[tuple[str, int, int]]) -> None:
+        """File Eve's ``(leg, slot, bit)`` readouts under the message slot
+        they coupled to in round 2."""
         pos_to_survivor = {}
         for party in self.parties:
             if party.seq2 is not None:
                 for k, p in enumerate(party.seq2.message_positions()):
                     pos_to_survivor[(f"stage2_{party.name}", p)] = k
-        for note in self.eve.notes:
-            if note.get("kind") != "ancilla":
-                continue
-            key = (note["leg"], note["slot"])
-            survivor = pos_to_survivor.get(key)
+        for leg, slot, bit in records:
+            survivor = pos_to_survivor.get((leg, slot))
             if survivor is not None and survivor < len(self.eve_views):
-                self.eve_views[survivor][2].append(note["bit"])
+                self.eve_views[survivor][2].append(bit)
         self.eve_views = [
             (bmo1, bmo2, tuple(bits)) for bmo1, bmo2, bits in self.eve_views
         ]
@@ -939,15 +942,17 @@ def run_session(cfg: SessionConfig, session_index: int = 0) -> SessionReport:
 COHORT = 16
 
 
-def run_lockstep(sessions: Sequence[Session]) -> list[SessionReport]:
-    """Run sessions side by side to their reports, in the given order.
+def run_lockstep(steps: Sequence[Generator]) -> list:
+    """Run step generators side by side to their return values, in order.
 
-    Every step serves the one pending request of each live session: the
-    requests of one op become one ``run_round`` across the sessions' arenas,
-    and each session gets its results back.  Each session draws from its own
+    A step generator yields engine round requests ``(arena, op, items, rng)``
+    and is sent back each round's results (``Session.steps``,
+    ``adversary.apply_leg_attack``).  Every step serves the one pending
+    request of each live generator: the requests of one op become one
+    ``run_round`` across their arenas.  Each session draws from its own
     stream at its own turn, so its report is the one it makes alone.
     """
-    runs: list = [session.steps() for session in sessions]
+    runs: list = list(steps)
     reports: list = [None] * len(runs)
     replies: dict[int, list | None] = dict.fromkeys(range(len(runs)))
     while replies:
@@ -975,7 +980,7 @@ def run_batch(
         reports: list[SessionReport] = []
         for start in range(0, sessions, COHORT):
             reports += run_lockstep([
-                Session(cfg, session_rng(cfg.master_seed, i), i)
+                Session(cfg, session_rng(cfg.master_seed, i), i).steps()
                 for i in range(start, min(start + COHORT, sessions))
             ])
         return reports

@@ -576,6 +576,9 @@ _ROUND_OPS = {
     "apply_unitary": (
         False, _gate_targets, lambda s, names, u, _: (None, apply_unitary1q(s, names[0], u)),
     ),
+    "apply_cnot": (
+        False, lambda items: (items, None), lambda s, names, _, __: (None, apply_cnot(s, *names)),
+    ),
 }
 
 
@@ -585,13 +588,13 @@ def run_round(
     """One round of ``op`` over the items of any number of arenas at once.
 
     ``op`` names an arena operation (``bell_measure``, ``comp_measure``,
-    ``apply_pauli``, ``apply_unitary``).  Request r is ``(arena, items, rng)``
-    with the items that operation takes and, for a measurement, the ``rng``
-    to draw from (None for a gate).  It gets back the list of what
-    ``arena.<op>`` called on each item in order would return, and its arena
-    and ``rng`` end as after those calls: a measuring request draws one
-    uniform per item up front, item i taking the i-th, which is the draw the
-    scalar op would make.
+    ``apply_pauli``, ``apply_unitary``, ``apply_cnot``).  Request r is
+    ``(arena, items, rng)`` with the items that operation takes and, for a
+    measurement, the ``rng`` to draw from (None for a gate).  It gets back
+    the list of what ``arena.<op>`` called on each item in order would
+    return, and its arena and ``rng`` end as after those calls: a measuring
+    request draws one uniform per item up front, item i taking the i-th,
+    which is the draw the scalar op would make.
 
     Each arena splits its items into dependency waves (see
     ``QubitArena._waves``), and wave w of every request runs together.  The
@@ -658,6 +661,14 @@ def run_round(
     return [plan.results for plan in plans]
 
 
+def engine_round(arena: "QubitArena", op: str, items: list, rng: np.random.Generator | None = None):
+    """Yield one ``op`` round on ``arena`` as the request ``(arena, op, items,
+    rng)``; return the results sent back (none for a round without items)."""
+    if not items:
+        return []
+    return (yield arena, op, items, rng)
+
+
 class _Plan:
     """One request's part of a round: its items as target qubits and
     parameters, its waves, its pre-drawn uniforms and its results."""
@@ -694,7 +705,9 @@ class QubitArena:
 
     A whole round of one op, over this arena or several, is ``run_round``:
     it leaves each arena, the results and the random stream exactly as the
-    scalar method called on each item in order would.
+    scalar method called on each item in order would.  Sessions reach the
+    engine only through rounds; no session calls the scalar op methods,
+    which are the reference for the differential tests and the tracer.
     """
 
     def __init__(self) -> None:

@@ -10,9 +10,9 @@ import math
 import numpy as np
 import pytest
 
-from osbmdi.adversary import AttackSpec, EveState, disturb, fake_bmo_outcome
+from osbmdi.adversary import AttackSpec, disturb, fake_bmo_outcome
 from osbmdi.analysis import detection_rate
-from osbmdi.protocol import Mode, SessionConfig, run_session
+from osbmdi.protocol import Mode, SessionConfig, run_lockstep, run_session
 from osbmdi.quantum import BellLabel, QubitArena, make_bell
 
 SQ2 = 1.0 / math.sqrt(2.0)
@@ -332,8 +332,8 @@ def test_reorder_detection_strictly_positive():
 def test_disturb_zero_selection_is_noop():
     arena = QubitArena()
     arena.add_state(make_bell(BellLabel.PSI_PLUS, "a", "b"), "alice")
-    out = disturb(arena, EveState(), "stage2_alice", ["a", "b"], np.random.default_rng(0), "reorder", 0.0)
-    assert out == ["a", "b"]
+    attack = disturb(arena, ["a", "b"], np.random.default_rng(0), "reorder", 0.0)
+    assert run_lockstep([attack]) == [["a", "b"]]
 
 
 # --- attack spec -----------------------------------------------------------------------

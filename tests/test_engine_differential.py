@@ -573,6 +573,32 @@ def test_short_two_wave_readout_matches_scalar_calls(k):
              lambda a, it, r: a.comp_measure(it, r), qubits)
 
 
+@pytest.mark.parametrize("k", [8, 24])
+def test_cnot_round_matches_scalar_calls(k, monkeypatch):
+    """CNOT rounds joining two registers, then inside each joined register,
+    then along a chain (one wave per link): each leaves the arena as
+    ``apply_cnot`` on every item in order.  With k = 24 the first two rounds
+    are groups of 12 rows, so they run stacked."""
+    stacked = []
+    real = quantum.apply_cnot
+    monkeypatch.setattr(quantum, "apply_cnot", lambda s, c, t: (
+        stacked.append(s.amplitudes.ndim == 2)) or real(s, c, t))
+    batched, scalar = chained_arena(k)
+    rounds = (
+        [(f"c{i}b", f"c{i + 1}a") for i in range(0, k, 2)],
+        [(f"c{i + 1}b", f"c{i}a") for i in range(0, k, 2)],
+        [(f"c{i}a", f"c{i + 2}b") for i in (0, 2)],
+    )
+    for items in rounds:
+        assert run_round("apply_cnot", [(batched, items, None)]) == [[None] * len(items)]
+        for control, target in items:
+            scalar.apply_cnot(control, target)
+        assert_same_arena(batched, scalar)
+    assert batched._waves(rounds[2], False) == [[0], [1]]
+    assert batched.state_of("c0a").n_qubits == 12
+    assert any(stacked) is (k >= 2 * quantum._MIN_ROWS)
+
+
 def test_round_groups_run_scalar_or_stacked_by_row_count(monkeypatch):
     """A group under ``_MIN_ROWS`` rows makes one scalar call per item; a
     group of ``_MIN_ROWS`` rows makes one stacked call, however many items

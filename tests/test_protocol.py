@@ -8,8 +8,9 @@ import sys
 import numpy as np
 import pytest
 
+from osbmdi import protocol
 from osbmdi.adversary import AttackSpec
-from osbmdi.analysis import NoiseSpec
+from osbmdi.analysis import NoiseSpec, cnot_attack_profile
 from osbmdi.protocol import (
     COHORT,
     DECODE_REFERENCE,
@@ -31,7 +32,7 @@ from osbmdi.protocol import (
     run_session,
     session_rng,
 )
-from osbmdi.quantum import BellLabel, PauliLabel
+from osbmdi.quantum import BellLabel, PauliLabel, QubitArena
 
 PSIP = BellLabel.PSI_PLUS
 PSIM = BellLabel.PSI_MINUS
@@ -746,3 +747,46 @@ def test_lockstep_matches_sessions_run_alone_across_cohorts(cfg):
     # sessions leave their cohort early, at more than one stage
     stages = {rep.abort_stage for rep in batch}
     assert None in stages and len(stages) >= 3
+
+
+ALL_LEGS = "legs=stage1_alice+stage1_bob+stage2_alice+stage2_bob"
+
+
+@pytest.mark.parametrize("attack", [
+    "intercept_resend:" + ALL_LEGS,
+    "entangle_measure:beta2=0.3," + ALL_LEGS,
+    "flip_all:" + ALL_LEGS,
+    "disturb:mode=random_pauli,fraction=0.5," + ALL_LEGS,
+    "disturb:mode=reorder,fraction=0.5," + ALL_LEGS,
+    "fake_bmo:stages=1+2",
+])
+def test_sessions_reach_the_engine_only_through_rounds(attack, monkeypatch):
+    """With the arena's scalar ops made to raise, every session still runs:
+    the protocol's own rounds, the channel noise, the nested shares (two-label
+    sets on both sides), Eve's interceptions and ancilla readout, and the
+    dishonest node's readouts all go through the one lockstep driver of the
+    batch's cohort, which no step starts again."""
+    cfg = SessionConfig(
+        n_pairs=8, mode=Mode.QD, master_seed=31,
+        alice_state_set=(PSIP, PHIM), bob_state_set=(PSIP, PSIM),
+        attack=AttackSpec.parse(attack), noise=NoiseSpec("dephasing", 0.2),
+        error_threshold=1.0,  # never abort, so every round runs
+    )
+    want = [_report_material(rep) for rep in run_batch(cfg, 3)]
+
+    def scalar_op(*args, **kwargs):
+        raise AssertionError("a session called a scalar arena op")
+
+    for name in ("apply_pauli", "apply_unitary", "apply_cnot", "bell_measure", "comp_measure"):
+        monkeypatch.setattr(QubitArena, name, scalar_op)
+    drivers = []
+    real = protocol.run_lockstep
+    monkeypatch.setattr(protocol, "run_lockstep", lambda steps: drivers.append(1) or real(steps))
+    batch = run_batch(cfg, 3)
+    assert [_report_material(rep) for rep in batch] == want
+    assert len(drivers) == 1
+    assert all(len(rep.nested) == 2 and not rep.aborted for rep in batch)
+    assert run_session(cfg, 1).transcript.serialize() == batch[1].transcript.serialize()
+    if attack.startswith("entangle"):
+        assert all(len(bits) == 2 for _, _, bits in batch[0].eve_views)
+        assert cnot_attack_profile(0.6, 0.8)["schmidt_rank"] == 2
