@@ -268,9 +268,12 @@ def disturb(
     return out
 
 
+_BELL_LABELS = tuple(BellLabel)
+
+
 def fake_bmo_outcome(rng: np.random.Generator) -> BellLabel:
     """Uniformly random label announced without measuring."""
-    return list(BellLabel)[rng.integers(4)]
+    return _BELL_LABELS[rng.integers(4)]
 
 
 def apply_leg_attack(

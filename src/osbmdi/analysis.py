@@ -8,6 +8,7 @@ at high trial counts.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
@@ -273,12 +274,42 @@ def cnot_attack_profile(alpha: complex, beta: complex) -> dict:
 # ---------------------------------------------------------------------------
 # Single-check trial experiments
 #
-# Each function replays one verification check through the real measurement
-# path and returns True when the check fails (the attack is detected).  The
-# ``adversary`` interceptor builds its state once, on a one-slot arena.
+# Each experiment replays one verification check through the real measurement
+# path.  Its batch form ``failures(rng, n)`` runs n checks as a few stacked
+# engine calls over uniforms drawn in trial order, so the random stream and
+# every outcome are those of n checks run one after another; calling the
+# experiment runs the one-row batch and returns True when that check fails
+# (the attack is detected).  The ``adversary`` interceptor builds its state
+# once, on a one-slot arena.
 # ---------------------------------------------------------------------------
 
 _PSIP = BellLabel.PSI_PLUS
+
+
+def _check_trial(
+    failures: Callable[[np.random.Generator, int], int],
+) -> Callable[[np.random.Generator], bool]:
+    """The experiment whose batch form is ``failures(rng, n)``."""
+
+    @functools.wraps(failures)
+    def trial(rng: np.random.Generator) -> bool:
+        return failures(rng, 1) == 1
+
+    trial.failures = failures
+    return trial
+
+
+def _rows(state: StateVector, n: int) -> StateVector:
+    """Stack of n copies of ``state``."""
+    return StateVector.stack(state.qubit_ids, np.repeat(state.amplitudes[None, :], n, axis=0))
+
+
+def _correlation_failures(announced, bits_a, bits_b) -> int:
+    """Failed psi+/psi+ correlation checks, one per row."""
+    return sum(
+        not correlation_check(label, a, b, _PSIP, _PSIP)
+        for label, a, b in zip(announced, bits_a, bits_b)
+    )
 
 
 def _attack_slot(strategy: str, travel: list[str], **params) -> tuple[list[str], QubitArena]:
@@ -299,23 +330,27 @@ def _attack_slot(strategy: str, travel: list[str], **params) -> tuple[list[str],
 _IR_NODE = tensor(_IR.state_of("a1"), _IR.state_of(_IR_SENT))
 
 
-def trial_intercept_resend_case1(rng: np.random.Generator) -> bool:
+@_check_trial
+def trial_intercept_resend_case1(rng: np.random.Generator, n: int) -> int:
     """Both-decoy slot with the responder's travel half stolen and replaced."""
-    announced, rest = bell_measure(_IR_NODE, "a1", _IR_SENT, rng)
-    bit_a, _ = comp_measure(rest, "a0", rng)
-    bit_b, _ = comp_measure(_IR.state_of("b0"), "b0", rng)
-    return not correlation_check(announced, bit_a, bit_b, _PSIP, _PSIP)
+    u = rng.random((n, 3))
+    announced, rest = bell_measure(_rows(_IR_NODE, n), "a1", _IR_SENT, u[:, 0])
+    bits_a, _ = comp_measure(rest, "a0", u[:, 1])
+    bits_b, _ = comp_measure(_rows(_IR.state_of("b0"), n), "b0", u[:, 2])
+    return _correlation_failures(announced, bits_a, bits_b)
 
 
 _HONEST = _attack_slot("fake_bmo", [])[1]  # the dishonest node touches no qubit
 
 
-def trial_fake_bmo_case1(rng: np.random.Generator) -> bool:
+@_check_trial
+def trial_fake_bmo_case1(rng: np.random.Generator, n: int) -> int:
     """Both-decoy slot where the node announces without measuring."""
-    announced = fake_bmo_outcome(rng)
-    bit_a, _ = comp_measure(_HONEST.state_of("a0"), "a0", rng)
-    bit_b, _ = comp_measure(_HONEST.state_of("b0"), "b0", rng)
-    return not correlation_check(announced, bit_a, bit_b, _PSIP, _PSIP)
+    draws = [(fake_bmo_outcome(rng), rng.random(), rng.random()) for _ in range(n)]
+    announced, u_a, u_b = zip(*draws)
+    bits_a, _ = comp_measure(_rows(_HONEST.state_of("a0"), n), "a0", np.array(u_a))
+    bits_b, _ = comp_measure(_rows(_HONEST.state_of("b0"), n), "b0", np.array(u_b))
+    return _correlation_failures(announced, bits_a, bits_b)
 
 
 def _entangled(alpha: complex, beta: complex) -> StateVector:
@@ -323,25 +358,27 @@ def _entangled(alpha: complex, beta: complex) -> StateVector:
     return _attack_slot("entangle_measure", ["a1"], alpha=alpha, beta=beta)[1].state_of("a1")
 
 
+def _whole_failures(pairs: StateVector, uniforms: np.ndarray) -> int:
+    """Whole decoy pairs (a0, a1), one per row, whose Bell label is not psi+."""
+    labels, _ = bell_measure(pairs, "a0", "a1", uniforms)
+    return sum(label is not _PSIP for label in labels)
+
+
 def _whole_check(pair: StateVector) -> Callable[[np.random.Generator], bool]:
     """Trial of a whole decoy pair (a0, a1): its Bell label must stay psi+."""
-
-    def trial(rng: np.random.Generator) -> bool:
-        announced, _ = bell_measure(pair, "a0", "a1", rng)
-        return announced is not _PSIP
-
-    return trial
+    return _check_trial(lambda rng, n: _whole_failures(_rows(pair, n), rng.random(n)))
 
 
 def _split_check(pair: StateVector) -> Callable[[np.random.Generator], bool]:
     """Trial of a split decoy: halves a1 and a0 must read equal bits, as psi+."""
 
-    def trial(rng: np.random.Generator) -> bool:
-        c_bit, rest = comp_measure(pair, "a1", rng)
-        o_bit, _ = comp_measure(rest, "a0", rng)
-        return c_bit != o_bit
+    def failures(rng: np.random.Generator, n: int) -> int:
+        u = rng.random((n, 2))
+        c_bits, rest = comp_measure(_rows(pair, n), "a1", u[:, 0])
+        o_bits, _ = comp_measure(rest, "a0", u[:, 1])
+        return sum(c != o for c, o in zip(c_bits, o_bits))
 
-    return trial
+    return _check_trial(failures)
 
 
 def make_trial_entangle_split(beta2: float) -> Callable[[np.random.Generator], bool]:
@@ -359,16 +396,24 @@ trial_flip_whole = _whole_check(_attack_slot("flip_all", ["a0", "a1"])[1].state_
 # Split decoy with X on the traveling half only: always anti-correlated.
 trial_flip_split = _split_check(_attack_slot("flip_all", ["a1"])[1].state_of("a0"))
 
-_PAULI_HIT_TRIALS = tuple(
-    _whole_check(apply_pauli(apply_pauli(make_bell(_PSIP, "a0", "a1"), "a0", p1), "a1", p2))
+# Row 3 * i + j: the (a0, a1) psi+ pair after NON_IDENTITY[i] on a0 and [j] on a1.
+_PAULI_HITS = np.array([
+    apply_pauli(apply_pauli(make_bell(_PSIP, "a0", "a1"), "a0", p1), "a1", p2).amplitudes
     for p1 in NON_IDENTITY for p2 in NON_IDENTITY
-)
+])
 
 
-def trial_random_pauli_whole(rng: np.random.Generator) -> bool:
+@_check_trial
+def trial_random_pauli_whole(rng: np.random.Generator, n: int) -> int:
     """Whole decoy pair with independent uniform non-identity Paulis on both
     halves (a full-leg disturbance hits both)."""
-    return _PAULI_HIT_TRIALS[int(rng.integers(9))](rng)
+    draws = [(int(rng.integers(9)), rng.random()) for _ in range(n)]
+    hits, u = zip(*draws)
+    return _whole_failures(StateVector.stack(("a0", "a1"), _PAULI_HITS[list(hits)]), np.array(u))
+
+
+# Rows per stacked batch: bounds a batch's arrays at any trial count.
+_CHUNK = 4096
 
 
 def run_check_trials(
@@ -377,7 +422,17 @@ def run_check_trials(
     seed: int,
     strategy: str = "trial",
 ) -> DetectionEstimate:
-    """Run one single-check experiment ``trials`` times under a seeded stream."""
+    """Run one single-check experiment ``trials`` times under a seeded stream.
+
+    An experiment of this module runs as its batch form, ``_CHUNK`` checks at
+    a time; any other callable is called once per check.
+    """
+    if trials < 0:
+        raise ValueError(f"trial count must be non-negative, got {trials}")
     rng = np.random.default_rng(seed)
-    failures = sum(1 for _ in range(trials) if trial(rng))
+    batch = getattr(trial, "failures", None)
+    if batch is None:
+        failures = sum(1 for _ in range(trials) if trial(rng))
+    else:
+        failures = sum(batch(rng, min(_CHUNK, trials - done)) for done in range(0, trials, _CHUNK))
     return DetectionEstimate(strategy, trials, failures)

@@ -342,3 +342,36 @@ def test_trial_failure_counts_are_pinned(name, arg):
     trial = getattr(analysis, name)
     trial = trial(arg) if arg is not None else trial
     assert run_check_trials(trial, 20_000, 2026).failures == TRIAL_COUNTS[(name, arg)]
+
+
+def _experiment(name, arg):
+    trial = getattr(analysis, name)
+    return trial(arg) if arg is not None else trial
+
+
+@pytest.mark.parametrize("n", [1, 7, analysis._CHUNK + 3])
+@pytest.mark.parametrize("name, arg", list(TRIAL_COUNTS), ids=lambda v: str(v))
+def test_batch_trials_match_per_call_trials(name, arg, n):
+    """A batch of n checks fails and draws exactly like n single checks, in
+    one stacked batch or in chunks; a plain callable (as a tracer's wrapper
+    is) takes the per-call path and counts the same."""
+    trial = _experiment(name, arg)
+    batch_rng = np.random.default_rng(41)
+    batched = trial.failures(batch_rng, n)
+    assert run_check_trials(trial, n, 41).failures == batched
+    streams = []
+
+    def plain(rng):
+        streams.append(rng)
+        return trial(rng)
+
+    assert run_check_trials(plain, n, 41).failures == batched
+    assert len(streams) == n
+    assert streams[-1].bit_generator.state == batch_rng.bit_generator.state
+
+
+def test_run_check_trials_rejects_a_negative_count():
+    with pytest.raises(ValueError, match="non-negative"):
+        run_check_trials(trial_flip_split, -5, 1)
+    empty = run_check_trials(trial_flip_split, 0, 1)
+    assert (empty.checks, empty.failures, empty.rate) == (0, 0, 0.0)

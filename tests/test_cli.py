@@ -309,6 +309,18 @@ def test_sweep_attack_strength_tracks_beta2(tmp_path):
         assert abs(float(detection) - expect) <= max(4 * se, 1e-9)
 
 
+# SHA-256 of the attack-strength table below as the one-check-per-call trial
+# loop writes it; a batched trial path must reproduce every byte.
+SWEEP_SHA256 = "3c035e13b68eefb777bfafa2c14868856babb400635ea63d426e5e0d12ff5ec5"
+
+
+def test_sweep_attack_strength_table_is_pinned(tmp_path):
+    out = tmp_path / "detect.tsv"
+    args = ["sweep", "--kind", "attack-strength", "--grid", "0.1,0.5", "--trials", "5000"]
+    assert run_cli(args + ["--seed", "3", "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == SWEEP_SHA256
+
+
 @pytest.mark.parametrize("trials", ["0", "-5"])
 def test_sweep_nonpositive_trials_is_usage_error(tmp_path, capsys, trials):
     out = tmp_path / "detect.tsv"
