@@ -304,12 +304,26 @@ def _rows(state: StateVector, n: int) -> StateVector:
     return StateVector.stack(state.qubit_ids, np.repeat(state.amplitudes[None, :], n, axis=0))
 
 
+_LABEL_CODE = {label: i for i, label in enumerate(BellLabel)}
+
+
+@functools.cache
+def _correlation_fails() -> np.ndarray:
+    """[label, bit_a, bit_b]: does the psi+/psi+ correlation check fail?
+    Filled from ``correlation_check`` on all 16 inputs, so it stays the one
+    definition of the check."""
+    fails = np.array([
+        [[not correlation_check(label, a, b, _PSIP, _PSIP) for b in (0, 1)] for a in (0, 1)]
+        for label in BellLabel
+    ])
+    fails.flags.writeable = False
+    return fails
+
+
 def _correlation_failures(announced, bits_a, bits_b) -> int:
     """Failed psi+/psi+ correlation checks, one per row."""
-    return sum(
-        not correlation_check(label, a, b, _PSIP, _PSIP)
-        for label, a, b in zip(announced, bits_a, bits_b)
-    )
+    labels = np.fromiter(map(_LABEL_CODE.__getitem__, announced), np.intp, len(announced))
+    return int(_correlation_fails()[labels, bits_a, bits_b].sum())
 
 
 def _attack_slot(strategy: str, travel: list[str], **params) -> tuple[list[str], QubitArena]:

@@ -398,6 +398,11 @@ class SessionReport:
     # Partner labels a nested share delivered wrong (in range, so undetected);
     # simulation ground truth, kept out of the rendered report.
     nested_label_errors: int = 0
+    # Why an aborted session stopped, kept out of the rendered report: the
+    # error rate that crossed the threshold and the kind of check that failed
+    # (stage1_correlation, stage2_gv, stage2_split, stage2_gv+split, nested).
+    abort_rate: float | None = None
+    abort_kind: str | None = None
 
     @property
     def symbols_total(self) -> int:
@@ -419,10 +424,11 @@ class SessionReport:
 
 
 class _Abort(Exception):
-    def __init__(self, stage: str, rate: float) -> None:
-        super().__init__(f"abort at {stage} (error rate {rate:.4g})")
+    def __init__(self, stage: str, rate: float, kind: str) -> None:
+        super().__init__(f"abort at {stage} on {kind} (error rate {rate:.4g})")
         self.stage = stage
         self.rate = rate
+        self.kind = kind
 
 
 def _pack_bits_to_symbols(bits: Sequence[int]) -> list[int]:
@@ -530,7 +536,7 @@ class Session:
     def steps(self) -> Generator[tuple, list, SessionReport]:
         """The session as a generator of engine round requests ``(arena, op,
         items, rng)``, each sent back its results; returns the report."""
-        aborted, abort_stage = False, None
+        aborted, abort_stage, abort_rate, abort_kind = False, None, None, None
         try:
             self._prepare()
             if self.cfg.mode is Mode.QD:
@@ -542,6 +548,7 @@ class Session:
             yield from self._decode_round()
         except _Abort as signal:
             aborted, abort_stage = True, signal.stage
+            abort_rate, abort_kind = signal.rate, signal.kind
         records = yield from measure_ancillas(self.arena, self.eve, self.rng)
         self._attach_ancilla_bits(records)
         report = SessionReport(
@@ -563,6 +570,8 @@ class Session:
             eve_views=tuple(self.eve_views),
             nested=tuple(self.nested_reports),
             nested_label_errors=self.nested_label_errors,
+            abort_rate=abort_rate,
+            abort_kind=abort_kind,
         )
         self._validate_transcript()
         return report
@@ -636,7 +645,7 @@ class Session:
             rep = yield from nested.steps()
             self.nested_reports.append(rep)
             if rep.aborted:
-                raise _Abort("nested", 1.0)
+                raise _Abort("nested", 1.0, "nested")
             decoded_bits = _unpack_symbols_to_bits(rep.decoded_symbols["bob"])
             known = []
             for i in range(cfg.n_pairs):
@@ -644,7 +653,7 @@ class Session:
                 for k in range(bpc):
                     idx = (idx << 1) | decoded_bits[i * bpc + k]
                 if idx >= len(state_set):
-                    raise _Abort("nested", 1.0)
+                    raise _Abort("nested", 1.0, "nested")
                 known.append(state_set[idx])
             self.known[1 - side] = known
             self.nested_label_errors += sum(
@@ -734,7 +743,7 @@ class Session:
             self.s1_fails += 0 if ok else 1
         rate = self.s1_fails / self.s1_checks if self.s1_checks else 0.0
         if rate > self.cfg.error_threshold:
-            raise _Abort("stage1", rate)
+            raise _Abort("stage1", rate, "stage1_correlation")
 
     # -- round 2: encode, send, verify -----------------------------------------
 
@@ -833,7 +842,8 @@ class Session:
         fails = self.gv_fails + self.split_fails
         rate = fails / total if total else 0.0
         if rate > self.cfg.error_threshold:
-            raise _Abort("stage2", rate)
+            failed = [kind for kind, n in (("gv", self.gv_fails), ("split", self.split_fails)) if n]
+            raise _Abort("stage2", rate, "stage2_" + "+".join(failed))
 
     # -- round 3: decode ---------------------------------------------------------
 

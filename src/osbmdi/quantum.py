@@ -19,7 +19,8 @@ the surviving register.
 
 Stacked registers: ``StateVector.stack(ids, amps)`` holds k registers of one
 layout, ``amps`` of shape ``(k, 2**n)`` with one state per row, named by the
-``ids`` of a template register (the arena uses the first row's).  Every free
+``ids`` of a template register (the arena names a stack's qubits by
+position).  Every free
 gate and measurement below also takes a stack and acts on it row by row, so
 row i of the result is the single-register result for row i.  A single
 register draws its outcome from a ``Generator`` (or takes that draw as a
@@ -32,12 +33,30 @@ uniforms once and keep the random stream unchanged.
 Bell-label convention: psi+/- live on |00> +/- |11>, phi+/- on |01> +/- |10>.
 Note this is swapped relative to the more common psi/phi usage; the whole
 package follows this labeling.
+
+Arena storage: a ``QubitArena`` keeps its registers as rows of one table per
+width n, amplitudes ``(cap, 2**n)`` beside member qubit indices ``(cap, n)``
+in register order, and one packed location per qubit (table width, row,
+axis; 0 once measured).  ``state_of`` copies a row out, so a state handed in
+or out is never written; the arena writes its rows in place.  A round
+(``run_round``) maps its items to locations, splits them into dependency
+waves and groups a wave's items by widths, axes and parameter; each group
+gathers its rows from every arena with one index array per arena, makes one
+engine call and scatters the result back: a gate on one register in place, a
+measurement's or a join's surviving registers as new rows of the table of
+their width, whose qubits' locations are rewritten in one assignment.  Items
+on distinct registers form one wave; a single-register item's wave is its
+occurrence rank on its register, and a joining item (``bell_measure`` or
+``apply_cnot`` across two registers) that shares a register with an earlier
+item waits for it, the two registers counting as one from then on.  A round
+of fewer than ``_MIN_ROUND`` items runs each item on its rows in turn.
 """
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import accumulate, chain
 from typing import Sequence
 
 import numpy as np
@@ -142,11 +161,6 @@ BELL_VECTORS: dict[BellLabel, np.ndarray] = {
     BellLabel.PHI_PLUS: np.array([0, _SQ2, _SQ2, 0], dtype=complex),
     BellLabel.PHI_MINUS: np.array([0, _SQ2, -_SQ2, 0], dtype=complex),
 }
-
-# Read-only copies that freshly prepared arena pairs share.
-_BELL_ROWS = {lab: v.copy() for lab, v in BELL_VECTORS.items()}
-for _row in _BELL_ROWS.values():
-    _row.flags.writeable = False
 
 
 @dataclass(frozen=True)
@@ -548,38 +562,82 @@ def frame_correction(start: BellLabel, end: BellLabel, side: int = 0) -> PauliLa
     )  # pragma: no cover - the frame action is transitive
 
 
-# A stacked engine call costs more than a scalar one and pays only once its
-# stack is several rows tall (from 3-8 rows, depending on the op): a round's
-# group with fewer rows runs the scalar op on each of its items.
-_MIN_ROWS = 8
 
 
-def _gate_targets(items):
-    return [(q,) for q, _ in items], [p for _, p in items]
+# ---------------------------------------------------------------------------
+# Arena: a session's registers as rows of per-width tables, and rounds over it.
+# ---------------------------------------------------------------------------
 
-
-# Round op -> (measures?, items -> (target qubits, parameters or None), engine
-# call on a joint register: (stack or register, target names, parameter,
-# uniforms or uniform) -> (outcomes, surviving register)).  The calls look the
-# engine functions up when they run.
+# Round op -> (measures?, names two target qubits per item?).
 _ROUND_OPS = {
-    "bell_measure": (
-        True, lambda items: (items, None), lambda s, names, _, u: bell_measure(s, *names, u),
-    ),
-    "comp_measure": (
-        True, lambda items: ([(q,) for q in items], None),
-        lambda s, names, _, u: comp_measure(s, names[0], u),
-    ),
-    "apply_pauli": (
-        False, _gate_targets, lambda s, names, p, _: (None, apply_pauli(s, names[0], p)),
-    ),
-    "apply_unitary": (
-        False, _gate_targets, lambda s, names, u, _: (None, apply_unitary1q(s, names[0], u)),
-    ),
-    "apply_cnot": (
-        False, lambda items: (items, None), lambda s, names, _, __: (None, apply_cnot(s, *names)),
-    ),
+    "bell_measure": (True, True),
+    "comp_measure": (True, False),
+    "apply_pauli": (False, False),
+    "apply_unitary": (False, False),
+    "apply_cnot": (False, True),
 }
+
+# A register of width n holds 2**n amplitudes, so widths and axes stay far
+# below _BASE, and one integer packs a qubit's location: (row * _BASE +
+# width) * _BASE + axis, which is 0 for a measured qubit (width 0).
+_BASE = 64
+_ROW = _BASE * _BASE
+_JOIN_KEY = np.array((2 * _ROW, 2))
+
+# Planning a round and stacking its groups costs more than running a few
+# items one by one on their rows, with one scalar engine call each: a round
+# of fewer items does that.
+_MIN_ROUND = 8
+# A round's stacks hold rows of many registers, so their qubits are named by
+# position.
+_SLOTS = tuple(f"q{i}" for i in range(_BASE))
+
+_BELL_TABLE = np.array([BELL_VECTORS[lab] for lab in _BELL_ORDER])
+_BELL_CODE = {lab: i for i, lab in enumerate(_BELL_ORDER)}
+
+
+def _resized(a: np.ndarray, cap: int) -> np.ndarray:
+    out = np.empty((cap,) + a.shape[1:], dtype=a.dtype)
+    out[: len(a)] = a
+    return out
+
+
+class _Table:
+    """The registers of one width n: row r holds the amplitudes ``amps[r]``
+    (length 2**n) over the qubits ``members[r]`` (arena indices, in register
+    order).  Rows are only appended, with capacity grown by doubling; a row
+    that no qubit points at any more is dead."""
+
+    __slots__ = ("amps", "members", "size")
+
+    def __init__(self, n: int, cap: int) -> None:
+        self.amps = np.empty((cap, 2**n), dtype=complex)
+        self.members = np.empty((cap, n), dtype=np.intp)
+        self.size = 0
+
+    def extend(self, k: int) -> int:
+        """Take k more rows; returns the first."""
+        start = self.size
+        self.size += k
+        if self.size > len(self.amps):
+            cap = max(self.size, 2 * len(self.amps))
+            self.amps, self.members = _resized(self.amps, cap), _resized(self.members, cap)
+        return start
+
+
+@lru_cache(maxsize=None)
+def _relocation(width: int, gone: tuple[int, ...]) -> tuple[list[int], np.ndarray, np.ndarray]:
+    """Where the qubits of a width-``width`` register go when the axes
+    ``gone`` are measured out and the rest move to a new row r: the kept
+    axes, and ``(width,)`` arrays ``step`` and ``offset`` such that the
+    qubits' locations become ``r * step + offset`` (0 for the measured)."""
+    keep = [ax for ax in range(width) if ax not in gone]
+    step = np.zeros(width, dtype=np.intp)
+    offset = np.zeros(width, dtype=np.intp)
+    for new, ax in enumerate(keep):
+        step[ax] = _ROW
+        offset[ax] = len(keep) * _BASE + new
+    return keep, step, offset
 
 
 def run_round(
@@ -590,75 +648,345 @@ def run_round(
     ``op`` names an arena operation (``bell_measure``, ``comp_measure``,
     ``apply_pauli``, ``apply_unitary``, ``apply_cnot``).  Request r is
     ``(arena, items, rng)`` with the items that operation takes and, for a
-    measurement, the ``rng`` to draw from (None for a gate).  It gets back
-    the list of what ``arena.<op>`` called on each item in order would
-    return, and its arena and ``rng`` end as after those calls: a measuring
-    request draws one uniform per item up front, item i taking the i-th,
-    which is the draw the scalar op would make.
+    measurement, the ``rng`` to draw from (None for a gate); no two requests
+    share an arena.  It gets back the list of what ``arena.<op>`` called on
+    each item in order would return, and its arena and ``rng`` end as after
+    those calls: a measuring request draws one uniform per item up front,
+    item i taking the i-th, which is the draw the scalar op would make.
 
-    Each arena splits its items into dependency waves (see
-    ``QubitArena._waves``), and wave w of every request runs together.  The
-    items of a wave are grouped by register widths, target axes and
-    parameter.  A group of ``_MIN_ROWS`` or more rows is one stack (the
-    tensor of two stacks when the targets lie in two registers) and one
-    engine call; a smaller group makes one scalar call per item.
+    The items run in dependency waves (``_plan_waves``), wave w of every
+    request together, so no register appears twice in a wave and each sees
+    its items in call order.  A wave's items are grouped by register widths,
+    target axes and parameter, and each group is one engine call
+    (``_group_call``) on its rows gathered from every arena.
     """
-    measuring, targets_of, call = _ROUND_OPS[op]
-    plans = [_Plan(arena, items, rng, targets_of, measuring) for arena, items, rng in requests]
-    for w in range(max((len(plan.waves) for plan in plans), default=0)):
-        groups: dict[tuple, list] = {}
-        for plan in plans:
-            if w >= len(plan.waves):
-                continue
-            registers, targets, params = plan.registers, plan.targets, plan.params
-            for i in plan.waves[w]:
-                qubits = targets[i]
-                first = registers[qubits[0]]
-                ids = first.qubit_ids
-                regs = (first,)
-                if len(qubits) == 2:
-                    second = registers[qubits[1]]
-                    if second is not first:
-                        regs = (first, second)
-                        ids = ids + second.qubit_ids
-                    axes = (ids.index(qubits[0]), ids.index(qubits[1]))
-                else:
-                    axes = (ids.index(qubits[0]),)
-                key = (len(first.qubit_ids), len(ids), axes, params and id(params[i]))
-                group = groups.get(key)
-                if group is None:
-                    groups[key] = group = []
-                group.append((plan, i, regs, ids))
-        for (_, width, axes, _), members in groups.items():
-            if len(members) < _MIN_ROWS:
-                for plan, i, regs, _ in members:
-                    joint = regs[0] if len(regs) == 1 else tensor(*regs)
-                    param = plan.params and plan.params[i]
-                    u = plan.uniforms[i] if measuring else None
-                    plan.settle(i, *call(joint, plan.targets[i], param, u))
-                continue
-            # rows of checked registers need no second check
-            parts = [
-                _trusted(reg.qubit_ids, np.array([m[2][j].amplitudes for m in members]))
-                for j, reg in enumerate(members[0][2])
-            ]
-            joint = parts[0] if len(parts) == 1 else tensor(*parts)
-            plan, i = members[0][:2]
-            uniforms = np.array([m[0].uniforms[m[1]] for m in members]) if measuring else None
-            outcomes, out = call(
-                joint, tuple(joint.qubit_ids[a] for a in axes), plan.params and plan.params[i],
-                uniforms,
+    measuring, joining = _ROUND_OPS[op]
+    if sum(len(items) for _, items, _ in requests) < _MIN_ROUND:
+        return [_item_by_item(op, *request) for request in requests]
+    gates = op in ("apply_pauli", "apply_unitary")
+    arenas, names, indices, locs, params, counts = [], [], [], [], [], []
+    for arena, items, _ in requests:
+        if arena._pending:
+            arena._flush()
+        if gates:
+            qs, ps = zip(*items) if items else ((), ())
+            params += ps
+        else:
+            qs = list(chain.from_iterable(items)) if joining else items
+        try:
+            idx = list(map(arena._index.__getitem__, qs))
+        except KeyError as missing:
+            raise UnknownQubitError(f"qubit {missing.args[0]!r} not in arena") from None
+        arenas.append(arena)
+        names.append(qs)
+        indices.append(idx)
+        locs.append(arena._loc.take(idx))
+        counts.append(len(items))
+    offsets = [0, *accumulate(counts)]
+    if not offsets[-1]:
+        return [[] for _ in requests]
+
+    # item i: its target qubits' locations loc[i] (two for a joining op), in
+    # request req[i]; register keys tell every register of the round apart
+    loc = _stacked(locs)
+    if not loc.all():
+        for qs, codes in zip(names, locs):
+            if not codes.all():
+                raise UnknownQubitError(f"qubit {qs[int(codes.argmin())]!r} not in arena")
+    n_req = len(requests)
+    if joining:
+        loc = loc.reshape(-1, 2)
+    reg = loc // _BASE  # a register's (row, width), unique within its arena
+    req = req_t = 0
+    if n_req > 1:
+        req = np.repeat(np.arange(n_req), counts)
+        req_t = req[:, None] if joining else req
+    waves = _plan_waves(reg * n_req + req_t if n_req > 1 else reg, joining)
+    if waves[0] is not None:
+        qidx = np.array(list(chain.from_iterable(indices))).reshape(loc.shape)
+        if measuring:
+            _reject_repeats(qidx * n_req + req_t, arenas)
+    uniforms = outcomes = None
+    if measuring:
+        uniforms = _stacked([rng.random(c) for (_, _, rng), c in zip(requests, counts)])
+    kinds = 1
+    if params:  # parameters are told apart by identity
+        codes = {id(p): None for p in params}
+        kinds = len(codes)
+        if kinds > 1:
+            codes = dict(zip(codes, range(kinds)))
+            pcode = np.fromiter(map(codes.__getitem__, map(id, params)), np.intp, len(params))
+
+    for w, wave in enumerate(waves):  # a wave or a group of None is every item
+        if wave is None:
+            wloc, wreg = loc, reg
+        elif w == 0:
+            wloc = loc[wave]
+        else:  # earlier waves moved these qubits
+            bounds = np.searchsorted(wave, offsets).tolist()
+            wloc = _stacked([
+                arena._loc.take(qidx[wave[b0:b1]])
+                for arena, b0, b1 in zip(arenas, bounds, bounds[1:]) if b1 > b0
+            ])
+        if joining:  # (width, axis) of both targets, and whether they lie in two registers
+            if wave is not None:
+                wreg = wloc // _BASE
+            key = (wloc % _ROW) @ _JOIN_KEY + (wreg[:, 0] != wreg[:, 1])
+        else:
+            key = wloc % _ROW
+            if kinds > 1:
+                key = key * kinds + (pcode if wave is None else pcode[wave])
+        if key.min() == key.max():
+            groups = [None]
+        else:
+            order = np.argsort(key, kind="stable")
+            ordered = key[order]
+            groups = np.split(order, np.flatnonzero(ordered[1:] != ordered[:-1]) + 1)
+        for g in groups:
+            items = wave if g is None else g if wave is None else wave[g]
+            gloc = wloc if g is None else wloc[g]
+            if items is None:
+                spans = [(arena, s, e) for arena, s, e in zip(arenas, offsets, offsets[1:]) if e > s]
+            elif n_req == 1:
+                spans = [(arenas[0], 0, len(items))]
+            else:
+                spans = _spans(arenas, req[items])
+            result = _group_call(
+                op, spans, gloc,
+                uniforms if items is None or uniforms is None else uniforms[items],
+                params[0 if items is None else items[0]] if params else None,
             )
-            rows = None if out is None else list(out.amplitudes)
-            keep = [a for a in range(width) if a not in axes]
-            for row, (plan, i, _, ids) in enumerate(members):
-                new = None
-                if rows is not None:
-                    if measuring:
-                        ids = tuple(map(ids.__getitem__, keep))
-                    new = _trusted(ids, rows[row])
-                plan.settle(i, outcomes and outcomes[row], new)
-    return [plan.results for plan in plans]
+            if not measuring:
+                continue
+            if items is None:
+                outcomes = result
+            else:
+                if outcomes is None:
+                    outcomes = np.empty(len(loc), dtype=object)
+                outcomes[items] = result
+
+    if not measuring:
+        return [[None] * c for c in counts]
+    for arena, qs in zip(arenas, names):
+        holders = arena._holders
+        for q in qs:
+            del holders[q]
+    if not isinstance(outcomes, list):
+        outcomes = outcomes.tolist()
+    return [outcomes[s:e] for s, e in zip(offsets, offsets[1:])]
+
+
+def _item_by_item(op: str, arena: "QubitArena", items: Sequence, rng) -> list:
+    """A small round's request: each item in call order, on its register's
+    row, as ``run_round`` would (a measurement draws its uniforms up front)."""
+    if arena._pending:
+        arena._flush()
+    if op in ("apply_pauli", "apply_unitary"):
+        return [_item_call(op, arena, (q,), None, p) for q, p in items]
+    if op == "apply_cnot":
+        return [_item_call(op, arena, pair, None, None) for pair in items]
+    uniforms = rng.random(len(items)).tolist()
+    if op == "comp_measure":
+        items = [(q,) for q in items]
+    return [_item_call(op, arena, targets, u, None) for targets, u in zip(items, uniforms)]
+
+
+def _item_call(op: str, arena: "QubitArena", targets: tuple[str, ...], uniform, param):
+    """One item on the table rows of its one or two registers."""
+    index, loc = arena._index, arena._loc
+    try:
+        idx = [index[q] for q in targets]
+    except KeyError as missing:
+        raise UnknownQubitError(f"qubit {missing.args[0]!r} not in arena") from None
+    codes = [int(loc[i]) for i in idx]
+    if 0 in codes:
+        raise UnknownQubitError(f"qubit {targets[codes.index(0)]!r} not in arena")
+    (ra, wa), xa = divmod(codes[0] // _BASE, _BASE), codes[0] % _BASE
+    table = arena._tables[wa]
+    state, xb, cross = _trusted(_SLOTS[:wa], table.amps[ra]), xa, False
+    if len(targets) == 2:
+        (rb, wb), xb = divmod(codes[1] // _BASE, _BASE), codes[1] % _BASE
+        cross = (rb, wb) != (ra, wa)
+        if cross:
+            other = arena._tables[wb]
+            state = tensor(state, _trusted(_SLOTS[wa:wa + wb], other.amps[rb]))
+            xb += wa
+    outcome, out = _engine_call(op, state, _SLOTS[xa], _SLOTS[xb], uniform, param)
+    measured = op in ("bell_measure", "comp_measure")
+    if not (measured or cross):  # a gate on one register: its row in place
+        table.amps[ra] = out.amplitudes
+        return None
+    members = table.members[ra].tolist()
+    if cross:
+        members += other.members[rb].tolist()
+    if measured:
+        for i, q in zip(idx, targets):
+            loc[i] = 0
+            del arena._holders[q]
+    if out is not None:
+        arena._put([m for m in members if m not in idx] if measured else members, out.amplitudes)
+    return outcome
+
+
+def _spans(arenas: list["QubitArena"], req: np.ndarray) -> list[tuple["QubitArena", int, int]]:
+    """``(arena, start, end)`` of each run of one request in ``req``."""
+    cuts = (np.flatnonzero(req[1:] != req[:-1]) + 1).tolist()
+    starts = [0, *cuts]
+    return [
+        (arenas[r], s, e) for r, s, e in zip(req[starts].tolist(), starts, [*cuts, len(req)])
+    ]
+
+
+def _group_call(op, spans, gloc, uniforms, param):
+    """One group of a wave: gather its rows from the arenas, make one engine
+    call on them and scatter the result back; returns a measurement's outcomes.
+
+    ``spans`` are ``(arena, start, end)`` over the group's items, whose
+    target locations are ``gloc``.  A gate on one register writes its rows
+    back in place; a measurement or a join moves each surviving register to
+    a new row of the table of its new width.
+    """
+    rows = gloc // _ROW
+    if gloc.ndim == 2:
+        a, b = gloc[0].tolist()
+        rows_a, rows_b = rows[:, 0], rows[:, 1]
+        cross = a // _BASE != b // _BASE
+        wb, xb = b // _BASE % _BASE, b % _BASE
+    else:
+        a, rows_a, xb, cross = int(gloc[0]), rows, 0, False
+    wa, xa = a // _BASE % _BASE, a % _BASE
+    moves = cross or op in ("bell_measure", "comp_measure")
+    amps, members, amps_b, members_b = [], [], [], []
+    for arena, s, e in spans:
+        table = arena._tables[wa]
+        amps.append(table.amps.take(rows_a[s:e], 0))
+        if moves:
+            members.append(table.members.take(rows_a[s:e], 0))
+        if cross:
+            table = arena._tables[wb]
+            amps_b.append(table.amps.take(rows_b[s:e], 0))
+            members_b.append(table.members.take(rows_b[s:e], 0))
+    amps, width = _stacked(amps), wa
+    if cross:
+        amps_b = _stacked(amps_b)
+        xb += wa
+        width += wb
+    ta, tb = _SLOTS[xa], _SLOTS[xb]
+    joint = _trusted(_SLOTS[:wa], amps)
+    if cross:
+        joint = tensor(joint, _trusted(_SLOTS[wa:width], amps_b))
+    outcomes, out = _engine_call(op, joint, ta, tb, uniforms, param)
+    out = None if out is None else out.amplitudes
+
+    if not moves:  # a gate on one register: its rows are written back in place
+        at = rows_a[:, None] * (1 << wa) + np.arange(1 << wa)
+        for arena, s, e in spans:
+            arena._tables[wa].amps.put(at[s:e], out[s:e])
+        return None
+    members = _stacked(members)
+    if cross:
+        members = np.concatenate([members, _stacked(members_b)], axis=1)
+    gone = (xa, xb) if op == "bell_measure" else (xa,) if op == "comp_measure" else ()
+    keep, step, offset = _relocation(width, gone)
+    if out is None:  # every qubit measured
+        moved = 0
+    else:
+        kept, shifts = members.take(keep, 1), []
+        for arena, s, e in spans:
+            table, start = arena._table(len(keep), e - s)
+            table.amps[start:table.size] = out[s:e]
+            table.members[start:table.size] = kept[s:e]
+            shifts.append(start - s)
+        if len(spans) == 1:
+            rows = np.arange(shifts[0], shifts[0] + len(members))
+        else:
+            rows = np.arange(len(members)) + np.repeat(shifts, [e - s for _, s, e in spans])
+        moved = np.multiply.outer(rows, step) + offset
+    for arena, s, e in spans:
+        arena._loc.put(members[s:e], moved if out is None else moved[s:e])
+    return outcomes
+
+
+def _engine_call(op, state, ta, tb, uniforms, param):
+    """The engine function of ``op`` on a register or a stack, as (outcome,
+    surviving state); looked up when called, so a tracer's wrappers see it."""
+    if op == "bell_measure":
+        return bell_measure(state, ta, tb, uniforms)
+    if op == "comp_measure":
+        return comp_measure(state, ta, uniforms)
+    if op == "apply_cnot":
+        return None, apply_cnot(state, ta, tb)
+    if op == "apply_pauli":
+        return None, apply_pauli(state, ta, param)
+    return None, apply_unitary1q(state, ta, param)
+
+
+def _stacked(parts: list[np.ndarray]) -> np.ndarray:
+    return parts[0] if len(parts) == 1 else np.concatenate(parts)
+
+
+def _plan_waves(keys: np.ndarray, joining: bool) -> list[np.ndarray]:
+    """Dependency waves of a round's items from their register keys (shape
+    ``(n,)``, or ``(n, 2)`` for a joining op): ``[None]``, one wave of every
+    item, when no register appears in two items.  Else a single-register
+    item's wave is its occurrence rank on its register, and joining items
+    fall back to ``_join_waves``."""
+    if joining:
+        a, b = keys[:, 0].tolist(), keys[:, 1].tolist()
+        if len(set(a).union(b)) == len(a) + len(b) - sum(map(int.__eq__, a, b)):
+            return [None]
+        return _join_waves(zip(a, b))
+    if len(set(keys.tolist())) == len(keys):
+        return [None]
+    order = np.argsort(keys, kind="stable")  # rank of each item on its register
+    ordered = keys[order]
+    pos = np.arange(len(keys))
+    first = np.ones(len(keys), dtype=bool)
+    first[1:] = ordered[1:] != ordered[:-1]
+    rank = np.empty_like(pos)
+    rank[order] = pos - np.maximum.accumulate(np.where(first, pos, 0))
+    return [np.flatnonzero(rank == w) for w in range(int(rank.max()) + 1)]
+
+
+def _join_waves(keys) -> list[np.ndarray]:
+    """Waves of joining items, in call order, from the register keys of
+    their two targets: an item runs one wave after the last earlier item
+    that touched either of its registers, and the registers an item acts on
+    together count as one from then on (a measurement never splits a
+    register)."""
+    joined: dict[int, int] = {}  # register key -> key it was joined into
+    last: dict[int, int] = {}  # register key -> wave of its last item
+    waves: list[list[int]] = []
+    for i, item in enumerate(keys):
+        wave, root = 0, None
+        for key in item:
+            while key in joined:
+                key = joined[key]
+            seen = last.get(key)
+            if seen is not None and seen >= wave:
+                wave = seen + 1
+            if root is None:
+                root = key
+            elif key != root:
+                joined[key] = root
+        last[root] = wave
+        if wave == len(waves):
+            waves.append([])
+        waves[wave].append(i)
+    return [np.array(wave) for wave in waves]
+
+
+def _reject_repeats(keys: np.ndarray, arenas: list["QubitArena"]) -> None:
+    """Raise when a measuring round names one qubit in two items; ``keys`` is
+    qubit index * len(arenas) + request, one or two per item."""
+    if keys.ndim == 2:
+        keys = np.concatenate([keys[:, 0], keys[:, 1][keys[:, 1] != keys[:, 0]]])
+    ordered = np.sort(keys)
+    twice = ordered[1:][ordered[1:] == ordered[:-1]]
+    if len(twice):
+        key = int(twice[0])
+        qubit = arenas[key % len(arenas)]._names[key // len(arenas)]
+        raise UnknownQubitError(f"qubit {qubit!r} is measured twice in one round")
 
 
 def engine_round(arena: "QubitArena", op: str, items: list, rng: np.random.Generator | None = None):
@@ -669,32 +997,6 @@ def engine_round(arena: "QubitArena", op: str, items: list, rng: np.random.Gener
     return (yield arena, op, items, rng)
 
 
-class _Plan:
-    """One request's part of a round: its items as target qubits and
-    parameters, its waves, its pre-drawn uniforms and its results."""
-
-    __slots__ = ("registers", "holders", "targets", "params", "waves", "uniforms", "results")
-
-    def __init__(self, arena: "QubitArena", items, rng, targets_of, measuring: bool) -> None:
-        self.registers, self.holders = arena._registers, arena._holders
-        self.targets, self.params = targets_of(items)
-        self.waves = arena._waves(self.targets, measuring)
-        self.uniforms = rng.random(len(self.targets)) if measuring else None
-        self.results: list = [None] * len(self.targets)
-
-    def settle(self, i: int, outcome, new: StateVector | None) -> None:
-        """Record item i's outcome and put its surviving register in the arena."""
-        registers = self.registers
-        if self.uniforms is not None:  # a measurement: the measured qubits are gone
-            holders = self.holders
-            for q in self.targets[i]:
-                del registers[q], holders[q]
-            self.results[i] = outcome
-        if new is not None:
-            for q in new.qubit_ids:
-                registers[q] = new
-
-
 class QubitArena:
     """Registry of disjoint registers with merge-on-demand and holder tracking.
 
@@ -703,48 +1005,113 @@ class QubitArena:
     is held by exactly one actor at a time; re-registering an id or failing
     a transfer expectation raises immediately.
 
+    Storage: a qubit gets an int index when first registered.  The registers
+    of width n are the rows of ``_tables[n]`` (see ``_Table``), and
+    ``_loc[index]`` packs the qubit's location: it is the ``axis``-th qubit
+    of row ``row`` of the width-``width`` table (``_BASE`` gives the
+    packing; 0 means measured).  The live qubits are the keys of
+    ``_holders``.  ``add_state`` buffers its register in ``_pending`` until
+    the arena is next read.  ``state_of`` returns a copy of a row, so a
+    state it hands out, or one passed to ``add_state``, never changes when
+    the arena does.
+
     A whole round of one op, over this arena or several, is ``run_round``:
     it leaves each arena, the results and the random stream exactly as the
     scalar method called on each item in order would.  Sessions reach the
     engine only through rounds; no session calls the scalar op methods,
-    which are the reference for the differential tests and the tracer.
+    which are the reference for the differential tests and the tracer.  Each
+    scalar op works on one materialized register and writes it back
+    (``_store``).
     """
 
     def __init__(self) -> None:
-        self._registers: dict[str, StateVector] = {}
+        self._index: dict[str, int] = {}
+        self._names: list[str] = []
+        self._loc = np.zeros(64, dtype=np.intp)
+        self._tables: dict[int, _Table] = {}
         self._holders: dict[str, str] = {}
+        self._pending: list[tuple[list[int], np.ndarray]] = []
+
+    def _register(self, names: Sequence[str]) -> list[int]:
+        """Indices of ``names``, assigning new ones; none may be live."""
+        index, known = self._index, self._names
+        if not self._holders.keys().isdisjoint(names):
+            live = next(q for q in names if q in self._holders)
+            raise InvalidRegisterError(f"qubit {live!r} already registered")
+        new = [q for q in names if q not in index]
+        index.update(zip(new, range(len(known), len(known) + len(new))))
+        known += new
+        if len(known) > len(self._loc):  # new qubits start measured (0)
+            grow = max(len(known), 2 * len(self._loc)) - len(self._loc)
+            self._loc = np.concatenate([self._loc, np.zeros(grow, dtype=np.intp)])
+        return list(map(index.__getitem__, names))
+
+    def _table(self, n: int, k: int) -> tuple[_Table, int]:
+        """The width-n table with k more rows taken, and the first of them."""
+        table = self._tables.get(n)
+        if table is None:
+            table = self._tables[n] = _Table(n, max(32, 2 * k))
+        return table, table.extend(k)
+
+    def _append(self, n: int, amps: np.ndarray, members: np.ndarray) -> None:
+        """Put k registers of width n (``amps`` of shape (k, 2**n), ``members``
+        (k, n) qubit indices) in new rows and point their qubits at them."""
+        table, start = self._table(n, len(amps))
+        table.amps[start:table.size] = amps
+        table.members[start:table.size] = members
+        _, _, offset = _relocation(n, ())
+        self._loc.put(members, np.arange(start * _ROW, table.size * _ROW, _ROW)[:, None] + offset)
+
+    def _flush(self) -> None:
+        """Write the registers ``add_state`` buffered, one table write per
+        width (their qubits are disjoint, so the order does not matter)."""
+        pending, self._pending = self._pending, []
+        widths = {len(members) for members, _ in pending}
+        for n in widths:
+            members, amps = zip(*(
+                pending if len(widths) == 1 else [reg for reg in pending if len(reg[0]) == n]
+            ))
+            members = np.fromiter(chain.from_iterable(members), np.intp, n * len(amps))
+            self._append(n, np.array(amps), members.reshape(-1, n))
 
     def add_bell_pairs(
         self, pairs: Sequence[tuple[BellLabel, str, str]], holder: str
     ) -> None:
         """Register one Bell pair per (label, q1, q2), as ``add_state`` of
-        ``make_bell`` would; pairs of one label share a read-only row."""
-        registers, holders = self._registers, self._holders
-        for label, q1, q2 in pairs:
-            if q1 == q2:
-                raise InvalidRegisterError(f"duplicate qubit ids in register: {(q1, q2)}")
-            for q in (q1, q2):
-                if q in registers:
-                    raise InvalidRegisterError(f"qubit {q!r} already registered")
-            registers[q1] = registers[q2] = _trusted((q1, q2), _BELL_ROWS[label])
-            holders[q1] = holders[q2] = holder
+        ``make_bell`` would, with one write of rows of the Bell table."""
+        if not pairs:
+            return
+        labels, firsts, seconds = zip(*pairs)
+        names = list(chain.from_iterable(zip(firsts, seconds)))
+        if len(set(names)) != len(names):
+            same = next(((a, b) for a, b in zip(firsts, seconds) if a == b), None)
+            raise InvalidRegisterError(
+                f"duplicate qubit ids in register: {same}" if same else
+                "a qubit appears in two pairs"
+            )
+        members = np.array(self._register(names)).reshape(-1, 2)
+        codes = np.fromiter(map(_BELL_CODE.__getitem__, labels), np.intp, len(labels))
+        self._append(2, _BELL_TABLE.take(codes, 0), members)
+        self._holders.update(dict.fromkeys(names, holder))
 
     def add_state(self, state: StateVector, holder: str) -> None:
-        for q in state.qubit_ids:
-            if q in self._registers:
-                raise InvalidRegisterError(f"qubit {q!r} already registered")
-        for q in state.qubit_ids:
-            self._registers[q] = state
-            self._holders[q] = holder
+        """Register ``state``; its row is written at the arena's next read."""
+        self._pending.append((self._register(state.qubit_ids), state.amplitudes))
+        self._holders.update(dict.fromkeys(state.qubit_ids, holder))
 
     def has(self, qubit_id: str) -> bool:
-        return qubit_id in self._registers
+        return qubit_id in self._holders
 
     def state_of(self, qubit_id: str) -> StateVector:
-        try:
-            return self._registers[qubit_id]
-        except KeyError:
-            raise UnknownQubitError(f"qubit {qubit_id!r} not in arena") from None
+        """A copy of the register holding ``qubit_id``."""
+        if qubit_id not in self._holders:
+            raise UnknownQubitError(f"qubit {qubit_id!r} not in arena")
+        if self._pending:
+            self._flush()
+        row, n = divmod(int(self._loc[self._index[qubit_id]]) // _BASE, _BASE)
+        table = self._tables[n]
+        ids = tuple(map(self._names.__getitem__, table.members[row].tolist()))
+        return _trusted(ids, table.amps[row].copy())
 
     def holder_of(self, qubit_id: str) -> str:
         if qubit_id not in self._holders:
@@ -759,89 +1126,49 @@ class QubitArena:
             )
         self._holders[qubit_id] = to
 
-    def _swap_register(self, old: StateVector, new: StateVector | None) -> None:
-        for q in old.qubit_ids:
-            del self._registers[q]
-        if new is not None:
-            for q in new.qubit_ids:
-                self._registers[q] = new
+    def _store(self, state: StateVector) -> None:
+        """Write ``state`` back over its qubits' registers, as a new row."""
+        self._put(list(map(self._index.__getitem__, state.qubit_ids)), state.amplitudes)
 
-    def _joint(self, *qubit_ids: str) -> StateVector:
-        state = self.state_of(qubit_ids[0])
-        for q in qubit_ids[1:]:
-            other = self.state_of(q)
-            if other is not state:
-                merged = tensor(state, other)
-                self._swap_register(state, None)
-                self._swap_register(other, None)
-                for qq in merged.qubit_ids:
-                    self._registers[qq] = merged
-                state = merged
-        return state
+    def _put(self, members: list[int], amps: np.ndarray) -> None:
+        """Put one register over the qubits ``members`` in a new row."""
+        n = len(members)
+        table, row = self._table(n, 1)
+        table.amps[row] = amps
+        table.members[row] = members
+        loc, code = self._loc, (row * _BASE + n) * _BASE
+        for axis, i in enumerate(members):
+            loc[i] = code + axis
+
+    def _settle(self, measured: tuple[str, ...], rest: StateVector | None) -> None:
+        """Drop the measured qubits and write back what is left of their register."""
+        for q in measured:
+            self._loc[self._index[q]] = 0
+            del self._holders[q]
+        if rest is not None:
+            self._store(rest)
+
+    def _joint(self, q_a: str, q_b: str) -> StateVector:
+        state = self.state_of(q_a)
+        if q_b in state.qubit_ids:
+            return state
+        return tensor(state, self.state_of(q_b))
 
     def apply_pauli(self, qubit_id: str, p: PauliLabel) -> None:
-        old = self.state_of(qubit_id)
-        self._swap_register(old, apply_pauli(old, qubit_id, p))
+        self._store(apply_pauli(self.state_of(qubit_id), qubit_id, p))
 
     def apply_unitary(self, qubit_id: str, u: np.ndarray) -> None:
-        old = self.state_of(qubit_id)
-        self._swap_register(old, apply_unitary1q(old, qubit_id, u))
+        self._store(apply_unitary1q(self.state_of(qubit_id), qubit_id, u))
 
     def apply_cnot(self, control: str, target: str) -> None:
-        joint = self._joint(control, target)
-        self._swap_register(joint, apply_cnot(joint, control, target))
+        self._store(apply_cnot(self._joint(control, target), control, target))
 
     def bell_measure(self, q_a: str, q_b: str, rng: np.random.Generator) -> BellLabel:
-        joint = self._joint(q_a, q_b)
-        label, rest = bell_measure(joint, q_a, q_b, rng)
-        self._swap_register(joint, rest)
-        for q in (q_a, q_b):
-            del self._holders[q]
+        label, rest = bell_measure(self._joint(q_a, q_b), q_a, q_b, rng)
+        self._settle((q_a, q_b), rest)
         return label
 
     def comp_measure(self, qubit_id: str, rng: np.random.Generator) -> int:
-        state = self.state_of(qubit_id)
-        bit, rest = comp_measure(state, qubit_id, rng)
-        self._swap_register(state, rest)
-        del self._holders[qubit_id]
+        bit, rest = comp_measure(self.state_of(qubit_id), qubit_id, rng)
+        self._settle((qubit_id,), rest)
         return bit
-
-    def _waves(self, targets, measuring: bool) -> list[list[int]]:
-        """Split items into dependency waves, in call order.
-
-        An item runs one wave after the last earlier item that touched any of
-        its registers; registers an item acts on together count as one from
-        then on (a measurement never splits a register).  So no register
-        appears twice in a wave and each register sees its items in order.
-        """
-        registers = self._registers
-        joined: dict[int, int] = {}  # register key -> key it was joined into
-        last: dict[int, int] = {}  # register key -> wave of its last item
-        gone: set[str] = set()
-        waves: list[list[int]] = []
-        for i, qubits in enumerate(targets):
-            if measuring:
-                if not gone.isdisjoint(qubits):
-                    raise UnknownQubitError(f"qubits {qubits} were measured earlier in the round")
-                gone.update(qubits)
-            wave = 0
-            root = None
-            for q in qubits:
-                try:
-                    key = id(registers[q])
-                except KeyError:
-                    raise UnknownQubitError(f"qubit {q!r} not in arena") from None
-                while key in joined:
-                    key = joined[key]
-                seen = last.get(key)
-                if seen is not None and seen >= wave:
-                    wave = seen + 1
-                if root is None:
-                    root = key
-                elif key != root:
-                    joined[key] = root
-            last[root] = wave
-            if wave == len(waves):
-                waves.append([])
-            waves[wave].append(i)
-        return waves

@@ -10,6 +10,8 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from osbmdi import quantum
 from osbmdi.quantum import (
@@ -468,10 +470,11 @@ def random_arena(seed, n_regs):
 
 
 def arena_contents(arena):
-    regs = {id(s): s for s in arena._registers.values()}
-    return sorted((s.qubit_ids, s.amplitudes.tolist()) for s in regs.values()), dict(
-        arena._holders
-    )
+    regs = {}
+    for q in arena._holders:
+        s = arena.state_of(q)
+        regs[s.qubit_ids] = s.amplitudes.tolist()
+    return sorted(regs.items()), dict(arena._holders)
 
 
 def assert_same_arena(batched, scalar):
@@ -483,7 +486,7 @@ def assert_same_arena(batched, scalar):
 
 
 def live_qubits(arena, rng):
-    qubits = sorted(arena._registers)
+    qubits = sorted(arena._holders)
     return [qubits[i] for i in rng.permutation(len(qubits))]
 
 
@@ -527,7 +530,7 @@ def test_round_operations_match_scalar_calls(seed, n_regs):
     qubits = live_qubits(batched, rng)
     run_both(batched, scalar, seed + 1, "comp_measure",
              lambda a, it, r: a.comp_measure(it, r), qubits)
-    assert not batched._registers and not scalar._registers
+    assert not batched._holders and not scalar._holders
 
 
 def chained_arena(k):
@@ -540,26 +543,39 @@ def chained_arena(k):
     return arenas
 
 
-def test_bell_round_with_chained_registers_runs_in_waves():
+def engine_calls(monkeypatch, name):
+    """Amplitude shapes of every call of the engine function ``name`` from now on."""
+    shapes = []
+    real = getattr(quantum, name)
+    monkeypatch.setattr(quantum, name, lambda s, *a: shapes.append(s.amplitudes.shape) or real(s, *a))
+    return shapes
+
+
+def test_bell_round_with_chained_registers_runs_in_waves(monkeypatch):
     """Item i joins registers i and i+1, so every item waits for the last:
     one wave per item, each register seeing its items in call order."""
     k = 24
     batched, scalar = chained_arena(k)
     pairs = [(f"c{i}b", f"c{i + 1}a") for i in range(k - 1)]
-    assert batched._waves(pairs, True) == [[i] for i in range(k - 1)]
+    calls = engine_calls(monkeypatch, "bell_measure")
+    run_round("bell_measure", [(batched, pairs, np.random.default_rng(3))])
+    assert len(calls) == k - 1  # one call per wave
+    batched, _ = chained_arena(k)
     run_both(batched, scalar, 3, "bell_measure",
              lambda a, it, r: a.bell_measure(*it, r), pairs)
 
 
-def test_readout_round_of_shared_registers_runs_in_two_waves():
+def test_readout_round_of_shared_registers_runs_in_two_waves(monkeypatch):
     """Both qubits of each register, interleaved: as in the swap-round
-    correlation checks."""
+    correlation checks.  Wave 0 reads each register's first qubit, wave 1
+    what is left of it."""
     k = 16
     batched, scalar = chained_arena(k)
     qubits = [q for i in range(k) for q in (f"c{i}a", f"c{i}b")]
-    assert batched._waves([(q,) for q in qubits], True) == [
-        list(range(0, 2 * k, 2)), list(range(1, 2 * k, 2))
-    ]
+    calls = engine_calls(monkeypatch, "comp_measure")
+    run_round("comp_measure", [(batched, qubits, np.random.default_rng(4))])
+    assert calls == [(k, 4), (k, 2)]
+    batched, _ = chained_arena(k)
     run_both(batched, scalar, 4, "comp_measure",
              lambda a, it, r: a.comp_measure(it, r), qubits)
 
@@ -590,26 +606,27 @@ def test_cnot_round_matches_scalar_calls(k, monkeypatch):
         [(f"c{i}a", f"c{i + 2}b") for i in (0, 2)],
     )
     for items in rounds:
+        calls = len(stacked)
         assert run_round("apply_cnot", [(batched, items, None)]) == [[None] * len(items)]
+        calls = len(stacked) - calls
         for control, target in items:
             scalar.apply_cnot(control, target)
         assert_same_arena(batched, scalar)
-    assert batched._waves(rounds[2], False) == [[0], [1]]
+    assert calls == 2  # the chain runs in two waves of one item
     assert batched.state_of("c0a").n_qubits == 12
-    assert any(stacked) is (k >= 2 * quantum._MIN_ROWS)
+    assert any(stacked) is (k // 2 >= quantum._MIN_ROUND)
 
 
 def test_round_groups_run_scalar_or_stacked_by_row_count(monkeypatch):
-    """A group under ``_MIN_ROWS`` rows makes one scalar call per item; a
-    group of ``_MIN_ROWS`` rows makes one stacked call, however many items
-    the round has in all."""
+    """A round under ``_MIN_ROUND`` items makes one scalar call per item; a
+    round of ``_MIN_ROUND`` items makes one stacked call per group."""
     calls = []
     real = quantum.comp_measure
     monkeypatch.setattr(
         quantum, "comp_measure", lambda s, q, u: calls.append(s.amplitudes.ndim) or real(s, q, u)
     )
-    for k, want in ((quantum._MIN_ROWS - 1, [1] * 2 * (quantum._MIN_ROWS - 1)),
-                    (quantum._MIN_ROWS, [2, 2])):
+    half = quantum._MIN_ROUND // 2
+    for k, want in ((half - 1, [1] * 2 * (half - 1)), (half, [2, 2])):
         calls.clear()
         arena, _ = chained_arena(k)
         qubits = [q for i in range(k) for q in (f"c{i}a", f"c{i}b")]
@@ -655,19 +672,19 @@ def test_cross_arena_round_matches_each_arena_alone(seed):
             if measuring:
                 assert got[a] == want
                 assert rng.bit_generator.state == rng_s.bit_generator.state
-    assert all(not b._registers and not s._registers for b, s in pairs)
+    assert all(not b._holders and not s._holders for b, s in pairs)
 
 
 def test_cross_arena_round_stacks_what_no_arena_could_stack_alone(monkeypatch):
     """Two Bell measurements per arena, then both qubits of each joined
-    register: every group stays under ``_MIN_ROWS`` rows in one arena and
+    register: every round stays under ``_MIN_ROUND`` items in one arena and
     reaches it across the arenas."""
     stacked = []
     for name in ("bell_measure", "comp_measure"):
         real = getattr(quantum, name)
         monkeypatch.setattr(quantum, name, lambda s, *a, real=real, name=name: (
             stacked.append(name) if s.amplitudes.ndim == 2 else None) or real(s, *a))
-    pairs = [chained_arena(4) for _ in range(quantum._MIN_ROWS // 2)]
+    pairs = [chained_arena(4) for _ in range(quantum._MIN_ROUND // 2)]
     bell = [("c0b", "c1a"), ("c2b", "c3a")]
     readout = ["c0a", "c1b", "c2a", "c3b"]
     for op, items, one in (
@@ -685,7 +702,7 @@ def test_cross_arena_round_stacks_what_no_arena_could_stack_alone(monkeypatch):
 
 
 def test_round_measuring_a_qubit_twice_raises_like_the_scalar_ops():
-    for k in (4, 24):  # the scalar fall-through and the stacked path
+    for k in (4, 24):  # item by item, and stacked
         batched, scalar = chained_arena(k)
         qubits = [f"c{i}a" for i in range(k)] + ["c0a"]
         with pytest.raises(UnknownQubitError):
@@ -695,16 +712,109 @@ def test_round_measuring_a_qubit_twice_raises_like_the_scalar_ops():
                 scalar.comp_measure(q, np.random.default_rng(0))
 
 
-def test_bell_pairs_share_read_only_rows_and_match_add_state():
+def test_bell_pairs_match_add_state():
     batched, scalar = QubitArena(), QubitArena()
     labels = list(BellLabel) * 2
     batched.add_bell_pairs([(lab, f"p{i}h", f"p{i}t") for i, lab in enumerate(labels)], "alice")
     for i, lab in enumerate(labels):
         scalar.add_state(StateVector((f"p{i}h", f"p{i}t"), BELL_VECTORS[lab].copy()), "alice")
     assert_same_arena(batched, scalar)
-    rows = batched.state_of("p0h").amplitudes, batched.state_of("p4h").amplitudes
-    assert rows[0] is rows[1] and not rows[0].flags.writeable
     with pytest.raises(InvalidRegisterError):
         batched.add_bell_pairs([(BellLabel.PSI_PLUS, "x", "p0t")], "bob")
     with pytest.raises(InvalidRegisterError):
         batched.add_bell_pairs([(BellLabel.PSI_PLUS, "y", "y")], "bob")
+
+
+@pytest.mark.parametrize("min_round", [0, quantum._MIN_ROUND])
+def test_states_in_and_out_of_the_arena_never_change(min_round, monkeypatch):
+    """The arena writes its tables in place, so neither a state passed to
+    ``add_state`` nor one ``state_of`` returned may change when later gates
+    and measurements act on that register, stacked or item by item."""
+    monkeypatch.setattr(quantum, "_MIN_ROUND", min_round)
+    arena = QubitArena()
+    added = random_state(3, 7, prefix="r")
+    before = added.amplitudes.copy()
+    arena.add_state(added, "node")
+    arena.add_bell_pairs([(BellLabel.PSI_PLUS, "b0", "b1")], "node")
+    bells = {lab: v.copy() for lab, v in BELL_VECTORS.items()}
+    out = arena.state_of("r1"), arena.state_of("b0")
+    held = [s.amplitudes.copy() for s in out]
+    run_round("apply_unitary", [(arena, [("r1", random_unitary(3)), ("b0", random_unitary(4))], None)])
+    run_round("apply_pauli", [(arena, [("r2", PauliLabel.IY), ("b1", PauliLabel.X)], None)])
+    arena.apply_pauli("r0", PauliLabel.Z)
+    run_round("apply_cnot", [(arena, [("r0", "b1")], None)])
+    run_round("comp_measure", [(arena, ["r2", "b0"], np.random.default_rng(5))])
+    arena.comp_measure("r1", np.random.default_rng(6))
+    assert np.array_equal(added.amplitudes, before)
+    assert all(np.array_equal(s.amplitudes, h) for s, h in zip(out, held))
+    assert all(np.array_equal(BELL_VECTORS[lab], v) for lab, v in bells.items())
+
+
+# --- round property test -------------------------------------------------------------------
+
+_UNITARIES = (random_unitary(1), random_unitary(2))
+
+
+def _draw_items(data, op, live):
+    """Items of one ``op`` round over the live qubits ``live``: measured
+    qubits are distinct, gates may repeat qubits and registers."""
+    order = data.draw(st.permutations(live))
+    if op == "comp_measure":
+        return order[: data.draw(st.integers(0, len(live)))]
+    if op == "bell_measure":
+        k = data.draw(st.integers(0, len(live) // 2))
+        return [(order[2 * i], order[2 * i + 1]) for i in range(k)]
+    if not live:
+        return []
+    qubits = st.sampled_from(live)
+    if op == "apply_pauli":
+        return data.draw(st.lists(st.tuples(qubits, st.sampled_from(list(PauliLabel))), max_size=8))
+    if op == "apply_unitary":
+        return data.draw(st.lists(st.tuples(qubits, st.sampled_from(_UNITARIES)), max_size=8))
+    if len(live) < 2:
+        return []
+    pairs = st.tuples(qubits, qubits).filter(lambda pair: pair[0] != pair[1])
+    return data.draw(st.lists(pairs, max_size=6))
+
+
+_SCALAR = {
+    "comp_measure": lambda a, item, rng: a.comp_measure(item, rng),
+    "bell_measure": lambda a, item, rng: a.bell_measure(*item, rng),
+    "apply_pauli": lambda a, item, _: a.apply_pauli(*item),
+    "apply_unitary": lambda a, item, _: a.apply_unitary(*item),
+    "apply_cnot": lambda a, item, _: a.apply_cnot(*item),
+}
+
+
+@pytest.mark.parametrize("min_round", [0, quantum._MIN_ROUND])
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_rounds_match_scalar_ops_item_by_item(min_round, data):
+    """Random rounds of all five ops over 1-3 arenas of random 1-3 qubit
+    registers, with joining items and registers repeated within a round (so
+    several waves), leave outcomes, generators, holders and every live
+    register as the scalar op on each item in order, stacked (``min_round``
+    0) or, for small rounds, item by item."""
+    n_arenas = data.draw(st.integers(1, 3))
+    pairs = [
+        random_arena(data.draw(st.integers(0, 2**16)), data.draw(st.integers(1, 4)))
+        for _ in range(n_arenas)
+    ]
+    saved, quantum._MIN_ROUND = quantum._MIN_ROUND, min_round
+    try:
+        for r in range(data.draw(st.integers(1, 4))):
+            op = data.draw(st.sampled_from(sorted(_SCALAR)))
+            measuring = op.endswith("measure")
+            items = [_draw_items(data, op, sorted(scalar._holders)) for _, scalar in pairs]
+            rngs = [np.random.default_rng([r, a]) for a in range(n_arenas)]
+            got = run_round(op, [
+                (batched, its, rng if measuring else None)
+                for (batched, _), its, rng in zip(pairs, items, rngs)
+            ])
+            for a, ((batched, scalar), its) in enumerate(zip(pairs, items)):
+                rng = np.random.default_rng([r, a])
+                assert got[a] == [_SCALAR[op](scalar, item, rng) for item in its]
+                assert rngs[a].bit_generator.state == rng.bit_generator.state
+                assert_same_arena(batched, scalar)
+    finally:
+        quantum._MIN_ROUND = saved

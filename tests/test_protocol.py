@@ -790,3 +790,38 @@ def test_sessions_reach_the_engine_only_through_rounds(attack, monkeypatch):
     if attack.startswith("entangle"):
         assert all(len(bits) == 2 for _, _, bits in batch[0].eve_views)
         assert cnot_attack_profile(0.6, 0.8)["schmidt_rank"] == 2
+
+
+def _expected_abort(rep):
+    """(abort_rate, abort_kind) recomputed from a report's check counters."""
+    if not rep.aborted:
+        return None, None
+    if rep.abort_stage == "nested":
+        return 1.0, "nested"
+    if rep.abort_stage == "stage1":
+        return rep.stage1_failures / rep.stage1_checks, "stage1_correlation"
+    failed = [kind for kind, n in (("gv", rep.stage2_gv_failures),
+                                   ("split", rep.stage2_split_failures)) if n]
+    checks = rep.stage2_gv_checks + rep.stage2_split_checks
+    fails = rep.stage2_gv_failures + rep.stage2_split_failures
+    return fails / checks, "stage2_" + "+".join(failed)
+
+
+def test_abort_rate_and_kind_follow_the_check_counters():
+    """Every aborting session keeps the error rate that crossed the threshold
+    and which check kind failed; every kind occurs below."""
+    cfgs = (
+        SessionConfig(n_pairs=8, master_seed=1,
+                      attack=AttackSpec.parse("entangle_measure:beta2=0.5," + ALL_LEGS)),
+        SessionConfig(n_pairs=8, master_seed=2, attack=AttackSpec.parse("flip_all")),
+        SessionConfig(n_pairs=8, master_seed=3, attack=AttackSpec.parse("fake_bmo:stages=2")),
+        SessionConfig(n_pairs=8, mode=Mode.QD, master_seed=4, alice_state_set=(PSIP, PSIM),
+                      noise=NoiseSpec("dephasing", 0.3)),
+    )
+    kinds = set()
+    for cfg in cfgs:
+        for rep in run_batch(cfg, 40):
+            assert (rep.abort_rate, rep.abort_kind) == _expected_abort(rep)
+            kinds.add(rep.abort_kind)
+    assert kinds == {None, "stage1_correlation", "stage2_gv", "stage2_split",
+                     "stage2_gv+split", "nested"}
