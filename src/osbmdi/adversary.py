@@ -29,8 +29,6 @@ from .quantum import (
     PauliLabel,
     QubitArena,
     engine_round,
-    make_bell,
-    single_qubit,
 )
 
 LEGS = ("stage1_alice", "stage1_bob", "stage2_alice", "stage2_bob")
@@ -206,34 +204,29 @@ def intercept_resend(arena: QubitArena, eve: EveState, qubits: list[str]) -> lis
     """Steal every travel qubit on the leg; forward halves of fresh Bell pairs.
 
     Eve keeps the stolen qubit and the partner half of each substituted pair
-    for later inspection.
+    for later inspection.  The leg's pairs are registered with one call.
     """
-    out = []
+    pairs = [(BellLabel.PSI_PLUS, eve.new_id("k"), eve.new_id("s")) for _ in qubits]
+    arena.add_bell_pairs(pairs, "eve")
     for q in qubits:
-        keep = eve.new_id("k")
-        send = eve.new_id("s")
-        arena.add_state(make_bell(BellLabel.PSI_PLUS, keep, send), "eve")
         arena.transfer(q, "eve")
-        out.append(send)
-    return out
+    return [send for _, _, send in pairs]
 
 
 def entangle_measure(
     arena: QubitArena, eve: EveState, leg: str, qubits: list[str], alpha: complex, beta: complex
 ):
     """CNOT a fresh ancilla (control) onto each travel qubit (target), as one
-    ``apply_cnot`` round.
+    ``apply_cnot`` round; the leg's ancillas are registered with one call.
 
     Ancillas are retained and measured after the session; the travel qubits
     continue to the measurement node.
     """
-    pairs = []
-    for slot, q in enumerate(qubits):
-        anc = eve.new_id("a")
-        arena.add_state(single_qubit(anc, alpha, beta), "eve")
-        eve.ancillas.append((anc, leg, slot))
-        pairs.append((anc, q))
-    yield from engine_round(arena, "apply_cnot", pairs)
+    ancillas = [eve.new_id("a") for _ in qubits]
+    amps = np.tile([alpha, beta], (len(ancillas), 1))
+    arena.add_registers([(a,) for a in ancillas], amps, "eve")
+    eve.ancillas += [(anc, leg, slot) for slot, anc in enumerate(ancillas)]
+    yield from engine_round(arena, "apply_cnot", list(zip(ancillas, qubits)))
     return list(qubits)
 
 

@@ -38,6 +38,8 @@ def _parse_scalar(text: str) -> float:
     if match:
         num = float(match.group("num") or 1.0)
         den = float(match.group("den") or 1.0)
+        if den == 0:
+            raise ConfigError(f"grid atom {text!r} divides by zero")
         return num * math.pi / den
     return float(text)
 

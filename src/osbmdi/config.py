@@ -7,7 +7,7 @@ starts a comment).  Recognized keys:
     n_pairs           positive even integer
     sessions          number of sessions a run executes
     seed              64-bit unsigned master seed
-    workers           worker threads for batch fan-out
+    workers           worker threads for batch fan-out (positive)
     alice_states      comma list of labels (psi+, psi-, phi+, phi-)
     bob_states        comma list of labels
     decoy_policy      fixed:LABEL or random:L1,L2,...
@@ -145,15 +145,15 @@ def resolve(
             use_cases_ii_iii=_parse_bool(merged["use_cases_ii_iii"]),
             m_split_decoys=m_split,
         )
-        options = RunOptions(
-            sessions=int(merged["sessions"]), workers=max(1, int(merged["workers"]))
-        )
+        options = RunOptions(sessions=int(merged["sessions"]), workers=int(merged["workers"]))
     except (ValueError, KeyError) as exc:
         if isinstance(exc, ConfigError):
             raise
         raise ConfigError(str(exc)) from exc
     if options.sessions <= 0:
         raise ConfigError("sessions must be positive")
+    if options.workers <= 0:
+        raise ConfigError("workers must be positive")
     return cfg, options
 
 

@@ -36,20 +36,22 @@ package follows this labeling.
 
 Arena storage: a ``QubitArena`` keeps its registers as rows of one table per
 width n, amplitudes ``(cap, 2**n)`` beside member qubit indices ``(cap, n)``
-in register order, and one packed location per qubit (table width, row,
-axis; 0 once measured).  ``state_of`` copies a row out, so a state handed in
-or out is never written; the arena writes its rows in place.  A round
-(``run_round``) maps its items to locations, splits them into dependency
-waves and groups a wave's items by widths, axes and parameter; each group
-gathers its rows from every arena with one index array per arena, makes one
-engine call and scatters the result back: a gate on one register in place, a
-measurement's or a join's surviving registers as new rows of the table of
-their width, whose qubits' locations are rewritten in one assignment.  Items
-on distinct registers form one wave; a single-register item's wave is its
-occurrence rank on its register, and a joining item (``bell_measure`` or
-``apply_cnot`` across two registers) that shares a register with an earlier
-item waits for it, the two registers counting as one from then on.  A round
-of fewer than ``_MIN_ROUND`` items runs each item on its rows in turn.
+in register order, and one packed location per qubit (table width, row, axis;
+0 once measured).  Registers enter in bulk, one table write per call
+(``add_registers``, ``add_bell_pairs``).  ``state_of`` copies a row out, so a
+state handed in or out is never written; the arena writes rows in place.  A
+round (``run_round``) maps its items to locations, splits them into
+dependency waves and groups a wave's items by widths, axes and parameter;
+each group gathers its rows from every arena with one index array per arena,
+makes one engine call and scatters the result back: a gate on one register in
+place, a measurement's or a join's surviving registers as new rows of the
+table of their width, whose qubits' locations are rewritten in one
+assignment.  Items on distinct registers form one wave; a single-register
+item's wave is its occurrence rank on its register, and a joining item
+(``bell_measure`` or ``apply_cnot`` across two registers) that shares a
+register with an earlier item waits for it, the two registers counting as one
+from then on.  A round of fewer than ``_MIN_ROUND`` items runs each item on
+its rows in turn.
 """
 from __future__ import annotations
 
@@ -666,8 +668,6 @@ def run_round(
     gates = op in ("apply_pauli", "apply_unitary")
     arenas, names, indices, locs, params, counts = [], [], [], [], [], []
     for arena, items, _ in requests:
-        if arena._pending:
-            arena._flush()
         if gates:
             qs, ps = zip(*items) if items else ((), ())
             params += ps
@@ -779,8 +779,6 @@ def run_round(
 def _item_by_item(op: str, arena: "QubitArena", items: Sequence, rng) -> list:
     """A small round's request: each item in call order, on its register's
     row, as ``run_round`` would (a measurement draws its uniforms up front)."""
-    if arena._pending:
-        arena._flush()
     if op in ("apply_pauli", "apply_unitary"):
         return [_item_call(op, arena, (q,), None, p) for q, p in items]
     if op == "apply_cnot":
@@ -824,7 +822,8 @@ def _item_call(op: str, arena: "QubitArena", targets: tuple[str, ...], uniform, 
             loc[i] = 0
             del arena._holders[q]
     if out is not None:
-        arena._put([m for m in members if m not in idx] if measured else members, out.amplitudes)
+        kept = [m for m in members if m not in idx] if measured else members
+        arena._append(out.amplitudes[None], np.array([kept]))
     return outcome
 
 
@@ -953,7 +952,10 @@ def _join_waves(keys) -> list[np.ndarray]:
     their two targets: an item runs one wave after the last earlier item
     that touched either of its registers, and the registers an item acts on
     together count as one from then on (a measurement never splits a
-    register)."""
+    register).  Sessions need it for two rounds: the entangle interceptor's
+    ``apply_cnot`` (a leg carries both halves of its whole decoys; 2 waves)
+    and the node's ``bell_measure`` after a ``disturb:mode=reorder`` leg
+    (2-6 waves; on stage 2 at any threshold, on stage 1 once sessions pass it)."""
     joined: dict[int, int] = {}  # register key -> key it was joined into
     last: dict[int, int] = {}  # register key -> wave of its last item
     waves: list[list[int]] = []
@@ -1010,8 +1012,8 @@ class QubitArena:
     ``_loc[index]`` packs the qubit's location: it is the ``axis``-th qubit
     of row ``row`` of the width-``width`` table (``_BASE`` gives the
     packing; 0 means measured).  The live qubits are the keys of
-    ``_holders``.  ``add_state`` buffers its register in ``_pending`` until
-    the arena is next read.  ``state_of`` returns a copy of a row, so a
+    ``_holders``.  New registers, of ``add_registers`` or a round, are new
+    rows, written at once.  ``state_of`` returns a copy of a row, so a
     state it hands out, or one passed to ``add_state``, never changes when
     the arena does.
 
@@ -1030,7 +1032,6 @@ class QubitArena:
         self._loc = np.zeros(64, dtype=np.intp)
         self._tables: dict[int, _Table] = {}
         self._holders: dict[str, str] = {}
-        self._pending: list[tuple[list[int], np.ndarray]] = []
 
     def _register(self, names: Sequence[str]) -> list[int]:
         """Indices of ``names``, assigning new ones; none may be live."""
@@ -1053,26 +1054,37 @@ class QubitArena:
             table = self._tables[n] = _Table(n, max(32, 2 * k))
         return table, table.extend(k)
 
-    def _append(self, n: int, amps: np.ndarray, members: np.ndarray) -> None:
+    def _append(self, amps: np.ndarray, members: np.ndarray) -> None:
         """Put k registers of width n (``amps`` of shape (k, 2**n), ``members``
-        (k, n) qubit indices) in new rows and point their qubits at them."""
+        (k, n) qubit indices in register order) in new rows of the width-n
+        table and point their qubits at them."""
+        n = members.shape[1]
         table, start = self._table(n, len(amps))
         table.amps[start:table.size] = amps
         table.members[start:table.size] = members
         _, _, offset = _relocation(n, ())
         self._loc.put(members, np.arange(start * _ROW, table.size * _ROW, _ROW)[:, None] + offset)
 
-    def _flush(self) -> None:
-        """Write the registers ``add_state`` buffered, one table write per
-        width (their qubits are disjoint, so the order does not matter)."""
-        pending, self._pending = self._pending, []
-        widths = {len(members) for members, _ in pending}
-        for n in widths:
-            members, amps = zip(*(
-                pending if len(widths) == 1 else [reg for reg in pending if len(reg[0]) == n]
-            ))
-            members = np.fromiter(chain.from_iterable(members), np.intp, n * len(amps))
-            self._append(n, np.array(amps), members.reshape(-1, n))
+    def _add(self, names: list[str], amps: np.ndarray, holder: str) -> None:
+        """Register ``names``, in order, as ``len(amps)`` checked registers of
+        one width with the amplitude rows ``amps``, held by ``holder``."""
+        self._append(amps, np.array(self._register(names)).reshape(len(amps), -1))
+        self._holders.update(dict.fromkeys(names, holder))
+
+    def add_registers(
+        self, registers: Sequence[Sequence[str]], amps: np.ndarray, holder: str
+    ) -> None:
+        """Register k registers of one width n, register i over the qubits
+        ``registers[i]`` with the amplitudes ``amps[i]`` (shape ``(k, 2**n)``),
+        with one check and one table write."""
+        if not len(registers):
+            return
+        widths, names = set(map(len, registers)), list(chain.from_iterable(registers))
+        if len(widths) > 1 or len(amps) != len(registers):
+            raise InvalidRegisterError(f"{len(amps)} rows for registers of widths {widths}")
+        if len(set(names)) != len(names):
+            raise InvalidRegisterError("a qubit appears twice in the registers")
+        self._add(names, StateVector.stack(_SLOTS[: widths.pop()], amps).amplitudes, holder)
 
     def add_bell_pairs(
         self, pairs: Sequence[tuple[BellLabel, str, str]], holder: str
@@ -1089,15 +1101,12 @@ class QubitArena:
                 f"duplicate qubit ids in register: {same}" if same else
                 "a qubit appears in two pairs"
             )
-        members = np.array(self._register(names)).reshape(-1, 2)
         codes = np.fromiter(map(_BELL_CODE.__getitem__, labels), np.intp, len(labels))
-        self._append(2, _BELL_TABLE.take(codes, 0), members)
-        self._holders.update(dict.fromkeys(names, holder))
+        self._add(names, _BELL_TABLE.take(codes, 0), holder)
 
     def add_state(self, state: StateVector, holder: str) -> None:
-        """Register ``state``; its row is written at the arena's next read."""
-        self._pending.append((self._register(state.qubit_ids), state.amplitudes))
-        self._holders.update(dict.fromkeys(state.qubit_ids, holder))
+        """Register ``state`` as one register."""
+        self.add_registers([state.qubit_ids], state.amplitudes[None], holder)
 
     def has(self, qubit_id: str) -> bool:
         return qubit_id in self._holders
@@ -1106,8 +1115,6 @@ class QubitArena:
         """A copy of the register holding ``qubit_id``."""
         if qubit_id not in self._holders:
             raise UnknownQubitError(f"qubit {qubit_id!r} not in arena")
-        if self._pending:
-            self._flush()
         row, n = divmod(int(self._loc[self._index[qubit_id]]) // _BASE, _BASE)
         table = self._tables[n]
         ids = tuple(map(self._names.__getitem__, table.members[row].tolist()))
@@ -1128,17 +1135,8 @@ class QubitArena:
 
     def _store(self, state: StateVector) -> None:
         """Write ``state`` back over its qubits' registers, as a new row."""
-        self._put(list(map(self._index.__getitem__, state.qubit_ids)), state.amplitudes)
-
-    def _put(self, members: list[int], amps: np.ndarray) -> None:
-        """Put one register over the qubits ``members`` in a new row."""
-        n = len(members)
-        table, row = self._table(n, 1)
-        table.amps[row] = amps
-        table.members[row] = members
-        loc, code = self._loc, (row * _BASE + n) * _BASE
-        for axis, i in enumerate(members):
-            loc[i] = code + axis
+        members = np.array([list(map(self._index.__getitem__, state.qubit_ids))])
+        self._append(state.amplitudes[None], members)
 
     def _settle(self, measured: tuple[str, ...], rest: StateVector | None) -> None:
         """Drop the measured qubits and write back what is left of their register."""

@@ -10,7 +10,7 @@ import math
 import numpy as np
 import pytest
 
-from osbmdi.adversary import AttackSpec, disturb, fake_bmo_outcome
+from osbmdi.adversary import AttackSpec, EveState, apply_leg_attack, disturb, fake_bmo_outcome
 from osbmdi.analysis import detection_rate
 from osbmdi.protocol import Mode, SessionConfig, run_lockstep, run_session
 from osbmdi.quantum import BellLabel, QubitArena, make_bell
@@ -334,6 +334,18 @@ def test_disturb_zero_selection_is_noop():
     arena.add_state(make_bell(BellLabel.PSI_PLUS, "a", "b"), "alice")
     attack = disturb(arena, ["a", "b"], np.random.default_rng(0), "reorder", 0.0)
     assert run_lockstep([attack]) == [["a", "b"]]
+
+
+@pytest.mark.parametrize("strategy", ["intercept_resend", "entangle_measure"])
+def test_empty_leg_registers_nothing_and_yields_no_round(strategy):
+    arena, eve = QubitArena(), EveState()
+    spec = AttackSpec(strategy, legs=frozenset({"stage2_alice"}))
+    attack = apply_leg_attack(spec, arena, eve, "stage2_alice", [], None)
+    with pytest.raises(StopIteration) as done:
+        next(attack)
+    assert done.value.value == []
+    assert not arena._holders and not arena._tables
+    assert not eve.ancillas and eve.new_id("a") == "ev_a1"
 
 
 # --- attack spec -----------------------------------------------------------------------

@@ -1,12 +1,16 @@
 """Command-line interface tests: subcommands, exit codes, determinism."""
+import contextlib
 import hashlib
+import io
 import math
 import os
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from osbmdi.cli import main, parse_grid
-from osbmdi.config import ConfigError, parse_config_file, resolve
+from osbmdi.config import _KEYS, ConfigError, parse_config_file, resolve
 
 
 def run_cli(args):
@@ -32,6 +36,12 @@ def test_parse_grid_rejects_empty():
         parse_grid("")
     with pytest.raises(ConfigError):
         parse_grid("0:1:0")
+
+
+@pytest.mark.parametrize("spec", ["pi/0", "2pi/0.0", "0,3pi/0"])
+def test_parse_grid_rejects_a_zero_denominator(spec):
+    with pytest.raises(ConfigError, match="divides by zero"):
+        parse_grid(spec)
 
 
 # --- config files -------------------------------------------------------------
@@ -184,6 +194,25 @@ def test_run_repeated_label_exit_one_no_report(tmp_path, capsys, line, message):
     cfg.write_text(line + "\n")
     out = tmp_path / "never.txt"
     assert run_cli(["run", "--config", str(cfg), "--sessions", "2", "--out", str(out)]) == 1
+    assert f"error: {message}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "flags,line,message",
+    [
+        (["--workers", "0"], "", "workers must be positive"),
+        (["--workers", "-3"], "", "workers must be positive"),
+        ([], "workers = 0", "workers must be positive"),
+        (["--sessions", "0"], "", "sessions must be positive"),
+        ([], "sessions = -2", "sessions must be positive"),
+    ],
+)
+def test_run_nonpositive_count_exit_one_no_report(tmp_path, capsys, flags, line, message):
+    cfg = tmp_path / "counts.cfg"
+    cfg.write_text(line + "\n")
+    out = tmp_path / "never.txt"
+    assert run_cli(["run", "--config", str(cfg), *flags, "--out", str(out)]) == 1
     assert f"error: {message}" in capsys.readouterr().err
     assert not out.exists()
 
@@ -391,3 +420,68 @@ def test_table2_command_exits_zero(capsys):
     text = capsys.readouterr().out
     assert "mismatches = 0" in text
     assert "psi-\tphi-\tphi+" in text  # second block, swapped shared label
+
+
+# --- bad input, property ---------------------------------------------------------------
+
+# Malformed or out-of-range values for any key or flag, with a few valid
+# small ones; none asks for more than a few sessions, pairs, points or trials.
+_VALUES = (
+    "", " ", "0", "-1", "-3", "2", "1.5", "nan", "inf", "-inf", "abc", ",", "psi+,",
+    "psi+,psi+", "fixed:", "random:", "fixed:chi", "random:psi+,psi+", "dephasing",
+    "dephasing:x", "rotation:nan", "entangle_measure:beta2=2", "entangle_measure:beta2=x",
+    "disturb:mode=x", "disturb:fraction=0", "fake_bmo:stages=3", "intercept_resend:legs=x",
+    "flip_all:legs=", "pi/0", "0:1:0", "a:b:c", "1:2:3:4", "0,inf",
+)
+_SEEDS = _VALUES + ("18446744073709551616",)
+_FLAGS = {
+    "run": ["--seed", "--sessions", "--n-pairs", "--mode", "--attack", "--noise", "--workers"],
+    "leakage": ["--alice-states", "--bob-states"],
+    "sweep": ["--kind", "--grid", "--label", "--channel", "--apply-to", "--attack",
+              "--trials", "--seed"],
+}
+
+
+@st.composite
+def bad_invocations(draw):
+    """A ``run``, ``leakage`` or ``sweep`` command line and config file text:
+    small valid defaults (a sweep's grid drawn from the pool), then up to
+    three config lines and three flags with values from the pools above (a
+    later value overrides an earlier one)."""
+    command = draw(st.sampled_from(sorted(_FLAGS)))
+    lines = ["sessions = 2", "n_pairs = 4"]
+    if command != "sweep":
+        for _ in range(draw(st.integers(0, 3))):
+            key = draw(st.sampled_from(_KEYS + ("phaser",)))
+            value = draw(st.sampled_from(_SEEDS if key == "seed" else _VALUES))
+            lines.append(draw(st.sampled_from([f"{key} = {value}", f"{key} {value}"])))
+    argv = [command]
+    if command == "sweep":
+        kind = draw(st.sampled_from(["noise", "attack-strength"]))
+        argv += ["--kind", kind, "--trials", "2", "--grid", draw(st.sampled_from(_VALUES))]
+    for _ in range(draw(st.integers(0, 3))):
+        flag = draw(st.sampled_from(_FLAGS[command]))
+        argv += [flag, draw(st.sampled_from(_SEEDS if flag == "--seed" else _VALUES))]
+    return argv, "\n".join(lines) + "\n"
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(invocation=bad_invocations())
+def test_bad_input_exits_cleanly(tmp_path_factory, invocation):
+    """Whatever the values, a command exits 0, 1 or 2, says ``error:`` when it
+    exits 1, and never raises or prints a traceback."""
+    argv, text = invocation
+    if argv[0] != "sweep":
+        cfg = tmp_path_factory.mktemp("bad") / "bad.cfg"
+        cfg.write_text(text)
+        argv = [argv[0], "--config", str(cfg), *argv[1:]]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse's usage errors
+            code = exc.code
+    assert code in (0, 1, 2)
+    if code == 1:
+        assert "error:" in err.getvalue()
+    assert "Traceback" not in out.getvalue() + err.getvalue()

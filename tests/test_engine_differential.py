@@ -713,16 +713,40 @@ def test_round_measuring_a_qubit_twice_raises_like_the_scalar_ops():
 
 
 def test_bell_pairs_match_add_state():
+    """Bulk registration, of Bell pairs or of registers of one width, leaves
+    the arena (qubit indices included) that one ``add_state`` per register
+    leaves, and a rejected call leaves it unchanged."""
     batched, scalar = QubitArena(), QubitArena()
     labels = list(BellLabel) * 2
     batched.add_bell_pairs([(lab, f"p{i}h", f"p{i}t") for i, lab in enumerate(labels)], "alice")
     for i, lab in enumerate(labels):
         scalar.add_state(StateVector((f"p{i}h", f"p{i}t"), BELL_VECTORS[lab].copy()), "alice")
+    for width in (1, 3):
+        states = [random_state(width, seed, prefix=f"w{width}s{seed}_") for seed in range(5)]
+        amps = np.array([s.amplitudes for s in states])
+        batched.add_registers([s.qubit_ids for s in states], amps, "eve")
+        for s in states:
+            scalar.add_state(s, "eve")
+    batched.add_registers([], np.empty((0, 2)), "eve")
     assert_same_arena(batched, scalar)
+    assert batched._index == scalar._index
     with pytest.raises(InvalidRegisterError):
         batched.add_bell_pairs([(BellLabel.PSI_PLUS, "x", "p0t")], "bob")
     with pytest.raises(InvalidRegisterError):
         batched.add_bell_pairs([(BellLabel.PSI_PLUS, "y", "y")], "bob")
+    one = np.array([[1.0, 0.0], [0.0, 1.0]])
+    for registers, amps in (
+        ([("x",), ("x",)], one),  # a name repeated in one call
+        ([("x", "y", "x")], random_state(3, 0).amplitudes[None]),
+        ([("x",), ("w1s2_0",)], one),  # a live name
+        ([("x",), ("y",)], np.array([[1.0, 0.0], [1.0, 1.0]])),  # a row not normalized
+        ([("x",), ("y", "z")], one),  # mixed widths
+        ([("x",), ("y",)], one[:1]),  # one row for two registers
+        ([("x",), ("y",)], np.ones((2, 4)) / 2),  # rows of the wrong width
+    ):
+        with pytest.raises(InvalidRegisterError):
+            batched.add_registers(registers, amps, "bob")
+    assert_same_arena(batched, scalar)
 
 
 @pytest.mark.parametrize("min_round", [0, quantum._MIN_ROUND])
