@@ -204,12 +204,12 @@ def intercept_resend(arena: QubitArena, eve: EveState, qubits: list[str]) -> lis
     """Steal every travel qubit on the leg; forward halves of fresh Bell pairs.
 
     Eve keeps the stolen qubit and the partner half of each substituted pair
-    for later inspection.  The leg's pairs are registered with one call.
+    for later inspection.  The leg's pairs are registered with one call, and
+    its qubits change hands with another.
     """
     pairs = [(BellLabel.PSI_PLUS, eve.new_id("k"), eve.new_id("s")) for _ in qubits]
     arena.add_bell_pairs(pairs, "eve")
-    for q in qubits:
-        arena.transfer(q, "eve")
+    arena.transfer_many(qubits, "eve")
     return [send for _, _, send in pairs]
 
 

@@ -24,7 +24,7 @@ from .adversary import (
     apply_leg_attack,
     fake_bmo_outcome,
 )
-from .protocol import correlation_check, run_lockstep
+from .protocol import correlated_table, correlation_failures, run_lockstep
 from .quantum import (
     BellLabel,
     PauliLabel,
@@ -307,23 +307,11 @@ def _rows(state: StateVector, n: int) -> StateVector:
 _LABEL_CODE = {label: i for i, label in enumerate(BellLabel)}
 
 
-@functools.cache
-def _correlation_fails() -> np.ndarray:
-    """[label, bit_a, bit_b]: does the psi+/psi+ correlation check fail?
-    Filled from ``correlation_check`` on all 16 inputs, so it stays the one
-    definition of the check."""
-    fails = np.array([
-        [[not correlation_check(label, a, b, _PSIP, _PSIP) for b in (0, 1)] for a in (0, 1)]
-        for label in BellLabel
-    ])
-    fails.flags.writeable = False
-    return fails
-
-
 def _correlation_failures(announced, bits_a, bits_b) -> int:
     """Failed psi+/psi+ correlation checks, one per row."""
     labels = np.fromiter(map(_LABEL_CODE.__getitem__, announced), np.intp, len(announced))
-    return int(_correlation_fails()[labels, bits_a, bits_b].sum())
+    psip = _LABEL_CODE[_PSIP]
+    return correlation_failures(bits_a, bits_b, correlated_table()[psip, psip, labels])
 
 
 def _attack_slot(strategy: str, travel: list[str], **params) -> tuple[list[str], QubitArena]:

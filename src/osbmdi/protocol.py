@@ -22,6 +22,9 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
+from functools import cache, lru_cache
+from itertools import accumulate, repeat
+from operator import is_not
 from typing import Generator, Sequence
 
 import numpy as np
@@ -89,16 +92,27 @@ class CaseTag(str, enum.Enum):
     CASE_IV = "IV"    # entangled on both sides: carries the message
 
 
-class SlotKind(str, enum.Enum):
-    ENTANGLED = "E"
-    DECOY_PARTNER = "d"
+# A Bell label's code is its position in ``tuple(BellLabel)``.  A session
+# keeps its labels as code arrays, so its per-slot checks and its decoding
+# are lookups in tables filled from ``correlation_check`` and
+# ``decode_message``.
+_LABELS = tuple(BellLabel)
+_CODE = {lab: i for i, lab in enumerate(_LABELS)}
+_VALUES = tuple(lab.value for lab in _LABELS)
+_IS_CORRELATED = np.array([lab.correlated for lab in _LABELS])
+_PAULIS = tuple(PauliLabel.from_symbol(s) for s in range(4))
+# Case codes, the positions in ``tuple(CaseTag)``.
+_CASE_I, _CASE_II, _CASE_III, _CASE_IV = range(4)
 
 
-def draw_label(labels: Sequence[BellLabel], rng: np.random.Generator) -> BellLabel:
-    """One uniform label from a set; a one-label set takes no draw."""
+def draw_codes(labels: Sequence[BellLabel], n: int, rng: np.random.Generator) -> np.ndarray:
+    """Codes of n independent uniform labels from a set, as one block draw,
+    which gives the values and leaves the stream as n scalar draws would; a
+    one-label set takes no draw."""
+    codes = np.array([_CODE[lab] for lab in labels])
     if len(labels) == 1:
-        return labels[0]
-    return labels[int(rng.integers(len(labels)))]
+        return codes.repeat(n)
+    return codes[rng.integers(len(labels), size=n)]
 
 
 def _reject_repeats(what: str, labels: Sequence[BellLabel]) -> None:
@@ -125,9 +139,6 @@ class DecoyPolicy:
         _reject_repeats("decoy policy", self.labels)
         if self.kind == "fixed" and len(self.labels) != 1:
             raise ConfigError("fixed decoy policy takes exactly one label")
-
-    def draw(self, rng: np.random.Generator) -> BellLabel:
-        return draw_label(self.labels, rng)
 
     @classmethod
     def parse(cls, text: str) -> "DecoyPolicy":
@@ -192,99 +203,59 @@ class SessionConfig:
 # --- sequence machinery -------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Entangled:
-    ref: int
+def insert_decoys(n_base: int, n_decoys: int, rng: np.random.Generator) -> np.ndarray:
+    """Uniformly interleave n_decoys decoy items into n_base base items.
 
-
-@dataclass(frozen=True)
-class DecoyPartner:
-    """Traveling half of a split verification pair (the other half stays home)."""
-
-    ref: int
-
-
-@dataclass(frozen=True)
-class DecoyWholeHalf:
-    ref: int
-    half: int
+    Returns the slot order: slot i carries item ``order[i]`` of the base
+    items followed by the decoys.  Every position set is equally likely, the
+    insertion preserves both relative orders, and the owner recovers the
+    positions exactly from ``order``.  No decoys take no draw.
+    """
+    total = n_base + n_decoys
+    if not n_decoys:
+        return np.arange(total)
+    decoy = np.zeros(total, dtype=bool)
+    decoy[rng.choice(total, size=n_decoys, replace=False)] = True
+    order = np.empty(total, dtype=np.intp)
+    order[~decoy] = np.arange(n_base)
+    order[decoy] = np.arange(n_base, total)
+    return order
 
 
 @dataclass
 class ExtendedSequence:
     """A party's travel sequence with verification qubits interleaved.
 
-    ``slots`` is the owner's private layout; ``occupants`` is what actually
-    arrived at the measurement node (attacks may substitute or permute).
+    Slot i carries item ``order[i]`` of the ``n_base`` base items and then
+    the decoys (``insert_decoys``), whose travel qubit is ``qubits[i]``;
+    ``occupants`` is what actually arrived at the measurement node (attacks
+    may substitute or permute).  The first ``2 * n_whole`` decoys are whole
+    pairs' halves, pair by pair; the rest are split pairs' traveling halves.
+    ``decoy`` marks the verification slots, and the message, split and
+    whole positions are worked out once.
     """
 
-    slots: list[tuple[str, object]]
+    order: np.ndarray
+    n_base: int
+    qubits: list[str]
+    n_whole: int = 0
     occupants: list[str] = field(default_factory=list)
 
-    def __len__(self) -> int:
-        return len(self.slots)
-
-    def qubits(self) -> list[str]:
-        return [q for q, _ in self.slots]
-
-    def split_positions(self) -> tuple[int, ...]:
-        return tuple(i for i, (_, tag) in enumerate(self.slots) if isinstance(tag, DecoyPartner))
-
-    def whole_positions(self) -> tuple[tuple[int, int], ...]:
-        halves: dict[int, dict[int, int]] = {}
-        for i, (_, tag) in enumerate(self.slots):
-            if isinstance(tag, DecoyWholeHalf):
-                halves.setdefault(tag.ref, {})[tag.half] = i
-        return tuple((pos[0], pos[1]) for _, pos in sorted(halves.items()))
-
-    def message_positions(self) -> tuple[int, ...]:
-        return tuple(i for i, (_, tag) in enumerate(self.slots) if isinstance(tag, Entangled))
+    def __post_init__(self) -> None:
+        self.decoy = self.order >= self.n_base
+        self.message_positions = (~self.decoy).nonzero()[0]
+        at = self.decoy.nonzero()[0].tolist()
+        whole = 2 * self.n_whole
+        self.split_positions = tuple(at[whole:])
+        self.whole_positions = tuple(zip(at[0:whole:2], at[1:whole:2]))
 
 
-def insert_decoys(
-    base: Sequence[tuple[str, object]],
-    decoys: Sequence[tuple[str, object]],
-    rng: np.random.Generator,
-) -> list[tuple[str, object]]:
-    """Uniformly interleave decoy items into a base sequence.
-
-    Every position set is equally likely (the insertion preserves both
-    relative orders), and the owner can recover the positions exactly from
-    the returned slot tags.
-    """
-    total = len(base) + len(decoys)
-    if not decoys:
-        return list(base)
-    chosen = set(rng.choice(total, size=len(decoys), replace=False).tolist())
-    slots: list[tuple[str, object]] = []
-    b_i = d_i = 0
-    for i in range(total):
-        if i in chosen:
-            slots.append(decoys[d_i])
-            d_i += 1
-        else:
-            slots.append(base[b_i])
-            b_i += 1
-    return slots
-
-
-def classify_cases(
-    pos_a: Sequence[int], pos_b: Sequence[int], length: int
-) -> list[CaseTag]:
-    """Per-slot case tags from the two announced position sets."""
-    set_a, set_b = set(pos_a), set(pos_b)
-    out = []
-    for i in range(length):
-        a_decoy, b_decoy = i in set_a, i in set_b
-        if a_decoy and b_decoy:
-            out.append(CaseTag.CASE_I)
-        elif b_decoy:
-            out.append(CaseTag.CASE_II)
-        elif a_decoy:
-            out.append(CaseTag.CASE_III)
-        else:
-            out.append(CaseTag.CASE_IV)
-    return out
+def classify_cases(a_decoy: np.ndarray, b_decoy: np.ndarray) -> np.ndarray:
+    """Per-slot case codes, positions in ``tuple(CaseTag)``, from the two
+    parties' verification-slot masks: I where both hold a verification half,
+    II where only the second party does, III where only the first, IV
+    where neither."""
+    return 3 - a_decoy - 2 * b_decoy
 
 
 def correlation_check(
@@ -322,32 +293,79 @@ def decode_message(
         raise DecodeIntegrityError(str(exc)) from exc
 
 
+@cache
+def correlated_table() -> np.ndarray:
+    """Whether the home bits of a checked slot must agree, indexed by the
+    codes of (alice's label, bob's label, swap-round announcement): filled
+    once from ``correlation_check`` on agreeing bits.  Read-only."""
+    table = np.empty((4, 4, 4), dtype=bool)
+    for a, b, m in np.ndindex(table.shape):
+        table[a, b, m] = correlation_check(_LABELS[m], 0, 0, _LABELS[a], _LABELS[b])
+    table.flags.writeable = False
+    return table
+
+
+@cache
+def decode_table() -> np.ndarray:
+    """``decode_message(...).symbol``, indexed by the codes of (alice init,
+    bob init, bmo1, bmo2), the own encoding's symbol (4 for none) and the
+    decode side: filled once from ``decode_message``.  Read-only."""
+    owns = (*_PAULIS, None)
+    table = np.empty((4, 4, 4, 4, 5, 2), dtype=np.intp)
+    for a, b, m1, m2, own, side in np.ndindex(table.shape):
+        table[a, b, m1, m2, own, side] = decode_message(
+            _LABELS[a], _LABELS[b], _LABELS[m1], _LABELS[m2], owns[own], side
+        ).symbol
+    table.flags.writeable = False
+    return table
+
+
+def correlation_failures(
+    first_bits: Sequence[int], second_bits: Sequence[int], correlated: np.ndarray
+) -> int:
+    """Checks whose two bits break the expected correlation, one per row."""
+    return int(np.count_nonzero(np.equal(first_bits, second_bits) != correlated))
+
+
 # --- session data -------------------------------------------------------------
 
 
-@dataclass
-class MessagePair:
-    index: int
-    home: str
-    travel: str
-    label: BellLabel
-
-
-@dataclass
-class Decoy:
-    index: int
-    q1: str  # home half for split pairs
-    q2: str
-    label: BellLabel
+@lru_cache(maxsize=64)
+def _pair_names(initial: str, counts: tuple[int, int, int, int]) -> tuple[np.ndarray, ...]:
+    """The (first, second) qubit names of a party's prepared pairs, block by
+    block (see ``PartyState``), as read-only object arrays."""
+    first: list[str] = []
+    second: list[str] = []
+    for tag, count, (s1, s2) in zip("mdws", counts, ("ht", "ht", "ab", "ht")):
+        first += [f"{initial}{tag}{i}{s1}" for i in range(count)]
+        second += [f"{initial}{tag}{i}{s2}" for i in range(count)]
+    names = np.array(first, dtype=object), np.array(second, dtype=object)
+    for column in names:
+        column.flags.writeable = False
+    return names
 
 
 @dataclass
 class PartyState:
+    """One party's prepared Bell pairs, as columns.
+
+    The pairs come in four blocks, the slices ``pairs`` (message pairs),
+    ``s1_decoys``, ``s2_whole`` and ``s2_split`` of every column; a pair's
+    index in its block is its message or decoy index.  Pair i is the qubits
+    ``first[i]`` (the home half; a whole decoy's half 0) and ``second[i]``
+    (the traveling half) in the Bell state ``labels[i]``, whose code is
+    ``codes[i]``.
+    """
+
     name: str
-    pairs: list[MessagePair] = field(default_factory=list)
-    s1_decoys: list[Decoy] = field(default_factory=list)
-    s2_whole: list[Decoy] = field(default_factory=list)
-    s2_split: list[Decoy] = field(default_factory=list)
+    first: np.ndarray
+    second: np.ndarray
+    codes: np.ndarray
+    labels: list[BellLabel]
+    pairs: slice
+    s1_decoys: slice
+    s2_whole: slice
+    s2_split: slice
     seq1: ExtendedSequence | None = None
     seq2: ExtendedSequence | None = None
 
@@ -355,23 +373,6 @@ class PartyState:
 @dataclass
 class CharlieState:
     fake_stages: frozenset[int] = frozenset()
-
-
-@dataclass
-class PairGroup:
-    """One aligned swap-round slot: the joined view of both contributions.
-
-    ``home``, ``kind``, ``init`` and ``ref`` are (alice, bob) pairs: the home
-    qubit, slot kind, prepared label and pair/decoy index on each side.
-    """
-
-    id: int
-    home: tuple[str, str]
-    kind: tuple[SlotKind, SlotKind]
-    init: tuple[BellLabel, BellLabel]
-    ref: tuple[int, int]
-    case: CaseTag
-    bmo1: BellLabel | None = None
 
 
 @dataclass
@@ -431,18 +432,6 @@ class _Abort(Exception):
         self.kind = kind
 
 
-def _pack_bits_to_symbols(bits: Sequence[int]) -> list[int]:
-    padded = list(bits) + [0] * (-len(bits) % 2)
-    return [2 * padded[i] + padded[i + 1] for i in range(0, len(padded), 2)]
-
-
-def _unpack_symbols_to_bits(symbols: Sequence[int]) -> list[int]:
-    out = []
-    for s in symbols:
-        out.extend(((s >> 1) & 1, s & 1))
-    return out
-
-
 def _bits_per_choice(set_size: int) -> int:
     return (set_size - 1).bit_length()
 
@@ -455,9 +444,17 @@ class Session:
     session is a pure function of (config, stream).
 
     Per-party state is indexed by side, 0 = alice and 1 = bob (the
-    ``pauli_frame`` convention): ``parties[side]``, ``state_sets[side]``,
-    ``known[side]`` (that party's knowledge of the partner's initial labels,
-    per pair index) and ``enc[side]`` (its encoding operators).
+    ``pauli_frame`` convention): ``parties[side]``, ``state_sets[side]`` and
+    ``known[side]`` (the codes of that party's knowledge of the partner's
+    initial labels, per pair index).
+
+    The bookkeeping runs once per block, leg or round, not once per qubit:
+    preparation draws each party's labels as one block per label set
+    (``draw_codes``) and registers its pairs with one ``add_bell_pairs``;
+    each sequence works out its positions once, each leg moves its qubits
+    with one ``transfer_many`` each way, the aligned slots are arrays
+    (case codes, each side's item index), checks and decoding are table
+    lookups, and a round's announcements enter with one ``extend``.
 
     ``steps()`` is the session as a generator.  Each engine round is not
     called but yielded as a request ``(arena, op, items, rng)``, and the
@@ -484,8 +481,7 @@ class Session:
       round 3       ``bell_measure`` over the aligned message slots;
       wrap-up       ``comp_measure`` over Eve's live ancillas, if any.
 
-    Preparation registers each party's pairs with one ``add_bell_pairs``.  A
-    round with no items is not yielded.  A dishonest node (``fake_bmo``)
+    A round with no items is not yielded.  A dishonest node (``fake_bmo``)
     draws its announcements instead of measuring; in round 2 it draws each
     split slot's bit and then reads the home half as a one-item
     ``comp_measure``, slot by slot.  An aborted session ends early.
@@ -505,16 +501,18 @@ class Session:
         self.arena = QubitArena()
         self.transcript = Transcript()
         self.eve = EveState()
-        self.alice = PartyState("alice")
-        self.bob = PartyState("bob")
-        self.parties = (self.alice, self.bob)
+        self.parties: tuple[PartyState, ...] = ()
         self.state_sets = (cfg.alice_state_set, cfg.bob_state_set)
         fake = frozenset()
         if cfg.attack is not None and cfg.attack.strategy == "fake_bmo":
             fake = cfg.attack.fake_stages
         self.charlie = CharlieState(fake_stages=fake)
-        self.groups: list[PairGroup] = []
-        self.survivors: list[PairGroup] = []
+        # per swap-round slot: announcement codes and case codes; the
+        # surviving slots, and each side's item index at them
+        self.bmo1_codes: np.ndarray | None = None
+        self.cases: np.ndarray | None = None
+        self.survivors: np.ndarray | None = None
+        self.survivor_items: list[np.ndarray] = []
         self.sent: dict[str, tuple[int, ...]] = {}
         self.decoded: dict[str, tuple[int, ...]] = {}
         self.case_counts = {tag.value: 0 for tag in CaseTag}
@@ -524,8 +522,7 @@ class Session:
         self.eve_views: list = []
         self.nested_reports: list[SessionReport] = []
         self.nested_label_errors = 0
-        self.known: list[list[BellLabel] | None] = [None, None]
-        self.enc: list[list[PauliLabel] | None] = [None, None]
+        self.known: list[np.ndarray | None] = [None, None]
 
     # -- public ------------------------------------------------------------
 
@@ -584,28 +581,25 @@ class Session:
 
     def _prepare(self) -> None:
         cfg = self.cfg
-        for party, state_set in zip(self.parties, self.state_sets):
-            p = party.name[0]
-            bells = []
-            for i in range(cfg.n_pairs):
-                label = draw_label(state_set, self.rng)
-                home, travel = f"{p}m{i}h", f"{p}m{i}t"
-                bells.append((label, home, travel))
-                party.pairs.append(MessagePair(i, home, travel, label))
-            for decoys, tag, count, (s1, s2) in (
-                (party.s1_decoys, "d", cfg.stage1_decoy_count, "ht"),
-                (party.s2_whole, "w", cfg.whole_decoy_count, "ab"),
-                (party.s2_split, "s", cfg.split_decoy_count, "ht"),
-            ):
-                for i in range(count):
-                    label = cfg.decoy_policy.draw(self.rng)
-                    q1, q2 = f"{p}{tag}{i}{s1}", f"{p}{tag}{i}{s2}"
-                    bells.append((label, q1, q2))
-                    decoys.append(Decoy(i, q1, q2, label))
-            self.arena.add_bell_pairs(bells, party.name)
+        n = cfg.n_pairs
+        counts = (n, cfg.stage1_decoy_count, cfg.whole_decoy_count, cfg.split_decoy_count)
+        ends = list(accumulate(counts))
+        blocks = [slice(start, end) for start, end in zip([0, *ends], ends)]
+        parties = []
+        for name, state_set in zip(("alice", "bob"), self.state_sets):
+            codes = np.concatenate([
+                draw_codes(state_set, n, self.rng),
+                draw_codes(cfg.decoy_policy.labels, ends[-1] - n, self.rng),
+            ])
+            labels = list(map(_LABELS.__getitem__, codes.tolist()))
+            first, second = _pair_names(name[0], counts)
+            self.arena.add_bell_pairs(list(zip(labels, first.tolist(), second.tolist())), name)
+            parties.append(PartyState(name, first, second, codes, labels, *blocks))
+        self.parties = tuple(parties)
+        self.alice, self.bob = parties
         for side, state_set in enumerate(self.state_sets):
             if len(state_set) == 1:
-                self.known[1 - side] = [state_set[0]] * cfg.n_pairs
+                self.known[1 - side] = parties[side].codes[:n]
 
     # -- dialogue preliminaries ----------------------------------------------
 
@@ -622,18 +616,20 @@ class Session:
         are yielded with this session's, so they join its cohort.
         """
         cfg = self.cfg
+        n = cfg.n_pairs
         for side in (1, 0):
             state_set = self.state_sets[side]
             if len(state_set) == 1:
                 continue
             bpc = _bits_per_choice(len(state_set))
-            bits: list[int] = []
-            for pair in self.parties[side].pairs:
-                idx = state_set.index(pair.label)
-                bits.extend((idx >> (bpc - 1 - k)) & 1 for k in range(bpc))
-            payload = _pack_bits_to_symbols(bits)
+            set_codes = np.array([_CODE[lab] for lab in state_set])
+            prepared = self.parties[side].codes[:n]
+            choices = np.argmax(prepared[:, None] == set_codes, axis=1)
+            shifts = np.arange(bpc - 1, -1, -1)  # msb first
+            bits = np.append((choices[:, None] >> shifts & 1).ravel(), np.zeros(n * bpc % 2, int))
+            payload = (2 * bits[0::2] + bits[1::2]).tolist()  # two bits per symbol
             nested_cfg = SessionConfig(
-                n_pairs=cfg.n_pairs * bpc,
+                n_pairs=n * bpc,
                 mode=Mode.QSDC,
                 decoy_policy=cfg.decoy_policy,
                 noise=cfg.noise,
@@ -646,115 +642,109 @@ class Session:
             self.nested_reports.append(rep)
             if rep.aborted:
                 raise _Abort("nested", 1.0, "nested")
-            decoded_bits = _unpack_symbols_to_bits(rep.decoded_symbols["bob"])
-            known = []
-            for i in range(cfg.n_pairs):
-                idx = 0
-                for k in range(bpc):
-                    idx = (idx << 1) | decoded_bits[i * bpc + k]
-                if idx >= len(state_set):
-                    raise _Abort("nested", 1.0, "nested")
-                known.append(state_set[idx])
-            self.known[1 - side] = known
-            self.nested_label_errors += sum(
-                got is not pair.label for got, pair in zip(known, self.parties[side].pairs)
-            )
+            symbols = np.array(rep.decoded_symbols["bob"], dtype=np.intp)
+            bits = (symbols[:, None] >> np.array([1, 0]) & 1).ravel()
+            choices = bits[: n * bpc].reshape(n, bpc) @ (1 << shifts)
+            if choices.max() >= len(state_set):
+                raise _Abort("nested", 1.0, "nested")
+            self.known[1 - side] = set_codes[choices]
+            self.nested_label_errors += int(np.count_nonzero(set_codes[choices] != prepared))
 
     # -- round 1: swap ---------------------------------------------------------
 
     def _transmit(self, leg: str, party: PartyState, qubits: list[str]):
-        for q in qubits:
-            self.arena.transfer(q, "channel", expect=party.name)
+        self.arena.transfer_many(qubits, "channel", expect=party.name)
         if self.cfg.noise is not None:
             u = self.cfg.noise.matrix()
-            yield from self._round("apply_unitary", [(q, u) for q in qubits])
+            yield from self._round("apply_unitary", list(zip(qubits, repeat(u))))
         arrived = yield from apply_leg_attack(
             self.cfg.attack, self.arena, self.eve, leg, qubits, self.rng
         )
-        for q in arrived:
-            self.arena.transfer(q, "charlie")
+        self.arena.transfer_many(arrived, "charlie")
         return arrived
 
     def _stage1(self):
+        n, k = self.cfg.n_pairs, self.cfg.stage1_decoy_count
         for party in self.parties:
-            base = [(p.travel, Entangled(p.index)) for p in party.pairs]
-            decoys = [(d.q2, DecoyPartner(d.index)) for d in party.s1_decoys]
-            party.seq1 = ExtendedSequence(insert_decoys(base, decoys, self.rng))
+            # the message pairs and stage-1 decoys are the first n + k pairs
+            order = insert_decoys(n, k, self.rng)
+            party.seq1 = ExtendedSequence(order, n, party.second[order].tolist())
         for party in self.parties:
             party.seq1.occupants = yield from self._transmit(
-                f"stage1_{party.name}", party, party.seq1.qubits()
+                f"stage1_{party.name}", party, party.seq1.qubits
             )
         a_seq, b_seq = self.alice.seq1, self.bob.seq1
-        if len(a_seq) != len(b_seq):
+        if len(a_seq.qubits) != len(b_seq.qubits):
             raise ProtocolError("swap-round sequences differ in length")
         if 1 in self.charlie.fake_stages:
-            self.bmo1 = [fake_bmo_outcome(self.rng) for _ in range(len(a_seq))]
+            bmo1 = [fake_bmo_outcome(self.rng) for _ in a_seq.qubits]
         else:
-            self.bmo1 = yield from self._round(
+            bmo1 = yield from self._round(
                 "bell_measure", list(zip(a_seq.occupants, b_seq.occupants)), self.rng
             )
-        for i, outcome in enumerate(self.bmo1):
-            self.transcript.append("charlie", BMOAnnouncement(1, i, outcome))
-
-    def _build_groups(self) -> None:
-        a_seq, b_seq = self.alice.seq1, self.bob.seq1
-        cases = classify_cases(a_seq.split_positions(), b_seq.split_positions(), len(a_seq))
-        for i, case in enumerate(cases):
-            slots = (_slot(party, party.seq1.slots[i][1]) for party in self.parties)
-            home, kind, init, ref = zip(*slots)
-            self.groups.append(PairGroup(i, home, kind, init, ref, case, bmo1=self.bmo1[i]))
-            self.case_counts[case.value] += 1
+        self.bmo1_codes = np.fromiter(map(_CODE.__getitem__, bmo1), np.intp, len(bmo1))
+        self.transcript.extend(
+            "charlie", [BMOAnnouncement(1, i, outcome) for i, outcome in enumerate(bmo1)]
+        )
 
     def _stage1_checks(self):
         for party in self.parties:
             self.transcript.append(
                 party.name,
-                DecoyPositions(party.name, 1, split_positions=party.seq1.split_positions()),
+                DecoyPositions(party.name, 1, split_positions=party.seq1.split_positions),
             )
         for party in self.parties:
-            labels = tuple((d.index, d.label) for d in party.s1_decoys)
+            labels = tuple(enumerate(party.labels[party.s1_decoys]))
             self.transcript.append(
                 party.name, InitialStateReveal(party.name, 1, "decoy", labels)
             )
-        self._build_groups()
+        orders = [party.seq1.order for party in self.parties]
+        self.cases = classify_cases(*(party.seq1.decoy for party in self.parties))
+        counts = np.bincount(self.cases, minlength=4).tolist()
+        self.case_counts = dict(zip(self.case_counts, counts))
         use_msg = self.cfg.use_cases_ii_iii
-        checked = [
-            g
-            for g in self.groups
-            if g.case is not CaseTag.CASE_IV
-            and not (use_msg and g.case in (CaseTag.CASE_II, CaseTag.CASE_III))
-        ]
+        checked = np.flatnonzero(self.cases == _CASE_I if use_msg else self.cases != _CASE_IV)
         # the entangled side of a mixed slot discloses its label for the
         # check: bob always, alice only when her choices are private
-        for side, case in ((1, CaseTag.CASE_III), (0, CaseTag.CASE_II)):
-            if side == 0 and len(self.cfg.alice_state_set) == 1:
+        for side, case in ((1, _CASE_III), (0, _CASE_II)):
+            if use_msg or side == 0 and len(self.cfg.alice_state_set) == 1:
                 continue
-            labels = tuple((g.ref[side], g.init[side]) for g in checked if g.case is case)
-            if labels:
-                name = self.parties[side].name
-                self.transcript.append(name, InitialStateReveal(name, 1, "message", labels))
-        flat = yield from self._round(
-            "comp_measure", [q for g in checked for q in g.home], self.rng
+            party = self.parties[side]
+            refs = orders[side][self.cases == case].tolist()
+            if refs:
+                labels = tuple(zip(refs, map(party.labels.__getitem__, refs)))
+                self.transcript.append(
+                    party.name, InitialStateReveal(party.name, 1, "message", labels)
+                )
+        items = [order[checked] for order in orders]
+        homes = np.column_stack([p.first[i] for p, i in zip(self.parties, items)])
+        flat = yield from self._round("comp_measure", homes.ravel().tolist(), self.rng)
+        a_bits, b_bits = flat[::2], flat[1::2]
+        ids = checked.tolist()
+        self.transcript.extend(
+            "alice", [CorrelationRecord(1, i, bits) for i, bits in zip(ids, zip(a_bits, b_bits))]
         )
-        for g, bits in zip(checked, zip(flat[::2], flat[1::2])):
-            self.transcript.append("alice", CorrelationRecord(1, g.id, bits))
-            ok = correlation_check(g.bmo1, *bits, *g.init)
-            self.s1_checks += 1
-            self.s1_fails += 0 if ok else 1
+        alice, bob = self.parties
+        correlated = correlated_table()[
+            alice.codes[items[0]], bob.codes[items[1]], self.bmo1_codes[checked]
+        ]
+        self.s1_checks = len(ids)
+        self.s1_fails = correlation_failures(a_bits, b_bits, correlated)
         rate = self.s1_fails / self.s1_checks if self.s1_checks else 0.0
         if rate > self.cfg.error_threshold:
             raise _Abort("stage1", rate, "stage1_correlation")
 
     # -- round 2: encode, send, verify -----------------------------------------
 
-    def _survivor_groups(self) -> list[PairGroup]:
-        keep = {CaseTag.CASE_IV}
-        if self.cfg.use_cases_ii_iii:
-            keep |= {CaseTag.CASE_II, CaseTag.CASE_III}
-        return [g for g in self.groups if g.case in keep]
-
     def _encode_and_send(self):
-        self.survivors = self._survivor_groups()
+        if self.cfg.use_cases_ii_iii:
+            self.survivors = np.flatnonzero(self.cases != _CASE_I)
+        else:
+            self.survivors = np.flatnonzero(self.cases == _CASE_IV)
+        self.survivor_items = [party.seq1.order[self.survivors] for party in self.parties]
+        homes = [
+            party.first[items] for party, items in zip(self.parties, self.survivor_items)
+        ]
         n_sym = len(self.survivors)
         senders = (0, 1) if self.cfg.mode is Mode.QD else (0,)
         for side in senders:
@@ -765,24 +755,24 @@ class Session:
                     )
                 symbols = tuple(self.payload + [0] * (n_sym - len(self.payload)))
             else:
-                symbols = tuple(int(v) for v in self.rng.integers(0, 4, size=n_sym))
+                symbols = tuple(self.rng.integers(0, 4, size=n_sym).tolist())
             self.sent[self.parties[side].name] = symbols
-            self.enc[side] = [PauliLabel.from_symbol(s) for s in symbols]
             yield from self._round(
-                "apply_pauli",
-                [(g.home[side], op) for g, op in zip(self.survivors, self.enc[side])],
+                "apply_pauli", list(zip(homes[side].tolist(), map(_PAULIS.__getitem__, symbols)))
             )
         for side, party in enumerate(self.parties):
-            base = [(g.home[side], Entangled(k)) for k, g in enumerate(self.survivors)]
-            decoys: list[tuple[str, object]] = []
-            for d in party.s2_whole:
-                decoys.append((d.q1, DecoyWholeHalf(d.index, 0)))
-                decoys.append((d.q2, DecoyWholeHalf(d.index, 1)))
-            for d in party.s2_split:
-                decoys.append((d.q2, DecoyPartner(d.index)))
-            party.seq2 = ExtendedSequence(insert_decoys(base, decoys, self.rng))
+            whole = party.s2_whole
+            decoys = np.concatenate([
+                np.column_stack((party.first[whole], party.second[whole])).ravel(),
+                party.second[party.s2_split],
+            ])
+            order = insert_decoys(n_sym, len(decoys), self.rng)
+            qubits = np.concatenate([homes[side], decoys])[order].tolist()
+            party.seq2 = ExtendedSequence(
+                order, n_sym, qubits, n_whole=whole.stop - whole.start
+            )
             party.seq2.occupants = yield from self._transmit(
-                f"stage2_{party.name}", party, party.seq2.qubits()
+                f"stage2_{party.name}", party, qubits
             )
 
     def _stage2_checks(self):
@@ -793,47 +783,53 @@ class Session:
                 DecoyPositions(
                     party.name,
                     2,
-                    split_positions=party.seq2.split_positions(),
-                    whole_positions=party.seq2.whole_positions(),
+                    split_positions=party.seq2.split_positions,
+                    whole_positions=party.seq2.whole_positions,
                 ),
             )
         fake = 2 in self.charlie.fake_stages
         for party in self.parties:
             occupants = party.seq2.occupants
-            whole = party.seq2.whole_positions()
+            whole = party.seq2.whole_positions
             if fake:
                 outcomes = [fake_bmo_outcome(self.rng) for _ in whole]
             else:
                 outcomes = yield from self._round(
                     "bell_measure", [(occupants[i], occupants[j]) for i, j in whole], self.rng
                 )
-            for d, (i, _), outcome in zip(party.s2_whole, whole, outcomes):
-                self.transcript.append("charlie", BMOAnnouncement(2, i, outcome))
-                self.gv_checks += 1
-                self.gv_fails += 0 if outcome is d.label else 1
-            split = list(zip(party.s2_split, party.seq2.split_positions()))
+            self.transcript.extend(
+                "charlie", [BMOAnnouncement(2, i, o) for (i, _), o in zip(whole, outcomes)]
+            )
+            self.gv_checks += len(whole)
+            self.gv_fails += sum(map(is_not, outcomes, party.labels[party.s2_whole]))
+            split = party.seq2.split_positions
+            homes = party.first[party.s2_split].tolist()
             if fake:
                 # the node's bit is a draw, interleaved with the home readouts
-                pairs = []
-                for d, _ in split:
-                    c_bit = int(self.rng.integers(2))
-                    (o_bit,) = yield from self._round("comp_measure", [d.q1], self.rng)
-                    pairs.append((c_bit, o_bit))
+                c_bits, o_bits = [], []
+                for home in homes:
+                    c_bits.append(int(self.rng.integers(2)))
+                    bit = yield from self._round("comp_measure", [home], self.rng)
+                    o_bits += bit
             else:
                 flat = yield from self._round(
                     "comp_measure",
-                    [q for d, pos in split for q in (occupants[pos], d.q1)],
+                    [q for pos, home in zip(split, homes) for q in (occupants[pos], home)],
                     self.rng,
                 )
-                pairs = list(zip(flat[::2], flat[1::2]))
-            for (d, pos), (c_bit, o_bit) in zip(split, pairs):
-                self.transcript.append("charlie", CorrelationRecord(2, pos, (c_bit, o_bit)))
-                self.split_checks += 1
-                ok = (c_bit == o_bit) == d.label.correlated
-                self.split_fails += 0 if ok else 1
+                c_bits, o_bits = flat[::2], flat[1::2]
+            self.transcript.extend(
+                "charlie",
+                [CorrelationRecord(2, pos, bits) for pos, bits in zip(split, zip(c_bits, o_bits))],
+            )
+            self.split_checks += len(split)
+            self.split_fails += correlation_failures(
+                c_bits, o_bits, _IS_CORRELATED[party.codes[party.s2_split]]
+            )
         for party in self.parties:
-            labels = tuple(
-                (d.index, d.label) for d in (*party.s2_whole, *party.s2_split)
+            labels = (
+                *enumerate(party.labels[party.s2_whole]),
+                *enumerate(party.labels[party.s2_split]),
             )
             self.transcript.append(
                 party.name, InitialStateReveal(party.name, 2, "decoy", labels)
@@ -849,80 +845,72 @@ class Session:
 
     def _decode_round(self):
         qd = self.cfg.mode is Mode.QD
+        n = self.cfg.n_pairs
         if not qd and len(self.cfg.alice_state_set) > 1:
             # the sender's choices are disclosed for decoding once the swap
             # round is committed; the receiver's stay private
-            labels = tuple(
-                (g.ref[0], g.init[0])
-                for g in self.survivors
-                if g.kind[0] is SlotKind.ENTANGLED
-            )
+            refs = [i for i in self.survivor_items[0].tolist() if i < n]
+            labels = tuple(zip(refs, map(self.alice.labels.__getitem__, refs)))
             self.transcript.append(
                 "alice", InitialStateReveal("alice", 3, "message", labels)
             )
-            self.known[1] = [p.label for p in self.alice.pairs]
+            self.known[1] = self.alice.codes[:n]
         a_msg, b_msg = (
-            [party.seq2.occupants[p] for p in party.seq2.message_positions()]
+            list(map(party.seq2.occupants.__getitem__, party.seq2.message_positions.tolist()))
             for party in self.parties
         )
-        # each decoder recovers the other side's operator
-        decoders = (1, 0) if qd else (1,)
-        decoded: dict[int, list[int]] = {decoder: [] for decoder in decoders}
-        outcomes = yield from self._round(
-            "bell_measure", [(a_msg[k], b_msg[k]) for k in range(len(self.survivors))], self.rng
+        outcomes = yield from self._round("bell_measure", list(zip(a_msg, b_msg)), self.rng)
+        self.transcript.extend(
+            "charlie", [BMOAnnouncement(3, k, outcome) for k, outcome in enumerate(outcomes)]
         )
-        for k, (g, outcome) in enumerate(zip(self.survivors, outcomes)):
-            self.transcript.append("charlie", BMOAnnouncement(3, k, outcome))
-            for decoder in decoders:
-                side = 1 - decoder
-                init = list(g.init)
-                if g.kind[side] is SlotKind.ENTANGLED:
-                    init[side] = self.known[decoder][g.ref[side]]
-                own = self.enc[decoder][k] if qd else None
-                decoded[decoder].append(
-                    decode_message(
-                        *init, g.bmo1, outcome, own_encoding=own, decode_side=side
-                    ).symbol
-                )
-            self.eve_views.append([g.bmo1.value, outcome.value, []])
-        for decoder, symbols in decoded.items():
-            self.decoded[self.parties[decoder].name] = tuple(symbols)
+        bmo1 = self.bmo1_codes[self.survivors]
+        bmo2 = np.fromiter(map(_CODE.__getitem__, outcomes), np.intp, len(outcomes))
+        prepared = [party.codes[items] for party, items in zip(self.parties, self.survivor_items)]
+        # each decoder recovers the other side's operator, reading that
+        # side's message-pair labels from what it knows of them
+        for decoder in (1, 0) if qd else (1,):
+            side = 1 - decoder
+            items = self.survivor_items[side]
+            init = list(prepared)
+            init[side] = np.where(
+                items < n, self.known[decoder].take(items, mode="clip"), prepared[side]
+            )
+            own = np.array(self.sent[self.parties[decoder].name]) if qd else 4
+            symbols = decode_table()[init[0], init[1], bmo1, bmo2, own, side]
+            self.decoded[self.parties[decoder].name] = tuple(symbols.tolist())
+        self.eve_views = list(zip(
+            map(_VALUES.__getitem__, bmo1.tolist()), map(_VALUES.__getitem__, bmo2.tolist())
+        ))
 
     # -- wrap-up -------------------------------------------------------------------
 
     def _attach_ancilla_bits(self, records: list[tuple[str, int, int]]) -> None:
         """File Eve's ``(leg, slot, bit)`` readouts under the message slot
         they coupled to in round 2."""
-        pos_to_survivor = {}
-        for party in self.parties:
-            if party.seq2 is not None:
-                for k, p in enumerate(party.seq2.message_positions()):
-                    pos_to_survivor[(f"stage2_{party.name}", p)] = k
-        for leg, slot, bit in records:
-            survivor = pos_to_survivor.get((leg, slot))
-            if survivor is not None and survivor < len(self.eve_views):
-                self.eve_views[survivor][2].append(bit)
+        bits: dict[int, list[int]] = {}
+        if records:
+            survivor_at = {
+                (f"stage2_{party.name}", pos): k
+                for party in self.parties
+                if party.seq2 is not None
+                for k, pos in enumerate(party.seq2.message_positions.tolist())
+            }
+            for leg, slot, bit in records:
+                survivor = survivor_at.get((leg, slot))
+                if survivor is not None:
+                    bits.setdefault(survivor, []).append(bit)
         self.eve_views = [
-            (bmo1, bmo2, tuple(bits)) for bmo1, bmo2, bits in self.eve_views
+            (bmo1, bmo2, tuple(bits.get(k, ()))) for k, (bmo1, bmo2) in enumerate(self.eve_views)
         ]
 
     def _validate_transcript(self) -> None:
         allowed: dict[str, set[int]] = {"alice": set(), "bob": set()}
-        for g in self.groups:
-            if g.case is CaseTag.CASE_III and g.kind[1] is SlotKind.ENTANGLED:
-                allowed["bob"].add(g.ref[1])
+        if self.cases is not None:
+            # case III slots, where bob's message pair meets alice's decoy
+            allowed["bob"] = set(self.bob.seq1.order[self.cases == _CASE_III].tolist())
         if len(self.cfg.alice_state_set) > 1:
-            allowed["alice"] = {p.index for p in self.alice.pairs}
+            allowed["alice"] = set(range(self.cfg.n_pairs))
         validate_order(self.transcript, allowed)
-
-
-def _slot(party: PartyState, tag: object) -> tuple[str, SlotKind, BellLabel, int]:
-    """Home qubit, kind, prepared label and index behind one swap-round slot."""
-    if isinstance(tag, Entangled):
-        pair = party.pairs[tag.ref]
-        return pair.home, SlotKind.ENTANGLED, pair.label, pair.index
-    decoy = party.s1_decoys[tag.ref]
-    return decoy.q1, SlotKind.DECOY_PARTNER, decoy.label, decoy.index
 
 
 def session_rng(master_seed: int, session_index: int) -> np.random.Generator:

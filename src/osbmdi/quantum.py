@@ -1126,12 +1126,19 @@ class QubitArena:
         return self._holders[qubit_id]
 
     def transfer(self, qubit_id: str, to: str, expect: str | None = None) -> None:
-        current = self.holder_of(qubit_id)
-        if expect is not None and current != expect:
-            raise InvalidRegisterError(
-                f"qubit {qubit_id!r} held by {current!r}, expected {expect!r}"
-            )
-        self._holders[qubit_id] = to
+        self.transfer_many((qubit_id,), to, expect)
+
+    def transfer_many(self, qubit_ids: Sequence[str], to: str, expect: str | None = None) -> None:
+        """Hand every qubit of ``qubit_ids`` to ``to``, all or nothing: the
+        first that is not live, or not held by ``expect`` when given, raises
+        as ``transfer`` would, and then no qubit has moved."""
+        holders = self._holders
+        current = list(map(holders.get, qubit_ids))
+        if None in current or expect is not None and current.count(expect) < len(current):
+            q = next(q for q, h in zip(qubit_ids, current) if h is None or expect not in (None, h))
+            held = self.holder_of(q)  # an unknown qubit raises here
+            raise InvalidRegisterError(f"qubit {q!r} held by {held!r}, expected {expect!r}")
+        holders.update(dict.fromkeys(qubit_ids, to))
 
     def _store(self, state: StateVector) -> None:
         """Write ``state`` back over its qubits' registers, as a new row."""

@@ -12,7 +12,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterator, Union
+from itertools import count, repeat
+from typing import Iterable, Iterator, Union
 
 from .quantum import BellLabel
 
@@ -120,6 +121,11 @@ class Transcript:
         entry = TranscriptEntry(seq=len(self._entries), actor=actor, event=event)
         self._entries.append(entry)
         return entry
+
+    def extend(self, actor: str, events: Iterable[Event]) -> None:
+        """Append ``events`` in order, all by ``actor``, as one append per
+        event would."""
+        self._entries += map(TranscriptEntry, count(len(self._entries)), repeat(actor), events)
 
     def __iter__(self) -> Iterator[TranscriptEntry]:
         return iter(self._entries)

@@ -17,15 +17,16 @@ from osbmdi.protocol import (
     CaseTag,
     ConfigError,
     DecoyPolicy,
-    DecoyPartner,
-    Entangled,
     Mode,
     Session,
     SessionConfig,
     classify_cases,
     correlation_check,
+    correlated_table,
     decode_message,
+    decode_table,
     decode_table_rows,
+    draw_codes,
     insert_decoys,
     prepare_session,
     run_batch,
@@ -40,6 +41,8 @@ PHIP = BellLabel.PHI_PLUS
 PHIM = BellLabel.PHI_MINUS
 
 ALL_LABELS = (PSIP, PSIM, PHIP, PHIM)
+# a label's code is its position here
+LABELS = tuple(BellLabel)
 
 
 # --- configuration ------------------------------------------------------------
@@ -84,9 +87,9 @@ def test_config_decoy_split_defaults():
 def test_decoy_policy_parse_and_draw():
     fixed = DecoyPolicy.parse("fixed:psi+")
     rng = np.random.default_rng(0)
-    assert all(fixed.draw(rng) is PSIP for _ in range(8))
+    assert all(LABELS[c] is PSIP for c in draw_codes(fixed.labels, 8, rng))
     rand = DecoyPolicy.parse("random:psi+,psi-,phi+,phi-")
-    drawn = {rand.draw(rng) for _ in range(200)}
+    drawn = {LABELS[c] for c in draw_codes(rand.labels, 200, rng)}
     assert drawn == set(ALL_LABELS)
     with pytest.raises(ConfigError):
         DecoyPolicy.parse("fixed:psi+,psi-")
@@ -100,12 +103,13 @@ def test_decoy_policy_parse_and_draw():
 def test_prepare_session_defaults():
     cfg = SessionConfig(n_pairs=4, master_seed=11)
     alice, bob, charlie, transcript = prepare_session(cfg)
-    assert len(alice.pairs) == 4 and len(bob.pairs) == 4
-    assert all(p.label is PSIP for p in alice.pairs)
-    assert all(p.label in (PSIP, PSIM) for p in bob.pairs)
-    assert len(alice.s1_decoys) == 2
-    assert len(alice.s2_whole) + len(alice.s2_split) == 2
-    assert all(d.label is PSIP for d in alice.s1_decoys + alice.s2_whole + alice.s2_split)
+    assert len(alice.labels[alice.pairs]) == 4 and len(bob.labels[bob.pairs]) == 4
+    assert all(label is PSIP for label in alice.labels[alice.pairs])
+    assert all(label in (PSIP, PSIM) for label in bob.labels[bob.pairs])
+    assert len(alice.labels[alice.s1_decoys]) == 2
+    assert len(alice.labels[alice.s2_whole]) + len(alice.labels[alice.s2_split]) == 2
+    assert all(label is PSIP for label in alice.labels[alice.s1_decoys.start:])
+    assert [LABELS[c] for c in alice.codes] == alice.labels
     assert len(transcript) == 0
     assert charlie.fake_stages == frozenset()
 
@@ -114,7 +118,7 @@ def test_prepare_bob_draws_both_labels_across_seeds():
     seen = set()
     for seed in range(12):
         _, bob, _, _ = prepare_session(SessionConfig(n_pairs=4, master_seed=seed))
-        seen.update(p.label for p in bob.pairs)
+        seen.update(bob.labels[bob.pairs])
     assert seen == {PSIP, PSIM}
 
 
@@ -125,42 +129,61 @@ def test_prepare_random_decoy_policy():
         decoy_policy=DecoyPolicy("random", ALL_LABELS),
     )
     alice, _, _, _ = prepare_session(cfg)
-    labels = {d.label for d in alice.s1_decoys + alice.s2_whole + alice.s2_split}
+    labels = set(alice.labels[alice.s1_decoys.start:])
     assert len(labels) > 1
+
+
+def test_block_draws_match_scalar_draws():
+    # preparation draws each label block as one integers(k, size=n); the
+    # session digests hold only while that equals n scalar draws, values and
+    # stream state both
+    for seed in range(4):
+        block, scalar = np.random.default_rng(seed), np.random.default_rng(seed)
+        for k in range(1, 6):
+            for n in (0, 1, 2, 3, 7, 64, 257, 600):
+                got = block.integers(k, size=n).tolist()
+                want = [int(scalar.integers(k)) for _ in range(n)]
+                same = got == want and block.bit_generator.state == scalar.bit_generator.state
+                assert same, (
+                    f"numpy {np.__version__}: integers({k}, size={n}) is not {n} scalar "
+                    f"draws (seed {seed}); session preparation draws would change"
+                )
+                assert block.random() == scalar.random()
 
 
 # --- decoy insertion --------------------------------------------------------------
 
 
 def test_insert_decoys_uniform_positions():
-    base = [(f"m{i}", Entangled(i)) for i in range(4)]
-    decoys = [(f"d{i}", DecoyPartner(i)) for i in range(2)]
+    # slot order over 4 base items (0-3) followed by 2 decoys (4, 5)
     seen = set()
     rng = np.random.default_rng(42)
     for _ in range(2000):
-        slots = insert_decoys(base, decoys, rng)
-        positions = tuple(i for i, (_, tag) in enumerate(slots) if isinstance(tag, DecoyPartner))
+        order = insert_decoys(4, 2, rng)
+        positions = tuple(np.flatnonzero(order >= 4).tolist())
         seen.add(positions)
         # both relative orders preserved
-        assert [q for q, t in slots if isinstance(t, Entangled)] == [q for q, _ in base]
-        assert [q for q, t in slots if isinstance(t, DecoyPartner)] == [q for q, _ in decoys]
+        assert order[order < 4].tolist() == [0, 1, 2, 3]
+        assert order[order >= 4].tolist() == [4, 5]
     assert len(seen) == math.comb(6, 2)
 
 
 def test_insert_decoys_reproducible_and_empty():
-    base = [(f"m{i}", Entangled(i)) for i in range(4)]
-    decoys = [(f"d{i}", DecoyPartner(i)) for i in range(2)]
-    a = insert_decoys(base, decoys, np.random.default_rng(9))
-    b = insert_decoys(base, decoys, np.random.default_rng(9))
-    assert a == b
-    assert insert_decoys(base, [], np.random.default_rng(9)) == base
+    a = insert_decoys(4, 2, np.random.default_rng(9))
+    b = insert_decoys(4, 2, np.random.default_rng(9))
+    assert a.tolist() == b.tolist()
+    rng = np.random.default_rng(9)
+    assert insert_decoys(4, 0, rng).tolist() == [0, 1, 2, 3]
+    assert rng.bit_generator.state == np.random.default_rng(9).bit_generator.state
 
 
 # --- case classification ------------------------------------------------------------
 
 
 def test_classify_cases_table():
-    cases = classify_cases([0, 2], [0, 3], 5)
+    a_decoy, b_decoy = np.zeros((2, 5), dtype=bool)
+    a_decoy[[0, 2]] = b_decoy[[0, 3]] = True
+    cases = [tuple(CaseTag)[c] for c in classify_cases(a_decoy, b_decoy)]
     assert cases[0] is CaseTag.CASE_I       # decoy on both sides
     assert cases[3] is CaseTag.CASE_II      # entangled | decoy
     assert cases[2] is CaseTag.CASE_III     # decoy | entangled
@@ -313,6 +336,26 @@ def test_decode_table_exhaustive_independent_copy():
     assert mismatches == 0
 
 
+def test_decode_table_matches_decode_message_everywhere():
+    # the session decodes by table lookup; every entry is decode_message's
+    # answer, own encoding None (symbol 4) and both sides included
+    table = decode_table()
+    assert table.shape == (4, 4, 4, 4, 5, 2) and not table.flags.writeable
+    owns = (*(PauliLabel.from_symbol(s) for s in range(4)), None)
+    for a, b, m1, m2, own, side in np.ndindex(table.shape):
+        expected = decode_message(LABELS[a], LABELS[b], LABELS[m1], LABELS[m2], owns[own], side)
+        assert table[a, b, m1, m2, own, side] == expected.symbol
+    code = LABELS.index
+    for bob_init, bmo1, _, outcomes in DECODE_REFERENCE:
+        for p, bmo2 in zip(PauliLabel, outcomes):
+            assert table[code(PSIP), code(bob_init), code(bmo1), code(bmo2), 4, 0] == p.symbol
+    correlated = correlated_table()
+    for a, b, m in np.ndindex(correlated.shape):
+        for bits in ((0, 0), (0, 1), (1, 1)):
+            ok = correlation_check(LABELS[m], *bits, LABELS[a], LABELS[b])
+            assert ok == ((bits[0] == bits[1]) == correlated[a, b, m])
+
+
 # --- discard rule and mixed-slot reuse ------------------------------------------------
 
 
@@ -406,7 +449,7 @@ def test_wrong_in_range_nested_labels_are_counted():
         session = Session(cfg, session_rng(cfg.master_seed, i), i)
         rep = session.run()
         assert not rep.aborted
-        truth = sum(k is not p.label for k, p in zip(session.known[0], session.bob.pairs))
+        truth = int(np.count_nonzero(session.known[0] != session.bob.codes[session.bob.pairs]))
         assert rep.nested_label_errors == truth
         wrong_sessions += truth > 0
     assert wrong_sessions == 40

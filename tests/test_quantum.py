@@ -499,6 +499,29 @@ def test_arena_holder_tracking():
         arena.transfer("2", "eve", expect="alice")
 
 
+def test_transfer_many_is_all_or_nothing():
+    arena = QubitArena()
+    arena.add_bell_pairs([(PSIP, "1", "2"), (PSIP, "3", "4")], "alice")
+    arena.transfer("3", "eve")
+    holders = {q: arena.holder_of(q) for q in "1234"}
+    # the first bad qubit gets transfer's own message; nothing moves
+    failures = [
+        (["1", "2", "3", "4"], "alice", "3", InvalidRegisterError, "held by 'eve', expected"),
+        (["1", "9", "3"], "alice", "9", UnknownQubitError, "qubit '9' not in arena"),
+        (["1", "2", "9"], None, "9", UnknownQubitError, "qubit '9' not in arena"),
+    ]
+    for qubits, expect, bad, error, message in failures:
+        with pytest.raises(error, match=message) as bulk:
+            arena.transfer_many(qubits, "charlie", expect=expect)
+        with pytest.raises(error) as single:
+            arena.transfer(bad, "charlie", expect=expect)
+        assert str(bulk.value) == str(single.value)
+        assert {q: arena.holder_of(q) for q in "1234"} == holders
+    arena.transfer_many(["1", "2", "4"], "charlie", expect="alice")
+    arena.transfer_many([], "bob", expect="alice")
+    assert [arena.holder_of(q) for q in "1234"] == ["charlie", "charlie", "eve", "charlie"]
+
+
 def test_arena_comp_measure_consumes():
     rng = np.random.default_rng(2)
     arena = QubitArena()

@@ -128,6 +128,32 @@ def test_validator_names_each_ordering_error(events, message):
     assert str(err.value) == message
 
 
+@pytest.mark.parametrize(
+    "events, message", [c[1:] for c in ORDER_ERRORS[1:]] + [((BMO1, POS1, DECOYS1), None)],
+)
+def test_extend_matches_appends(events, message):
+    # each actor's run of events goes in as one extend; the log, its bytes
+    # and the validator's verdict are those of one append per event
+    appended, extended = Transcript(), Transcript()
+    appended.append("charlie", Receipt(1))
+    extended.append("charlie", Receipt(1))
+    for event in events:
+        appended.append("node", event)
+    assert extended.extend("node", []) is None and len(extended) == 1
+    extended.extend("node", iter(events))
+    assert list(extended) == list(appended)
+    assert [e.seq for e in extended] == list(range(len(events) + 1))
+    assert extended.serialize() == appended.serialize()
+    verdicts = []
+    for t in (appended, extended):
+        try:
+            validate_order(t, {"bob": {2}})
+            verdicts.append(None)
+        except TranscriptOrderError as err:
+            verdicts.append(str(err))
+    assert verdicts == [message, message]
+
+
 # Frozen replay of a tiny honest session.  Any change to the announcement
 # schema, the per-session stream derivation, or the order in which the
 # session consumes randomness will show up here.
