@@ -51,6 +51,14 @@ _DEFAULT_LEGS = {
 
 DISTURB_MODES = ("reorder", "random_pauli")
 
+# The strategy each ``AttackSpec.parse`` key belongs to; ``legs`` fits every one.
+_KEY_STRATEGY = {
+    "beta2": "entangle_measure",
+    "mode": "disturb",
+    "fraction": "disturb",
+    "stages": "fake_bmo",
+}
+
 # The Paulis a ``random_pauli`` disturbance draws from, uniformly.
 NON_IDENTITY = (PauliLabel.X, PauliLabel.IY, PauliLabel.Z)
 
@@ -100,7 +108,8 @@ class AttackSpec:
 
         Keys: ``beta2`` (entangle_measure), ``mode`` and ``fraction``
         (disturb), ``stages`` (fake_bmo, "+"-separated), ``legs``
-        ("+"-separated leg names, any strategy).
+        ("+"-separated leg names, any strategy).  A key of another strategy
+        raises, so no parameter given is silently dropped.
         """
         name, _, params = text.partition(":")
         name = name.strip()
@@ -109,6 +118,10 @@ class AttackSpec:
             for item in params.split(","):
                 key, _, value = item.partition("=")
                 key, value = key.strip(), value.strip()
+                if _KEY_STRATEGY.get(key, name) != name:
+                    raise ValueError(
+                        f"attack parameter {key!r} is for {_KEY_STRATEGY[key]}, not {name}"
+                    )
                 if key == "beta2":
                     b2 = float(value)
                     if not 0.0 <= b2 <= 1.0:

@@ -573,10 +573,6 @@ class Session:
         self._validate_transcript()
         return report
 
-    def _round(self, op: str, items: list, rng: np.random.Generator | None = None):
-        """One engine round of ``op`` on this session's arena (``engine_round``)."""
-        return engine_round(self.arena, op, items, rng)
-
     # -- preparation ---------------------------------------------------------
 
     def _prepare(self) -> None:
@@ -656,7 +652,7 @@ class Session:
         self.arena.transfer_many(qubits, "channel", expect=party.name)
         if self.cfg.noise is not None:
             u = self.cfg.noise.matrix()
-            yield from self._round("apply_unitary", list(zip(qubits, repeat(u))))
+            yield from engine_round(self.arena, "apply_unitary", list(zip(qubits, repeat(u))))
         arrived = yield from apply_leg_attack(
             self.cfg.attack, self.arena, self.eve, leg, qubits, self.rng
         )
@@ -679,8 +675,8 @@ class Session:
         if 1 in self.charlie.fake_stages:
             bmo1 = [fake_bmo_outcome(self.rng) for _ in a_seq.qubits]
         else:
-            bmo1 = yield from self._round(
-                "bell_measure", list(zip(a_seq.occupants, b_seq.occupants)), self.rng
+            bmo1 = yield from engine_round(
+                self.arena, "bell_measure", list(zip(a_seq.occupants, b_seq.occupants)), self.rng
             )
         self.bmo1_codes = np.fromiter(map(_CODE.__getitem__, bmo1), np.intp, len(bmo1))
         self.transcript.extend(
@@ -718,7 +714,7 @@ class Session:
                 )
         items = [order[checked] for order in orders]
         homes = np.column_stack([p.first[i] for p, i in zip(self.parties, items)])
-        flat = yield from self._round("comp_measure", homes.ravel().tolist(), self.rng)
+        flat = yield from engine_round(self.arena, "comp_measure", homes.ravel().tolist(), self.rng)
         a_bits, b_bits = flat[::2], flat[1::2]
         ids = checked.tolist()
         self.transcript.extend(
@@ -757,8 +753,9 @@ class Session:
             else:
                 symbols = tuple(self.rng.integers(0, 4, size=n_sym).tolist())
             self.sent[self.parties[side].name] = symbols
-            yield from self._round(
-                "apply_pauli", list(zip(homes[side].tolist(), map(_PAULIS.__getitem__, symbols)))
+            yield from engine_round(
+                self.arena, "apply_pauli",
+                list(zip(homes[side].tolist(), map(_PAULIS.__getitem__, symbols))),
             )
         for side, party in enumerate(self.parties):
             whole = party.s2_whole
@@ -794,8 +791,9 @@ class Session:
             if fake:
                 outcomes = [fake_bmo_outcome(self.rng) for _ in whole]
             else:
-                outcomes = yield from self._round(
-                    "bell_measure", [(occupants[i], occupants[j]) for i, j in whole], self.rng
+                outcomes = yield from engine_round(
+                    self.arena, "bell_measure",
+                    [(occupants[i], occupants[j]) for i, j in whole], self.rng,
                 )
             self.transcript.extend(
                 "charlie", [BMOAnnouncement(2, i, o) for (i, _), o in zip(whole, outcomes)]
@@ -809,11 +807,11 @@ class Session:
                 c_bits, o_bits = [], []
                 for home in homes:
                     c_bits.append(int(self.rng.integers(2)))
-                    bit = yield from self._round("comp_measure", [home], self.rng)
+                    bit = yield from engine_round(self.arena, "comp_measure", [home], self.rng)
                     o_bits += bit
             else:
-                flat = yield from self._round(
-                    "comp_measure",
+                flat = yield from engine_round(
+                    self.arena, "comp_measure",
                     [q for pos, home in zip(split, homes) for q in (occupants[pos], home)],
                     self.rng,
                 )
@@ -859,7 +857,9 @@ class Session:
             list(map(party.seq2.occupants.__getitem__, party.seq2.message_positions.tolist()))
             for party in self.parties
         )
-        outcomes = yield from self._round("bell_measure", list(zip(a_msg, b_msg)), self.rng)
+        outcomes = yield from engine_round(
+            self.arena, "bell_measure", list(zip(a_msg, b_msg)), self.rng
+        )
         self.transcript.extend(
             "charlie", [BMOAnnouncement(3, k, outcome) for k, outcome in enumerate(outcomes)]
         )

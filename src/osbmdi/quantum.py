@@ -20,15 +20,14 @@ the surviving register.
 Stacked registers: ``StateVector.stack(ids, amps)`` holds k registers of one
 layout, ``amps`` of shape ``(k, 2**n)`` with one state per row, named by the
 ``ids`` of a template register (the arena names a stack's qubits by
-position).  Every free
-gate and measurement below also takes a stack and acts on it row by row, so
-row i of the result is the single-register result for row i.  A single
-register draws its outcome from a ``Generator`` (or takes that draw as a
-pre-drawn uniform ``float``); a stack instead takes one pre-drawn uniform per
-row, and row i samples with that uniform exactly as the single-register form
-samples with its one ``rng.random()`` draw.  Because ``rng.random(k)`` yields
-the same doubles as k scalar draws, a round of k measurements can draw its
-uniforms once and keep the random stream unchanged.
+position).  Every free gate and measurement below also takes a stack and acts
+on it row by row, so row i of the result is the single-register result for
+row i.  A single register draws its outcome from a ``Generator``; a stack
+instead takes one pre-drawn uniform per row, and row i samples with that
+uniform exactly as the single-register form samples with its one
+``rng.random()`` draw.  Because ``rng.random(k)`` yields the same doubles as
+k scalar draws, a round of k measurements can draw its uniforms once and keep
+the random stream unchanged.
 
 Bell-label convention: psi+/- live on |00> +/- |11>, phi+/- on |01> +/- |10>.
 Note this is swapped relative to the more common psi/phi usage; the whole
@@ -50,8 +49,7 @@ assignment.  Items on distinct registers form one wave; a single-register
 item's wave is its occurrence rank on its register, and a joining item
 (``bell_measure`` or ``apply_cnot`` across two registers) that shares a
 register with an earlier item waits for it, the two registers counting as one
-from then on.  A round of fewer than ``_MIN_ROUND`` items runs each item on
-its rows in turn.
+from then on.  Every round runs this way, whatever its size.
 """
 from __future__ import annotations
 
@@ -354,7 +352,7 @@ _BELL_BRAS = np.array([BELL_VECTORS[lab].conj() for lab in _BELL_ORDER])
 
 
 def bell_measure(
-    s: StateVector, q_a: str, q_b: str, rng: np.random.Generator | float | np.ndarray
+    s: StateVector, q_a: str, q_b: str, rng: np.random.Generator | np.ndarray
 ) -> tuple[BellLabel, StateVector | None]:
     """Destructive Bell-basis measurement of the pair (q_a, q_b).
 
@@ -377,7 +375,7 @@ def bell_measure(
 
 
 def comp_measure(
-    s: StateVector, qubit_id: str, rng: np.random.Generator | float | np.ndarray
+    s: StateVector, qubit_id: str, rng: np.random.Generator | np.ndarray
 ) -> tuple[int, StateVector | None]:
     """Destructive computational-basis measurement of one qubit.  A stack
     takes an array of row uniforms for ``rng`` and returns a list of bits."""
@@ -385,8 +383,7 @@ def comp_measure(
     if rows.ndim == 3:
         return _comp_measure_rows(s, qubit_id, rows, rng)
     p1 = np.vdot(rows[1], rows[1]).real
-    u = rng if isinstance(rng, float) else rng.random()  # pre-drawn, or drawn now
-    bit = 1 if u < p1 else 0
+    bit = 1 if rng.random() < p1 else 0
     p = p1 if bit else 1.0 - p1
     remaining = tuple(q for q in s.qubit_ids if q != qubit_id)
     if not remaining:
@@ -394,9 +391,9 @@ def comp_measure(
     return bit, StateVector(remaining, rows[bit] / np.sqrt(p))
 
 
-def _sample_index(probs: np.ndarray, rng: np.random.Generator | float) -> int:
+def _sample_index(probs: np.ndarray, rng: np.random.Generator) -> int:
     total = probs.sum()
-    r = (rng if isinstance(rng, float) else rng.random()) * total
+    r = rng.random() * total
     acc = 0.0
     for i, p in enumerate(probs):
         acc += p
@@ -586,10 +583,6 @@ _BASE = 64
 _ROW = _BASE * _BASE
 _JOIN_KEY = np.array((2 * _ROW, 2))
 
-# Planning a round and stacking its groups costs more than running a few
-# items one by one on their rows, with one scalar engine call each: a round
-# of fewer items does that.
-_MIN_ROUND = 8
 # A round's stacks hold rows of many registers, so their qubits are named by
 # position.
 _SLOTS = tuple(f"q{i}" for i in range(_BASE))
@@ -660,11 +653,10 @@ def run_round(
     request together, so no register appears twice in a wave and each sees
     its items in call order.  A wave's items are grouped by register widths,
     target axes and parameter, and each group is one engine call
-    (``_group_call``) on its rows gathered from every arena.
+    (``_group_call``) on its rows gathered from every arena, a group of one
+    item included.
     """
     measuring, joining = _ROUND_OPS[op]
-    if sum(len(items) for _, items, _ in requests) < _MIN_ROUND:
-        return [_item_by_item(op, *request) for request in requests]
     gates = op in ("apply_pauli", "apply_unitary")
     arenas, names, indices, locs, params, counts = [], [], [], [], [], []
     for arena, items, _ in requests:
@@ -774,57 +766,6 @@ def run_round(
     if not isinstance(outcomes, list):
         outcomes = outcomes.tolist()
     return [outcomes[s:e] for s, e in zip(offsets, offsets[1:])]
-
-
-def _item_by_item(op: str, arena: "QubitArena", items: Sequence, rng) -> list:
-    """A small round's request: each item in call order, on its register's
-    row, as ``run_round`` would (a measurement draws its uniforms up front)."""
-    if op in ("apply_pauli", "apply_unitary"):
-        return [_item_call(op, arena, (q,), None, p) for q, p in items]
-    if op == "apply_cnot":
-        return [_item_call(op, arena, pair, None, None) for pair in items]
-    uniforms = rng.random(len(items)).tolist()
-    if op == "comp_measure":
-        items = [(q,) for q in items]
-    return [_item_call(op, arena, targets, u, None) for targets, u in zip(items, uniforms)]
-
-
-def _item_call(op: str, arena: "QubitArena", targets: tuple[str, ...], uniform, param):
-    """One item on the table rows of its one or two registers."""
-    index, loc = arena._index, arena._loc
-    try:
-        idx = [index[q] for q in targets]
-    except KeyError as missing:
-        raise UnknownQubitError(f"qubit {missing.args[0]!r} not in arena") from None
-    codes = [int(loc[i]) for i in idx]
-    if 0 in codes:
-        raise UnknownQubitError(f"qubit {targets[codes.index(0)]!r} not in arena")
-    (ra, wa), xa = divmod(codes[0] // _BASE, _BASE), codes[0] % _BASE
-    table = arena._tables[wa]
-    state, xb, cross = _trusted(_SLOTS[:wa], table.amps[ra]), xa, False
-    if len(targets) == 2:
-        (rb, wb), xb = divmod(codes[1] // _BASE, _BASE), codes[1] % _BASE
-        cross = (rb, wb) != (ra, wa)
-        if cross:
-            other = arena._tables[wb]
-            state = tensor(state, _trusted(_SLOTS[wa:wa + wb], other.amps[rb]))
-            xb += wa
-    outcome, out = _engine_call(op, state, _SLOTS[xa], _SLOTS[xb], uniform, param)
-    measured = op in ("bell_measure", "comp_measure")
-    if not (measured or cross):  # a gate on one register: its row in place
-        table.amps[ra] = out.amplitudes
-        return None
-    members = table.members[ra].tolist()
-    if cross:
-        members += other.members[rb].tolist()
-    if measured:
-        for i, q in zip(idx, targets):
-            loc[i] = 0
-            del arena._holders[q]
-    if out is not None:
-        kept = [m for m in members if m not in idx] if measured else members
-        arena._append(out.amplitudes[None], np.array([kept]))
-    return outcome
 
 
 def _spans(arenas: list["QubitArena"], req: np.ndarray) -> list[tuple["QubitArena", int, int]]:

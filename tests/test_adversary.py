@@ -374,6 +374,10 @@ def test_attack_spec_validation():
         AttackSpec.parse("disturb:mode=sideways")
     with pytest.raises(ValueError):
         AttackSpec.parse("flip_all:legs=stage9_alice")
+    for text in ("intercept_resend:beta2=0.5", "flip_all:stages=2,mode=reorder",
+                 "fake_bmo:fraction=0.5", "entangle_measure:mode=reorder"):
+        with pytest.raises(ValueError, match="is for"):  # never dropped silently
+            AttackSpec.parse(text)
     with pytest.raises(ValueError):
         AttackSpec(strategy="entangle_measure", alpha=1.0, beta=1.0)
 

@@ -593,8 +593,8 @@ def test_short_two_wave_readout_matches_scalar_calls(k):
 def test_cnot_round_matches_scalar_calls(k, monkeypatch):
     """CNOT rounds joining two registers, then inside each joined register,
     then along a chain (one wave per link): each leaves the arena as
-    ``apply_cnot`` on every item in order.  With k = 24 the first two rounds
-    are groups of 12 rows, so they run stacked."""
+    ``apply_cnot`` on every item in order, and every call is stacked, a
+    chain link's too."""
     stacked = []
     real = quantum.apply_cnot
     monkeypatch.setattr(quantum, "apply_cnot", lambda s, c, t: (
@@ -606,32 +606,33 @@ def test_cnot_round_matches_scalar_calls(k, monkeypatch):
         [(f"c{i}a", f"c{i + 2}b") for i in (0, 2)],
     )
     for items in rounds:
-        calls = len(stacked)
+        stacked.clear()
         assert run_round("apply_cnot", [(batched, items, None)]) == [[None] * len(items)]
-        calls = len(stacked) - calls
+        assert all(stacked)
+        calls = len(stacked)
         for control, target in items:
             scalar.apply_cnot(control, target)
         assert_same_arena(batched, scalar)
     assert calls == 2  # the chain runs in two waves of one item
     assert batched.state_of("c0a").n_qubits == 12
-    assert any(stacked) is (k // 2 >= quantum._MIN_ROUND)
 
 
-def test_round_groups_run_scalar_or_stacked_by_row_count(monkeypatch):
-    """A round under ``_MIN_ROUND`` items makes one scalar call per item; a
-    round of ``_MIN_ROUND`` items makes one stacked call per group."""
-    calls = []
-    real = quantum.comp_measure
-    monkeypatch.setattr(
-        quantum, "comp_measure", lambda s, q, u: calls.append(s.amplitudes.ndim) or real(s, q, u)
-    )
-    half = quantum._MIN_ROUND // 2
-    for k, want in ((half - 1, [1] * 2 * (half - 1)), (half, [2, 2])):
+def test_rounds_of_a_few_items_run_stacked(monkeypatch):
+    """Rounds of 1, 3 and 7 readouts in one arena make one stacked engine
+    call per group of register width and axis, and leave outcomes, generator
+    and arena as the scalar op on each item in order (one 1-D call each)."""
+    batched, scalar = chained_arena(8)
+    calls = engine_calls(monkeypatch, "comp_measure")
+    for seed, qubits, groups in (
+        (0, ["c0a"], [(1, 4)]),
+        (1, ["c1a", "c2b", "c3a"], [(2, 4), (1, 4)]),
+        (2, ["c0b", "c1b", "c2a", "c3b", "c4a", "c5b", "c6a"], [(4, 2), (2, 4), (1, 4)]),
+    ):
         calls.clear()
-        arena, _ = chained_arena(k)
-        qubits = [q for i in range(k) for q in (f"c{i}a", f"c{i}b")]
-        run_round("comp_measure", [(arena, qubits, np.random.default_rng(0))])
-        assert calls == want
+        run_both(batched, scalar, seed, "comp_measure",
+                 lambda a, it, r: a.comp_measure(it, r), qubits)
+        assert calls[: len(groups)] == groups
+        assert [len(shape) for shape in calls[len(groups):]] == [1] * len(qubits)
 
 
 @pytest.mark.parametrize("seed", range(4))
@@ -677,14 +678,15 @@ def test_cross_arena_round_matches_each_arena_alone(seed):
 
 def test_cross_arena_round_stacks_what_no_arena_could_stack_alone(monkeypatch):
     """Two Bell measurements per arena, then both qubits of each joined
-    register: every round stays under ``_MIN_ROUND`` items in one arena and
-    reaches it across the arenas."""
+    register, over four arenas: each arena brings two rows to a group, and
+    each group is one call on the rows of all four."""
     stacked = []
     for name in ("bell_measure", "comp_measure"):
         real = getattr(quantum, name)
         monkeypatch.setattr(quantum, name, lambda s, *a, real=real, name=name: (
-            stacked.append(name) if s.amplitudes.ndim == 2 else None) or real(s, *a))
-    pairs = [chained_arena(4) for _ in range(quantum._MIN_ROUND // 2)]
+            stacked.append((name, len(s.amplitudes))) if s.amplitudes.ndim == 2 else None
+        ) or real(s, *a))
+    pairs = [chained_arena(4) for _ in range(4)]
     bell = [("c0b", "c1a"), ("c2b", "c3a")]
     readout = ["c0a", "c1b", "c2a", "c3b"]
     for op, items, one in (
@@ -698,11 +700,11 @@ def test_cross_arena_round_stacks_what_no_arena_could_stack_alone(monkeypatch):
             assert got[a] == [one(scalar, item, rng_s) for item in items]
             assert rng.bit_generator.state == rng_s.bit_generator.state
             assert_same_arena(batched, scalar)
-    assert stacked == ["bell_measure", "comp_measure", "comp_measure"]
+    assert stacked == [("bell_measure", 8), ("comp_measure", 8), ("comp_measure", 8)]
 
 
 def test_round_measuring_a_qubit_twice_raises_like_the_scalar_ops():
-    for k in (4, 24):  # item by item, and stacked
+    for k in (4, 24):  # a short round and a long one
         batched, scalar = chained_arena(k)
         qubits = [f"c{i}a" for i in range(k)] + ["c0a"]
         with pytest.raises(UnknownQubitError):
@@ -749,12 +751,10 @@ def test_bell_pairs_match_add_state():
     assert_same_arena(batched, scalar)
 
 
-@pytest.mark.parametrize("min_round", [0, quantum._MIN_ROUND])
-def test_states_in_and_out_of_the_arena_never_change(min_round, monkeypatch):
+def test_states_in_and_out_of_the_arena_never_change():
     """The arena writes its tables in place, so neither a state passed to
     ``add_state`` nor one ``state_of`` returned may change when later gates
-    and measurements act on that register, stacked or item by item."""
-    monkeypatch.setattr(quantum, "_MIN_ROUND", min_round)
+    and measurements act on that register."""
     arena = QubitArena()
     added = random_state(3, 7, prefix="r")
     before = added.amplitudes.copy()
@@ -810,35 +810,29 @@ _SCALAR = {
 }
 
 
-@pytest.mark.parametrize("min_round", [0, quantum._MIN_ROUND])
 @settings(max_examples=100, deadline=None, derandomize=True, database=None)
 @given(data=st.data())
-def test_rounds_match_scalar_ops_item_by_item(min_round, data):
+def test_rounds_match_scalar_ops(data):
     """Random rounds of all five ops over 1-3 arenas of random 1-3 qubit
     registers, with joining items and registers repeated within a round (so
     several waves), leave outcomes, generators, holders and every live
-    register as the scalar op on each item in order, stacked (``min_round``
-    0) or, for small rounds, item by item."""
+    register as the scalar op on each item in order."""
     n_arenas = data.draw(st.integers(1, 3))
     pairs = [
         random_arena(data.draw(st.integers(0, 2**16)), data.draw(st.integers(1, 4)))
         for _ in range(n_arenas)
     ]
-    saved, quantum._MIN_ROUND = quantum._MIN_ROUND, min_round
-    try:
-        for r in range(data.draw(st.integers(1, 4))):
-            op = data.draw(st.sampled_from(sorted(_SCALAR)))
-            measuring = op.endswith("measure")
-            items = [_draw_items(data, op, sorted(scalar._holders)) for _, scalar in pairs]
-            rngs = [np.random.default_rng([r, a]) for a in range(n_arenas)]
-            got = run_round(op, [
-                (batched, its, rng if measuring else None)
-                for (batched, _), its, rng in zip(pairs, items, rngs)
-            ])
-            for a, ((batched, scalar), its) in enumerate(zip(pairs, items)):
-                rng = np.random.default_rng([r, a])
-                assert got[a] == [_SCALAR[op](scalar, item, rng) for item in its]
-                assert rngs[a].bit_generator.state == rng.bit_generator.state
-                assert_same_arena(batched, scalar)
-    finally:
-        quantum._MIN_ROUND = saved
+    for r in range(data.draw(st.integers(1, 4))):
+        op = data.draw(st.sampled_from(sorted(_SCALAR)))
+        measuring = op.endswith("measure")
+        items = [_draw_items(data, op, sorted(scalar._holders)) for _, scalar in pairs]
+        rngs = [np.random.default_rng([r, a]) for a in range(n_arenas)]
+        got = run_round(op, [
+            (batched, its, rng if measuring else None)
+            for (batched, _), its, rng in zip(pairs, items, rngs)
+        ])
+        for a, ((batched, scalar), its) in enumerate(zip(pairs, items)):
+            rng = np.random.default_rng([r, a])
+            assert got[a] == [_SCALAR[op](scalar, item, rng) for item in its]
+            assert rngs[a].bit_generator.state == rng.bit_generator.state
+            assert_same_arena(batched, scalar)
