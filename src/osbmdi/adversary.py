@@ -109,15 +109,19 @@ class AttackSpec:
         Keys: ``beta2`` (entangle_measure), ``mode`` and ``fraction``
         (disturb), ``stages`` (fake_bmo, "+"-separated), ``legs``
         ("+"-separated leg names, any strategy).  A key of another strategy
-        raises, so no parameter given is silently dropped.
+        or a repeated key raises, so no parameter given is silently dropped.
         """
         name, _, params = text.partition(":")
         name = name.strip()
         kwargs: dict = {"strategy": name}
+        seen: set[str] = set()
         if params:
             for item in params.split(","):
                 key, _, value = item.partition("=")
                 key, value = key.strip(), value.strip()
+                if key in seen:
+                    raise ValueError(f"attack parameter {key!r} is given twice")
+                seen.add(key)
                 if _KEY_STRATEGY.get(key, name) != name:
                     raise ValueError(
                         f"attack parameter {key!r} is for {_KEY_STRATEGY[key]}, not {name}"
@@ -220,10 +224,11 @@ def intercept_resend(arena: QubitArena, eve: EveState, qubits: list[str]) -> lis
     for later inspection.  The leg's pairs are registered with one call, and
     its qubits change hands with another.
     """
-    pairs = [(BellLabel.PSI_PLUS, eve.new_id("k"), eve.new_id("s")) for _ in qubits]
-    arena.add_bell_pairs(pairs, "eve")
+    names = [eve.new_id(prefix) for _ in qubits for prefix in "ks"]
+    kept, sent = names[0::2], names[1::2]
+    arena.add_bell_pairs([BellLabel.PSI_PLUS.code] * len(qubits), kept, sent, "eve")
     arena.transfer_many(qubits, "eve")
-    return [send for _, _, send in pairs]
+    return sent
 
 
 def entangle_measure(

@@ -318,8 +318,8 @@ def _attack_slot(strategy: str, travel: list[str], **params) -> tuple[list[str],
     """Psi+ pairs (a0, a1) and (b0, b1) on a fresh arena after ``strategy``
     attacks ``travel`` on its first default leg; the arriving qubits and the arena."""
     arena = QubitArena()
-    arena.add_bell_pairs([(_PSIP, "a0", "a1")], "alice")
-    arena.add_bell_pairs([(_PSIP, "b0", "b1")], "bob")
+    arena.add_bell_pairs([_PSIP.code], ["a0"], ["a1"], "alice")
+    arena.add_bell_pairs([_PSIP.code], ["b0"], ["b1"], "bob")
     spec = AttackSpec(strategy, **params)
     leg = min(spec.legs, default=LEGS[0])
     # these strategies draw nothing; a generator would load numpy.random at import

@@ -461,12 +461,15 @@ class Session:
     round's results come back through ``send``; ``run_lockstep`` serves the
     pending requests of a whole cohort of sessions as one ``run_round`` per
     op, which gives every session the same results and draws as one scalar
-    call per slot in slot order.  It is the only driver: every qubit
-    operation of the session, Eve's and the node's included, is such a
-    request.  The requests, in order:
+    call per slot in slot order.  So that one round can reach them all, the
+    arenas of a cohort are views of one store: the session's arena is put on
+    the store of ``share`` when given (``run_batch`` passes one per cohort).
+    It is the only driver: every qubit operation of the session, Eve's and
+    the node's included, is such a request.  The requests, in order:
 
       dialogue      a nested share's requests, on the nested session's
-                    arena, for each party with a private choice set;
+                    arena (on this session's store), for each party with a
+                    private choice set;
       every leg     ``apply_unitary`` over the leg's qubits for the channel
                     noise, if any; then the attack's round on the leg:
                     ``apply_cnot`` (entangle), ``apply_pauli`` (flip, or a
@@ -493,12 +496,13 @@ class Session:
         rng: np.random.Generator,
         session_index: int = 0,
         payload: Sequence[int] | None = None,
+        share: QubitArena | None = None,
     ) -> None:
         self.cfg = cfg
         self.rng = rng
         self.session_index = session_index
         self.payload = None if payload is None else list(payload)
-        self.arena = QubitArena()
+        self.arena = QubitArena(share)
         self.transcript = Transcript()
         self.eve = EveState()
         self.parties: tuple[PartyState, ...] = ()
@@ -589,7 +593,7 @@ class Session:
             ])
             labels = list(map(_LABELS.__getitem__, codes.tolist()))
             first, second = _pair_names(name[0], counts)
-            self.arena.add_bell_pairs(list(zip(labels, first.tolist(), second.tolist())), name)
+            self.arena.add_bell_pairs(codes, first.tolist(), second.tolist(), name)
             parties.append(PartyState(name, first, second, codes, labels, *blocks))
         self.parties = tuple(parties)
         self.alice, self.bob = parties
@@ -633,7 +637,7 @@ class Session:
                 master_seed=cfg.master_seed,
             )
             child = np.random.default_rng(int(self.rng.integers(2**63)))
-            nested = Session(nested_cfg, child, self.session_index, payload=payload)
+            nested = Session(nested_cfg, child, self.session_index, payload, self.arena)
             rep = yield from nested.steps()
             self.nested_reports.append(rep)
             if rep.aborted:
@@ -933,10 +937,11 @@ def run_session(cfg: SessionConfig, session_index: int = 0) -> SessionReport:
     return session.run()
 
 
-# Sessions a batch runs in lockstep at a time.  A merged round stacks this
-# many sessions' items, which is already tall enough to pay; the cap bounds
-# the live arenas and party states (about 30 kB per n_pairs=8 session) and
-# the stacked arrays a batch holds at once.
+# Sessions a batch runs in lockstep at a time, their arenas on one store.  A
+# merged round stacks this many sessions' items, which is already tall enough
+# to pay; the cap bounds the store, which keeps every register row of its
+# cohort until the cohort ends, the party states (about 30 kB per n_pairs=8
+# session) and the stacked arrays a batch holds at once.
 COHORT = 16
 
 
@@ -947,8 +952,9 @@ def run_lockstep(steps: Sequence[Generator]) -> list:
     and is sent back each round's results (``Session.steps``,
     ``adversary.apply_leg_attack``).  Every step serves the one pending
     request of each live generator: the requests of one op become one
-    ``run_round`` across their arenas.  Each session draws from its own
-    stream at its own turn, so its report is the one it makes alone.
+    ``run_round`` across their arenas, which must share one store.  Each
+    session draws from its own stream at its own turn, so its report is the
+    one it makes alone.
     """
     runs: list = list(steps)
     reports: list = [None] * len(runs)
@@ -972,13 +978,15 @@ def run_lockstep(steps: Sequence[Generator]) -> list:
 def run_batch(
     cfg: SessionConfig, sessions: int, workers: int = 1
 ) -> list[SessionReport]:
-    """Run independent sessions, ``COHORT`` at a time in lockstep; results are
-    ordered by session index, so the outcome does not depend on scheduling."""
+    """Run independent sessions, ``COHORT`` at a time in lockstep with their
+    arenas on one store per cohort; results are ordered by session index, so
+    the outcome does not depend on scheduling."""
     if workers <= 1:
         reports: list[SessionReport] = []
         for start in range(0, sessions, COHORT):
+            share = QubitArena()  # the cohort's one store
             reports += run_lockstep([
-                Session(cfg, session_rng(cfg.master_seed, i), i).steps()
+                Session(cfg, session_rng(cfg.master_seed, i), i, share=share).steps()
                 for i in range(start, min(start + COHORT, sessions))
             ])
         return reports

@@ -33,23 +33,27 @@ Bell-label convention: psi+/- live on |00> +/- |11>, phi+/- on |01> +/- |10>.
 Note this is swapped relative to the more common psi/phi usage; the whole
 package follows this labeling.
 
-Arena storage: a ``QubitArena`` keeps its registers as rows of one table per
-width n, amplitudes ``(cap, 2**n)`` beside member qubit indices ``(cap, n)``
-in register order, and one packed location per qubit (table width, row, axis;
-0 once measured).  Registers enter in bulk, one table write per call
-(``add_registers``, ``add_bell_pairs``).  ``state_of`` copies a row out, so a
-state handed in or out is never written; the arena writes rows in place.  A
-round (``run_round``) maps its items to locations, splits them into
+Arena storage: a ``QubitArena`` is a view of a store (``_Store``) that the
+arenas of a cohort of sessions share.  The store keeps the registers as rows
+of one table per width n, amplitudes ``(cap, 2**n)`` beside member qubit
+indices ``(cap, n)`` in register order, and one packed location per qubit
+(table width, row, axis; 0 once measured); qubit indices are store-wide, and
+each arena maps its own qubit names to them.  Registers enter in bulk, one
+table write per call (``add_registers``, ``add_bell_pairs``).  ``state_of``
+copies a row out, so a state handed in or out is never written; the store
+writes rows in place.  A round (``run_round``) over the arenas of one store
+maps its items to locations with one index array, splits them into
 dependency waves and groups a wave's items by widths, axes and parameter;
-each group gathers its rows from every arena with one index array per arena,
-makes one engine call and scatters the result back: a gate on one register in
-place, a measurement's or a join's surviving registers as new rows of the
-table of their width, whose qubits' locations are rewritten in one
-assignment.  Items on distinct registers form one wave; a single-register
-item's wave is its occurrence rank on its register, and a joining item
-(``bell_measure`` or ``apply_cnot`` across two registers) that shares a
-register with an earlier item waits for it, the two registers counting as one
-from then on.  Every round runs this way, whatever its size.
+each group gathers its rows with one index array per table, makes one engine
+call and scatters the result back: a gate on one register in place, a
+measurement's or a join's surviving registers as new rows of the table of
+their width, whose qubits' locations are rewritten in one assignment (the
+store's ``append``, which registration uses too).  Items on distinct
+registers form one wave; a single-register item's wave is its occurrence
+rank on its register, and a joining item (``bell_measure`` or ``apply_cnot``
+across two registers) that shares a register with an earlier item waits for
+it, the two registers counting as one from then on.  Every round runs this
+way, whatever its size.
 """
 from __future__ import annotations
 
@@ -94,6 +98,11 @@ class BellLabel(enum.Enum):
     def correlated(self) -> bool:
         """True when computational-basis outcomes on both qubits agree."""
         return self in (BellLabel.PSI_PLUS, BellLabel.PSI_MINUS)
+
+    @property
+    def code(self) -> int:
+        """The label's index in ``BellLabel`` order (``add_bell_pairs`` takes codes)."""
+        return _BELL_ORDER.index(self)
 
     @classmethod
     def parse(cls, text: str) -> "BellLabel":
@@ -561,8 +570,6 @@ def frame_correction(start: BellLabel, end: BellLabel, side: int = 0) -> PauliLa
     )  # pragma: no cover - the frame action is transitive
 
 
-
-
 # ---------------------------------------------------------------------------
 # Arena: a session's registers as rows of per-width tables, and rounds over it.
 # ---------------------------------------------------------------------------
@@ -588,7 +595,6 @@ _JOIN_KEY = np.array((2 * _ROW, 2))
 _SLOTS = tuple(f"q{i}" for i in range(_BASE))
 
 _BELL_TABLE = np.array([BELL_VECTORS[lab] for lab in _BELL_ORDER])
-_BELL_CODE = {lab: i for i, lab in enumerate(_BELL_ORDER)}
 
 
 def _resized(a: np.ndarray, cap: int) -> np.ndarray:
@@ -599,7 +605,7 @@ def _resized(a: np.ndarray, cap: int) -> np.ndarray:
 
 class _Table:
     """The registers of one width n: row r holds the amplitudes ``amps[r]``
-    (length 2**n) over the qubits ``members[r]`` (arena indices, in register
+    (length 2**n) over the qubits ``members[r]`` (store indices, in register
     order).  Rows are only appended, with capacity grown by doubling; a row
     that no qubit points at any more is dead."""
 
@@ -635,69 +641,106 @@ def _relocation(width: int, gone: tuple[int, ...]) -> tuple[list[int], np.ndarra
     return keep, step, offset
 
 
+class _Store:
+    """The registers of every arena on it: the tables by width (``_Table``),
+    one packed location per qubit (``loc``, see ``_BASE``; 0 means measured)
+    and each qubit's name (``names``).  Qubit indices are store-wide, so one
+    index array reaches the qubits of all its arenas."""
+
+    __slots__ = ("names", "loc", "tables")
+
+    def __init__(self) -> None:
+        self.names: list[str] = []
+        self.loc = np.zeros(64, dtype=np.intp)
+        self.tables: dict[int, _Table] = {}
+
+    def assign(self, names: list[str]) -> range:
+        """Indices for the new qubits ``names``, which start measured (0)."""
+        start = len(self.names)
+        self.names += names
+        if len(self.names) > len(self.loc):
+            grow = max(len(self.names), 2 * len(self.loc)) - len(self.loc)
+            self.loc = np.concatenate([self.loc, np.zeros(grow, dtype=np.intp)])
+        return range(start, len(self.names))
+
+    def append(self, amps: np.ndarray | None, members: np.ndarray, gone: tuple = ()) -> None:
+        """Put k registers in new rows of the table of their width, and
+        relocate their qubits.  ``members`` (shape (k, n)) are store indices
+        in register order; the registers are ``amps`` (k, 2**m) over the
+        qubits left when the axes ``gone`` are taken out, which move to 0
+        (measured).  ``amps`` is None when every axis is gone."""
+        keep, step, offset = _relocation(members.shape[1], gone)
+        if amps is None:
+            self.loc.put(members, 0)
+            return
+        n = len(keep)
+        table = self.tables.get(n)
+        if table is None:
+            table = self.tables[n] = _Table(n, max(32, 2 * len(amps)))
+        start = table.extend(len(amps))
+        table.amps[start:table.size] = amps
+        table.members[start:table.size] = members[:, keep]
+        self.loc.put(members, np.multiply.outer(np.arange(start, table.size), step) + offset)
+
+
 def run_round(
     op: str, requests: Sequence[tuple["QubitArena", Sequence, np.random.Generator | None]]
 ) -> list[list]:
-    """One round of ``op`` over the items of any number of arenas at once.
+    """One round of ``op`` over the items of any number of arenas on one store.
 
     ``op`` names an arena operation (``bell_measure``, ``comp_measure``,
     ``apply_pauli``, ``apply_unitary``, ``apply_cnot``).  Request r is
     ``(arena, items, rng)`` with the items that operation takes and, for a
-    measurement, the ``rng`` to draw from (None for a gate); no two requests
-    share an arena.  It gets back the list of what ``arena.<op>`` called on
-    each item in order would return, and its arena and ``rng`` end as after
-    those calls: a measuring request draws one uniform per item up front,
-    item i taking the i-th, which is the draw the scalar op would make.
+    measurement, the ``rng`` to draw from (None for a gate); every arena must
+    be on the store of the first, or ``QuantumError`` is raised.  It gets
+    back the list of what ``arena.<op>`` called on each item in order would
+    return, and its arena and ``rng`` end as after those calls: a measuring
+    request draws one uniform per item up front, item i taking the i-th,
+    which is the draw the scalar op would make.
 
     The items run in dependency waves (``_plan_waves``), wave w of every
     request together, so no register appears twice in a wave and each sees
     its items in call order.  A wave's items are grouped by register widths,
     target axes and parameter, and each group is one engine call
-    (``_group_call``) on its rows gathered from every arena, a group of one
-    item included.
+    (``_group_call``) on its rows, a group of one item included.  Qubit
+    indices are store-wide, so a round reads its targets' locations with one
+    index array, a later wave re-reads them with another, and a group
+    gathers and scatters the rows of all its arenas at once.
     """
+    if not requests:
+        return []
+    store = requests[0][0]._store
     measuring, joining = _ROUND_OPS[op]
     gates = op in ("apply_pauli", "apply_unitary")
-    arenas, names, indices, locs, params, counts = [], [], [], [], [], []
+    names, indices, params, counts = [], [], [], []
     for arena, items, _ in requests:
+        if arena._store is not store:
+            raise QuantumError("the arenas of one round must share one store")
         if gates:
             qs, ps = zip(*items) if items else ((), ())
             params += ps
         else:
             qs = list(chain.from_iterable(items)) if joining else items
         try:
-            idx = list(map(arena._index.__getitem__, qs))
+            indices += map(arena._index.__getitem__, qs)
         except KeyError as missing:
             raise UnknownQubitError(f"qubit {missing.args[0]!r} not in arena") from None
-        arenas.append(arena)
         names.append(qs)
-        indices.append(idx)
-        locs.append(arena._loc.take(idx))
         counts.append(len(items))
-    offsets = [0, *accumulate(counts)]
-    if not offsets[-1]:
+    if not indices:
         return [[] for _ in requests]
 
-    # item i: its target qubits' locations loc[i] (two for a joining op), in
-    # request req[i]; register keys tell every register of the round apart
-    loc = _stacked(locs)
+    # item i: its target qubits' store indices qidx[i] and locations loc[i]
+    # (two for a joining op); a location // _BASE tells its register apart
+    qidx = np.array(indices)
+    loc = store.loc.take(qidx)
     if not loc.all():
-        for qs, codes in zip(names, locs):
-            if not codes.all():
-                raise UnknownQubitError(f"qubit {qs[int(codes.argmin())]!r} not in arena")
-    n_req = len(requests)
+        raise UnknownQubitError(f"qubit {store.names[indices[int(loc.argmin())]]!r} not in arena")
     if joining:
-        loc = loc.reshape(-1, 2)
-    reg = loc // _BASE  # a register's (row, width), unique within its arena
-    req = req_t = 0
-    if n_req > 1:
-        req = np.repeat(np.arange(n_req), counts)
-        req_t = req[:, None] if joining else req
-    waves = _plan_waves(reg * n_req + req_t if n_req > 1 else reg, joining)
-    if waves[0] is not None:
-        qidx = np.array(list(chain.from_iterable(indices))).reshape(loc.shape)
-        if measuring:
-            _reject_repeats(qidx * n_req + req_t, arenas)
+        qidx, loc = qidx.reshape(-1, 2), loc.reshape(-1, 2)
+    waves = _plan_waves(loc // _BASE, joining)
+    if measuring and waves[0] is not None:
+        _reject_repeats(qidx, store.names)
     uniforms = outcomes = None
     if measuring:
         uniforms = _stacked([rng.random(c) for (_, _, rng), c in zip(requests, counts)])
@@ -709,20 +752,10 @@ def run_round(
             codes = dict(zip(codes, range(kinds)))
             pcode = np.fromiter(map(codes.__getitem__, map(id, params)), np.intp, len(params))
 
-    for w, wave in enumerate(waves):  # a wave or a group of None is every item
-        if wave is None:
-            wloc, wreg = loc, reg
-        elif w == 0:
-            wloc = loc[wave]
-        else:  # earlier waves moved these qubits
-            bounds = np.searchsorted(wave, offsets).tolist()
-            wloc = _stacked([
-                arena._loc.take(qidx[wave[b0:b1]])
-                for arena, b0, b1 in zip(arenas, bounds, bounds[1:]) if b1 > b0
-            ])
+    for wave in waves:  # a wave or a group of None is every item
+        wloc = loc if wave is None else store.loc.take(qidx[wave])  # earlier waves moved some
         if joining:  # (width, axis) of both targets, and whether they lie in two registers
-            if wave is not None:
-                wreg = wloc // _BASE
+            wreg = wloc // _BASE
             key = (wloc % _ROW) @ _JOIN_KEY + (wreg[:, 0] != wreg[:, 1])
         else:
             key = wloc % _ROW
@@ -736,15 +769,8 @@ def run_round(
             groups = np.split(order, np.flatnonzero(ordered[1:] != ordered[:-1]) + 1)
         for g in groups:
             items = wave if g is None else g if wave is None else wave[g]
-            gloc = wloc if g is None else wloc[g]
-            if items is None:
-                spans = [(arena, s, e) for arena, s, e in zip(arenas, offsets, offsets[1:]) if e > s]
-            elif n_req == 1:
-                spans = [(arenas[0], 0, len(items))]
-            else:
-                spans = _spans(arenas, req[items])
             result = _group_call(
-                op, spans, gloc,
+                op, store, wloc if g is None else wloc[g],
                 uniforms if items is None or uniforms is None else uniforms[items],
                 params[0 if items is None else items[0]] if params else None,
             )
@@ -759,32 +785,23 @@ def run_round(
 
     if not measuring:
         return [[None] * c for c in counts]
-    for arena, qs in zip(arenas, names):
+    for (arena, _, _), qs in zip(requests, names):
         holders = arena._holders
         for q in qs:
             del holders[q]
     if not isinstance(outcomes, list):
         outcomes = outcomes.tolist()
+    offsets = [0, *accumulate(counts)]
     return [outcomes[s:e] for s, e in zip(offsets, offsets[1:])]
 
 
-def _spans(arenas: list["QubitArena"], req: np.ndarray) -> list[tuple["QubitArena", int, int]]:
-    """``(arena, start, end)`` of each run of one request in ``req``."""
-    cuts = (np.flatnonzero(req[1:] != req[:-1]) + 1).tolist()
-    starts = [0, *cuts]
-    return [
-        (arenas[r], s, e) for r, s, e in zip(req[starts].tolist(), starts, [*cuts, len(req)])
-    ]
-
-
-def _group_call(op, spans, gloc, uniforms, param):
-    """One group of a wave: gather its rows from the arenas, make one engine
+def _group_call(op, store, gloc, uniforms, param):
+    """One group of a wave: gather its rows from ``store``, make one engine
     call on them and scatter the result back; returns a measurement's outcomes.
 
-    ``spans`` are ``(arena, start, end)`` over the group's items, whose
-    target locations are ``gloc``.  A gate on one register writes its rows
-    back in place; a measurement or a join moves each surviving register to
-    a new row of the table of its new width.
+    The group's target locations are ``gloc``.  A gate on one register
+    writes its rows back in place; a measurement or a join moves each
+    surviving register to a new row of the table of its new width.
     """
     rows = gloc // _ROW
     if gloc.ndim == 2:
@@ -795,55 +812,22 @@ def _group_call(op, spans, gloc, uniforms, param):
     else:
         a, rows_a, xb, cross = int(gloc[0]), rows, 0, False
     wa, xa = a // _BASE % _BASE, a % _BASE
-    moves = cross or op in ("bell_measure", "comp_measure")
-    amps, members, amps_b, members_b = [], [], [], []
-    for arena, s, e in spans:
-        table = arena._tables[wa]
-        amps.append(table.amps.take(rows_a[s:e], 0))
-        if moves:
-            members.append(table.members.take(rows_a[s:e], 0))
-        if cross:
-            table = arena._tables[wb]
-            amps_b.append(table.amps.take(rows_b[s:e], 0))
-            members_b.append(table.members.take(rows_b[s:e], 0))
-    amps, width = _stacked(amps), wa
+    table = store.tables[wa]
+    joint = _trusted(_SLOTS[:wa], table.amps.take(rows_a, 0))
     if cross:
-        amps_b = _stacked(amps_b)
+        table_b = store.tables[wb]
+        joint = tensor(joint, _trusted(_SLOTS[wa:wa + wb], table_b.amps.take(rows_b, 0)))
         xb += wa
-        width += wb
-    ta, tb = _SLOTS[xa], _SLOTS[xb]
-    joint = _trusted(_SLOTS[:wa], amps)
-    if cross:
-        joint = tensor(joint, _trusted(_SLOTS[wa:width], amps_b))
-    outcomes, out = _engine_call(op, joint, ta, tb, uniforms, param)
+    outcomes, out = _engine_call(op, joint, _SLOTS[xa], _SLOTS[xb], uniforms, param)
     out = None if out is None else out.amplitudes
-
-    if not moves:  # a gate on one register: its rows are written back in place
-        at = rows_a[:, None] * (1 << wa) + np.arange(1 << wa)
-        for arena, s, e in spans:
-            arena._tables[wa].amps.put(at[s:e], out[s:e])
+    if not (cross or op in ("bell_measure", "comp_measure")):
+        table.amps[rows_a] = out  # a gate on one register: its rows in place
         return None
-    members = _stacked(members)
+    members = table.members.take(rows_a, 0)
     if cross:
-        members = np.concatenate([members, _stacked(members_b)], axis=1)
+        members = np.concatenate([members, table_b.members.take(rows_b, 0)], axis=1)
     gone = (xa, xb) if op == "bell_measure" else (xa,) if op == "comp_measure" else ()
-    keep, step, offset = _relocation(width, gone)
-    if out is None:  # every qubit measured
-        moved = 0
-    else:
-        kept, shifts = members.take(keep, 1), []
-        for arena, s, e in spans:
-            table, start = arena._table(len(keep), e - s)
-            table.amps[start:table.size] = out[s:e]
-            table.members[start:table.size] = kept[s:e]
-            shifts.append(start - s)
-        if len(spans) == 1:
-            rows = np.arange(shifts[0], shifts[0] + len(members))
-        else:
-            rows = np.arange(len(members)) + np.repeat(shifts, [e - s for _, s, e in spans])
-        moved = np.multiply.outer(rows, step) + offset
-    for arena, s, e in spans:
-        arena._loc.put(members[s:e], moved if out is None else moved[s:e])
+    store.append(out, members, gone)
     return outcomes
 
 
@@ -919,17 +903,15 @@ def _join_waves(keys) -> list[np.ndarray]:
     return [np.array(wave) for wave in waves]
 
 
-def _reject_repeats(keys: np.ndarray, arenas: list["QubitArena"]) -> None:
-    """Raise when a measuring round names one qubit in two items; ``keys`` is
-    qubit index * len(arenas) + request, one or two per item."""
-    if keys.ndim == 2:
-        keys = np.concatenate([keys[:, 0], keys[:, 1][keys[:, 1] != keys[:, 0]]])
-    ordered = np.sort(keys)
+def _reject_repeats(qidx: np.ndarray, names: list[str]) -> None:
+    """Raise when a measuring round names one qubit in two items; ``qidx``
+    holds the items' target store indices, one or two per item."""
+    if qidx.ndim == 2:
+        qidx = np.concatenate([qidx[:, 0], qidx[:, 1][qidx[:, 1] != qidx[:, 0]]])
+    ordered = np.sort(qidx)
     twice = ordered[1:][ordered[1:] == ordered[:-1]]
     if len(twice):
-        key = int(twice[0])
-        qubit = arenas[key % len(arenas)]._names[key // len(arenas)]
-        raise UnknownQubitError(f"qubit {qubit!r} is measured twice in one round")
+        raise UnknownQubitError(f"qubit {names[int(twice[0])]!r} is measured twice in one round")
 
 
 def engine_round(arena: "QubitArena", op: str, items: list, rng: np.random.Generator | None = None):
@@ -948,68 +930,45 @@ class QubitArena:
     is held by exactly one actor at a time; re-registering an id or failing
     a transfer expectation raises immediately.
 
-    Storage: a qubit gets an int index when first registered.  The registers
-    of width n are the rows of ``_tables[n]`` (see ``_Table``), and
-    ``_loc[index]`` packs the qubit's location: it is the ``axis``-th qubit
-    of row ``row`` of the width-``width`` table (``_BASE`` gives the
-    packing; 0 means measured).  The live qubits are the keys of
-    ``_holders``.  New registers, of ``add_registers`` or a round, are new
-    rows, written at once.  ``state_of`` returns a copy of a row, so a
-    state it hands out, or one passed to ``add_state``, never changes when
-    the arena does.
+    Storage: an arena is a view of a ``_Store``, its own one, or with
+    ``QubitArena(share)`` the store of ``share``, so that one round can reach
+    the qubits of every arena on it with one index array.  A qubit gets a
+    store index when the arena first registers its name; the name index
+    ``_index`` and the holders ``_holders`` (whose keys are the live qubits)
+    are the arena's own, so arenas on one store may use the same names and
+    never see each other's qubits.  New registers, of ``add_registers`` or
+    a round, are new rows, written at once.  ``state_of`` returns a copy of
+    a row, so a state it hands out, or one passed to ``add_state``, never
+    changes when the arena does.
 
-    A whole round of one op, over this arena or several, is ``run_round``:
-    it leaves each arena, the results and the random stream exactly as the
-    scalar method called on each item in order would.  Sessions reach the
-    engine only through rounds; no session calls the scalar op methods,
-    which are the reference for the differential tests and the tracer.  Each
-    scalar op works on one materialized register and writes it back
-    (``_store``).
+    A whole round of one op, over this arena or several on its store, is
+    ``run_round``: it leaves each arena, the results and the random stream
+    exactly as the scalar method called on each item in order would.
+    Sessions reach the engine only through rounds; no session calls the
+    scalar op methods, which are the reference for the differential tests
+    and the tracer.  Each scalar op works on one materialized register and
+    writes it back (``_write``).
     """
 
-    def __init__(self) -> None:
+    def __init__(self, share: "QubitArena | None" = None) -> None:
+        self._store = _Store() if share is None else share._store
         self._index: dict[str, int] = {}
-        self._names: list[str] = []
-        self._loc = np.zeros(64, dtype=np.intp)
-        self._tables: dict[int, _Table] = {}
         self._holders: dict[str, str] = {}
 
     def _register(self, names: Sequence[str]) -> list[int]:
-        """Indices of ``names``, assigning new ones; none may be live."""
-        index, known = self._index, self._names
+        """Store indices of ``names``, assigning new ones; none may be live."""
+        index = self._index
         if not self._holders.keys().isdisjoint(names):
             live = next(q for q in names if q in self._holders)
             raise InvalidRegisterError(f"qubit {live!r} already registered")
         new = [q for q in names if q not in index]
-        index.update(zip(new, range(len(known), len(known) + len(new))))
-        known += new
-        if len(known) > len(self._loc):  # new qubits start measured (0)
-            grow = max(len(known), 2 * len(self._loc)) - len(self._loc)
-            self._loc = np.concatenate([self._loc, np.zeros(grow, dtype=np.intp)])
+        index.update(zip(new, self._store.assign(new)))
         return list(map(index.__getitem__, names))
-
-    def _table(self, n: int, k: int) -> tuple[_Table, int]:
-        """The width-n table with k more rows taken, and the first of them."""
-        table = self._tables.get(n)
-        if table is None:
-            table = self._tables[n] = _Table(n, max(32, 2 * k))
-        return table, table.extend(k)
-
-    def _append(self, amps: np.ndarray, members: np.ndarray) -> None:
-        """Put k registers of width n (``amps`` of shape (k, 2**n), ``members``
-        (k, n) qubit indices in register order) in new rows of the width-n
-        table and point their qubits at them."""
-        n = members.shape[1]
-        table, start = self._table(n, len(amps))
-        table.amps[start:table.size] = amps
-        table.members[start:table.size] = members
-        _, _, offset = _relocation(n, ())
-        self._loc.put(members, np.arange(start * _ROW, table.size * _ROW, _ROW)[:, None] + offset)
 
     def _add(self, names: list[str], amps: np.ndarray, holder: str) -> None:
         """Register ``names``, in order, as ``len(amps)`` checked registers of
         one width with the amplitude rows ``amps``, held by ``holder``."""
-        self._append(amps, np.array(self._register(names)).reshape(len(amps), -1))
+        self._store.append(amps, np.array(self._register(names)).reshape(len(amps), -1))
         self._holders.update(dict.fromkeys(names, holder))
 
     def add_registers(
@@ -1028,13 +987,13 @@ class QubitArena:
         self._add(names, StateVector.stack(_SLOTS[: widths.pop()], amps).amplitudes, holder)
 
     def add_bell_pairs(
-        self, pairs: Sequence[tuple[BellLabel, str, str]], holder: str
+        self, codes: Sequence[int], firsts: Sequence[str], seconds: Sequence[str], holder: str
     ) -> None:
-        """Register one Bell pair per (label, q1, q2), as ``add_state`` of
-        ``make_bell`` would, with one write of rows of the Bell table."""
-        if not pairs:
+        """Register pair i over (``firsts[i]``, ``seconds[i]``) in the Bell
+        state of code ``codes[i]`` (its ``BellLabel.code``), as ``add_state``
+        of ``make_bell`` would, with one write of rows of the Bell table."""
+        if not len(codes):
             return
-        labels, firsts, seconds = zip(*pairs)
         names = list(chain.from_iterable(zip(firsts, seconds)))
         if len(set(names)) != len(names):
             same = next(((a, b) for a, b in zip(firsts, seconds) if a == b), None)
@@ -1042,7 +1001,6 @@ class QubitArena:
                 f"duplicate qubit ids in register: {same}" if same else
                 "a qubit appears in two pairs"
             )
-        codes = np.fromiter(map(_BELL_CODE.__getitem__, labels), np.intp, len(labels))
         self._add(names, _BELL_TABLE.take(codes, 0), holder)
 
     def add_state(self, state: StateVector, holder: str) -> None:
@@ -1056,9 +1014,10 @@ class QubitArena:
         """A copy of the register holding ``qubit_id``."""
         if qubit_id not in self._holders:
             raise UnknownQubitError(f"qubit {qubit_id!r} not in arena")
-        row, n = divmod(int(self._loc[self._index[qubit_id]]) // _BASE, _BASE)
-        table = self._tables[n]
-        ids = tuple(map(self._names.__getitem__, table.members[row].tolist()))
+        store = self._store
+        row, n = divmod(int(store.loc[self._index[qubit_id]]) // _BASE, _BASE)
+        table = store.tables[n]
+        ids = tuple(map(store.names.__getitem__, table.members[row].tolist()))
         return _trusted(ids, table.amps[row].copy())
 
     def holder_of(self, qubit_id: str) -> str:
@@ -1081,18 +1040,18 @@ class QubitArena:
             raise InvalidRegisterError(f"qubit {q!r} held by {held!r}, expected {expect!r}")
         holders.update(dict.fromkeys(qubit_ids, to))
 
-    def _store(self, state: StateVector) -> None:
+    def _write(self, state: StateVector) -> None:
         """Write ``state`` back over its qubits' registers, as a new row."""
         members = np.array([list(map(self._index.__getitem__, state.qubit_ids))])
-        self._append(state.amplitudes[None], members)
+        self._store.append(state.amplitudes[None], members)
 
     def _settle(self, measured: tuple[str, ...], rest: StateVector | None) -> None:
         """Drop the measured qubits and write back what is left of their register."""
         for q in measured:
-            self._loc[self._index[q]] = 0
+            self._store.loc[self._index[q]] = 0
             del self._holders[q]
         if rest is not None:
-            self._store(rest)
+            self._write(rest)
 
     def _joint(self, q_a: str, q_b: str) -> StateVector:
         state = self.state_of(q_a)
@@ -1101,13 +1060,13 @@ class QubitArena:
         return tensor(state, self.state_of(q_b))
 
     def apply_pauli(self, qubit_id: str, p: PauliLabel) -> None:
-        self._store(apply_pauli(self.state_of(qubit_id), qubit_id, p))
+        self._write(apply_pauli(self.state_of(qubit_id), qubit_id, p))
 
     def apply_unitary(self, qubit_id: str, u: np.ndarray) -> None:
-        self._store(apply_unitary1q(self.state_of(qubit_id), qubit_id, u))
+        self._write(apply_unitary1q(self.state_of(qubit_id), qubit_id, u))
 
     def apply_cnot(self, control: str, target: str) -> None:
-        self._store(apply_cnot(self._joint(control, target), control, target))
+        self._write(apply_cnot(self._joint(control, target), control, target))
 
     def bell_measure(self, q_a: str, q_b: str, rng: np.random.Generator) -> BellLabel:
         label, rest = bell_measure(self._joint(q_a, q_b), q_a, q_b, rng)

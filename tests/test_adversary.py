@@ -344,7 +344,7 @@ def test_empty_leg_registers_nothing_and_yields_no_round(strategy):
     with pytest.raises(StopIteration) as done:
         next(attack)
     assert done.value.value == []
-    assert not arena._holders and not arena._tables
+    assert not arena._holders and not arena._store.tables
     assert not eve.ancillas and eve.new_id("a") == "ev_a1"
 
 
@@ -377,6 +377,10 @@ def test_attack_spec_validation():
     for text in ("intercept_resend:beta2=0.5", "flip_all:stages=2,mode=reorder",
                  "fake_bmo:fraction=0.5", "entangle_measure:mode=reorder"):
         with pytest.raises(ValueError, match="is for"):  # never dropped silently
+            AttackSpec.parse(text)
+    for text, key in (("entangle_measure:beta2=0.1,beta2=0.9", "beta2"),
+                      ("disturb:mode=reorder,mode=random_pauli", "mode")):
+        with pytest.raises(ValueError, match=f"'{key}' is given twice"):  # nor overwritten
             AttackSpec.parse(text)
     with pytest.raises(ValueError):
         AttackSpec(strategy="entangle_measure", alpha=1.0, beta=1.0)

@@ -432,7 +432,8 @@ _VALUES = (
     "dephasing:x", "rotation:nan", "entangle_measure:beta2=2", "entangle_measure:beta2=x",
     "disturb:mode=x", "disturb:fraction=0", "fake_bmo:stages=3", "intercept_resend:legs=x",
     "flip_all:legs=", "intercept_resend:beta2=0.5", "flip_all:stages=2,mode=reorder",
-    "pi/0", "0:1:0", "a:b:c", "1:2:3:4", "0,inf",
+    "pi/0", "0:1:0", "a:b:c", "1:2:3:4", "0,inf", "entangle_measure:beta2=0.1,beta2=0.9",
+    "disturb:mode=reorder,mode=random_pauli",
 )
 _SEEDS = _VALUES + ("18446744073709551616",)
 _FLAGS = {

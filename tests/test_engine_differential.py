@@ -457,10 +457,11 @@ def test_bad_stacks_raise(build):
 # random stream exactly as the scalar arena op called on every item in order.
 
 
-def random_arena(seed, n_regs):
-    """Two identical arenas of random 1-3 qubit registers r{i}_{j}."""
+def random_arena(seed, n_regs, share=None):
+    """Two identical arenas of random 1-3 qubit registers r{i}_{j}, the first
+    on the store of ``share`` when given."""
     rng = np.random.default_rng(seed)
-    arenas = (QubitArena(), QubitArena())
+    arenas = (QubitArena(share), QubitArena())
     for i in range(n_regs):
         width = int(rng.integers(1, 4))
         state = random_state(width, int(rng.integers(1 << 20)), prefix=f"r{i}_")
@@ -533,9 +534,10 @@ def test_round_operations_match_scalar_calls(seed, n_regs):
     assert not batched._holders and not scalar._holders
 
 
-def chained_arena(k):
-    """k two-qubit registers c{i}a, c{i}b."""
-    arenas = (QubitArena(), QubitArena())
+def chained_arena(k, share=None):
+    """Two identical arenas of k two-qubit registers c{i}a, c{i}b, the first
+    on the store of ``share`` when given."""
+    arenas = (QubitArena(share), QubitArena())
     for i in range(k):
         state = random_state(2, i, prefix=f"c{i}")
         for arena in arenas:
@@ -640,7 +642,8 @@ def test_cross_arena_round_matches_each_arena_alone(seed):
     """One round over five arenas, each with its own generator, leaves every
     arena, outcome and generator as that arena's scalar calls would; groups
     merge items of several arenas."""
-    pairs = [random_arena(10 * seed + a, 24) for a in range(5)]
+    share = QubitArena()  # every batched arena on one store
+    pairs = [random_arena(10 * seed + a, 24, share) for a in range(5)]
     picks = np.random.default_rng(seed)
     u = random_unitary(seed)
     paulis = list(PauliLabel)
@@ -686,7 +689,8 @@ def test_cross_arena_round_stacks_what_no_arena_could_stack_alone(monkeypatch):
         monkeypatch.setattr(quantum, name, lambda s, *a, real=real, name=name: (
             stacked.append((name, len(s.amplitudes))) if s.amplitudes.ndim == 2 else None
         ) or real(s, *a))
-    pairs = [chained_arena(4) for _ in range(4)]
+    share = QubitArena()
+    pairs = [chained_arena(4, share) for _ in range(4)]
     bell = [("c0b", "c1a"), ("c2b", "c3a")]
     readout = ["c0a", "c1b", "c2a", "c3b"]
     for op, items, one in (
@@ -720,7 +724,8 @@ def test_bell_pairs_match_add_state():
     leaves, and a rejected call leaves it unchanged."""
     batched, scalar = QubitArena(), QubitArena()
     labels = list(BellLabel) * 2
-    batched.add_bell_pairs([(lab, f"p{i}h", f"p{i}t") for i, lab in enumerate(labels)], "alice")
+    batched.add_bell_pairs([lab.code for lab in labels], [f"p{i}h" for i in range(len(labels))],
+                           [f"p{i}t" for i in range(len(labels))], "alice")
     for i, lab in enumerate(labels):
         scalar.add_state(StateVector((f"p{i}h", f"p{i}t"), BELL_VECTORS[lab].copy()), "alice")
     for width in (1, 3):
@@ -733,9 +738,9 @@ def test_bell_pairs_match_add_state():
     assert_same_arena(batched, scalar)
     assert batched._index == scalar._index
     with pytest.raises(InvalidRegisterError):
-        batched.add_bell_pairs([(BellLabel.PSI_PLUS, "x", "p0t")], "bob")
+        batched.add_bell_pairs([BellLabel.PSI_PLUS.code], ["x"], ["p0t"], "bob")
     with pytest.raises(InvalidRegisterError):
-        batched.add_bell_pairs([(BellLabel.PSI_PLUS, "y", "y")], "bob")
+        batched.add_bell_pairs([BellLabel.PSI_PLUS.code], ["y"], ["y"], "bob")
     one = np.array([[1.0, 0.0], [0.0, 1.0]])
     for registers, amps in (
         ([("x",), ("x",)], one),  # a name repeated in one call
@@ -759,7 +764,7 @@ def test_states_in_and_out_of_the_arena_never_change():
     added = random_state(3, 7, prefix="r")
     before = added.amplitudes.copy()
     arena.add_state(added, "node")
-    arena.add_bell_pairs([(BellLabel.PSI_PLUS, "b0", "b1")], "node")
+    arena.add_bell_pairs([BellLabel.PSI_PLUS.code], ["b0"], ["b1"], "node")
     bells = {lab: v.copy() for lab, v in BELL_VECTORS.items()}
     out = arena.state_of("r1"), arena.state_of("b0")
     held = [s.amplitudes.copy() for s in out]
@@ -818,8 +823,9 @@ def test_rounds_match_scalar_ops(data):
     several waves), leave outcomes, generators, holders and every live
     register as the scalar op on each item in order."""
     n_arenas = data.draw(st.integers(1, 3))
+    share = QubitArena()
     pairs = [
-        random_arena(data.draw(st.integers(0, 2**16)), data.draw(st.integers(1, 4)))
+        random_arena(data.draw(st.integers(0, 2**16)), data.draw(st.integers(1, 4)), share)
         for _ in range(n_arenas)
     ]
     for r in range(data.draw(st.integers(1, 4))):

@@ -792,6 +792,21 @@ def test_lockstep_matches_sessions_run_alone_across_cohorts(cfg):
     assert None in stages and len(stages) >= 3
 
 
+def test_a_cohort_shares_one_store(monkeypatch):
+    """Every round of a dialogue batch, nested shares included, is over the
+    arenas of one store, and each cohort has a store of its own."""
+    cfg = SessionConfig(n_pairs=8, mode=Mode.QD, master_seed=5, alice_state_set=(PSIP, PHIM))
+    calls = []
+    real = protocol.run_round
+    monkeypatch.setattr(protocol, "run_round", lambda op, requests: calls.append(
+        [arena._store for arena, _, _ in requests]) or real(op, requests))
+    batch = run_batch(cfg, COHORT + 3)
+    assert all(len(rep.nested) == 2 for rep in batch)
+    assert all(store is stores[0] for stores in calls for store in stores)
+    runs = [stores[0] for i, stores in enumerate(calls) if i == 0 or stores[0] is not calls[i - 1][0]]
+    assert len(runs) == 2 and runs[0] is not runs[1]  # one store per cohort, in turn
+
+
 ALL_LEGS = "legs=stage1_alice+stage1_bob+stage2_alice+stage2_bob"
 
 

@@ -10,6 +10,7 @@ from osbmdi.quantum import (
     InvalidOperatorError,
     InvalidRegisterError,
     PauliLabel,
+    QuantumError,
     QubitArena,
     StateVector,
     UnknownQubitError,
@@ -25,6 +26,7 @@ from osbmdi.quantum import (
     label_of,
     make_bell,
     pauli_frame,
+    run_round,
     single_qubit,
     swapped_home_label,
     tensor,
@@ -501,7 +503,7 @@ def test_arena_holder_tracking():
 
 def test_transfer_many_is_all_or_nothing():
     arena = QubitArena()
-    arena.add_bell_pairs([(PSIP, "1", "2"), (PSIP, "3", "4")], "alice")
+    arena.add_bell_pairs([PSIP.code] * 2, ["1", "3"], ["2", "4"], "alice")
     arena.transfer("3", "eve")
     holders = {q: arena.holder_of(q) for q in "1234"}
     # the first bad qubit gets transfer's own message; nothing moves
@@ -530,3 +532,96 @@ def test_arena_comp_measure_consumes():
     partner = arena.comp_measure("b", rng)
     assert partner == 1 - bit
     assert not arena.has("a") and not arena.has("b")
+
+
+def _contents(arena):
+    """Every live qubit of ``arena`` with its holder and its register."""
+    return {
+        q: (arena.holder_of(q), arena.state_of(q).qubit_ids, arena.state_of(q).amplitudes.tolist())
+        for q in sorted(arena._holders)
+    }
+
+
+def _two_arenas(first, second):
+    """Fill two arenas with registers under the same names a, b, c, x."""
+    first.add_bell_pairs([PSIP.code, PHIP.code], ["a", "c"], ["b", "d"], "alice")
+    first.add_state(single_qubit("x", SQ2, SQ2), "alice")
+    second.add_state(single_qubit("a", 0, 1), "bob")
+    second.add_bell_pairs([PSIM.code], ["b"], ["c"], "bob")
+    second.add_state(single_qubit("x", 1, 0), "bob")
+
+
+def test_arenas_on_one_store_keep_to_their_own_qubits():
+    """Two arenas on one store register the same names.  Registration,
+    transfers, reads, a round over both and every error touch only the arena
+    they are made on, as on two standalone arenas, and an error names the
+    qubit of the arena it is made on."""
+    first = QubitArena()
+    second = QubitArena(first)
+    assert second._store is first._store
+    ref_first, ref_second = QubitArena(), QubitArena()
+    for pair in ((first, second), (ref_first, ref_second)):
+        _two_arenas(*pair)
+
+    def same():
+        assert _contents(first) == _contents(ref_first)
+        assert _contents(second) == _contents(ref_second)
+
+    same()
+    assert first.state_of("a").qubit_ids == ("a", "b") and second.state_of("a").qubit_ids == ("a",)
+    assert label_of(first.state_of("c")) is PHIP and label_of(second.state_of("c")) is PSIM
+    first.transfer_many(["a", "b"], "charlie", expect="alice")
+    ref_first.transfer_many(["a", "b"], "charlie", expect="alice")
+    same()
+    failures = [
+        (lambda: second.state_of("d"), UnknownQubitError, "qubit 'd' not in arena"),
+        (lambda: second.transfer_many(["a", "d"], "eve"), UnknownQubitError, "qubit 'd'"),
+        (lambda: second.transfer_many(["x", "a"], "eve", expect="charlie"),
+         InvalidRegisterError, "qubit 'x' held by 'bob'"),
+        (lambda: first.add_bell_pairs([PSIP.code], ["y"], ["c"], "eve"),
+         InvalidRegisterError, "qubit 'c' already registered"),
+        (lambda: second.add_state(single_qubit("x", 1, 0), "eve"),
+         InvalidRegisterError, "qubit 'x' already registered"),
+        (lambda: run_round("comp_measure", [
+            (first, ["x"], np.random.default_rng(0)), (second, ["d"], np.random.default_rng(0))]),
+         UnknownQubitError, "qubit 'd' not in arena"),
+        (lambda: run_round("comp_measure", [
+            (first, ["x", "c"], np.random.default_rng(0)),
+            (second, ["b", "x", "b"], np.random.default_rng(0))]),
+         UnknownQubitError, "qubit 'b' is measured twice"),
+    ]
+    for call, error, message in failures:
+        with pytest.raises(error, match=message):
+            call()
+        same()
+
+    # one round over both arenas, the same names in each
+    rngs = [np.random.default_rng(s) for s in (1, 2)]
+    ref_rngs = [np.random.default_rng(s) for s in (1, 2)]
+    got = run_round("comp_measure", [(first, ["x", "a"], rngs[0]), (second, ["x", "b"], rngs[1])])
+    want = [[ref.comp_measure(q, rng) for q in qs]
+            for ref, qs, rng in zip((ref_first, ref_second), (["x", "a"], ["x", "b"]), ref_rngs)]
+    assert got == want
+    assert [r.bit_generator.state for r in rngs] == [r.bit_generator.state for r in ref_rngs]
+    same()
+    # a qubit measured in one arena is gone there only
+    assert first.has("c") and second.has("a") and not second.has("x")
+    second.add_state(single_qubit("x", 0, 1), "bob")
+    ref_second.add_state(single_qubit("x", 0, 1), "bob")
+    with pytest.raises(UnknownQubitError, match="qubit 'x' not in arena"):
+        run_round("apply_pauli", [(second, [("a", PauliLabel.X)], None),
+                                  (first, [("x", PauliLabel.X)], None)])
+    same()
+
+
+def test_a_round_over_two_stores_raises():
+    alone, other = QubitArena(), QubitArena()
+    for arena in (alone, other):
+        arena.add_bell_pairs([PSIP.code], ["a"], ["b"], "alice")
+    before = _contents(alone), _contents(other)
+    rng = np.random.default_rng(0)
+    state = rng.bit_generator.state
+    with pytest.raises(QuantumError, match="one store"):
+        run_round("bell_measure", [(alone, [("a", "b")], rng), (other, [("a", "b")], rng)])
+    assert (_contents(alone), _contents(other)) == before
+    assert rng.bit_generator.state == state
