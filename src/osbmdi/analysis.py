@@ -26,6 +26,7 @@ from .adversary import (
 )
 from .protocol import correlated_table, correlation_failures, run_lockstep
 from .quantum import (
+    BELL_LABELS,
     BellLabel,
     PauliLabel,
     QubitArena,
@@ -304,13 +305,10 @@ def _rows(state: StateVector, n: int) -> StateVector:
     return StateVector.stack(state.qubit_ids, np.repeat(state.amplitudes[None, :], n, axis=0))
 
 
-_LABEL_CODE = {label: i for i, label in enumerate(BellLabel)}
-
-
 def _correlation_failures(announced, bits_a, bits_b) -> int:
     """Failed psi+/psi+ correlation checks, one per row."""
-    labels = np.fromiter(map(_LABEL_CODE.__getitem__, announced), np.intp, len(announced))
-    psip = _LABEL_CODE[_PSIP]
+    labels = np.fromiter(map(BELL_LABELS.index, announced), np.intp, len(announced))
+    psip = _PSIP.code
     return correlation_failures(bits_a, bits_b, correlated_table()[psip, psip, labels])
 
 

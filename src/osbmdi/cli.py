@@ -15,6 +15,7 @@ import argparse
 import math
 import re
 import sys
+from functools import cache
 
 from . import __version__
 from .analysis import (
@@ -218,7 +219,6 @@ def build_parser() -> argparse.ArgumentParser:
     run_p.add_argument("--noise", help="collective channel noise NAME:PARAM")
     run_p.add_argument("--workers", type=int, help="worker threads for the batch")
     run_p.add_argument("--out", help="report path (default: stdout)")
-    run_p.set_defaults(func=_cmd_run)
 
     sweep_p = sub.add_parser("sweep", help="noise or attack-strength curves")
     sweep_p.add_argument("--kind", choices=["noise", "attack-strength"], required=True)
@@ -237,28 +237,30 @@ def build_parser() -> argparse.ArgumentParser:
     sweep_p.add_argument("--trials", type=int, default=20000)
     sweep_p.add_argument("--seed", type=int, default=0)
     sweep_p.add_argument("--out", help="table path (default: stdout)")
-    sweep_p.set_defaults(func=_cmd_sweep)
 
     leak_p = sub.add_parser("leakage", help="announcement-leakage table")
     leak_p.add_argument("--config", help="path to a key = value config file")
     leak_p.add_argument("--alice-states", dest="alice_states")
     leak_p.add_argument("--bob-states", dest="bob_states")
     leak_p.add_argument("--out", help="output path (default: stdout)")
-    leak_p.set_defaults(func=_cmd_leakage)
 
     table_p = sub.add_parser(
         "table2", help="reproduce the decode table and diff against built-in data"
     )
     table_p.add_argument("--out", help="output path (default: stdout)")
-    table_p.set_defaults(func=_cmd_table2)
     return parser
 
 
+# ``main``'s parser, built once per process: ``parse_args`` keeps no state
+# in it, and building it costs about fifteen times as much as a parse.
+_parser = cache(build_parser)
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
-        return args.func(args)
+        # looked up when called, so that a replaced ``_cmd_*`` function runs
+        return globals()[f"_cmd_{args.command}"](args)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -38,6 +38,7 @@ from .adversary import (
     measure_ancillas,
 )
 from .quantum import (
+    BELL_LABELS,
     BellLabel,
     PauliLabel,
     QuantumError,
@@ -92,14 +93,12 @@ class CaseTag(str, enum.Enum):
     CASE_IV = "IV"    # entangled on both sides: carries the message
 
 
-# A Bell label's code is its position in ``tuple(BellLabel)``.  A session
+# A Bell label's code is its position in ``BELL_LABELS``.  A session
 # keeps its labels as code arrays, so its per-slot checks and its decoding
 # are lookups in tables filled from ``correlation_check`` and
 # ``decode_message``.
-_LABELS = tuple(BellLabel)
-_CODE = {lab: i for i, lab in enumerate(_LABELS)}
-_VALUES = tuple(lab.value for lab in _LABELS)
-_IS_CORRELATED = np.array([lab.correlated for lab in _LABELS])
+_VALUES = tuple(lab.value for lab in BELL_LABELS)
+_IS_CORRELATED = np.array([lab.correlated for lab in BELL_LABELS])
 _PAULIS = tuple(PauliLabel.from_symbol(s) for s in range(4))
 # Case codes, the positions in ``tuple(CaseTag)``.
 _CASE_I, _CASE_II, _CASE_III, _CASE_IV = range(4)
@@ -109,7 +108,7 @@ def draw_codes(labels: Sequence[BellLabel], n: int, rng: np.random.Generator) ->
     """Codes of n independent uniform labels from a set, as one block draw,
     which gives the values and leaves the stream as n scalar draws would; a
     one-label set takes no draw."""
-    codes = np.array([_CODE[lab] for lab in labels])
+    codes = np.fromiter(map(BELL_LABELS.index, labels), np.intp, len(labels))
     if len(labels) == 1:
         return codes.repeat(n)
     return codes[rng.integers(len(labels), size=n)]
@@ -300,7 +299,7 @@ def correlated_table() -> np.ndarray:
     once from ``correlation_check`` on agreeing bits.  Read-only."""
     table = np.empty((4, 4, 4), dtype=bool)
     for a, b, m in np.ndindex(table.shape):
-        table[a, b, m] = correlation_check(_LABELS[m], 0, 0, _LABELS[a], _LABELS[b])
+        table[a, b, m] = correlation_check(BELL_LABELS[m], 0, 0, BELL_LABELS[a], BELL_LABELS[b])
     table.flags.writeable = False
     return table
 
@@ -314,7 +313,7 @@ def decode_table() -> np.ndarray:
     table = np.empty((4, 4, 4, 4, 5, 2), dtype=np.intp)
     for a, b, m1, m2, own, side in np.ndindex(table.shape):
         table[a, b, m1, m2, own, side] = decode_message(
-            _LABELS[a], _LABELS[b], _LABELS[m1], _LABELS[m2], owns[own], side
+            BELL_LABELS[a], BELL_LABELS[b], BELL_LABELS[m1], BELL_LABELS[m2], owns[own], side
         ).symbol
     table.flags.writeable = False
     return table
@@ -454,7 +453,9 @@ class Session:
     each sequence works out its positions once, each leg moves its qubits
     with one ``transfer_many`` each way, the aligned slots are arrays
     (case codes, each side's item index), checks and decoding are table
-    lookups, and a round's announcements enter with one ``extend``.
+    lookups, and a round's announcements enter the transcript as one run of
+    columns (``Transcript.append_run``), with no record built per
+    announcement.
 
     ``steps()`` is the session as a generator.  Each engine round is not
     called but yielded as a request ``(arena, op, items, rng)``, and the
@@ -591,7 +592,7 @@ class Session:
                 draw_codes(state_set, n, self.rng),
                 draw_codes(cfg.decoy_policy.labels, ends[-1] - n, self.rng),
             ])
-            labels = list(map(_LABELS.__getitem__, codes.tolist()))
+            labels = list(map(BELL_LABELS.__getitem__, codes.tolist()))
             first, second = _pair_names(name[0], counts)
             self.arena.add_bell_pairs(codes, first.tolist(), second.tolist(), name)
             parties.append(PartyState(name, first, second, codes, labels, *blocks))
@@ -622,7 +623,7 @@ class Session:
             if len(state_set) == 1:
                 continue
             bpc = _bits_per_choice(len(state_set))
-            set_codes = np.array([_CODE[lab] for lab in state_set])
+            set_codes = np.fromiter(map(BELL_LABELS.index, state_set), np.intp, len(state_set))
             prepared = self.parties[side].codes[:n]
             choices = np.argmax(prepared[:, None] == set_codes, axis=1)
             shifts = np.arange(bpc - 1, -1, -1)  # msb first
@@ -682,10 +683,8 @@ class Session:
             bmo1 = yield from engine_round(
                 self.arena, "bell_measure", list(zip(a_seq.occupants, b_seq.occupants)), self.rng
             )
-        self.bmo1_codes = np.fromiter(map(_CODE.__getitem__, bmo1), np.intp, len(bmo1))
-        self.transcript.extend(
-            "charlie", [BMOAnnouncement(1, i, outcome) for i, outcome in enumerate(bmo1)]
-        )
+        self.bmo1_codes = np.fromiter(map(BELL_LABELS.index, bmo1), np.intp, len(bmo1))
+        self.transcript.append_run("charlie", BMOAnnouncement, 1, range(len(bmo1)), bmo1)
 
     def _stage1_checks(self):
         for party in self.parties:
@@ -721,9 +720,7 @@ class Session:
         flat = yield from engine_round(self.arena, "comp_measure", homes.ravel().tolist(), self.rng)
         a_bits, b_bits = flat[::2], flat[1::2]
         ids = checked.tolist()
-        self.transcript.extend(
-            "alice", [CorrelationRecord(1, i, bits) for i, bits in zip(ids, zip(a_bits, b_bits))]
-        )
+        self.transcript.append_run("alice", CorrelationRecord, 1, ids, zip(a_bits, b_bits))
         alice, bob = self.parties
         correlated = correlated_table()[
             alice.codes[items[0]], bob.codes[items[1]], self.bmo1_codes[checked]
@@ -799,8 +796,8 @@ class Session:
                     self.arena, "bell_measure",
                     [(occupants[i], occupants[j]) for i, j in whole], self.rng,
                 )
-            self.transcript.extend(
-                "charlie", [BMOAnnouncement(2, i, o) for (i, _), o in zip(whole, outcomes)]
+            self.transcript.append_run(
+                "charlie", BMOAnnouncement, 2, [i for i, _ in whole], outcomes
             )
             self.gv_checks += len(whole)
             self.gv_fails += sum(map(is_not, outcomes, party.labels[party.s2_whole]))
@@ -820,9 +817,8 @@ class Session:
                     self.rng,
                 )
                 c_bits, o_bits = flat[::2], flat[1::2]
-            self.transcript.extend(
-                "charlie",
-                [CorrelationRecord(2, pos, bits) for pos, bits in zip(split, zip(c_bits, o_bits))],
+            self.transcript.append_run(
+                "charlie", CorrelationRecord, 2, split, zip(c_bits, o_bits)
             )
             self.split_checks += len(split)
             self.split_fails += correlation_failures(
@@ -864,11 +860,9 @@ class Session:
         outcomes = yield from engine_round(
             self.arena, "bell_measure", list(zip(a_msg, b_msg)), self.rng
         )
-        self.transcript.extend(
-            "charlie", [BMOAnnouncement(3, k, outcome) for k, outcome in enumerate(outcomes)]
-        )
+        self.transcript.append_run("charlie", BMOAnnouncement, 3, range(len(outcomes)), outcomes)
         bmo1 = self.bmo1_codes[self.survivors]
-        bmo2 = np.fromiter(map(_CODE.__getitem__, outcomes), np.intp, len(outcomes))
+        bmo2 = np.fromiter(map(BELL_LABELS.index, outcomes), np.intp, len(outcomes))
         prepared = [party.codes[items] for party, items in zip(self.parties, self.survivor_items)]
         # each decoder recovers the other side's operator, reading that
         # side's message-pair labels from what it knows of them

@@ -101,8 +101,8 @@ class BellLabel(enum.Enum):
 
     @property
     def code(self) -> int:
-        """The label's index in ``BellLabel`` order (``add_bell_pairs`` takes codes)."""
-        return _BELL_ORDER.index(self)
+        """The label's index in ``BELL_LABELS`` (``add_bell_pairs`` takes codes)."""
+        return BELL_LABELS.index(self)
 
     @classmethod
     def parse(cls, text: str) -> "BellLabel":
@@ -113,6 +113,12 @@ class BellLabel(enum.Enum):
 
     def __str__(self) -> str:  # pragma: no cover - trivial
         return self.value
+
+
+# The code table: a label's code is its index here.  Code arrays map
+# labels in with ``map(BELL_LABELS.index, labels)``, an identity scan in C,
+# where a dict keyed by label would hash each one through ``Enum.__hash__``.
+BELL_LABELS = tuple(BellLabel)
 
 
 class PauliLabel(enum.Enum):
@@ -355,9 +361,8 @@ def apply_cnot(s: StateVector, control: str, target: str) -> StateVector:
     return _apply_matrix(s, (s.axis(control), s.axis(target)), _CNOT)
 
 
-_BELL_ORDER = tuple(BellLabel)
 # Row i is <b_i| for the i-th label in BellLabel order.
-_BELL_BRAS = np.array([BELL_VECTORS[lab].conj() for lab in _BELL_ORDER])
+_BELL_BRAS = np.array([BELL_VECTORS[lab].conj() for lab in BELL_LABELS])
 
 
 def bell_measure(
@@ -379,8 +384,8 @@ def bell_measure(
     pick = _sample_index(probs, rng)
     remaining = tuple(q for q in s.qubit_ids if q not in (q_a, q_b))
     if not remaining:
-        return _BELL_ORDER[pick], None
-    return _BELL_ORDER[pick], StateVector(remaining, branches[pick] / np.sqrt(probs[pick]))
+        return BELL_LABELS[pick], None
+    return BELL_LABELS[pick], StateVector(remaining, branches[pick] / np.sqrt(probs[pick]))
 
 
 def comp_measure(
@@ -427,7 +432,7 @@ def _bell_measure_rows(
     k = len(probs)
     r = _row_uniforms(uniforms, k) * probs.sum(axis=1)
     picks = np.minimum((np.cumsum(probs, axis=1) <= r[:, None]).sum(axis=1), 3)
-    labels = [_BELL_ORDER[i] for i in picks.tolist()]
+    labels = [BELL_LABELS[i] for i in picks.tolist()]
     remaining = tuple(q for q in s.qubit_ids if q not in pair)
     if not remaining:
         return labels, None
@@ -594,7 +599,7 @@ _JOIN_KEY = np.array((2 * _ROW, 2))
 # position.
 _SLOTS = tuple(f"q{i}" for i in range(_BASE))
 
-_BELL_TABLE = np.array([BELL_VECTORS[lab] for lab in _BELL_ORDER])
+_BELL_TABLE = np.array([BELL_VECTORS[lab] for lab in BELL_LABELS])
 
 
 def _resized(a: np.ndarray, cap: int) -> np.ndarray:

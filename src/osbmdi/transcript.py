@@ -6,14 +6,22 @@ what an eavesdropper sees, what golden-file tests freeze, and what the
 ordering validator inspects: private data must never appear before the
 protocol step that discloses it.
 
+The log is kept as runs: each ``append`` or ``append_run`` call stores one
+immutable run (first seq, length, actor, event type, stage, reveal kind and
+one column per remaining event field), so a round of announcements is
+logged without building a record per announcement.  Records
+(``TranscriptEntry`` holding an event) are built only when someone reads
+them, by iteration or ``serialize``; ``validate_order`` reads the run
+bounds.
+
 Stage numbering: 1 = swap round, 2 = verification round, 3 = decode round.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from itertools import count, repeat
-from typing import Iterable, Iterator, Union
+from dataclasses import dataclass, fields
+from itertools import chain, repeat
+from typing import Iterable, Iterator, NamedTuple, Union
 
 from .quantum import BellLabel
 
@@ -111,32 +119,90 @@ _KIND_NAMES = {
 }
 
 
+# Per event type: the names of its fields other than ``stage``, which a run
+# holds one column of each, in field order, and where ``stage`` sits among
+# the fields (events are rebuilt positionally).
+_COLUMNS = {
+    cls: tuple(f.name for f in fields(cls) if f.name != "stage") for cls in _KIND_NAMES
+}
+_STAGE_AT = {cls: [f.name for f in fields(cls)].index("stage") for cls in _KIND_NAMES}
+_KIND_AT = _COLUMNS[InitialStateReveal].index("kind")
+
+
+class _Run(NamedTuple):
+    """``length`` announcements by ``actor`` with seqs ``start`` on, all of
+    one event type, stage and reveal kind (``None`` but for state reveals);
+    ``columns`` holds the event's other fields, one tuple per field."""
+
+    start: int
+    length: int
+    actor: str
+    event: type
+    stage: int
+    kind: str | None
+    columns: tuple[tuple, ...]
+
+
+def _entries(run: _Run) -> Iterator[TranscriptEntry]:
+    """The run's records, built as they are read."""
+    columns = list(run.columns)
+    columns.insert(_STAGE_AT[run.event], repeat(run.stage))
+    seqs = range(run.start, run.start + run.length)
+    return map(TranscriptEntry, seqs, repeat(run.actor), map(run.event, *columns))
+
+
 class Transcript:
-    """Ordered, append-only announcement log with monotone sequence numbers."""
+    """Ordered, append-only announcement log with monotone sequence numbers,
+    kept as one immutable ``_Run`` per ``append`` or ``append_run`` call."""
 
     def __init__(self) -> None:
-        self._entries: list[TranscriptEntry] = []
+        self._runs: list[_Run] = []
+        self._len = 0
 
     def append(self, actor: str, event: Event) -> TranscriptEntry:
-        entry = TranscriptEntry(seq=len(self._entries), actor=actor, event=event)
-        self._entries.append(entry)
-        return entry
+        cls = type(event)
+        if cls not in _COLUMNS:
+            raise TypeError(f"unknown event type {cls!r}")
+        seq = self._len
+        self.append_run(actor, cls, event.stage, *((getattr(event, f),) for f in _COLUMNS[cls]))
+        return TranscriptEntry(seq, actor, event)
 
-    def extend(self, actor: str, events: Iterable[Event]) -> None:
-        """Append ``events`` in order, all by ``actor``, as one append per
-        event would."""
-        self._entries += map(TranscriptEntry, count(len(self._entries)), repeat(actor), events)
+    def append_run(self, actor: str, event: type, stage: int, *columns: Iterable) -> None:
+        """Log ``event(...)`` announcements by ``actor`` at ``stage``, one per
+        row of ``columns`` (one column per field but ``stage``, in field
+        order), as one append per row would.  The columns are copied; a type
+        with no other field (``Receipt``) logs one announcement."""
+        if event not in _COLUMNS:
+            raise TypeError(f"unknown event type {event!r}")
+        names = _COLUMNS[event]
+        if len(columns) != len(names):
+            raise ValueError(f"{event.__name__} takes {len(names)} columns, got {len(columns)}")
+        columns = tuple(map(tuple, columns))
+        lengths = set(map(len, columns)) or {1}
+        if len(lengths) > 1:
+            raise ValueError(f"{event.__name__} columns differ in length")
+        (length,) = lengths
+        if not length:
+            return
+        kind = None
+        if event is InitialStateReveal:
+            kinds = set(columns[_KIND_AT])
+            if len(kinds) > 1:
+                raise ValueError("one run reveals one kind of label")
+            (kind,) = kinds
+        self._runs.append(_Run(self._len, length, actor, event, stage, kind, columns))
+        self._len += length
 
     def __iter__(self) -> Iterator[TranscriptEntry]:
-        return iter(self._entries)
+        return chain.from_iterable(map(_entries, self._runs))
 
     def __len__(self) -> int:
-        return len(self._entries)
+        return self._len
 
     def serialize(self) -> str:
         """One announcement per line: seq, stage, actor, kind, payload."""
         lines = []
-        for e in self._entries:
+        for e in self:
             kind = _KIND_NAMES[type(e.event)]
             lines.append(
                 f"{e.seq}\t{e.event.stage}\t{e.actor}\t{kind}\t{_payload(e.event)}"
@@ -151,7 +217,8 @@ def validate_order(
     """Structural check that no private data is announced early.
 
     Rules enforced:
-      * sequence numbers strictly increase;
+      * each run of announcements starts where the last one ended, so
+        sequence numbers strictly increase;
       * stage-1 decoy positions and stage-1 state reveals come after every
         stage-1 outcome announcement (the measurement node commits first);
       * stage-2 positions come only after the stage-2 receipt;
@@ -161,24 +228,25 @@ def validate_order(
       * message-pair label reveals are restricted to the per-owner index sets
         in ``allowed_message_reveals`` (empty set when the owner's choice
         must stay private, as for the receiver's pairs used for decoding).
+
+    A run's seqs are consecutive and its announcements share one key, so the
+    rules read each run's first and last seq, not its records.
     """
     allowed = allowed_message_reveals or {}
     # first and last seq of each (event type, stage, reveal kind)
     first: dict[tuple, int] = {}
     last: dict[tuple, int] = {}
-    messages: list[TranscriptEntry] = []
-    prev = -1
-    for entry in transcript:
-        if entry.seq <= prev:
+    messages: list[_Run] = []
+    end = 0
+    for run in transcript._runs:
+        if run.start != end:
             raise TranscriptOrderError("sequence numbers must increase")
-        prev = entry.seq
-        event = entry.event
-        kind = event.kind if isinstance(event, InitialStateReveal) else None
-        key = (type(event), event.stage, kind)
-        first.setdefault(key, entry.seq)
-        last[key] = entry.seq
-        if kind == "message":
-            messages.append(entry)
+        end = run.start + run.length
+        key = (run.event, run.stage, run.kind)
+        first.setdefault(key, run.start)
+        last[key] = end - 1
+        if run.kind == "message":
+            messages.append(run)
 
     # a rule holds vacuously when either of its events is absent
     inf = math.inf
@@ -199,7 +267,7 @@ def validate_order(
     if first.get((InitialStateReveal, 2, "decoy"), inf) < last.get(bmo2, -inf):
         raise TranscriptOrderError("stage-2 decoy labels revealed before all stage-2 outcomes")
 
-    for e in messages:
+    for e in chain.from_iterable(map(_entries, messages)):
         permitted = allowed.get(e.event.owner, set())
         for index, _lab in e.event.labels:
             if index not in permitted:

@@ -4,6 +4,8 @@ import hashlib
 import io
 import math
 import os
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -420,6 +422,52 @@ def test_table2_command_exits_zero(capsys):
     text = capsys.readouterr().out
     assert "mismatches = 0" in text
     assert "psi-\tphi-\tphi+" in text  # second block, swapped shared label
+
+
+# --- one process, many calls ----------------------------------------------------------
+
+# One of each exit: a report (0), a detected attack (2), a bad value (1), the
+# other commands, an argparse usage error (SystemExit 2) and ``--version``.
+_INVOCATIONS = [
+    ["run", "--sessions", "3", "--n-pairs", "4", "--seed", "7", "--mode", "qd"],
+    ["run", "--sessions", "2", "--n-pairs", "4", "--attack", "intercept_resend"],
+    ["run", "--sessions", "0"],
+    ["leakage", "--bob-states", "psi+,psi-,phi+"],
+    ["table2"],
+    ["sweep", "--kind", "noise", "--grid", "0:pi:3"],
+    ["run", "--n-pairs"],
+    ["--version"],
+]
+
+
+def _in_process(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+def test_main_called_again_in_one_process_matches_fresh_processes(monkeypatch):
+    """``main`` reuses one parser per process: every call, the first and the
+    repeats in any order, gives the exit code and bytes of a fresh process."""
+    env = {k: v for k, v in os.environ.items() if not k.startswith("OSBMDI_")}
+    for key in set(os.environ) - set(env):
+        monkeypatch.delenv(key)
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env["PYTHONPATH"] = os.pathsep.join([src, *filter(None, [env.get("PYTHONPATH")])])
+    fresh = []
+    for argv in _INVOCATIONS:
+        proc = subprocess.run(
+            [sys.executable, "-m", "osbmdi.cli", *argv],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        fresh.append((proc.returncode, proc.stdout, proc.stderr))
+    assert {code for code, _, _ in fresh} == {0, 1, 2}
+    for step in (1, -1, 1):
+        assert [_in_process(argv) for argv in _INVOCATIONS[::step]] == fresh[::step]
 
 
 # --- bad input, property ---------------------------------------------------------------

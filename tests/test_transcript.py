@@ -1,7 +1,12 @@
 """Transcript serialization, ordering rules, and the golden replay."""
-import pytest
+import math
+from dataclasses import fields
+from itertools import groupby
 
-from osbmdi.protocol import Mode, SessionConfig, run_session
+import pytest
+from test_protocol import _CONFIGS
+
+from osbmdi.protocol import Mode, SessionConfig, run_batch, run_session
 from osbmdi.quantum import BellLabel
 from osbmdi.transcript import (
     BMOAnnouncement,
@@ -114,6 +119,82 @@ ORDER_ERRORS = [
 ]
 
 
+def reference_validate_order(transcript, allowed_message_reveals=None):
+    """The per-entry form of ``validate_order``: walks every record, keyed
+    by its own type, stage and reveal kind.  The run-based validator must
+    give the same verdict and message."""
+    allowed = allowed_message_reveals or {}
+    first, last, messages = {}, {}, []
+    prev = -1
+    for entry in transcript:
+        if entry.seq <= prev:
+            raise TranscriptOrderError("sequence numbers must increase")
+        prev = entry.seq
+        event = entry.event
+        kind = event.kind if isinstance(event, InitialStateReveal) else None
+        key = (type(event), event.stage, kind)
+        first.setdefault(key, entry.seq)
+        last[key] = entry.seq
+        if kind == "message":
+            messages.append(entry)
+
+    inf = math.inf
+    bmo1, bmo2 = (BMOAnnouncement, 1, None), (BMOAnnouncement, 2, None)
+    pos1, pos2 = (DecoyPositions, 1, None), (DecoyPositions, 2, None)
+    receipt2 = (Receipt, 2, None)
+    if first.get(pos1, inf) < last.get(bmo1, -inf):
+        raise TranscriptOrderError("stage-1 positions announced before all stage-1 outcomes")
+    if first.get((InitialStateReveal, 1, "decoy"), inf) < last.get(bmo1, -inf):
+        raise TranscriptOrderError("stage-1 decoy labels revealed before all stage-1 outcomes")
+    if pos2 in first:
+        if receipt2 not in first:
+            raise TranscriptOrderError("stage-2 positions announced without a receipt")
+        if first[pos2] < first[receipt2]:
+            raise TranscriptOrderError("stage-2 positions announced before the receipt")
+    if first.get(bmo2, inf) < last.get(pos2, -inf):
+        raise TranscriptOrderError("stage-2 outcomes announced before positions")
+    if first.get((InitialStateReveal, 2, "decoy"), inf) < last.get(bmo2, -inf):
+        raise TranscriptOrderError("stage-2 decoy labels revealed before all stage-2 outcomes")
+
+    for e in messages:
+        permitted = allowed.get(e.event.owner, set())
+        for index, _lab in e.event.labels:
+            if index not in permitted:
+                raise TranscriptOrderError(
+                    f"{e.event.owner} revealed a private message-pair label (index {index})"
+                )
+        if e.seq < last.get(bmo1, -inf):
+            raise TranscriptOrderError("message-pair label revealed before stage-1 outcomes")
+
+
+def verdicts(t, allowed):
+    """The message (or None) of the run-based and of the reference validator."""
+    out = []
+    for check in (validate_order, reference_validate_order):
+        try:
+            check(t, allowed)
+            out.append(None)
+        except TranscriptOrderError as err:
+            out.append(str(err))
+    return out
+
+
+def log_runs(t, actor, events):
+    """Log ``events`` as column runs, one per stretch of events of one type,
+    stage and reveal kind (a field-less ``Receipt`` is a run of its own)."""
+    key = lambda e: (type(e), e.stage, getattr(e, "kind", None))
+    for (cls, stage, _), group in groupby(events, key):
+        names = [f.name for f in fields(cls) if f.name != "stage"]
+        group = list(group)
+        for rows in [group] if names else [[e] for e in group]:
+            t.append_run(actor, cls, stage, *([getattr(e, n) for e in rows] for n in names))
+
+
+def corrupt_repeated_seq(t):
+    """Make the second run start where the first did, repeating its seq."""
+    t._runs[1] = t._runs[1]._replace(start=t._runs[0].start)
+
+
 @pytest.mark.parametrize(
     "events, message", [c[1:] for c in ORDER_ERRORS], ids=[c[0] for c in ORDER_ERRORS]
 )
@@ -122,36 +203,102 @@ def test_validator_names_each_ordering_error(events, message):
     for event in events:
         t.append("node", event)
     if message == "sequence numbers must increase":
-        t._entries[1] = TranscriptEntry(0, "node", events[1])
-    with pytest.raises(TranscriptOrderError) as err:
-        validate_order(t, {"bob": {2}})
-    assert str(err.value) == message
+        corrupt_repeated_seq(t)
+    # the run-based validator and the per-entry reference agree
+    assert verdicts(t, {"bob": {2}}) == [message, message]
 
 
 @pytest.mark.parametrize(
-    "events, message", [c[1:] for c in ORDER_ERRORS[1:]] + [((BMO1, POS1, DECOYS1), None)],
+    "events, message", [c[1:] for c in ORDER_ERRORS], ids=[c[0] for c in ORDER_ERRORS]
+)
+def test_column_runs_name_each_ordering_error(events, message):
+    t = Transcript()
+    # the first event alone, so that a second run exists to corrupt
+    log_runs(t, "node", events[:1])
+    log_runs(t, "node", events[1:])
+    if message == "sequence numbers must increase":
+        corrupt_repeated_seq(t)
+    assert verdicts(t, {"bob": {2}}) == [message, message]
+
+
+BMOS = tuple(BMOAnnouncement(1, i, lab) for i, lab in enumerate(BellLabel))
+CORRELATIONS = (CorrelationRecord(1, 0, (0, 1)), CorrelationRecord(1, 2, (1, 1)))
+
+
+@pytest.mark.parametrize(
+    "events, message",
+    [c[1:] for c in ORDER_ERRORS[1:]]
+    + [((BMO1, POS1, DECOYS1), None), ((*BMOS, POS1, *CORRELATIONS, Receipt(2), Receipt(2)), None),
+       ((POS1, *BMOS, *CORRELATIONS), ORDER_ERRORS[1][2])],
 )
 def test_extend_matches_appends(events, message):
-    # each actor's run of events goes in as one extend; the log, its bytes
-    # and the validator's verdict are those of one append per event
-    appended, extended = Transcript(), Transcript()
+    # each stretch of one kind of event goes in as one column run; the log,
+    # its bytes and the validator's verdict are those of one append per event
+    appended, logged = Transcript(), Transcript()
     appended.append("charlie", Receipt(1))
-    extended.append("charlie", Receipt(1))
+    logged.append("charlie", Receipt(1))
     for event in events:
         appended.append("node", event)
-    assert extended.extend("node", []) is None and len(extended) == 1
-    extended.extend("node", iter(events))
-    assert list(extended) == list(appended)
-    assert [e.seq for e in extended] == list(range(len(events) + 1))
-    assert extended.serialize() == appended.serialize()
-    verdicts = []
-    for t in (appended, extended):
-        try:
-            validate_order(t, {"bob": {2}})
-            verdicts.append(None)
-        except TranscriptOrderError as err:
-            verdicts.append(str(err))
-    assert verdicts == [message, message]
+    assert logged.append_run("node", BMOAnnouncement, 1, [], iter([])) is None
+    assert len(logged) == 1 and len(logged._runs) == 1
+    log_runs(logged, "node", iter(events))
+    assert list(logged) == list(appended)
+    assert [e.seq for e in logged] == list(range(len(events) + 1))
+    assert len(logged) == len(appended)
+    assert logged.serialize() == appended.serialize()
+    assert verdicts(appended, {"bob": {2}}) == verdicts(logged, {"bob": {2}}) == [message] * 2
+
+
+def test_a_run_keeps_its_columns_when_the_caller_mutates_them():
+    t = Transcript()
+    index, outcome = [0, 1, 2], [PSIP, BellLabel.PSI_MINUS, PSIP]
+    pairs = [(0, 1), (1, 1)]
+    t.append_run("charlie", BMOAnnouncement, 1, index, outcome)
+    t.append_run("alice", CorrelationRecord, 1, index[:2], pairs)
+    before = (list(t), t.serialize())
+    index[0], outcome[1] = 7, BellLabel.PHI_PLUS
+    index.append(3)
+    outcome.clear()
+    pairs[0] = (1, 0)
+    assert (list(t), t.serialize()) == before
+    assert len(t) == 5
+
+
+@pytest.mark.parametrize(
+    "args, error",
+    [
+        ((BMOAnnouncement, 1, [0]), "BMOAnnouncement takes 2 columns, got 1"),
+        ((BMOAnnouncement, 1, [0, 1], [PSIP]), "BMOAnnouncement columns differ in length"),
+        ((InitialStateReveal, 1, ["bob", "bob"], ["decoy", "message"], [(), ()]),
+         "one run reveals one kind of label"),
+    ],
+)
+def test_append_run_rejects_malformed_columns(args, error):
+    t = Transcript()
+    with pytest.raises(ValueError) as err:
+        t.append_run("node", *args)
+    assert str(err.value) == error
+    assert len(t) == 0 and list(t) == []
+    with pytest.raises(TypeError):
+        t.append_run("node", TranscriptEntry, 1, [0], ["node"], [Receipt(1)])
+    with pytest.raises(TypeError):
+        t.append("node", TranscriptEntry(0, "node", Receipt(1)))
+
+
+def _session_reports(reports):
+    for rep in reports:
+        yield rep
+        yield from _session_reports(rep.nested)
+
+
+@pytest.mark.parametrize("name", sorted(_CONFIGS))
+def test_validator_matches_the_reference_on_session_transcripts(name):
+    for rep in _session_reports(run_batch(_CONFIGS[name], 2)):
+        t = rep.transcript
+        every = set(range(rep.n_pairs))
+        for allowed in (None, {"alice": every, "bob": every}, {"bob": set(range(0, rep.n_pairs, 2))}):
+            assert len(set(verdicts(t, allowed))) == 1
+        assert verdicts(t, {"alice": every, "bob": every}) == [None, None]
 
 
 # Frozen replay of a tiny honest session.  Any change to the announcement
