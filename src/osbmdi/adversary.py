@@ -6,10 +6,11 @@ transit, so the protocol layer stays attack-agnostic.  Legs are named
 ``stage1_alice``, ``stage1_bob`` (swap-round transmissions) and
 ``stage2_alice``, ``stage2_bob`` (verification/decode-round transmissions).
 
-Interceptors that act on qubits, and Eve's ancilla readout, are step
-generators like the session: each yields its engine round as a request
-``(arena, op, items, rng)`` (``quantum.engine_round``) for the session's
-lockstep driver, and returns its result.
+Interceptors take and return a leg's qubits as store indices.  Those that
+act on qubits, and Eve's ancilla readout, are step generators like the
+session: each yields its engine round as a request ``(arena, op, qubits,
+arg)`` (``quantum.engine_round``) for the session's lockstep driver, and
+returns its result.
 
 The dishonest-measurement-node behavior (announcing outcomes without
 measuring) is carried on the same spec via ``fake_stages``; it is consulted
@@ -204,12 +205,12 @@ class EveState:
 
     The qubits Eve holds are those the arena lists under the holder
     ``"eve"``; handles move, so Eve never holds a qubit an honest party still
-    believes it has.  ``ancillas`` lists each entangling ancilla with the leg
-    and slot it coupled to; ``measure_ancillas`` reads them out after the
-    session.
+    believes it has.  ``ancillas`` lists per attacked leg the store indices
+    of its entangling ancillas, the ancilla of slot i at position i;
+    ``measure_ancillas`` reads them out after the session.
     """
 
-    ancillas: list[tuple[str, str, int]] = field(default_factory=list)
+    ancillas: list[tuple[str, np.ndarray]] = field(default_factory=list)
     _fresh: int = 0
 
     def new_id(self, prefix: str) -> str:
@@ -217,7 +218,7 @@ class EveState:
         return f"ev_{prefix}{self._fresh}"
 
 
-def intercept_resend(arena: QubitArena, eve: EveState, qubits: list[str]) -> list[str]:
+def intercept_resend(arena: QubitArena, eve: EveState, qubits: np.ndarray) -> np.ndarray:
     """Steal every travel qubit on the leg; forward halves of fresh Bell pairs.
 
     Eve keeps the stolen qubit and the partner half of each substituted pair
@@ -226,13 +227,13 @@ def intercept_resend(arena: QubitArena, eve: EveState, qubits: list[str]) -> lis
     """
     names = [eve.new_id(prefix) for _ in qubits for prefix in "ks"]
     kept, sent = names[0::2], names[1::2]
-    arena.add_bell_pairs([BellLabel.PSI_PLUS.code] * len(qubits), kept, sent, "eve")
+    pairs = arena.add_bell_pairs([BellLabel.PSI_PLUS.code] * len(qubits), kept, sent, "eve")
     arena.transfer_many(qubits, "eve")
-    return sent
+    return pairs[:, 1]
 
 
 def entangle_measure(
-    arena: QubitArena, eve: EveState, leg: str, qubits: list[str], alpha: complex, beta: complex
+    arena: QubitArena, eve: EveState, leg: str, qubits: np.ndarray, alpha: complex, beta: complex
 ):
     """CNOT a fresh ancilla (control) onto each travel qubit (target), as one
     ``apply_cnot`` round; the leg's ancillas are registered with one call.
@@ -240,22 +241,22 @@ def entangle_measure(
     Ancillas are retained and measured after the session; the travel qubits
     continue to the measurement node.
     """
-    ancillas = [eve.new_id("a") for _ in qubits]
-    amps = np.tile([alpha, beta], (len(ancillas), 1))
-    arena.add_registers([(a,) for a in ancillas], amps, "eve")
-    eve.ancillas += [(anc, leg, slot) for slot, anc in enumerate(ancillas)]
-    yield from engine_round(arena, "apply_cnot", list(zip(ancillas, qubits)))
-    return list(qubits)
+    names = [(eve.new_id("a"),) for _ in qubits]
+    amps = np.tile([alpha, beta], (len(names), 1))
+    ancillas = arena.add_registers(names, amps, "eve")[:, 0]
+    eve.ancillas.append((leg, ancillas))
+    yield from engine_round(arena, "apply_cnot", np.column_stack((ancillas, qubits)))
+    return qubits
 
 
-def flip_all(arena: QubitArena, qubits: list[str]):
+def flip_all(arena: QubitArena, qubits: np.ndarray):
     """Apply X to every qubit on the leg, as one ``apply_pauli`` round."""
-    yield from engine_round(arena, "apply_pauli", [(q, PauliLabel.X) for q in qubits])
-    return list(qubits)
+    yield from engine_round(arena, "apply_pauli", qubits, np.full(len(qubits), PauliLabel.X.symbol))
+    return qubits
 
 
 def disturb(
-    arena: QubitArena, qubits: list[str], rng: np.random.Generator, mode: str, fraction: float
+    arena: QubitArena, qubits: np.ndarray, rng: np.random.Generator, mode: str, fraction: float
 ):
     """Denial-of-service style tampering with a uniformly chosen slot subset.
 
@@ -266,25 +267,21 @@ def disturb(
     n = len(qubits)
     k = int(round(fraction * n))
     if k == 0:
-        return list(qubits)
-    chosen = sorted(rng.choice(n, size=k, replace=False).tolist())
-    out = list(qubits)
+        return qubits
+    chosen = np.sort(rng.choice(n, size=k, replace=False))
     if mode == "reorder":
-        perm = rng.permutation(k)
-        for dst, src in zip(chosen, perm):
-            out[dst] = qubits[chosen[src]]
-    else:
-        hits = [(out[slot], NON_IDENTITY[rng.integers(3)]) for slot in chosen]
-        yield from engine_round(arena, "apply_pauli", hits)
-    return out
+        out = qubits.copy()
+        out[chosen] = qubits[chosen[rng.permutation(k)]]
+        return out
+    codes = [NON_IDENTITY[rng.integers(3)].symbol for _ in range(k)]
+    yield from engine_round(arena, "apply_pauli", qubits[chosen], codes)
+    return qubits
 
 
-_BELL_LABELS = tuple(BellLabel)
-
-
-def fake_bmo_outcome(rng: np.random.Generator) -> BellLabel:
-    """Uniformly random label announced without measuring."""
-    return _BELL_LABELS[rng.integers(4)]
+def fake_bmo_outcome(rng: np.random.Generator) -> int:
+    """Code (position in ``BELL_LABELS``) of a uniformly random label
+    announced without measuring."""
+    return int(rng.integers(4))
 
 
 def apply_leg_attack(
@@ -292,13 +289,13 @@ def apply_leg_attack(
     arena: QubitArena,
     eve: EveState,
     leg: str,
-    qubits: list[str],
+    qubits: np.ndarray,
     rng: np.random.Generator,
 ):
-    """Run the configured strategy on one leg, as a step generator of engine
-    rounds; returns the arriving qubits."""
-    if spec is None or leg not in spec.legs:
-        return list(qubits)
+    """Run the configured strategy on one leg's qubits (store indices), as a
+    step generator of engine rounds; returns the arriving qubits."""
+    if spec is None or leg not in spec.legs or not len(qubits):
+        return qubits
     if spec.strategy == "intercept_resend":
         return intercept_resend(arena, eve, qubits)
     if spec.strategy == "entangle_measure":
@@ -307,11 +304,15 @@ def apply_leg_attack(
         return (yield from flip_all(arena, qubits))
     if spec.strategy == "disturb":
         return (yield from disturb(arena, qubits, rng, spec.mode, spec.fraction))
-    return list(qubits)
+    return qubits
 
 
 def measure_ancillas(arena: QubitArena, eve: EveState, rng: np.random.Generator):
     """Post-session computational-basis readout of Eve's ancillas, as one
     ``comp_measure`` round; returns a ``(leg, slot, bit)`` record per ancilla."""
-    bits = yield from engine_round(arena, "comp_measure", [a for a, _, _ in eve.ancillas], rng)
-    return [(leg, slot, bit) for (_, leg, slot), bit in zip(eve.ancillas, bits)]
+    if not eve.ancillas:
+        return []
+    slots = [(leg, slot) for leg, ancillas in eve.ancillas for slot in range(len(ancillas))]
+    qubits = np.concatenate([ancillas for _, ancillas in eve.ancillas])
+    bits = yield from engine_round(arena, "comp_measure", qubits, rng)
+    return [(leg, slot, bit) for (leg, slot), bit in zip(slots, bits.tolist())]

@@ -26,7 +26,6 @@ from .adversary import (
 )
 from .protocol import correlated_table, correlation_failures, run_lockstep
 from .quantum import (
-    BELL_LABELS,
     BellLabel,
     PauliLabel,
     QubitArena,
@@ -305,24 +304,25 @@ def _rows(state: StateVector, n: int) -> StateVector:
     return StateVector.stack(state.qubit_ids, np.repeat(state.amplitudes[None, :], n, axis=0))
 
 
-def _correlation_failures(announced, bits_a, bits_b) -> int:
-    """Failed psi+/psi+ correlation checks, one per row."""
-    labels = np.fromiter(map(BELL_LABELS.index, announced), np.intp, len(announced))
+def _correlation_failures(announced: np.ndarray, bits_a, bits_b) -> int:
+    """Failed psi+/psi+ correlation checks, one per row of the announced
+    label codes."""
     psip = _PSIP.code
-    return correlation_failures(bits_a, bits_b, correlated_table()[psip, psip, labels])
+    return correlation_failures(bits_a, bits_b, correlated_table()[psip, psip, announced])
 
 
 def _attack_slot(strategy: str, travel: list[str], **params) -> tuple[list[str], QubitArena]:
     """Psi+ pairs (a0, a1) and (b0, b1) on a fresh arena after ``strategy``
-    attacks ``travel`` on its first default leg; the arriving qubits and the arena."""
+    attacks the qubits named ``travel`` on its first default leg; the names
+    of the arriving qubits and the arena."""
     arena = QubitArena()
     arena.add_bell_pairs([_PSIP.code], ["a0"], ["a1"], "alice")
     arena.add_bell_pairs([_PSIP.code], ["b0"], ["b1"], "bob")
     spec = AttackSpec(strategy, **params)
     leg = min(spec.legs, default=LEGS[0])
     # these strategies draw nothing; a generator would load numpy.random at import
-    attack = apply_leg_attack(spec, arena, EveState(), leg, travel, None)
-    return run_lockstep([attack])[0], arena
+    attack = apply_leg_attack(spec, arena, EveState(), leg, arena.indices(travel), None)
+    return arena.names(run_lockstep([attack])[0]), arena
 
 
 # the node Bell-measures a1 with the half of a fresh pair Eve sent on in place of b1
@@ -350,7 +350,7 @@ def trial_fake_bmo_case1(rng: np.random.Generator, n: int) -> int:
     announced, u_a, u_b = zip(*draws)
     bits_a, _ = comp_measure(_rows(_HONEST.state_of("a0"), n), "a0", np.array(u_a))
     bits_b, _ = comp_measure(_rows(_HONEST.state_of("b0"), n), "b0", np.array(u_b))
-    return _correlation_failures(announced, bits_a, bits_b)
+    return _correlation_failures(np.array(announced), bits_a, bits_b)
 
 
 def _entangled(alpha: complex, beta: complex) -> StateVector:
@@ -360,8 +360,8 @@ def _entangled(alpha: complex, beta: complex) -> StateVector:
 
 def _whole_failures(pairs: StateVector, uniforms: np.ndarray) -> int:
     """Whole decoy pairs (a0, a1), one per row, whose Bell label is not psi+."""
-    labels, _ = bell_measure(pairs, "a0", "a1", uniforms)
-    return sum(label is not _PSIP for label in labels)
+    codes, _ = bell_measure(pairs, "a0", "a1", uniforms)
+    return int(np.count_nonzero(codes != _PSIP.code))
 
 
 def _whole_check(pair: StateVector) -> Callable[[np.random.Generator], bool]:
@@ -376,7 +376,7 @@ def _split_check(pair: StateVector) -> Callable[[np.random.Generator], bool]:
         u = rng.random((n, 2))
         c_bits, rest = comp_measure(_rows(pair, n), "a1", u[:, 0])
         o_bits, _ = comp_measure(rest, "a0", u[:, 1])
-        return sum(c != o for c, o in zip(c_bits, o_bits))
+        return int(np.count_nonzero(c_bits != o_bits))
 
     return _check_trial(failures)
 

@@ -267,6 +267,9 @@ def main(argv: list[str] | None = None) -> int:
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except MemoryError:  # the failed allocation's frames are gone by now
+        print("error: out of memory", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":  # pragma: no cover

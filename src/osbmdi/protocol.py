@@ -21,10 +21,9 @@ checks; case IV carries the message.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cache, lru_cache
-from itertools import accumulate, repeat
-from operator import is_not
+from itertools import accumulate
 from typing import Generator, Sequence
 
 import numpy as np
@@ -226,19 +225,20 @@ class ExtendedSequence:
     """A party's travel sequence with verification qubits interleaved.
 
     Slot i carries item ``order[i]`` of the ``n_base`` base items and then
-    the decoys (``insert_decoys``), whose travel qubit is ``qubits[i]``;
-    ``occupants`` is what actually arrived at the measurement node (attacks
-    may substitute or permute).  The first ``2 * n_whole`` decoys are whole
-    pairs' halves, pair by pair; the rest are split pairs' traveling halves.
+    the decoys (``insert_decoys``), whose travel qubit has the store index
+    ``qubits[i]``; ``occupants`` is what actually arrived at the measurement
+    node (attacks may substitute or permute).  The first ``2 * n_whole``
+    decoys are whole pairs' halves, pair by pair; the rest are split pairs'
+    traveling halves.
     ``decoy`` marks the verification slots, and the message, split and
     whole positions are worked out once.
     """
 
     order: np.ndarray
     n_base: int
-    qubits: list[str]
+    qubits: np.ndarray
     n_whole: int = 0
-    occupants: list[str] = field(default_factory=list)
+    occupants: np.ndarray | None = None
 
     def __post_init__(self) -> None:
         self.decoy = self.order >= self.n_base
@@ -351,14 +351,15 @@ class PartyState:
     The pairs come in four blocks, the slices ``pairs`` (message pairs),
     ``s1_decoys``, ``s2_whole`` and ``s2_split`` of every column; a pair's
     index in its block is its message or decoy index.  Pair i is the qubits
-    ``first[i]`` (the home half; a whole decoy's half 0) and ``second[i]``
-    (the traveling half) in the Bell state ``labels[i]``, whose code is
-    ``codes[i]``.
+    named ``first[i]`` (the home half; a whole decoy's half 0) and
+    ``second[i]`` (the traveling half), at the store indices ``qubits[i]``,
+    in the Bell state ``labels[i]``, whose code is ``codes[i]``.
     """
 
     name: str
     first: np.ndarray
     second: np.ndarray
+    qubits: np.ndarray
     codes: np.ndarray
     labels: list[BellLabel]
     pairs: slice
@@ -447,26 +448,20 @@ class Session:
     ``known[side]`` (the codes of that party's knowledge of the partner's
     initial labels, per pair index).
 
-    The bookkeeping runs once per block, leg or round, not once per qubit:
-    preparation draws each party's labels as one block per label set
-    (``draw_codes``) and registers its pairs with one ``add_bell_pairs``;
-    each sequence works out its positions once, each leg moves its qubits
-    with one ``transfer_many`` each way, the aligned slots are arrays
-    (case codes, each side's item index), checks and decoding are table
-    lookups, and a round's announcements enter the transcript as one run of
-    columns (``Transcript.append_run``), with no record built per
-    announcement.
+    Bookkeeping runs once per block, leg or round, never per qubit, and
+    never by qubit name: preparation draws each party's labels per block
+    (``draw_codes``) and keeps the store indices ``add_bell_pairs`` returns
+    for its pairs; sequences, occupants and Eve's ancillas are index arrays,
+    each leg is one ``transfer_many`` each way, outcomes come back as code
+    arrays, checks and decoding are table lookups, and a round's
+    announcements are one transcript run (``Transcript.append_run``).
 
-    ``steps()`` is the session as a generator.  Each engine round is not
-    called but yielded as a request ``(arena, op, items, rng)``, and the
-    round's results come back through ``send``; ``run_lockstep`` serves the
-    pending requests of a whole cohort of sessions as one ``run_round`` per
-    op, which gives every session the same results and draws as one scalar
-    call per slot in slot order.  So that one round can reach them all, the
-    arenas of a cohort are views of one store: the session's arena is put on
-    the store of ``share`` when given (``run_batch`` passes one per cohort).
-    It is the only driver: every qubit operation of the session, Eve's and
-    the node's included, is such a request.  The requests, in order:
+    ``steps()`` is the session as a generator.  Each engine round is yielded
+    as a request ``(arena, op, qubits, arg)`` (see ``run_round``) and its
+    results come back through ``send``; ``run_lockstep``, the only driver,
+    serves the pending requests of a cohort of sessions, whose arenas are
+    views of one store (``share``), as one ``run_round`` per op.  Every qubit
+    operation, Eve's and the node's included, is such a request, in order:
 
       dialogue      a nested share's requests, on the nested session's
                     arena (on this session's store), for each party with a
@@ -537,7 +532,7 @@ class Session:
 
     def steps(self) -> Generator[tuple, list, SessionReport]:
         """The session as a generator of engine round requests ``(arena, op,
-        items, rng)``, each sent back its results; returns the report."""
+        qubits, arg)``, each sent back its results; returns the report."""
         aborted, abort_stage, abort_rate, abort_kind = False, None, None, None
         try:
             self._prepare()
@@ -594,8 +589,8 @@ class Session:
             ])
             labels = list(map(BELL_LABELS.__getitem__, codes.tolist()))
             first, second = _pair_names(name[0], counts)
-            self.arena.add_bell_pairs(codes, first.tolist(), second.tolist(), name)
-            parties.append(PartyState(name, first, second, codes, labels, *blocks))
+            qubits = self.arena.add_bell_pairs(codes, first.tolist(), second.tolist(), name)
+            parties.append(PartyState(name, first, second, qubits, codes, labels, *blocks))
         self.parties = tuple(parties)
         self.alice, self.bob = parties
         for side, state_set in enumerate(self.state_sets):
@@ -653,11 +648,10 @@ class Session:
 
     # -- round 1: swap ---------------------------------------------------------
 
-    def _transmit(self, leg: str, party: PartyState, qubits: list[str]):
+    def _transmit(self, leg: str, party: PartyState, qubits: np.ndarray):
         self.arena.transfer_many(qubits, "channel", expect=party.name)
         if self.cfg.noise is not None:
-            u = self.cfg.noise.matrix()
-            yield from engine_round(self.arena, "apply_unitary", list(zip(qubits, repeat(u))))
+            yield from engine_round(self.arena, "apply_unitary", qubits, self.cfg.noise.matrix())
         arrived = yield from apply_leg_attack(
             self.cfg.attack, self.arena, self.eve, leg, qubits, self.rng
         )
@@ -669,7 +663,7 @@ class Session:
         for party in self.parties:
             # the message pairs and stage-1 decoys are the first n + k pairs
             order = insert_decoys(n, k, self.rng)
-            party.seq1 = ExtendedSequence(order, n, party.second[order].tolist())
+            party.seq1 = ExtendedSequence(order, n, party.qubits[order, 1])
         for party in self.parties:
             party.seq1.occupants = yield from self._transmit(
                 f"stage1_{party.name}", party, party.seq1.qubits
@@ -678,13 +672,12 @@ class Session:
         if len(a_seq.qubits) != len(b_seq.qubits):
             raise ProtocolError("swap-round sequences differ in length")
         if 1 in self.charlie.fake_stages:
-            bmo1 = [fake_bmo_outcome(self.rng) for _ in a_seq.qubits]
+            bmo1 = np.array([fake_bmo_outcome(self.rng) for _ in a_seq.qubits], dtype=np.intp)
         else:
-            bmo1 = yield from engine_round(
-                self.arena, "bell_measure", list(zip(a_seq.occupants, b_seq.occupants)), self.rng
-            )
-        self.bmo1_codes = np.fromiter(map(BELL_LABELS.index, bmo1), np.intp, len(bmo1))
-        self.transcript.append_run("charlie", BMOAnnouncement, 1, range(len(bmo1)), bmo1)
+            pairs = np.column_stack((a_seq.occupants, b_seq.occupants))
+            bmo1 = yield from engine_round(self.arena, "bell_measure", pairs, self.rng)
+        self.bmo1_codes = bmo1
+        self._announce(1, range(len(bmo1)), bmo1)
 
     def _stage1_checks(self):
         for party in self.parties:
@@ -716,11 +709,13 @@ class Session:
                     party.name, InitialStateReveal(party.name, 1, "message", labels)
                 )
         items = [order[checked] for order in orders]
-        homes = np.column_stack([p.first[i] for p, i in zip(self.parties, items)])
-        flat = yield from engine_round(self.arena, "comp_measure", homes.ravel().tolist(), self.rng)
+        homes = np.column_stack([p.qubits[i, 0] for p, i in zip(self.parties, items)])
+        flat = yield from engine_round(self.arena, "comp_measure", homes.ravel(), self.rng)
         a_bits, b_bits = flat[::2], flat[1::2]
         ids = checked.tolist()
-        self.transcript.append_run("alice", CorrelationRecord, 1, ids, zip(a_bits, b_bits))
+        self.transcript.append_run(
+            "alice", CorrelationRecord, 1, ids, zip(a_bits.tolist(), b_bits.tolist())
+        )
         alice, bob = self.parties
         correlated = correlated_table()[
             alice.codes[items[0]], bob.codes[items[1]], self.bmo1_codes[checked]
@@ -739,9 +734,7 @@ class Session:
         else:
             self.survivors = np.flatnonzero(self.cases == _CASE_IV)
         self.survivor_items = [party.seq1.order[self.survivors] for party in self.parties]
-        homes = [
-            party.first[items] for party, items in zip(self.parties, self.survivor_items)
-        ]
+        homes = [party.qubits[items, 0] for party, items in zip(self.parties, self.survivor_items)]
         n_sym = len(self.survivors)
         senders = (0, 1) if self.cfg.mode is Mode.QD else (0,)
         for side in senders:
@@ -754,18 +747,13 @@ class Session:
             else:
                 symbols = tuple(self.rng.integers(0, 4, size=n_sym).tolist())
             self.sent[self.parties[side].name] = symbols
-            yield from engine_round(
-                self.arena, "apply_pauli",
-                list(zip(homes[side].tolist(), map(_PAULIS.__getitem__, symbols))),
-            )
+            # a symbol is its Pauli's code
+            yield from engine_round(self.arena, "apply_pauli", homes[side], np.array(symbols))
         for side, party in enumerate(self.parties):
             whole = party.s2_whole
-            decoys = np.concatenate([
-                np.column_stack((party.first[whole], party.second[whole])).ravel(),
-                party.second[party.s2_split],
-            ])
+            decoys = np.concatenate([party.qubits[whole].ravel(), party.qubits[party.s2_split, 1]])
             order = insert_decoys(n_sym, len(decoys), self.rng)
-            qubits = np.concatenate([homes[side], decoys])[order].tolist()
+            qubits = np.concatenate([homes[side], decoys])[order]
             party.seq2 = ExtendedSequence(
                 order, n_sym, qubits, n_whole=whole.stop - whole.start
             )
@@ -790,36 +778,28 @@ class Session:
             occupants = party.seq2.occupants
             whole = party.seq2.whole_positions
             if fake:
-                outcomes = [fake_bmo_outcome(self.rng) for _ in whole]
+                outcomes = np.array([fake_bmo_outcome(self.rng) for _ in whole], dtype=np.intp)
             else:
-                outcomes = yield from engine_round(
-                    self.arena, "bell_measure",
-                    [(occupants[i], occupants[j]) for i, j in whole], self.rng,
-                )
-            self.transcript.append_run(
-                "charlie", BMOAnnouncement, 2, [i for i, _ in whole], outcomes
-            )
+                pairs = occupants[np.array(whole, dtype=np.intp).reshape(-1, 2)]
+                outcomes = yield from engine_round(self.arena, "bell_measure", pairs, self.rng)
+            self._announce(2, [i for i, _ in whole], outcomes)
             self.gv_checks += len(whole)
-            self.gv_fails += sum(map(is_not, outcomes, party.labels[party.s2_whole]))
+            self.gv_fails += int(np.count_nonzero(outcomes != party.codes[party.s2_whole]))
             split = party.seq2.split_positions
-            homes = party.first[party.s2_split].tolist()
+            homes = party.qubits[party.s2_split, 0]
             if fake:
                 # the node's bit is a draw, interleaved with the home readouts
                 c_bits, o_bits = [], []
-                for home in homes:
+                for j in range(len(homes)):
                     c_bits.append(int(self.rng.integers(2)))
-                    bit = yield from engine_round(self.arena, "comp_measure", [home], self.rng)
-                    o_bits += bit
+                    home = homes[j:j + 1]
+                    bit = yield from engine_round(self.arena, "comp_measure", home, self.rng)
+                    o_bits += bit.tolist()
             else:
-                flat = yield from engine_round(
-                    self.arena, "comp_measure",
-                    [q for pos, home in zip(split, homes) for q in (occupants[pos], home)],
-                    self.rng,
-                )
-                c_bits, o_bits = flat[::2], flat[1::2]
-            self.transcript.append_run(
-                "charlie", CorrelationRecord, 2, split, zip(c_bits, o_bits)
-            )
+                pairs = np.column_stack((occupants[list(split)], homes))
+                flat = yield from engine_round(self.arena, "comp_measure", pairs.ravel(), self.rng)
+                c_bits, o_bits = flat[::2].tolist(), flat[1::2].tolist()
+            self.transcript.append_run("charlie", CorrelationRecord, 2, split, zip(c_bits, o_bits))
             self.split_checks += len(split)
             self.split_fails += correlation_failures(
                 c_bits, o_bits, _IS_CORRELATED[party.codes[party.s2_split]]
@@ -853,16 +833,10 @@ class Session:
                 "alice", InitialStateReveal("alice", 3, "message", labels)
             )
             self.known[1] = self.alice.codes[:n]
-        a_msg, b_msg = (
-            list(map(party.seq2.occupants.__getitem__, party.seq2.message_positions.tolist()))
-            for party in self.parties
-        )
-        outcomes = yield from engine_round(
-            self.arena, "bell_measure", list(zip(a_msg, b_msg)), self.rng
-        )
-        self.transcript.append_run("charlie", BMOAnnouncement, 3, range(len(outcomes)), outcomes)
+        pairs = np.column_stack([p.seq2.occupants[p.seq2.message_positions] for p in self.parties])
+        bmo2 = yield from engine_round(self.arena, "bell_measure", pairs, self.rng)
+        self._announce(3, range(len(bmo2)), bmo2)
         bmo1 = self.bmo1_codes[self.survivors]
-        bmo2 = np.fromiter(map(BELL_LABELS.index, outcomes), np.intp, len(outcomes))
         prepared = [party.codes[items] for party, items in zip(self.parties, self.survivor_items)]
         # each decoder recovers the other side's operator, reading that
         # side's message-pair labels from what it knows of them
@@ -881,6 +855,11 @@ class Session:
         ))
 
     # -- wrap-up -------------------------------------------------------------------
+
+    def _announce(self, stage: int, indices: Sequence[int], codes: np.ndarray) -> None:
+        """Log the node's announcements of the label codes ``codes`` at ``indices``."""
+        labels = map(BELL_LABELS.__getitem__, codes.tolist())
+        self.transcript.append_run("charlie", BMOAnnouncement, stage, indices, labels)
 
     def _attach_ancilla_bits(self, records: list[tuple[str, int, int]]) -> None:
         """File Eve's ``(leg, slot, bit)`` readouts under the message slot
@@ -942,7 +921,7 @@ COHORT = 16
 def run_lockstep(steps: Sequence[Generator]) -> list:
     """Run step generators side by side to their return values, in order.
 
-    A step generator yields engine round requests ``(arena, op, items, rng)``
+    A step generator yields engine round requests ``(arena, op, qubits, arg)``
     and is sent back each round's results (``Session.steps``,
     ``adversary.apply_leg_attack``).  Every step serves the one pending
     request of each live generator: the requests of one op become one
@@ -957,11 +936,11 @@ def run_lockstep(steps: Sequence[Generator]) -> list:
         rounds: dict[str, list] = {}
         for k, reply in replies.items():
             try:
-                arena, op, items, rng = runs[k].send(reply)
+                arena, op, qubits, arg = runs[k].send(reply)
             except StopIteration as done:
                 reports[k], runs[k] = done.value, None
                 continue
-            rounds.setdefault(op, []).append((k, (arena, items, rng)))
+            rounds.setdefault(op, []).append((k, (arena, qubits, arg)))
         replies = {}
         for op, requests in rounds.items():
             results = run_round(op, [request for _, request in requests])

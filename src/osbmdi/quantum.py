@@ -18,16 +18,13 @@ projects onto rows, and each projected row is already the amplitude vector of
 the surviving register.
 
 Stacked registers: ``StateVector.stack(ids, amps)`` holds k registers of one
-layout, ``amps`` of shape ``(k, 2**n)`` with one state per row, named by the
-``ids`` of a template register (the arena names a stack's qubits by
-position).  Every free gate and measurement below also takes a stack and acts
-on it row by row, so row i of the result is the single-register result for
-row i.  A single register draws its outcome from a ``Generator``; a stack
-instead takes one pre-drawn uniform per row, and row i samples with that
-uniform exactly as the single-register form samples with its one
-``rng.random()`` draw.  Because ``rng.random(k)`` yields the same doubles as
-k scalar draws, a round of k measurements can draw its uniforms once and keep
-the random stream unchanged.
+layout, one state per row of ``amps`` (shape ``(k, 2**n)``), named by the
+``ids`` of a template register.  Every free gate and measurement also takes
+a stack and acts on it row by row.  A single register draws its outcome from
+a ``Generator``; a stack takes one pre-drawn uniform per row, which row i
+uses as the single-register form uses its one ``rng.random()`` draw, and
+returns its outcomes as an array of codes.  ``rng.random(k)`` yields the
+same doubles as k scalar draws, so a round's draws keep the stream unchanged.
 
 Bell-label convention: psi+/- live on |00> +/- |11>, phi+/- on |01> +/- |10>.
 Note this is swapped relative to the more common psi/phi usage; the whole
@@ -35,25 +32,13 @@ package follows this labeling.
 
 Arena storage: a ``QubitArena`` is a view of a store (``_Store``) that the
 arenas of a cohort of sessions share.  The store keeps the registers as rows
-of one table per width n, amplitudes ``(cap, 2**n)`` beside member qubit
-indices ``(cap, n)`` in register order, and one packed location per qubit
-(table width, row, axis; 0 once measured); qubit indices are store-wide, and
-each arena maps its own qubit names to them.  Registers enter in bulk, one
-table write per call (``add_registers``, ``add_bell_pairs``).  ``state_of``
-copies a row out, so a state handed in or out is never written; the store
-writes rows in place.  A round (``run_round``) over the arenas of one store
-maps its items to locations with one index array, splits them into
-dependency waves and groups a wave's items by widths, axes and parameter;
-each group gathers its rows with one index array per table, makes one engine
-call and scatters the result back: a gate on one register in place, a
-measurement's or a join's surviving registers as new rows of the table of
-their width, whose qubits' locations are rewritten in one assignment (the
-store's ``append``, which registration uses too).  Items on distinct
-registers form one wave; a single-register item's wave is its occurrence
-rank on its register, and a joining item (``bell_measure`` or ``apply_cnot``
-across two registers) that shares a register with an earlier item waits for
-it, the two registers counting as one from then on.  Every round runs this
-way, whatever its size.
+of one table per width (amplitudes beside member qubits), and per qubit a
+packed location (0 once measured), a holder code and a name.  Across the
+engine boundary qubits are store indices: registration returns them, rounds
+(``run_round``) take index arrays and return outcome codes, and names appear
+only in error messages and the arena's by-name methods.  A round splits its
+items into dependency waves and makes one engine call per group of a wave
+with one layout, gathering and scattering its rows with one index array.
 """
 from __future__ import annotations
 
@@ -115,9 +100,7 @@ class BellLabel(enum.Enum):
         return self.value
 
 
-# The code table: a label's code is its index here.  Code arrays map
-# labels in with ``map(BELL_LABELS.index, labels)``, an identity scan in C,
-# where a dict keyed by label would hash each one through ``Enum.__hash__``.
+# The code table: a label's code is its index here.
 BELL_LABELS = tuple(BellLabel)
 
 
@@ -372,8 +355,8 @@ def bell_measure(
 
     The outcome is Born-sampled from ``rng``; the measured qubits are removed
     from the returned register (None when the register is exhausted).  A
-    stack takes an array of row uniforms for ``rng`` and returns a list of
-    labels with the stack of surviving rows.
+    stack takes an array of row uniforms for ``rng`` and returns the array of
+    label codes (positions in ``BELL_LABELS``) with the stack of surviving rows.
     """
     if q_a == q_b:
         raise InvalidRegisterError("cannot Bell-measure a qubit against itself")
@@ -392,7 +375,7 @@ def comp_measure(
     s: StateVector, qubit_id: str, rng: np.random.Generator | np.ndarray
 ) -> tuple[int, StateVector | None]:
     """Destructive computational-basis measurement of one qubit.  A stack
-    takes an array of row uniforms for ``rng`` and returns a list of bits."""
+    takes an array of row uniforms for ``rng`` and returns an array of bits."""
     rows = _to_front(s, (s.axis(qubit_id),))
     if rows.ndim == 3:
         return _comp_measure_rows(s, qubit_id, rows, rng)
@@ -425,35 +408,34 @@ def _row_uniforms(uniforms: np.ndarray, k: int) -> np.ndarray:
 
 def _bell_measure_rows(
     s: StateVector, pair: tuple[str, str], branches: np.ndarray, uniforms: np.ndarray
-) -> tuple[list[BellLabel], StateVector | None]:
+) -> tuple[np.ndarray, StateVector | None]:
     """Stacked ``bell_measure``: row i samples like ``_sample_index`` with
     uniform i (first label whose running sum exceeds u * total)."""
     probs = (np.abs(branches) ** 2).sum(axis=2)
     k = len(probs)
     r = _row_uniforms(uniforms, k) * probs.sum(axis=1)
     picks = np.minimum((np.cumsum(probs, axis=1) <= r[:, None]).sum(axis=1), 3)
-    labels = [BELL_LABELS[i] for i in picks.tolist()]
     remaining = tuple(q for q in s.qubit_ids if q not in pair)
     if not remaining:
-        return labels, None
+        return picks, None
     rows = np.arange(k)
     kept = branches[rows, picks] / np.sqrt(probs[rows, picks])[:, None]
-    return labels, StateVector.stack(remaining, kept)
+    return picks, StateVector.stack(remaining, kept)
 
 
 def _comp_measure_rows(
     s: StateVector, qubit_id: str, front: np.ndarray, uniforms: np.ndarray
-) -> tuple[list[int], StateVector | None]:
+) -> tuple[np.ndarray, StateVector | None]:
     """Stacked ``comp_measure``: row i reads 1 when uniform i < p1 of row i."""
     ones = front[:, 1]
     p1 = (ones.real**2 + ones.imag**2).sum(axis=1)
-    bits = _row_uniforms(uniforms, len(p1)) < p1
+    read = _row_uniforms(uniforms, len(p1)) < p1
     remaining = tuple(q for q in s.qubit_ids if q != qubit_id)
     if not remaining:
-        return bits.astype(int).tolist(), None
-    p = np.where(bits, p1, 1.0 - p1)
-    kept = np.where(bits[:, None], ones, front[:, 0]) / np.sqrt(p)[:, None]
-    return bits.astype(int).tolist(), StateVector.stack(remaining, kept)
+        return read.astype(np.intp), None
+    p = np.where(read, p1, 1.0 - p1)
+    kept = np.where(read[:, None], ones, front[:, 0]) / np.sqrt(p)[:, None]
+    return read.astype(np.intp), StateVector.stack(remaining, kept)
 
 
 @dataclass(frozen=True)
@@ -579,7 +561,7 @@ def frame_correction(start: BellLabel, end: BellLabel, side: int = 0) -> PauliLa
 # Arena: a session's registers as rows of per-width tables, and rounds over it.
 # ---------------------------------------------------------------------------
 
-# Round op -> (measures?, names two target qubits per item?).
+# Round op -> (measures?, two target qubits per item?).
 _ROUND_OPS = {
     "bell_measure": (True, True),
     "comp_measure": (True, False),
@@ -601,9 +583,11 @@ _SLOTS = tuple(f"q{i}" for i in range(_BASE))
 
 _BELL_TABLE = np.array([BELL_VECTORS[lab] for lab in BELL_LABELS])
 
+_NO_OUTCOMES = np.empty(0, dtype=np.intp)  # of a measuring round without items
+
 
 def _resized(a: np.ndarray, cap: int) -> np.ndarray:
-    out = np.empty((cap,) + a.shape[1:], dtype=a.dtype)
+    out = np.zeros((cap,) + a.shape[1:], dtype=a.dtype)
     out[: len(a)] = a
     return out
 
@@ -647,25 +631,36 @@ def _relocation(width: int, gone: tuple[int, ...]) -> tuple[list[int], np.ndarra
 
 
 class _Store:
-    """The registers of every arena on it: the tables by width (``_Table``),
-    one packed location per qubit (``loc``, see ``_BASE``; 0 means measured)
-    and each qubit's name (``names``).  Qubit indices are store-wide, so one
-    index array reaches the qubits of all its arenas."""
+    """The registers of every arena on it, as tables by width (``_Table``),
+    and per qubit a packed location (``loc``, see ``_BASE``; 0 once
+    measured), a holder code (``held``, a position in the short table
+    ``holders``; 0 when not live) and a name.  Qubit indices are store-wide,
+    so one index array reaches the qubits of all its arenas."""
 
-    __slots__ = ("names", "loc", "tables")
+    __slots__ = ("names", "loc", "held", "holders", "tables")
 
     def __init__(self) -> None:
         self.names: list[str] = []
         self.loc = np.zeros(64, dtype=np.intp)
+        self.held = np.zeros(64, dtype=np.intp)
+        self.holders: list[str | None] = [None]
         self.tables: dict[int, _Table] = {}
 
-    def assign(self, names: list[str]) -> range:
-        """Indices for the new qubits ``names``, which start measured (0)."""
+    def holder_code(self, holder: str) -> int:
+        """The code of ``holder``, entered in the table on first use."""
+        if holder not in self.holders:
+            self.holders.append(holder)
+        return self.holders.index(holder)
+
+    def assign(self, names: list[str], holder: str) -> range:
+        """Indices for the new qubits ``names``, held by ``holder``; they
+        start measured (location 0)."""
         start = len(self.names)
         self.names += names
         if len(self.names) > len(self.loc):
-            grow = max(len(self.names), 2 * len(self.loc)) - len(self.loc)
-            self.loc = np.concatenate([self.loc, np.zeros(grow, dtype=np.intp)])
+            cap = max(len(self.names), 2 * len(self.loc))
+            self.loc, self.held = _resized(self.loc, cap), _resized(self.held, cap)
+        self.held[start:len(self.names)] = self.holder_code(holder)
         return range(start, len(self.names))
 
     def append(self, amps: np.ndarray | None, members: np.ndarray, gone: tuple = ()) -> None:
@@ -689,73 +684,62 @@ class _Store:
 
 
 def run_round(
-    op: str, requests: Sequence[tuple["QubitArena", Sequence, np.random.Generator | None]]
-) -> list[list]:
+    op: str, requests: Sequence[tuple["QubitArena", np.ndarray, object]]
+) -> list:
     """One round of ``op`` over the items of any number of arenas on one store.
 
-    ``op`` names an arena operation (``bell_measure``, ``comp_measure``,
-    ``apply_pauli``, ``apply_unitary``, ``apply_cnot``).  Request r is
-    ``(arena, items, rng)`` with the items that operation takes and, for a
-    measurement, the ``rng`` to draw from (None for a gate); every arena must
-    be on the store of the first, or ``QuantumError`` is raised.  It gets
-    back the list of what ``arena.<op>`` called on each item in order would
-    return, and its arena and ``rng`` end as after those calls: a measuring
-    request draws one uniform per item up front, item i taking the i-th,
-    which is the draw the scalar op would make.
+    ``op`` names an arena operation.  Request r is ``(arena, qubits, arg)``:
+    ``qubits`` holds the store indices of its k items' targets, shape
+    ``(k,)``, or ``(k, 2)`` for ``bell_measure`` and ``apply_cnot``; ``arg``
+    is the ``rng`` of a measurement, the k Pauli codes
+    (``PauliLabel.symbol``) of ``apply_pauli``, the one matrix of every item
+    of ``apply_unitary``, and None for ``apply_cnot``.  Every arena must be
+    on the store of the first, or ``QuantumError`` is raised.  A measuring
+    request gets back its outcomes as an array of Bell label codes or bits,
+    a gate request k Nones; the arenas and each ``rng`` end, and the
+    outcomes are, as after ``arena.<op>`` called on each item in order.  A
+    measuring request draws its k uniforms up front, item i taking the i-th.
 
     The items run in dependency waves (``_plan_waves``), wave w of every
     request together, so no register appears twice in a wave and each sees
     its items in call order.  A wave's items are grouped by register widths,
     target axes and parameter, and each group is one engine call
-    (``_group_call``) on its rows, a group of one item included.  Qubit
-    indices are store-wide, so a round reads its targets' locations with one
-    index array, a later wave re-reads them with another, and a group
-    gathers and scatters the rows of all its arenas at once.
+    (``_group_call``) that gathers and scatters the rows of all its arenas.
     """
     if not requests:
         return []
     store = requests[0][0]._store
     measuring, joining = _ROUND_OPS[op]
-    gates = op in ("apply_pauli", "apply_unitary")
-    names, indices, params, counts = [], [], [], []
-    for arena, items, _ in requests:
+    parts, counts = [], []
+    for arena, qubits, _ in requests:
         if arena._store is not store:
             raise QuantumError("the arenas of one round must share one store")
-        if gates:
-            qs, ps = zip(*items) if items else ((), ())
-            params += ps
-        else:
-            qs = list(chain.from_iterable(items)) if joining else items
-        try:
-            indices += map(arena._index.__getitem__, qs)
-        except KeyError as missing:
-            raise UnknownQubitError(f"qubit {missing.args[0]!r} not in arena") from None
-        names.append(qs)
-        counts.append(len(items))
-    if not indices:
-        return [[] for _ in requests]
+        parts.append(qubits)
+        counts.append(len(qubits))
+    if not sum(counts):
+        return [_NO_OUTCOMES if measuring else [] for _ in requests]
 
     # item i: its target qubits' store indices qidx[i] and locations loc[i]
     # (two for a joining op); a location // _BASE tells its register apart
-    qidx = np.array(indices)
+    qidx = np.concatenate(parts) if len(parts) > 1 else np.asarray(parts[0])
     loc = store.loc.take(qidx)
     if not loc.all():
-        raise UnknownQubitError(f"qubit {store.names[indices[int(loc.argmin())]]!r} not in arena")
-    if joining:
-        qidx, loc = qidx.reshape(-1, 2), loc.reshape(-1, 2)
+        missing = int(qidx.reshape(-1)[loc.argmin()])
+        raise UnknownQubitError(f"qubit {store.names[missing]!r} not in arena")
     waves = _plan_waves(loc // _BASE, joining)
     if measuring and waves[0] is not None:
         _reject_repeats(qidx, store.names)
     uniforms = outcomes = None
     if measuring:
         uniforms = _stacked([rng.random(c) for (_, _, rng), c in zip(requests, counts)])
-    kinds = 1
-    if params:  # parameters are told apart by identity
-        codes = {id(p): None for p in params}
-        kinds = len(codes)
-        if kinds > 1:
-            codes = dict(zip(codes, range(kinds)))
-            pcode = np.fromiter(map(codes.__getitem__, map(id, params)), np.intp, len(params))
+    # the parameters a group may take, and each item's position among them
+    params = pcode = None
+    if op == "apply_pauli":
+        params, pcode = _PAULI_ORDER, _stacked([np.asarray(c, np.intp) for _, _, c in requests])
+    elif op == "apply_unitary":  # told apart by identity, one per request
+        params, ids = [u for _, _, u in requests], [id(u) for _, _, u in requests]
+        if len(set(ids)) > 1:
+            pcode = np.repeat([ids.index(i) for i in ids], counts)
 
     for wave in waves:  # a wave or a group of None is every item
         wloc = loc if wave is None else store.loc.take(qidx[wave])  # earlier waves moved some
@@ -764,8 +748,8 @@ def run_round(
             key = (wloc % _ROW) @ _JOIN_KEY + (wreg[:, 0] != wreg[:, 1])
         else:
             key = wloc % _ROW
-            if kinds > 1:
-                key = key * kinds + (pcode if wave is None else pcode[wave])
+            if pcode is not None:
+                key = key * len(params) + (pcode if wave is None else pcode[wave])
         if key.min() == key.max():
             groups = [None]
         else:
@@ -774,10 +758,11 @@ def run_round(
             groups = np.split(order, np.flatnonzero(ordered[1:] != ordered[:-1]) + 1)
         for g in groups:
             items = wave if g is None else g if wave is None else wave[g]
+            first = 0 if items is None else items[0]
             result = _group_call(
                 op, store, wloc if g is None else wloc[g],
                 uniforms if items is None or uniforms is None else uniforms[items],
-                params[0 if items is None else items[0]] if params else None,
+                None if params is None else params[0 if pcode is None else pcode[first]],
             )
             if not measuring:
                 continue
@@ -785,17 +770,12 @@ def run_round(
                 outcomes = result
             else:
                 if outcomes is None:
-                    outcomes = np.empty(len(loc), dtype=object)
+                    outcomes = np.empty(len(loc), dtype=np.intp)
                 outcomes[items] = result
 
     if not measuring:
         return [[None] * c for c in counts]
-    for (arena, _, _), qs in zip(requests, names):
-        holders = arena._holders
-        for q in qs:
-            del holders[q]
-    if not isinstance(outcomes, list):
-        outcomes = outcomes.tolist()
+    store.held.put(qidx, 0)
     offsets = [0, *accumulate(counts)]
     return [outcomes[s:e] for s, e in zip(offsets, offsets[1:])]
 
@@ -919,142 +899,174 @@ def _reject_repeats(qidx: np.ndarray, names: list[str]) -> None:
         raise UnknownQubitError(f"qubit {names[int(twice[0])]!r} is measured twice in one round")
 
 
-def engine_round(arena: "QubitArena", op: str, items: list, rng: np.random.Generator | None = None):
-    """Yield one ``op`` round on ``arena`` as the request ``(arena, op, items,
-    rng)``; return the results sent back (none for a round without items)."""
-    if not items:
-        return []
-    return (yield arena, op, items, rng)
+def engine_round(arena: "QubitArena", op: str, qubits: np.ndarray, arg=None):
+    """Yield one ``op`` round on ``arena`` as the request ``(arena, op,
+    qubits, arg)`` (see ``run_round``); return the results sent back.  A
+    round without items is not yielded, and returns no outcomes."""
+    if not len(qubits):
+        return _NO_OUTCOMES
+    return (yield arena, op, qubits, arg)
 
 
 class QubitArena:
     """Registry of disjoint registers with merge-on-demand and holder tracking.
 
-    A protocol session owns one arena.  Registers are merged lazily when an
-    operation spans two of them; measured qubits disappear.  Every qubit id
-    is held by exactly one actor at a time; re-registering an id or failing
-    a transfer expectation raises immediately.
+    A protocol session owns one arena, a view of a ``_Store``: its own, or
+    with ``QubitArena(share)`` that of ``share``, so that one round reaches
+    every arena on it with one index array.  Registration (``add_registers``,
+    ``add_bell_pairs``) returns the new qubits' store indices, which
+    ``transfer_many`` and rounds (``run_round``) take.  Measured qubits
+    disappear; every live qubit has one holder.
 
-    Storage: an arena is a view of a ``_Store``, its own one, or with
-    ``QubitArena(share)`` the store of ``share``, so that one round can reach
-    the qubits of every arena on it with one index array.  A qubit gets a
-    store index when the arena first registers its name; the name index
-    ``_index`` and the holders ``_holders`` (whose keys are the live qubits)
-    are the arena's own, so arenas on one store may use the same names and
-    never see each other's qubits.  New registers, of ``add_registers`` or
-    a round, are new rows, written at once.  ``state_of`` returns a copy of
-    a row, so a state it hands out, or one passed to ``add_state``, never
-    changes when the arena does.
+    The by-name methods (``indices``, ``names``, ``holders``, ``add_state``,
+    ``has``, ``state_of``, ``holder_of``, ``transfer`` and the scalar ops)
+    read the arena's own name index, built on first use and kept by later
+    registrations, which then reject a live name.  So arenas on one store
+    may use the same names, and a name registered again after its qubit was
+    measured names the new qubit.  ``state_of`` returns a copy of a row.
 
-    A whole round of one op, over this arena or several on its store, is
-    ``run_round``: it leaves each arena, the results and the random stream
-    exactly as the scalar method called on each item in order would.
-    Sessions reach the engine only through rounds; no session calls the
-    scalar op methods, which are the reference for the differential tests
-    and the tracer.  Each scalar op works on one materialized register and
-    writes it back (``_write``).
+    Sessions reach the engine only through rounds; the scalar op methods,
+    each on one materialized register written back (``_write``), are the
+    reference for the differential tests and the tracer.
     """
 
     def __init__(self, share: "QubitArena | None" = None) -> None:
         self._store = _Store() if share is None else share._store
-        self._index: dict[str, int] = {}
-        self._holders: dict[str, str] = {}
+        self._own: list[range] = []  # the store indices this arena registered
+        self._index: dict[str, int] | None = None  # the by-name index, once built
 
-    def _register(self, names: Sequence[str]) -> list[int]:
-        """Store indices of ``names``, assigning new ones; none may be live."""
+    def _name_index(self) -> dict[str, int]:
+        """Each name this arena registered -> its latest store index."""
         index = self._index
-        if not self._holders.keys().isdisjoint(names):
-            live = next(q for q in names if q in self._holders)
-            raise InvalidRegisterError(f"qubit {live!r} already registered")
-        new = [q for q in names if q not in index]
-        index.update(zip(new, self._store.assign(new)))
-        return list(map(index.__getitem__, names))
+        if index is None:
+            names = self._store.names
+            index = self._index = {}
+            for own in self._own:
+                index.update(zip(names[own.start:own.stop], own))
+        return index
 
-    def _add(self, names: list[str], amps: np.ndarray, holder: str) -> None:
+    def _add(self, names: list[str], amps: np.ndarray, holder: str) -> np.ndarray:
         """Register ``names``, in order, as ``len(amps)`` checked registers of
-        one width with the amplitude rows ``amps``, held by ``holder``."""
-        self._store.append(amps, np.array(self._register(names)).reshape(len(amps), -1))
-        self._holders.update(dict.fromkeys(names, holder))
+        one width with the amplitude rows ``amps``, held by ``holder``; returns
+        their store indices, one row per register.  With a by-name index, no
+        name may be live."""
+        store, index = self._store, self._index
+        if index is not None:
+            live = next((q for q in names if q in index and store.held[index[q]]), None)
+            if live is not None:
+                raise InvalidRegisterError(f"qubit {live!r} already registered")
+        own = store.assign(names, holder)
+        self._own.append(own)
+        if index is not None:
+            index.update(zip(names, own))
+        members = np.arange(own.start, own.stop).reshape(len(amps), -1)
+        store.append(amps, members)
+        return members
 
     def add_registers(
         self, registers: Sequence[Sequence[str]], amps: np.ndarray, holder: str
-    ) -> None:
+    ) -> np.ndarray:
         """Register k registers of one width n, register i over the qubits
         ``registers[i]`` with the amplitudes ``amps[i]`` (shape ``(k, 2**n)``),
-        with one check and one table write."""
+        with one check and one table write; returns the ``(k, n)`` store
+        indices."""
         if not len(registers):
-            return
+            return np.empty((0, 0), dtype=np.intp)
         widths, names = set(map(len, registers)), list(chain.from_iterable(registers))
         if len(widths) > 1 or len(amps) != len(registers):
             raise InvalidRegisterError(f"{len(amps)} rows for registers of widths {widths}")
         if len(set(names)) != len(names):
             raise InvalidRegisterError("a qubit appears twice in the registers")
-        self._add(names, StateVector.stack(_SLOTS[: widths.pop()], amps).amplitudes, holder)
+        return self._add(names, StateVector.stack(_SLOTS[: widths.pop()], amps).amplitudes, holder)
 
     def add_bell_pairs(
         self, codes: Sequence[int], firsts: Sequence[str], seconds: Sequence[str], holder: str
-    ) -> None:
+    ) -> np.ndarray:
         """Register pair i over (``firsts[i]``, ``seconds[i]``) in the Bell
         state of code ``codes[i]`` (its ``BellLabel.code``), as ``add_state``
-        of ``make_bell`` would, with one write of rows of the Bell table."""
+        of ``make_bell`` would, with one write of rows of the Bell table;
+        returns the ``(k, 2)`` store indices."""
         if not len(codes):
-            return
-        names = list(chain.from_iterable(zip(firsts, seconds)))
+            return np.empty((0, 2), dtype=np.intp)
+        names = [None] * (2 * len(codes))
+        names[0::2], names[1::2] = firsts, seconds
         if len(set(names)) != len(names):
             same = next(((a, b) for a, b in zip(firsts, seconds) if a == b), None)
             raise InvalidRegisterError(
                 f"duplicate qubit ids in register: {same}" if same else
                 "a qubit appears in two pairs"
             )
-        self._add(names, _BELL_TABLE.take(codes, 0), holder)
+        return self._add(names, _BELL_TABLE.take(codes, 0), holder)
 
     def add_state(self, state: StateVector, holder: str) -> None:
         """Register ``state`` as one register."""
+        self._name_index()
         self.add_registers([state.qubit_ids], state.amplitudes[None], holder)
 
+    def _live(self, qubit_id: str) -> int:
+        """The store index of the live qubit ``qubit_id``."""
+        i = self._name_index().get(qubit_id)
+        if i is None or not self._store.held[i]:
+            raise UnknownQubitError(f"qubit {qubit_id!r} not in arena")
+        return i
+
+    def indices(self, qubit_ids: Sequence[str]) -> np.ndarray:
+        """The store indices of the live qubits ``qubit_ids``."""
+        return np.fromiter(map(self._live, qubit_ids), np.intp, len(qubit_ids))
+
+    def names(self, qubits: np.ndarray) -> list[str]:
+        """The names of the qubits at the store indices ``qubits``."""
+        return list(map(self._store.names.__getitem__, np.asarray(qubits).tolist()))
+
+    def holders(self) -> dict[str, str]:
+        """Every live qubit's name -> its holder."""
+        return {q: self.holder_of(q) for q in self._name_index() if self.has(q)}
+
     def has(self, qubit_id: str) -> bool:
-        return qubit_id in self._holders
+        i = self._name_index().get(qubit_id)
+        return i is not None and bool(self._store.held[i])
 
     def state_of(self, qubit_id: str) -> StateVector:
         """A copy of the register holding ``qubit_id``."""
-        if qubit_id not in self._holders:
-            raise UnknownQubitError(f"qubit {qubit_id!r} not in arena")
         store = self._store
-        row, n = divmod(int(store.loc[self._index[qubit_id]]) // _BASE, _BASE)
+        row, n = divmod(int(store.loc[self._live(qubit_id)]) // _BASE, _BASE)
         table = store.tables[n]
         ids = tuple(map(store.names.__getitem__, table.members[row].tolist()))
         return _trusted(ids, table.amps[row].copy())
 
     def holder_of(self, qubit_id: str) -> str:
-        if qubit_id not in self._holders:
-            raise UnknownQubitError(f"qubit {qubit_id!r} not in arena")
-        return self._holders[qubit_id]
+        return self._store.holders[self._store.held[self._live(qubit_id)]]
 
     def transfer(self, qubit_id: str, to: str, expect: str | None = None) -> None:
-        self.transfer_many((qubit_id,), to, expect)
+        self.transfer_many(self.indices((qubit_id,)), to, expect)
 
-    def transfer_many(self, qubit_ids: Sequence[str], to: str, expect: str | None = None) -> None:
-        """Hand every qubit of ``qubit_ids`` to ``to``, all or nothing: the
-        first that is not live, or not held by ``expect`` when given, raises
-        as ``transfer`` would, and then no qubit has moved."""
-        holders = self._holders
-        current = list(map(holders.get, qubit_ids))
-        if None in current or expect is not None and current.count(expect) < len(current):
-            q = next(q for q, h in zip(qubit_ids, current) if h is None or expect not in (None, h))
-            held = self.holder_of(q)  # an unknown qubit raises here
-            raise InvalidRegisterError(f"qubit {q!r} held by {held!r}, expected {expect!r}")
-        holders.update(dict.fromkeys(qubit_ids, to))
+    def transfer_many(self, qubits: np.ndarray, to: str, expect: str | None = None) -> None:
+        """Hand the qubits at the store indices ``qubits`` to ``to``, all or
+        nothing: the first that is not live, or not held by ``expect`` when
+        given, raises as ``transfer`` would, and then no qubit has moved."""
+        store = self._store
+        held = store.held.take(qubits)
+        bad = held == 0 if expect is None else held != store.holder_code(expect)
+        if bad.any():
+            at = int(bad.argmax())
+            q = store.names[int(np.asarray(qubits)[at])]
+            if not held[at]:
+                raise UnknownQubitError(f"qubit {q!r} not in arena")
+            raise InvalidRegisterError(
+                f"qubit {q!r} held by {store.holders[held[at]]!r}, expected {expect!r}"
+            )
+        store.held.put(qubits, store.holder_code(to))
 
     def _write(self, state: StateVector) -> None:
         """Write ``state`` back over its qubits' registers, as a new row."""
-        members = np.array([list(map(self._index.__getitem__, state.qubit_ids))])
+        members = np.array([list(map(self._name_index().__getitem__, state.qubit_ids))])
         self._store.append(state.amplitudes[None], members)
 
     def _settle(self, measured: tuple[str, ...], rest: StateVector | None) -> None:
         """Drop the measured qubits and write back what is left of their register."""
-        for q in measured:
-            self._store.loc[self._index[q]] = 0
-            del self._holders[q]
+        gone = self.indices(measured)
+        self._store.loc[gone] = 0
+        self._store.held[gone] = 0
         if rest is not None:
             self._write(rest)
 

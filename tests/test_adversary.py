@@ -13,7 +13,7 @@ import pytest
 from osbmdi.adversary import AttackSpec, EveState, apply_leg_attack, disturb, fake_bmo_outcome
 from osbmdi.analysis import detection_rate
 from osbmdi.protocol import Mode, SessionConfig, run_lockstep, run_session
-from osbmdi.quantum import BellLabel, QubitArena, make_bell
+from osbmdi.quantum import BELL_LABELS, BellLabel, QubitArena, make_bell
 
 SQ2 = 1.0 / math.sqrt(2.0)
 BELL = {
@@ -344,7 +344,7 @@ def test_empty_leg_registers_nothing_and_yields_no_round(strategy):
     with pytest.raises(StopIteration) as done:
         next(attack)
     assert done.value.value == []
-    assert not arena._holders and not arena._store.tables
+    assert not arena.holders() and not arena._store.tables
     assert not eve.ancillas and eve.new_id("a") == "ev_a1"
 
 
@@ -403,7 +403,7 @@ def test_fake_outcome_uniform():
     counts = {lab: 0 for lab in BellLabel}
     n = 8000
     for _ in range(n):
-        counts[fake_bmo_outcome(rng)] += 1
+        counts[BELL_LABELS[fake_bmo_outcome(rng)]] += 1
     se = math.sqrt(0.25 * 0.75 / n)
     for lab in BellLabel:
         assert abs(counts[lab] / n - 0.25) < 4 * se

@@ -24,7 +24,7 @@ from osbmdi.analysis import (
     trial_intercept_resend_case1,
     trial_random_pauli_whole,
 )
-from osbmdi.protocol import Mode, SessionConfig, run_session
+from osbmdi.protocol import Mode, SessionConfig, run_batch, run_session
 from osbmdi.quantum import BellLabel
 
 PSIP = BellLabel.PSI_PLUS
@@ -249,7 +249,7 @@ def test_eve_information_direct_mode_matches_enumeration():
 
 def test_eve_information_dialogue_two_state_one_bit():
     cfg = SessionConfig(n_pairs=8, mode=Mode.QD, master_seed=93)
-    reports = [run_session(cfg, i) for i in range(700)]
+    reports = run_batch(cfg, 700)
     est = eve_information(reports)
     bound = leakage_bits((PSIP,), (PSIP, PSIM), PSIP, PSIP).leaked
     assert abs(est.bits - 1.0) < 0.12
@@ -260,7 +260,7 @@ def test_eve_information_dialogue_four_state_near_zero():
     cfg = SessionConfig(
         n_pairs=8, mode=Mode.QD, master_seed=94, bob_state_set=ALL
     )
-    reports = [run_session(cfg, i) for i in range(400)]
+    reports = run_batch(cfg, 400)
     est = eve_information(reports)
     bound = leakage_bits((PSIP,), ALL, PSIP, PSIP).leaked
     assert est.bits < 0.15

@@ -535,3 +535,26 @@ def test_bad_input_exits_cleanly(tmp_path_factory, invocation):
     if code == 1:
         assert "error:" in err.getvalue()
     assert "Traceback" not in out.getvalue() + err.getvalue()
+
+
+def test_out_of_memory_exits_1_with_an_error_line():
+    """A failed allocation ends ``run`` with exit 1 and an ``error:`` line,
+    not a traceback.  The child's address space is capped with
+    ``RLIMIT_AS``, which acts on that child process only."""
+    resource = pytest.importorskip("resource")
+    limit = 768 * 2**20
+
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+    env = {k: v for k, v in os.environ.items() if not k.startswith("OSBMDI_")}
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env["PYTHONPATH"] = os.pathsep.join([src, *filter(None, [env.get("PYTHONPATH")])])
+    env["OPENBLAS_NUM_THREADS"] = env["OMP_NUM_THREADS"] = "1"  # thread buffers take address space
+    proc = subprocess.run(
+        [sys.executable, "-m", "osbmdi.cli", "run", "--n-pairs", "20000000", "--sessions", "1"],
+        capture_output=True, text=True, env=env, timeout=120, preexec_fn=cap,
+    )
+    assert proc.returncode == 1
+    assert proc.stderr == "error: out of memory\n"
+    assert proc.stdout == ""

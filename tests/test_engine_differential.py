@@ -388,7 +388,7 @@ def assert_stacked_measurement_matches_rows(op, stack, rows, *qubits):
         snap = frozen(stack, *rows)
         outcomes, rest = op(stack, *qubits, uniforms)
         singles = [op(r, *qubits, g) for r, g in zip(rows, gens)]
-        assert outcomes == [outcome for outcome, _ in singles]
+        assert outcomes.tolist() == codes([outcome for outcome, _ in singles])
         if rest is None:
             assert all(s is None for _, s in singles)
         else:
@@ -455,6 +455,36 @@ def test_bad_stacks_raise(build):
 #
 # Each ``run_round`` over one arena must leave the arena, the outcomes and the
 # random stream exactly as the scalar arena op called on every item in order.
+# The tests below name their items; ``named_round`` converts them at the
+# arena's by-name edge and compares outcome codes.
+
+
+def codes(outcomes):
+    """Scalar outcomes as ``run_round`` gives them: a label as its code, a bit as is."""
+    return [o.code if isinstance(o, BellLabel) else o for o in outcomes]
+
+
+def index_requests(op, arena, items, rng):
+    """The ``run_round`` requests ``(arena, qubits, arg)`` of the named one
+    ``(arena, items, rng)``, whose items are those of the scalar op: qubit
+    names go through ``QubitArena.indices``, Paulis become codes, and a
+    unitary round's items become one request per run of one matrix."""
+    if op == "apply_unitary":
+        runs = [list(run) for _, run in itertools.groupby(items, key=lambda item: id(item[1]))]
+        return [(arena, arena.indices([q for q, _ in run]), run[0][1]) for run in runs]
+    if op == "apply_pauli":
+        return [(arena, arena.indices([q for q, _ in items]), [p.symbol for _, p in items])]
+    if op in ("bell_measure", "apply_cnot"):
+        return [(arena, arena.indices([q for item in items for q in item]).reshape(-1, 2), rng)]
+    return [(arena, arena.indices(items), rng)]
+
+
+def named_round(op, requests):
+    """``run_round`` over named requests: per request, the list of its
+    items' results (outcome codes, or None for a gate)."""
+    parts = [index_requests(op, *request) for request in requests]
+    got = iter(run_round(op, [request for part in parts for request in part]))
+    return [[x for _ in part for x in list(next(got))] for part in parts]
 
 
 def random_arena(seed, n_regs, share=None):
@@ -472,10 +502,11 @@ def random_arena(seed, n_regs, share=None):
 
 def arena_contents(arena):
     regs = {}
-    for q in arena._holders:
+    holders = arena.holders()
+    for q in holders:
         s = arena.state_of(q)
         regs[s.qubit_ids] = s.amplitudes.tolist()
-    return sorted(regs.items()), dict(arena._holders)
+    return sorted(regs.items()), holders
 
 
 def assert_same_arena(batched, scalar):
@@ -487,15 +518,15 @@ def assert_same_arena(batched, scalar):
 
 
 def live_qubits(arena, rng):
-    qubits = sorted(arena._holders)
+    qubits = sorted(arena.holders())
     return [qubits[i] for i in rng.permutation(len(qubits))]
 
 
 def run_both(batched, scalar, seed, op, one, items):
     rng_b, rng_s = np.random.default_rng(seed), np.random.default_rng(seed)
-    got = run_round(op, [(batched, items, rng_b)])[0]
+    got = named_round(op, [(batched, items, rng_b)])[0]
     want = [one(scalar, item, rng_s) for item in items]
-    assert got == want
+    assert got == codes(want)
     assert rng_b.bit_generator.state == rng_s.bit_generator.state
     assert_same_arena(batched, scalar)
 
@@ -512,13 +543,13 @@ def test_round_operations_match_scalar_calls(seed, n_regs):
 
     qubits = live_qubits(batched, rng)  # every qubit: registers repeat
     items = [(q, u) for q in qubits]
-    run_round("apply_unitary", [(batched, items, None)])
+    named_round("apply_unitary", [(batched, items, None)])
     for q, m in items:
         scalar.apply_unitary(q, m)
     assert_same_arena(batched, scalar)
 
     items = [(q, paulis[int(rng.integers(4))]) for q in live_qubits(batched, rng)]
-    run_round("apply_pauli", [(batched, items, None)])
+    named_round("apply_pauli", [(batched, items, None)])
     for q, p in items:
         scalar.apply_pauli(q, p)
     assert_same_arena(batched, scalar)
@@ -531,7 +562,7 @@ def test_round_operations_match_scalar_calls(seed, n_regs):
     qubits = live_qubits(batched, rng)
     run_both(batched, scalar, seed + 1, "comp_measure",
              lambda a, it, r: a.comp_measure(it, r), qubits)
-    assert not batched._holders and not scalar._holders
+    assert not batched.holders() and not scalar.holders()
 
 
 def chained_arena(k, share=None):
@@ -560,7 +591,7 @@ def test_bell_round_with_chained_registers_runs_in_waves(monkeypatch):
     batched, scalar = chained_arena(k)
     pairs = [(f"c{i}b", f"c{i + 1}a") for i in range(k - 1)]
     calls = engine_calls(monkeypatch, "bell_measure")
-    run_round("bell_measure", [(batched, pairs, np.random.default_rng(3))])
+    named_round("bell_measure", [(batched, pairs, np.random.default_rng(3))])
     assert len(calls) == k - 1  # one call per wave
     batched, _ = chained_arena(k)
     run_both(batched, scalar, 3, "bell_measure",
@@ -575,7 +606,7 @@ def test_readout_round_of_shared_registers_runs_in_two_waves(monkeypatch):
     batched, scalar = chained_arena(k)
     qubits = [q for i in range(k) for q in (f"c{i}a", f"c{i}b")]
     calls = engine_calls(monkeypatch, "comp_measure")
-    run_round("comp_measure", [(batched, qubits, np.random.default_rng(4))])
+    named_round("comp_measure", [(batched, qubits, np.random.default_rng(4))])
     assert calls == [(k, 4), (k, 2)]
     batched, _ = chained_arena(k)
     run_both(batched, scalar, 4, "comp_measure",
@@ -609,7 +640,7 @@ def test_cnot_round_matches_scalar_calls(k, monkeypatch):
     )
     for items in rounds:
         stacked.clear()
-        assert run_round("apply_cnot", [(batched, items, None)]) == [[None] * len(items)]
+        assert named_round("apply_cnot", [(batched, items, None)]) == [[None] * len(items)]
         assert all(stacked)
         calls = len(stacked)
         for control, target in items:
@@ -665,7 +696,7 @@ def test_cross_arena_round_matches_each_arena_alone(seed):
         measuring = op.endswith("measure")
         items = [make_items(batched) for batched, _ in pairs]
         rngs = [np.random.default_rng([seed, a]) for a in range(len(pairs))]
-        got = run_round(op, [
+        got = named_round(op, [
             (batched, its, rng if measuring else None)
             for (batched, _), its, rng in zip(pairs, items, rngs)
         ])
@@ -674,9 +705,9 @@ def test_cross_arena_round_matches_each_arena_alone(seed):
             want = [one(scalar, item, rng_s) for item in its]
             assert_same_arena(batched, scalar)
             if measuring:
-                assert got[a] == want
+                assert got[a] == codes(want)
                 assert rng.bit_generator.state == rng_s.bit_generator.state
-    assert all(not b._holders and not s._holders for b, s in pairs)
+    assert all(not b.holders() and not s.holders() for b, s in pairs)
 
 
 def test_cross_arena_round_stacks_what_no_arena_could_stack_alone(monkeypatch):
@@ -698,10 +729,10 @@ def test_cross_arena_round_stacks_what_no_arena_could_stack_alone(monkeypatch):
         ("comp_measure", readout, lambda a, it, r: a.comp_measure(it, r)),
     ):
         rngs = [np.random.default_rng([7, a]) for a in range(len(pairs))]
-        got = run_round(op, [(batched, items, rng) for (batched, _), rng in zip(pairs, rngs)])
+        got = named_round(op, [(batched, items, rng) for (batched, _), rng in zip(pairs, rngs)])
         for a, ((batched, scalar), rng) in enumerate(zip(pairs, rngs)):
             rng_s = np.random.default_rng([7, a])
-            assert got[a] == [one(scalar, item, rng_s) for item in items]
+            assert got[a] == codes([one(scalar, item, rng_s) for item in items])
             assert rng.bit_generator.state == rng_s.bit_generator.state
             assert_same_arena(batched, scalar)
     assert stacked == [("bell_measure", 8), ("comp_measure", 8), ("comp_measure", 8)]
@@ -712,7 +743,7 @@ def test_round_measuring_a_qubit_twice_raises_like_the_scalar_ops():
         batched, scalar = chained_arena(k)
         qubits = [f"c{i}a" for i in range(k)] + ["c0a"]
         with pytest.raises(UnknownQubitError):
-            run_round("comp_measure", [(batched, qubits, np.random.default_rng(0))])
+            named_round("comp_measure", [(batched, qubits, np.random.default_rng(0))])
         with pytest.raises(UnknownQubitError):
             for q in qubits:
                 scalar.comp_measure(q, np.random.default_rng(0))
@@ -736,7 +767,7 @@ def test_bell_pairs_match_add_state():
             scalar.add_state(s, "eve")
     batched.add_registers([], np.empty((0, 2)), "eve")
     assert_same_arena(batched, scalar)
-    assert batched._index == scalar._index
+    assert batched._name_index() == scalar._name_index()
     with pytest.raises(InvalidRegisterError):
         batched.add_bell_pairs([BellLabel.PSI_PLUS.code], ["x"], ["p0t"], "bob")
     with pytest.raises(InvalidRegisterError):
@@ -768,11 +799,11 @@ def test_states_in_and_out_of_the_arena_never_change():
     bells = {lab: v.copy() for lab, v in BELL_VECTORS.items()}
     out = arena.state_of("r1"), arena.state_of("b0")
     held = [s.amplitudes.copy() for s in out]
-    run_round("apply_unitary", [(arena, [("r1", random_unitary(3)), ("b0", random_unitary(4))], None)])
-    run_round("apply_pauli", [(arena, [("r2", PauliLabel.IY), ("b1", PauliLabel.X)], None)])
+    named_round("apply_unitary", [(arena, [("r1", random_unitary(3)), ("b0", random_unitary(4))], None)])
+    named_round("apply_pauli", [(arena, [("r2", PauliLabel.IY), ("b1", PauliLabel.X)], None)])
     arena.apply_pauli("r0", PauliLabel.Z)
-    run_round("apply_cnot", [(arena, [("r0", "b1")], None)])
-    run_round("comp_measure", [(arena, ["r2", "b0"], np.random.default_rng(5))])
+    named_round("apply_cnot", [(arena, [("r0", "b1")], None)])
+    named_round("comp_measure", [(arena, ["r2", "b0"], np.random.default_rng(5))])
     arena.comp_measure("r1", np.random.default_rng(6))
     assert np.array_equal(added.amplitudes, before)
     assert all(np.array_equal(s.amplitudes, h) for s, h in zip(out, held))
@@ -831,14 +862,141 @@ def test_rounds_match_scalar_ops(data):
     for r in range(data.draw(st.integers(1, 4))):
         op = data.draw(st.sampled_from(sorted(_SCALAR)))
         measuring = op.endswith("measure")
-        items = [_draw_items(data, op, sorted(scalar._holders)) for _, scalar in pairs]
+        items = [_draw_items(data, op, sorted(scalar.holders())) for _, scalar in pairs]
         rngs = [np.random.default_rng([r, a]) for a in range(n_arenas)]
-        got = run_round(op, [
+        got = named_round(op, [
             (batched, its, rng if measuring else None)
             for (batched, _), its, rng in zip(pairs, items, rngs)
         ])
         for a, ((batched, scalar), its) in enumerate(zip(pairs, items)):
             rng = np.random.default_rng([r, a])
-            assert got[a] == [_SCALAR[op](scalar, item, rng) for item in its]
+            assert got[a] == codes([_SCALAR[op](scalar, item, rng) for item in its])
             assert rngs[a].bit_generator.state == rng.bit_generator.state
             assert_same_arena(batched, scalar)
+
+
+# --- rounds over store indices -------------------------------------------------------------
+
+
+def indexed_arena(seed, n_regs, share):
+    """An arena on the store of ``share`` and a standalone copy, of random
+    1-3 qubit registers r{i}_{j}, and each name's store index in the first:
+    the first registers through ``add_registers`` and is never asked a name."""
+    rng = np.random.default_rng(seed)
+    batched, scalar, at = QubitArena(share), QubitArena(), {}
+    for i in range(n_regs):
+        width = int(rng.integers(1, 4))
+        state = random_state(width, int(rng.integers(1 << 20)), prefix=f"r{i}_")
+        qubits = batched.add_registers([state.qubit_ids], state.amplitudes[None], "node")
+        at.update(zip(state.qubit_ids, qubits[0].tolist()))
+        scalar.add_state(state, "node")
+    return batched, scalar, at
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_index_rounds_match_scalar_ops_on_arenas_sharing_names(data):
+    """Two arenas on one store with the same qubit names: rounds of all five
+    ops and hand-overs, built from the store indices registration returned,
+    leave outcome codes, generators, registers and holders as the scalar
+    by-name ops on two standalone arenas, and a hand-over that fails moves
+    nothing and raises what ``transfer`` of its first bad qubit raises."""
+    share = QubitArena()
+    n_regs = data.draw(st.integers(1, 4))
+    arenas = [indexed_arena(data.draw(st.integers(0, 2**16)), n_regs, share) for _ in range(2)]
+    for r in range(data.draw(st.integers(1, 5))):
+        op = data.draw(st.sampled_from(sorted(_SCALAR) + ["transfer"]))
+        measuring = op.endswith("measure")
+        u = data.draw(st.sampled_from(_UNITARIES))
+        items = [_draw_items(data, op if op != "transfer" else "comp_measure",
+                             sorted(scalar.holders())) for _, scalar, _ in arenas]
+        if op == "apply_unitary":
+            items = [[q for q, _ in its] for its in items]
+        if op == "transfer":
+            expect = data.draw(st.sampled_from([None, "node", "eve"]))
+            for (batched, scalar, at), its in zip(arenas, items):
+                qubits = np.array([at[q] for q in its], dtype=np.intp)
+                bad = [q for q in its if expect not in (None, scalar.holder_of(q))]
+                if bad:
+                    with pytest.raises(InvalidRegisterError) as bulk:
+                        batched.transfer_many(qubits, "eve", expect)
+                    with pytest.raises(InvalidRegisterError) as single:
+                        scalar.transfer(bad[0], "eve", expect)
+                    assert str(bulk.value) == str(single.value)
+                else:
+                    batched.transfer_many(qubits, "eve", expect)
+                    for q in its:
+                        scalar.transfer(q, "eve", expect)
+                assert_same_arena(batched, scalar)
+            continue
+        requests = []
+        rngs = [np.random.default_rng([r, a]) for a in range(2)]
+        for (batched, _, at), its, rng in zip(arenas, items, rngs):
+            if op == "apply_pauli":
+                qubits, arg = [at[q] for q, _ in its], [p.symbol for _, p in its]
+            elif op in ("bell_measure", "apply_cnot"):
+                qubits, arg = [[at[q] for q in item] for item in its], rng if measuring else None
+            else:
+                qubits, arg = [at[q] for q in its], u if op == "apply_unitary" else rng
+            shape = (-1, 2) if op in ("bell_measure", "apply_cnot") else (-1,)
+            requests.append((batched, np.array(qubits, dtype=np.intp).reshape(shape), arg))
+        got = run_round(op, requests)
+        for a, ((batched, scalar, _), its) in enumerate(zip(arenas, items)):
+            rng = np.random.default_rng([r, a])
+            if op == "apply_unitary":
+                its = [(q, u) for q in its]
+            want = [_SCALAR[op](scalar, item, rng) for item in its]
+            if measuring:
+                assert got[a].tolist() == codes(want)
+            assert rngs[a].bit_generator.state == rng.bit_generator.state
+            assert_same_arena(batched, scalar)
+
+
+def test_index_paths_raise_the_by_name_messages():
+    """Two arenas on one store register the same names.  Store indices that
+    are measured, repeated, held by another party or registered again raise
+    word for word what the by-name methods of a standalone arena raise, and
+    the failed call changes nothing."""
+    psip = BellLabel.PSI_PLUS.code
+    share = QubitArena()
+    first, second, ref = QubitArena(share), QubitArena(share), QubitArena()
+    a = first.add_bell_pairs([psip], ["x"], ["y"], "alice")[0]
+    b = second.add_bell_pairs([psip], ["x"], ["y"], "bob")[0]
+    ref.add_bell_pairs([psip], ["x"], ["y"], "bob")
+
+    def message(call, error):
+        with pytest.raises(error) as caught:
+            call()
+        return str(caught.value)
+
+    assert message(lambda: run_round("comp_measure", [
+        (first, a, np.random.default_rng(0)), (second, b[[1, 0, 1]], np.random.default_rng(0))
+    ]), UnknownQubitError) == "qubit 'y' is measured twice in one round"
+    assert message(lambda: second.transfer_many(b, "charlie", expect="alice"),
+                   InvalidRegisterError) == message(
+        lambda: ref.transfer("x", "charlie", expect="alice"), InvalidRegisterError)
+    assert first.holders() == {"x": "alice", "y": "alice"}
+    assert second.holders() == ref.holders() == {"x": "bob", "y": "bob"}
+
+    rng = np.random.default_rng(1)
+    run_round("comp_measure", [(second, b[:1], rng)])
+    ref.comp_measure("x", np.random.default_rng(1))
+    assert message(lambda: run_round("apply_pauli", [(first, a, [1, 1]), (second, b, [1, 1])]),
+                   UnknownQubitError) == message(lambda: ref.apply_pauli("x", PauliLabel.X),
+                                                 UnknownQubitError) == "qubit 'x' not in arena"
+    assert message(lambda: second.transfer_many(b, "charlie"), UnknownQubitError) == message(
+        lambda: ref.transfer("x", "charlie"), UnknownQubitError)
+    assert first.holders() == {"x": "alice", "y": "alice"}
+    assert second.holders() == ref.holders() == {"y": "bob"}
+
+    # with the by-name index built, a live name cannot be registered again;
+    # a measured one can, in its own arena only
+    assert message(lambda: second.add_bell_pairs([psip], ["z"], ["y"], "bob"),
+                   InvalidRegisterError) == message(
+        lambda: ref.add_bell_pairs([psip], ["z"], ["y"], "bob"), InvalidRegisterError)
+    again = second.add_bell_pairs([psip], ["x"], ["z"], "bob")[0]
+    ref.add_bell_pairs([psip], ["x"], ["z"], "bob")
+    assert again[0] != b[0] and second.indices(["x", "z"]).tolist() == again.tolist()
+    assert second.holders() == ref.holders() == {"y": "bob", "x": "bob", "z": "bob"}
+    assert first.holders() == {"x": "alice", "y": "alice"}
+    assert first.state_of("x").qubit_ids == ("x", "y")

@@ -768,6 +768,27 @@ def test_batch_digest_unchanged(name):
 
 
 @pytest.mark.parametrize(
+    "name", ["qsdc-a1-b2", "qd-a2-b3", "qsdc-entangle_measure-all-legs", "qd-intercept_resend"]
+)
+def test_sessions_never_look_up_a_qubit_name(name, monkeypatch):
+    """Sessions address qubits by store index: with the arenas' by-name
+    index made to raise, a direct-messaging config, a dialogue with nested
+    shares on both sides and two attacked configs report their pinned
+    digests, alone and as one lockstep cohort."""
+    def by_name(self):
+        raise AssertionError("a session looked up a qubit name")
+
+    monkeypatch.setattr(QubitArena, "_name_index", by_name)
+    cfg = _CONFIGS[name]
+    assert all(len(run_session(cfg, i).nested) == 2 for i in range(2)) == name.startswith("qd-a2")
+    assert session_digest(cfg) == SESSION_DIGESTS[name]
+    h = hashlib.sha256()
+    for rep in run_batch(cfg, 6):
+        h.update(repr(_report_material(rep)).encode())
+    assert h.hexdigest() == SESSION_DIGESTS[name]
+
+
+@pytest.mark.parametrize(
     "cfg",
     [
         SessionConfig(

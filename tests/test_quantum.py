@@ -514,13 +514,13 @@ def test_transfer_many_is_all_or_nothing():
     ]
     for qubits, expect, bad, error, message in failures:
         with pytest.raises(error, match=message) as bulk:
-            arena.transfer_many(qubits, "charlie", expect=expect)
+            arena.transfer_many(arena.indices(qubits), "charlie", expect=expect)
         with pytest.raises(error) as single:
             arena.transfer(bad, "charlie", expect=expect)
         assert str(bulk.value) == str(single.value)
         assert {q: arena.holder_of(q) for q in "1234"} == holders
-    arena.transfer_many(["1", "2", "4"], "charlie", expect="alice")
-    arena.transfer_many([], "bob", expect="alice")
+    arena.transfer_many(arena.indices(["1", "2", "4"]), "charlie", expect="alice")
+    arena.transfer_many(arena.indices([]), "bob", expect="alice")
     assert [arena.holder_of(q) for q in "1234"] == ["charlie", "charlie", "eve", "charlie"]
 
 
@@ -538,7 +538,7 @@ def _contents(arena):
     """Every live qubit of ``arena`` with its holder and its register."""
     return {
         q: (arena.holder_of(q), arena.state_of(q).qubit_ids, arena.state_of(q).amplitudes.tolist())
-        for q in sorted(arena._holders)
+        for q in sorted(arena.holders())
     }
 
 
@@ -570,24 +570,26 @@ def test_arenas_on_one_store_keep_to_their_own_qubits():
     same()
     assert first.state_of("a").qubit_ids == ("a", "b") and second.state_of("a").qubit_ids == ("a",)
     assert label_of(first.state_of("c")) is PHIP and label_of(second.state_of("c")) is PSIM
-    first.transfer_many(["a", "b"], "charlie", expect="alice")
-    ref_first.transfer_many(["a", "b"], "charlie", expect="alice")
+    first.transfer_many(first.indices(["a", "b"]), "charlie", expect="alice")
+    ref_first.transfer_many(ref_first.indices(["a", "b"]), "charlie", expect="alice")
     same()
     failures = [
         (lambda: second.state_of("d"), UnknownQubitError, "qubit 'd' not in arena"),
-        (lambda: second.transfer_many(["a", "d"], "eve"), UnknownQubitError, "qubit 'd'"),
-        (lambda: second.transfer_many(["x", "a"], "eve", expect="charlie"),
+        (lambda: second.transfer_many(second.indices(["a", "d"]), "eve"),
+         UnknownQubitError, "qubit 'd'"),
+        (lambda: second.transfer_many(second.indices(["x", "a"]), "eve", expect="charlie"),
          InvalidRegisterError, "qubit 'x' held by 'bob'"),
         (lambda: first.add_bell_pairs([PSIP.code], ["y"], ["c"], "eve"),
          InvalidRegisterError, "qubit 'c' already registered"),
         (lambda: second.add_state(single_qubit("x", 1, 0), "eve"),
          InvalidRegisterError, "qubit 'x' already registered"),
         (lambda: run_round("comp_measure", [
-            (first, ["x"], np.random.default_rng(0)), (second, ["d"], np.random.default_rng(0))]),
+            (first, first.indices(["x"]), np.random.default_rng(0)),
+            (second, second.indices(["d"]), np.random.default_rng(0))]),
          UnknownQubitError, "qubit 'd' not in arena"),
         (lambda: run_round("comp_measure", [
-            (first, ["x", "c"], np.random.default_rng(0)),
-            (second, ["b", "x", "b"], np.random.default_rng(0))]),
+            (first, first.indices(["x", "c"]), np.random.default_rng(0)),
+            (second, second.indices(["b", "x", "b"]), np.random.default_rng(0))]),
          UnknownQubitError, "qubit 'b' is measured twice"),
     ]
     for call, error, message in failures:
@@ -598,19 +600,21 @@ def test_arenas_on_one_store_keep_to_their_own_qubits():
     # one round over both arenas, the same names in each
     rngs = [np.random.default_rng(s) for s in (1, 2)]
     ref_rngs = [np.random.default_rng(s) for s in (1, 2)]
-    got = run_round("comp_measure", [(first, ["x", "a"], rngs[0]), (second, ["x", "b"], rngs[1])])
+    got = run_round("comp_measure", [
+        (first, first.indices(["x", "a"]), rngs[0]), (second, second.indices(["x", "b"]), rngs[1])])
     want = [[ref.comp_measure(q, rng) for q in qs]
             for ref, qs, rng in zip((ref_first, ref_second), (["x", "a"], ["x", "b"]), ref_rngs)]
-    assert got == want
+    assert [bits.tolist() for bits in got] == want
     assert [r.bit_generator.state for r in rngs] == [r.bit_generator.state for r in ref_rngs]
     same()
     # a qubit measured in one arena is gone there only
     assert first.has("c") and second.has("a") and not second.has("x")
     second.add_state(single_qubit("x", 0, 1), "bob")
     ref_second.add_state(single_qubit("x", 0, 1), "bob")
+    x = PauliLabel.X.symbol
     with pytest.raises(UnknownQubitError, match="qubit 'x' not in arena"):
-        run_round("apply_pauli", [(second, [("a", PauliLabel.X)], None),
-                                  (first, [("x", PauliLabel.X)], None)])
+        run_round("apply_pauli", [(second, second.indices(["a"]), [x]),
+                                  (first, first.indices(["x"]), [x])])
     same()
 
 
@@ -622,6 +626,7 @@ def test_a_round_over_two_stores_raises():
     rng = np.random.default_rng(0)
     state = rng.bit_generator.state
     with pytest.raises(QuantumError, match="one store"):
-        run_round("bell_measure", [(alone, [("a", "b")], rng), (other, [("a", "b")], rng)])
+        run_round("bell_measure", [(alone, alone.indices(["a", "b"]).reshape(1, 2), rng),
+                                   (other, other.indices(["a", "b"]).reshape(1, 2), rng)])
     assert (_contents(alone), _contents(other)) == before
     assert rng.bit_generator.state == state
