@@ -34,14 +34,7 @@ from .quantum import (
 
 LEGS = ("stage1_alice", "stage1_bob", "stage2_alice", "stage2_bob")
 
-STRATEGIES = (
-    "intercept_resend",
-    "entangle_measure",
-    "flip_all",
-    "disturb",
-    "fake_bmo",
-)
-
+# Each strategy, and the legs it attacks when its spec names none.
 _DEFAULT_LEGS = {
     "intercept_resend": frozenset({"stage1_bob"}),
     "entangle_measure": frozenset({"stage2_alice"}),
@@ -49,6 +42,7 @@ _DEFAULT_LEGS = {
     "disturb": frozenset({"stage2_alice"}),
     "fake_bmo": frozenset(),
 }
+STRATEGIES = tuple(_DEFAULT_LEGS)
 
 DISTURB_MODES = ("reorder", "random_pauli")
 

@@ -1,21 +1,9 @@
 """Configuration loading: documented key/value files, env overrides, flags.
 
 A config file is a plain text document of ``key = value`` lines (``#``
-starts a comment).  Recognized keys:
-
-    mode              qsdc | qd | qkd
-    n_pairs           positive even integer
-    sessions          number of sessions a run executes
-    seed              64-bit unsigned master seed
-    workers           worker threads for batch fan-out (positive)
-    alice_states      comma list of labels (psi+, psi-, phi+, phi-)
-    bob_states        comma list of labels
-    decoy_policy      fixed:LABEL or random:L1,L2,...
-    error_threshold   abort when a round's check error rate exceeds this
-    use_cases_ii_iii  true/false: reuse mixed slots for message symbols
-    m_split_decoys    verify-round split-pair count (default n_pairs/4)
-    attack            strategy[:k=v,...]; see the attack module
-    noise             dephasing:PHI or rotation:THETA
+starts a comment).  The recognized keys are those of ``_DEFAULTS``, which
+holds each key's default; README's configuration table says what each
+means, and a test holds the table to these keys.
 
 Environment variables override file values and CLI flags override both; the
 variable for key ``k`` is ``OSBMDI_<K>`` (upper-case).
@@ -30,22 +18,6 @@ from .protocol import ConfigError, DecoyPolicy, Mode, SessionConfig
 from .quantum import BellLabel
 
 ENV_PREFIX = "OSBMDI_"
-
-_KEYS = (
-    "mode",
-    "n_pairs",
-    "sessions",
-    "seed",
-    "workers",
-    "alice_states",
-    "bob_states",
-    "decoy_policy",
-    "error_threshold",
-    "use_cases_ii_iii",
-    "m_split_decoys",
-    "attack",
-    "noise",
-)
 
 _DEFAULTS = {
     "mode": "qsdc",
@@ -62,6 +34,8 @@ _DEFAULTS = {
     "attack": "",
     "noise": "",
 }
+# The recognized keys, in the order of README's configuration table.
+_KEYS = tuple(_DEFAULTS)
 
 
 @dataclass(frozen=True)

@@ -21,7 +21,7 @@ checks; case IV carries the message.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cache, lru_cache
 from itertools import accumulate
 from typing import Generator, Sequence
@@ -98,7 +98,6 @@ class CaseTag(str, enum.Enum):
 # ``decode_message``.
 _VALUES = tuple(lab.value for lab in BELL_LABELS)
 _IS_CORRELATED = np.array([lab.correlated for lab in BELL_LABELS])
-_PAULIS = tuple(PauliLabel.from_symbol(s) for s in range(4))
 # Case codes, the positions in ``tuple(CaseTag)``.
 _CASE_I, _CASE_II, _CASE_III, _CASE_IV = range(4)
 
@@ -309,7 +308,7 @@ def decode_table() -> np.ndarray:
     """``decode_message(...).symbol``, indexed by the codes of (alice init,
     bob init, bmo1, bmo2), the own encoding's symbol (4 for none) and the
     decode side: filled once from ``decode_message``.  Read-only."""
-    owns = (*_PAULIS, None)
+    owns = (*PauliLabel, None)
     table = np.empty((4, 4, 4, 4, 5, 2), dtype=np.intp)
     for a, b, m1, m2, own, side in np.ndindex(table.shape):
         table[a, b, m1, m2, own, side] = decode_message(
@@ -330,18 +329,16 @@ def correlation_failures(
 
 
 @lru_cache(maxsize=64)
-def _pair_names(initial: str, counts: tuple[int, int, int, int]) -> tuple[np.ndarray, ...]:
-    """The (first, second) qubit names of a party's prepared pairs, block by
-    block (see ``PartyState``), as read-only object arrays."""
+def _pair_names(initial: str, counts: tuple[int, int, int, int]) -> tuple[tuple[str, ...], ...]:
+    """The qubit names of a party's prepared pairs, block by block (see
+    ``PartyState``), as two columns: the home halves (a whole decoy's half
+    0), then the traveling halves."""
     first: list[str] = []
     second: list[str] = []
     for tag, count, (s1, s2) in zip("mdws", counts, ("ht", "ht", "ab", "ht")):
         first += [f"{initial}{tag}{i}{s1}" for i in range(count)]
         second += [f"{initial}{tag}{i}{s2}" for i in range(count)]
-    names = np.array(first, dtype=object), np.array(second, dtype=object)
-    for column in names:
-        column.flags.writeable = False
-    return names
+    return tuple(first), tuple(second)
 
 
 @dataclass
@@ -351,14 +348,12 @@ class PartyState:
     The pairs come in four blocks, the slices ``pairs`` (message pairs),
     ``s1_decoys``, ``s2_whole`` and ``s2_split`` of every column; a pair's
     index in its block is its message or decoy index.  Pair i is the qubits
-    named ``first[i]`` (the home half; a whole decoy's half 0) and
-    ``second[i]`` (the traveling half), at the store indices ``qubits[i]``,
-    in the Bell state ``labels[i]``, whose code is ``codes[i]``.
+    at the store indices ``qubits[i]`` (the home half, a whole decoy's half
+    0, then the traveling half), in the Bell state ``labels[i]``, whose code
+    is ``codes[i]``.  The session fills in ``seq1`` and ``seq2`` as it sends.
     """
 
     name: str
-    first: np.ndarray
-    second: np.ndarray
     qubits: np.ndarray
     codes: np.ndarray
     labels: list[BellLabel]
@@ -371,29 +366,29 @@ class PartyState:
 
 
 @dataclass
-class CharlieState:
-    fake_stages: frozenset[int] = frozenset()
-
-
-@dataclass
 class SessionReport:
-    """Everything observable about one finished (or aborted) session."""
+    """Everything observable about one finished (or aborted) session.
+
+    A session makes its report when it starts and writes each result into it
+    as the stage that finds it runs, so a field a session never reached
+    keeps its default: no checks, no symbols, an empty transcript.
+    """
 
     mode: str
     n_pairs: int
     session_index: int
-    aborted: bool
-    abort_stage: str | None
-    case_counts: dict[str, int]
-    stage1_checks: int
-    stage1_failures: int
-    stage2_gv_checks: int
-    stage2_gv_failures: int
-    stage2_split_checks: int
-    stage2_split_failures: int
-    sent_symbols: dict[str, tuple[int, ...]]
-    decoded_symbols: dict[str, tuple[int, ...]]
-    transcript: Transcript
+    aborted: bool = False
+    abort_stage: str | None = None
+    case_counts: dict[str, int] = field(default_factory=lambda: {t.value: 0 for t in CaseTag})
+    stage1_checks: int = 0
+    stage1_failures: int = 0
+    stage2_gv_checks: int = 0
+    stage2_gv_failures: int = 0
+    stage2_split_checks: int = 0
+    stage2_split_failures: int = 0
+    sent_symbols: dict[str, tuple[int, ...]] = field(default_factory=dict)
+    decoded_symbols: dict[str, tuple[int, ...]] = field(default_factory=dict)
+    transcript: Transcript = field(default_factory=Transcript)
     eve_views: tuple = ()
     nested: tuple = ()
     # Partner labels a nested share delivered wrong (in range, so undetected);
@@ -425,11 +420,7 @@ class SessionReport:
 
 
 class _Abort(Exception):
-    def __init__(self, stage: str, rate: float, kind: str) -> None:
-        super().__init__(f"abort at {stage} on {kind} (error rate {rate:.4g})")
-        self.stage = stage
-        self.rate = rate
-        self.kind = kind
+    """Stops a session whose report is marked aborted (``Session._abort``)."""
 
 
 def _bits_per_choice(set_size: int) -> int:
@@ -447,6 +438,11 @@ class Session:
     ``pauli_frame`` convention): ``parties[side]``, ``state_sets[side]`` and
     ``known[side]`` (the codes of that party's knowledge of the partner's
     initial labels, per pair index).
+
+    The session keeps its results only in ``report``, made in ``__init__``:
+    each stage writes its announcements, check counts, case counts,
+    symbols, nested reports and Eve's views there as it runs, an abort sets
+    the abort fields, and ``steps()`` returns that same report.
 
     Bookkeeping runs once per block, leg or round, never per qubit, and
     never by qubit name: preparation draws each party's labels per block
@@ -496,32 +492,22 @@ class Session:
     ) -> None:
         self.cfg = cfg
         self.rng = rng
-        self.session_index = session_index
+        self.report = SessionReport(cfg.mode.value, cfg.n_pairs, session_index)
         self.payload = None if payload is None else list(payload)
         self.arena = QubitArena(share)
-        self.transcript = Transcript()
         self.eve = EveState()
         self.parties: tuple[PartyState, ...] = ()
         self.state_sets = (cfg.alice_state_set, cfg.bob_state_set)
-        fake = frozenset()
-        if cfg.attack is not None and cfg.attack.strategy == "fake_bmo":
-            fake = cfg.attack.fake_stages
-        self.charlie = CharlieState(fake_stages=fake)
+        # the rounds in which a dishonest node draws its announcements
+        attack = cfg.attack
+        fake = attack is not None and attack.strategy == "fake_bmo"
+        self.fake_stages = attack.fake_stages if fake else frozenset()
         # per swap-round slot: announcement codes and case codes; the
         # surviving slots, and each side's item index at them
         self.bmo1_codes: np.ndarray | None = None
         self.cases: np.ndarray | None = None
         self.survivors: np.ndarray | None = None
         self.survivor_items: list[np.ndarray] = []
-        self.sent: dict[str, tuple[int, ...]] = {}
-        self.decoded: dict[str, tuple[int, ...]] = {}
-        self.case_counts = {tag.value: 0 for tag in CaseTag}
-        self.s1_checks = self.s1_fails = 0
-        self.gv_checks = self.gv_fails = 0
-        self.split_checks = self.split_fails = 0
-        self.eve_views: list = []
-        self.nested_reports: list[SessionReport] = []
-        self.nested_label_errors = 0
         self.known: list[np.ndarray | None] = [None, None]
 
     # -- public ------------------------------------------------------------
@@ -532,8 +518,7 @@ class Session:
 
     def steps(self) -> Generator[tuple, list, SessionReport]:
         """The session as a generator of engine round requests ``(arena, op,
-        qubits, arg)``, each sent back its results; returns the report."""
-        aborted, abort_stage, abort_rate, abort_kind = False, None, None, None
+        qubits, arg)``, each sent back its results; returns ``self.report``."""
         try:
             self._prepare()
             if self.cfg.mode is Mode.QD:
@@ -543,35 +528,12 @@ class Session:
             yield from self._encode_and_send()
             yield from self._stage2_checks()
             yield from self._decode_round()
-        except _Abort as signal:
-            aborted, abort_stage = True, signal.stage
-            abort_rate, abort_kind = signal.rate, signal.kind
+        except _Abort:
+            pass
         records = yield from measure_ancillas(self.arena, self.eve, self.rng)
         self._attach_ancilla_bits(records)
-        report = SessionReport(
-            mode=self.cfg.mode.value,
-            n_pairs=self.cfg.n_pairs,
-            session_index=self.session_index,
-            aborted=aborted,
-            abort_stage=abort_stage,
-            case_counts=dict(self.case_counts),
-            stage1_checks=self.s1_checks,
-            stage1_failures=self.s1_fails,
-            stage2_gv_checks=self.gv_checks,
-            stage2_gv_failures=self.gv_fails,
-            stage2_split_checks=self.split_checks,
-            stage2_split_failures=self.split_fails,
-            sent_symbols=dict(self.sent),
-            decoded_symbols=dict(self.decoded),
-            transcript=self.transcript,
-            eve_views=tuple(self.eve_views),
-            nested=tuple(self.nested_reports),
-            nested_label_errors=self.nested_label_errors,
-            abort_rate=abort_rate,
-            abort_kind=abort_kind,
-        )
         self._validate_transcript()
-        return report
+        return self.report
 
     # -- preparation ---------------------------------------------------------
 
@@ -588,9 +550,8 @@ class Session:
                 draw_codes(cfg.decoy_policy.labels, ends[-1] - n, self.rng),
             ])
             labels = list(map(BELL_LABELS.__getitem__, codes.tolist()))
-            first, second = _pair_names(name[0], counts)
-            qubits = self.arena.add_bell_pairs(codes, first.tolist(), second.tolist(), name)
-            parties.append(PartyState(name, first, second, qubits, codes, labels, *blocks))
+            qubits = self.arena.add_bell_pairs(codes, *_pair_names(name[0], counts), name)
+            parties.append(PartyState(name, qubits, codes, labels, *blocks))
         self.parties = tuple(parties)
         self.alice, self.bob = parties
         for side, state_set in enumerate(self.state_sets):
@@ -633,18 +594,18 @@ class Session:
                 master_seed=cfg.master_seed,
             )
             child = np.random.default_rng(int(self.rng.integers(2**63)))
-            nested = Session(nested_cfg, child, self.session_index, payload, self.arena)
+            nested = Session(nested_cfg, child, self.report.session_index, payload, self.arena)
             rep = yield from nested.steps()
-            self.nested_reports.append(rep)
+            self.report.nested += (rep,)
             if rep.aborted:
-                raise _Abort("nested", 1.0, "nested")
+                raise self._abort("nested", 1.0, "nested")
             symbols = np.array(rep.decoded_symbols["bob"], dtype=np.intp)
             bits = (symbols[:, None] >> np.array([1, 0]) & 1).ravel()
             choices = bits[: n * bpc].reshape(n, bpc) @ (1 << shifts)
             if choices.max() >= len(state_set):
-                raise _Abort("nested", 1.0, "nested")
+                raise self._abort("nested", 1.0, "nested")
             self.known[1 - side] = set_codes[choices]
-            self.nested_label_errors += int(np.count_nonzero(set_codes[choices] != prepared))
+            self.report.nested_label_errors += int(np.count_nonzero(set_codes[choices] != prepared))
 
     # -- round 1: swap ---------------------------------------------------------
 
@@ -671,7 +632,7 @@ class Session:
         a_seq, b_seq = self.alice.seq1, self.bob.seq1
         if len(a_seq.qubits) != len(b_seq.qubits):
             raise ProtocolError("swap-round sequences differ in length")
-        if 1 in self.charlie.fake_stages:
+        if 1 in self.fake_stages:
             bmo1 = np.array([fake_bmo_outcome(self.rng) for _ in a_seq.qubits], dtype=np.intp)
         else:
             pairs = np.column_stack((a_seq.occupants, b_seq.occupants))
@@ -680,20 +641,19 @@ class Session:
         self._announce(1, range(len(bmo1)), bmo1)
 
     def _stage1_checks(self):
+        report, transcript = self.report, self.report.transcript
         for party in self.parties:
-            self.transcript.append(
+            transcript.append(
                 party.name,
                 DecoyPositions(party.name, 1, split_positions=party.seq1.split_positions),
             )
         for party in self.parties:
             labels = tuple(enumerate(party.labels[party.s1_decoys]))
-            self.transcript.append(
-                party.name, InitialStateReveal(party.name, 1, "decoy", labels)
-            )
+            transcript.append(party.name, InitialStateReveal(party.name, 1, "decoy", labels))
         orders = [party.seq1.order for party in self.parties]
         self.cases = classify_cases(*(party.seq1.decoy for party in self.parties))
         counts = np.bincount(self.cases, minlength=4).tolist()
-        self.case_counts = dict(zip(self.case_counts, counts))
+        report.case_counts = dict(zip(report.case_counts, counts))
         use_msg = self.cfg.use_cases_ii_iii
         checked = np.flatnonzero(self.cases == _CASE_I if use_msg else self.cases != _CASE_IV)
         # the entangled side of a mixed slot discloses its label for the
@@ -705,26 +665,24 @@ class Session:
             refs = orders[side][self.cases == case].tolist()
             if refs:
                 labels = tuple(zip(refs, map(party.labels.__getitem__, refs)))
-                self.transcript.append(
-                    party.name, InitialStateReveal(party.name, 1, "message", labels)
-                )
+                transcript.append(party.name, InitialStateReveal(party.name, 1, "message", labels))
         items = [order[checked] for order in orders]
         homes = np.column_stack([p.qubits[i, 0] for p, i in zip(self.parties, items)])
         flat = yield from engine_round(self.arena, "comp_measure", homes.ravel(), self.rng)
         a_bits, b_bits = flat[::2], flat[1::2]
         ids = checked.tolist()
-        self.transcript.append_run(
+        transcript.append_run(
             "alice", CorrelationRecord, 1, ids, zip(a_bits.tolist(), b_bits.tolist())
         )
         alice, bob = self.parties
         correlated = correlated_table()[
             alice.codes[items[0]], bob.codes[items[1]], self.bmo1_codes[checked]
         ]
-        self.s1_checks = len(ids)
-        self.s1_fails = correlation_failures(a_bits, b_bits, correlated)
-        rate = self.s1_fails / self.s1_checks if self.s1_checks else 0.0
+        report.stage1_checks = checks = len(ids)
+        report.stage1_failures = fails = correlation_failures(a_bits, b_bits, correlated)
+        rate = fails / checks if checks else 0.0
         if rate > self.cfg.error_threshold:
-            raise _Abort("stage1", rate, "stage1_correlation")
+            raise self._abort("stage1", rate, "stage1_correlation")
 
     # -- round 2: encode, send, verify -----------------------------------------
 
@@ -746,7 +704,7 @@ class Session:
                 symbols = tuple(self.payload + [0] * (n_sym - len(self.payload)))
             else:
                 symbols = tuple(self.rng.integers(0, 4, size=n_sym).tolist())
-            self.sent[self.parties[side].name] = symbols
+            self.report.sent_symbols[self.parties[side].name] = symbols
             # a symbol is its Pauli's code
             yield from engine_round(self.arena, "apply_pauli", homes[side], np.array(symbols))
         for side, party in enumerate(self.parties):
@@ -762,9 +720,10 @@ class Session:
             )
 
     def _stage2_checks(self):
-        self.transcript.append("charlie", Receipt(2))
+        report, transcript = self.report, self.report.transcript
+        transcript.append("charlie", Receipt(2))
         for party in self.parties:
-            self.transcript.append(
+            transcript.append(
                 party.name,
                 DecoyPositions(
                     party.name,
@@ -773,7 +732,7 @@ class Session:
                     whole_positions=party.seq2.whole_positions,
                 ),
             )
-        fake = 2 in self.charlie.fake_stages
+        fake = 2 in self.fake_stages
         for party in self.parties:
             occupants = party.seq2.occupants
             whole = party.seq2.whole_positions
@@ -783,8 +742,9 @@ class Session:
                 pairs = occupants[np.array(whole, dtype=np.intp).reshape(-1, 2)]
                 outcomes = yield from engine_round(self.arena, "bell_measure", pairs, self.rng)
             self._announce(2, [i for i, _ in whole], outcomes)
-            self.gv_checks += len(whole)
-            self.gv_fails += int(np.count_nonzero(outcomes != party.codes[party.s2_whole]))
+            report.stage2_gv_checks += len(whole)
+            failures = np.count_nonzero(outcomes != party.codes[party.s2_whole])
+            report.stage2_gv_failures += int(failures)
             split = party.seq2.split_positions
             homes = party.qubits[party.s2_split, 0]
             if fake:
@@ -799,9 +759,9 @@ class Session:
                 pairs = np.column_stack((occupants[list(split)], homes))
                 flat = yield from engine_round(self.arena, "comp_measure", pairs.ravel(), self.rng)
                 c_bits, o_bits = flat[::2].tolist(), flat[1::2].tolist()
-            self.transcript.append_run("charlie", CorrelationRecord, 2, split, zip(c_bits, o_bits))
-            self.split_checks += len(split)
-            self.split_fails += correlation_failures(
+            transcript.append_run("charlie", CorrelationRecord, 2, split, zip(c_bits, o_bits))
+            report.stage2_split_checks += len(split)
+            report.stage2_split_failures += correlation_failures(
                 c_bits, o_bits, _IS_CORRELATED[party.codes[party.s2_split]]
             )
         for party in self.parties:
@@ -809,15 +769,13 @@ class Session:
                 *enumerate(party.labels[party.s2_whole]),
                 *enumerate(party.labels[party.s2_split]),
             )
-            self.transcript.append(
-                party.name, InitialStateReveal(party.name, 2, "decoy", labels)
-            )
-        total = self.gv_checks + self.split_checks
-        fails = self.gv_fails + self.split_fails
-        rate = fails / total if total else 0.0
+            transcript.append(party.name, InitialStateReveal(party.name, 2, "decoy", labels))
+        gv_fails, split_fails = report.stage2_gv_failures, report.stage2_split_failures
+        total = report.stage2_gv_checks + report.stage2_split_checks
+        rate = (gv_fails + split_fails) / total if total else 0.0
         if rate > self.cfg.error_threshold:
-            failed = [kind for kind, n in (("gv", self.gv_fails), ("split", self.split_fails)) if n]
-            raise _Abort("stage2", rate, "stage2_" + "+".join(failed))
+            failed = [kind for kind, n in (("gv", gv_fails), ("split", split_fails)) if n]
+            raise self._abort("stage2", rate, "stage2_" + "+".join(failed))
 
     # -- round 3: decode ---------------------------------------------------------
 
@@ -829,9 +787,8 @@ class Session:
             # round is committed; the receiver's stay private
             refs = [i for i in self.survivor_items[0].tolist() if i < n]
             labels = tuple(zip(refs, map(self.alice.labels.__getitem__, refs)))
-            self.transcript.append(
-                "alice", InitialStateReveal("alice", 3, "message", labels)
-            )
+            reveal = InitialStateReveal("alice", 3, "message", labels)
+            self.report.transcript.append("alice", reveal)
             self.known[1] = self.alice.codes[:n]
         pairs = np.column_stack([p.seq2.occupants[p.seq2.message_positions] for p in self.parties])
         bmo2 = yield from engine_round(self.arena, "bell_measure", pairs, self.rng)
@@ -840,6 +797,7 @@ class Session:
         prepared = [party.codes[items] for party, items in zip(self.parties, self.survivor_items)]
         # each decoder recovers the other side's operator, reading that
         # side's message-pair labels from what it knows of them
+        sent, decoded = self.report.sent_symbols, self.report.decoded_symbols
         for decoder in (1, 0) if qd else (1,):
             side = 1 - decoder
             items = self.survivor_items[side]
@@ -847,23 +805,29 @@ class Session:
             init[side] = np.where(
                 items < n, self.known[decoder].take(items, mode="clip"), prepared[side]
             )
-            own = np.array(self.sent[self.parties[decoder].name]) if qd else 4
+            own = np.array(sent[self.parties[decoder].name]) if qd else 4
             symbols = decode_table()[init[0], init[1], bmo1, bmo2, own, side]
-            self.decoded[self.parties[decoder].name] = tuple(symbols.tolist())
-        self.eve_views = list(zip(
+            decoded[self.parties[decoder].name] = tuple(symbols.tolist())
+        self.report.eve_views = tuple(zip(
             map(_VALUES.__getitem__, bmo1.tolist()), map(_VALUES.__getitem__, bmo2.tolist())
         ))
 
     # -- wrap-up -------------------------------------------------------------------
 
+    def _abort(self, stage: str, rate: float, kind: str) -> _Abort:
+        """Record in the report why the session stops; returns the stop to raise."""
+        r = self.report
+        r.aborted, r.abort_stage, r.abort_rate, r.abort_kind = True, stage, rate, kind
+        return _Abort()
+
     def _announce(self, stage: int, indices: Sequence[int], codes: np.ndarray) -> None:
         """Log the node's announcements of the label codes ``codes`` at ``indices``."""
         labels = map(BELL_LABELS.__getitem__, codes.tolist())
-        self.transcript.append_run("charlie", BMOAnnouncement, stage, indices, labels)
+        self.report.transcript.append_run("charlie", BMOAnnouncement, stage, indices, labels)
 
     def _attach_ancilla_bits(self, records: list[tuple[str, int, int]]) -> None:
         """File Eve's ``(leg, slot, bit)`` readouts under the message slot
-        they coupled to in round 2."""
+        they coupled to in round 2, completing the report's ``eve_views``."""
         bits: dict[int, list[int]] = {}
         if records:
             survivor_at = {
@@ -876,9 +840,9 @@ class Session:
                 survivor = survivor_at.get((leg, slot))
                 if survivor is not None:
                     bits.setdefault(survivor, []).append(bit)
-        self.eve_views = [
-            (bmo1, bmo2, tuple(bits.get(k, ()))) for k, (bmo1, bmo2) in enumerate(self.eve_views)
-        ]
+        self.report.eve_views = tuple(
+            (*view, tuple(bits.get(k, ()))) for k, view in enumerate(self.report.eve_views)
+        )
 
     def _validate_transcript(self) -> None:
         allowed: dict[str, set[int]] = {"alice": set(), "bob": set()}
@@ -887,7 +851,7 @@ class Session:
             allowed["bob"] = set(self.bob.seq1.order[self.cases == _CASE_III].tolist())
         if len(self.cfg.alice_state_set) > 1:
             allowed["alice"] = set(range(self.cfg.n_pairs))
-        validate_order(self.transcript, allowed)
+        validate_order(self.report.transcript, allowed)
 
 
 def session_rng(master_seed: int, session_index: int) -> np.random.Generator:
@@ -897,11 +861,12 @@ def session_rng(master_seed: int, session_index: int) -> np.random.Generator:
 
 def prepare_session(
     cfg: SessionConfig, session_index: int = 0
-) -> tuple[PartyState, PartyState, CharlieState, Transcript]:
-    """Build the prepared (pre-transmission) party states for inspection."""
+) -> tuple[PartyState, PartyState, frozenset[int], Transcript]:
+    """Build the prepared (pre-transmission) party states for inspection,
+    with the rounds a dishonest node fakes and the (empty) transcript."""
     session = Session(cfg, session_rng(cfg.master_seed, session_index), session_index)
     session._prepare()
-    return session.alice, session.bob, session.charlie, session.transcript
+    return session.alice, session.bob, session.fake_stages, session.report.transcript
 
 
 def run_session(cfg: SessionConfig, session_index: int = 0) -> SessionReport:

@@ -114,13 +114,14 @@ class PauliLabel(enum.Enum):
 
     @property
     def bits(self) -> tuple[int, int]:
-        return _PAULI_BITS[self]
+        """The symbol's two bits, msb first."""
+        return divmod(self.symbol, 2)
 
     @property
     def symbol(self) -> int:
-        """Two-bit symbol as an int in 0..3 (msb first: I=0, X=1, iY=2, Z=3)."""
-        b0, b1 = self.bits
-        return 2 * b0 + b1
+        """Two-bit symbol as an int in 0..3, the label's position in
+        ``tuple(PauliLabel)`` (msb first: I=0, X=1, iY=2, Z=3)."""
+        return _PAULI_ORDER.index(self)
 
     @classmethod
     def from_symbol(cls, symbol: int) -> "PauliLabel":
@@ -137,13 +138,8 @@ class PauliLabel(enum.Enum):
         return self.value
 
 
-_PAULI_ORDER = (PauliLabel.I, PauliLabel.X, PauliLabel.IY, PauliLabel.Z)
-_PAULI_BITS = {
-    PauliLabel.I: (0, 0),
-    PauliLabel.X: (0, 1),
-    PauliLabel.IY: (1, 0),
-    PauliLabel.Z: (1, 1),
-}
+# The symbol table: a label's symbol is its index here.
+_PAULI_ORDER = tuple(PauliLabel)
 
 # All four matrices are real: iY|0> = -|1>, iY|1> = |0>.
 PAULI_MATRICES: dict[PauliLabel, np.ndarray] = {
@@ -159,6 +155,8 @@ BELL_VECTORS: dict[BellLabel, np.ndarray] = {
     BellLabel.PHI_PLUS: np.array([0, _SQ2, _SQ2, 0], dtype=complex),
     BellLabel.PHI_MINUS: np.array([0, _SQ2, -_SQ2, 0], dtype=complex),
 }
+# Row i is |b_i> for the label of code i.
+_BELL_TABLE = np.array([BELL_VECTORS[lab] for lab in BELL_LABELS])
 
 
 @dataclass(frozen=True)
@@ -344,8 +342,8 @@ def apply_cnot(s: StateVector, control: str, target: str) -> StateVector:
     return _apply_matrix(s, (s.axis(control), s.axis(target)), _CNOT)
 
 
-# Row i is <b_i| for the i-th label in BellLabel order.
-_BELL_BRAS = np.array([BELL_VECTORS[lab].conj() for lab in BELL_LABELS])
+# Row i is <b_i| for the label of code i.
+_BELL_BRAS = _BELL_TABLE.conj()
 
 
 def bell_measure(
@@ -580,8 +578,6 @@ _JOIN_KEY = np.array((2 * _ROW, 2))
 # A round's stacks hold rows of many registers, so their qubits are named by
 # position.
 _SLOTS = tuple(f"q{i}" for i in range(_BASE))
-
-_BELL_TABLE = np.array([BELL_VECTORS[lab] for lab in BELL_LABELS])
 
 _NO_OUTCOMES = np.empty(0, dtype=np.intp)  # of a measuring round without items
 
@@ -840,18 +836,19 @@ def _plan_waves(keys: np.ndarray, joining: bool) -> list[np.ndarray]:
     item, when no register appears in two items.  Else a single-register
     item's wave is its occurrence rank on its register, and joining items
     fall back to ``_join_waves``."""
-    if joining:
-        a, b = keys[:, 0].tolist(), keys[:, 1].tolist()
-        if len(set(a).union(b)) == len(a) + len(b) - sum(map(int.__eq__, a, b)):
+    if joining:  # an item's two targets may share a register
+        a, b = keys[:, 0], keys[:, 1]
+        touched = np.sort(np.concatenate([a, b[a != b]]))
+        if not np.any(touched[1:] == touched[:-1]):
             return [None]
-        return _join_waves(zip(a, b))
-    if len(set(keys.tolist())) == len(keys):
-        return [None]
+        return _join_waves(keys.tolist())
     order = np.argsort(keys, kind="stable")  # rank of each item on its register
     ordered = keys[order]
-    pos = np.arange(len(keys))
     first = np.ones(len(keys), dtype=bool)
     first[1:] = ordered[1:] != ordered[:-1]
+    if first.all():
+        return [None]
+    pos = np.arange(len(keys))
     rank = np.empty_like(pos)
     rank[order] = pos - np.maximum.accumulate(np.where(first, pos, 0))
     return [np.flatnonzero(rank == w) for w in range(int(rank.max()) + 1)]

@@ -17,7 +17,7 @@ from .analysis import (
     detection_rate,
     leakage_bits,
 )
-from .protocol import Mode, SessionConfig, SessionReport
+from .protocol import CaseTag, Mode, SessionConfig, SessionReport
 from .quantum import BellLabel
 
 
@@ -90,7 +90,7 @@ def render_report(
         )
     )
 
-    case_totals = {tag: 0 for tag in ("I", "II", "III", "IV")}
+    case_totals = {tag.value: 0 for tag in CaseTag}
     for r in reports:
         for tag, count in r.case_counts.items():
             case_totals[tag] += count

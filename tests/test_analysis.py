@@ -241,7 +241,7 @@ def test_exact_direct_mode_mi_is_one_bit():
 
 def test_eve_information_direct_mode_matches_enumeration():
     cfg = SessionConfig(n_pairs=8, master_seed=92)
-    reports = [run_session(cfg, i) for i in range(700)]
+    reports = run_batch(cfg, 700)
     est = eve_information(reports)
     assert not est.insufficient
     assert abs(est.bits - exact_direct_mode_mi()) < 0.1

@@ -11,8 +11,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from osbmdi.adversary import STRATEGIES
 from osbmdi.cli import main, parse_grid
 from osbmdi.config import _KEYS, ConfigError, parse_config_file, resolve
+
+README = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "README.md")
 
 
 def run_cli(args):
@@ -47,6 +50,25 @@ def test_parse_grid_rejects_a_zero_denominator(spec):
 
 
 # --- config files -------------------------------------------------------------
+
+
+def readme_table_names(header):
+    """The first column, backticks stripped, of the README table whose
+    header row starts with ``| header |``."""
+    with open(README, encoding="utf-8") as fh:
+        lines = fh.read().splitlines()
+    start = next(i for i, line in enumerate(lines) if line.startswith(f"| {header} |"))
+    names = []
+    for line in lines[start + 2:]:  # past the header and its rule
+        if not line.startswith("|"):
+            break
+        names.append(line.split("|")[1].strip().strip("`"))
+    return tuple(names)
+
+
+def test_readme_tables_name_exactly_the_config_keys_and_strategies():
+    assert readme_table_names("key") == _KEYS
+    assert readme_table_names("strategy") == STRATEGIES
 
 
 def test_config_file_roundtrip(tmp_path):

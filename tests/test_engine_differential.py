@@ -650,6 +650,43 @@ def test_cnot_round_matches_scalar_calls(k, monkeypatch):
     assert batched.state_of("c0a").n_qubits == 12
 
 
+def brute_force_waves(keys, joining):
+    """``quantum._plan_waves`` worked out item by item, with one wave of
+    every item written ``[None]``: a single-register item's wave is how many
+    earlier items name its register; joining items run in one wave when no
+    register appears in two items (both targets of one item on one register
+    count once), else in the waves of ``_join_waves``."""
+    items = keys.tolist()
+    if joining:
+        registers = [r for item in items for r in set(item)]
+        if len(set(registers)) == len(registers):
+            return [None]
+        return [wave.tolist() for wave in quantum._join_waves(items)]
+    rank = [items[:i].count(key) for i, key in enumerate(items)]
+    if not any(rank):
+        return [None]
+    return [[i for i, r in enumerate(rank) if r == w] for w in range(max(rank) + 1)]
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(data=st.data(), joining=st.booleans(), repeats=st.booleans())
+def test_plan_waves_match_brute_force(data, joining, repeats):
+    """Register keys with and without repeats, one or two per item; a joining
+    item may have both targets on one register without any repeat."""
+    n = data.draw(st.integers(1, 40), "items")
+    width = 2 if joining else 1
+    # n * width keys from a pool of n registers often repeat one (joining
+    # keys always do); unique keys never do
+    pool = st.integers(1, n) if repeats else st.integers(1, 2**40)
+    flat = data.draw(st.lists(pool, min_size=n * width, max_size=n * width, unique=not repeats))
+    keys = np.array(flat, dtype=np.intp).reshape(n, width) if joining else np.array(flat, np.intp)
+    if joining:
+        inside = data.draw(st.lists(st.booleans(), min_size=n, max_size=n), "inside")
+        keys[inside, 1] = keys[inside, 0]
+    got = [None if wave is None else wave.tolist() for wave in quantum._plan_waves(keys, joining)]
+    assert got == brute_force_waves(keys, joining)
+
+
 def test_rounds_of_a_few_items_run_stacked(monkeypatch):
     """Rounds of 1, 3 and 7 readouts in one arena make one stacked engine
     call per group of register width and axis, and leave outcomes, generator

@@ -1,4 +1,5 @@
 """Protocol-layer tests: preparation, cases, checks, encoding, sessions."""
+import dataclasses
 import hashlib
 import math
 import os
@@ -20,6 +21,7 @@ from osbmdi.protocol import (
     Mode,
     Session,
     SessionConfig,
+    SessionReport,
     classify_cases,
     correlation_check,
     correlated_table,
@@ -102,7 +104,7 @@ def test_decoy_policy_parse_and_draw():
 
 def test_prepare_session_defaults():
     cfg = SessionConfig(n_pairs=4, master_seed=11)
-    alice, bob, charlie, transcript = prepare_session(cfg)
+    alice, bob, fake_stages, transcript = prepare_session(cfg)
     assert len(alice.labels[alice.pairs]) == 4 and len(bob.labels[bob.pairs]) == 4
     assert all(label is PSIP for label in alice.labels[alice.pairs])
     assert all(label in (PSIP, PSIM) for label in bob.labels[bob.pairs])
@@ -111,7 +113,7 @@ def test_prepare_session_defaults():
     assert all(label is PSIP for label in alice.labels[alice.s1_decoys.start:])
     assert [LABELS[c] for c in alice.codes] == alice.labels
     assert len(transcript) == 0
-    assert charlie.fake_stages == frozenset()
+    assert fake_stages == frozenset()
 
 
 def test_prepare_bob_draws_both_labels_across_seeds():
@@ -455,6 +457,24 @@ def test_wrong_in_range_nested_labels_are_counted():
     assert wrong_sessions == 40
     honest = SessionConfig(n_pairs=8, mode=Mode.QD, bob_state_set=(PSIP, PSIM))
     assert all(run_session(honest, i).nested_label_errors == 0 for i in range(20))
+
+
+def test_a_session_keeps_its_results_only_in_its_report():
+    """The report a session returns is the one it wrote into as it ran, and
+    no attribute of the session holds a report field besides it: a finished
+    dialogue with nested shares, and sessions aborted at stage 1 and 2."""
+    report_fields = {f.name for f in dataclasses.fields(SessionReport)}
+    configs = (
+        (SessionConfig(n_pairs=8, mode=Mode.QD, bob_state_set=(PSIP, PSIM)), None),
+        (SessionConfig(n_pairs=8, attack=AttackSpec.parse("intercept_resend")), "stage1"),
+        (SessionConfig(n_pairs=8, attack=AttackSpec.parse("flip_all")), "stage2"),
+    )
+    for cfg, stage in configs:
+        session = Session(cfg, session_rng(cfg.master_seed, 1), 1)
+        report = session.run()
+        assert report is session.report and report.abort_stage == stage
+        assert not report_fields & set(vars(session))
+        assert report.nested or cfg.mode is Mode.QSDC
 
 
 def test_corrupt_nested_share_aborts_instead_of_wrapping():
