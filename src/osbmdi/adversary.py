@@ -65,7 +65,8 @@ class AttackSpec:
     ``alpha``/``beta`` parametrize the entangle-and-measure ancilla state
     alpha|0> + beta|1>; ``mode``/``fraction`` parametrize the disturbance
     attack; ``fake_stages`` selects the rounds in which the measurement node
-    announces without measuring.
+    announces without measuring: ``{1}`` by default for ``fake_bmo``, and
+    empty for every other strategy.
     """
 
     strategy: str
@@ -74,7 +75,7 @@ class AttackSpec:
     beta: complex = 0.0
     mode: str = "random_pauli"
     fraction: float = 1.0
-    fake_stages: frozenset[int] = frozenset({1})
+    fake_stages: frozenset[int] | None = None
 
     def __post_init__(self) -> None:
         if self.strategy not in STRATEGIES:
@@ -93,9 +94,13 @@ class AttackSpec:
                 raise ValueError(f"unknown disturb mode {self.mode!r}")
             if not 0.0 < self.fraction <= 1.0:
                 raise ValueError("disturb fraction must be in (0, 1]")
-        if self.strategy == "fake_bmo":
-            if not self.fake_stages or not self.fake_stages <= {1, 2}:
-                raise ValueError("fake_bmo stages must be a nonempty subset of {1, 2}")
+        fake = self.strategy == "fake_bmo"
+        if self.fake_stages is None:
+            object.__setattr__(self, "fake_stages", frozenset({1} if fake else ()))
+        if fake and not (self.fake_stages and self.fake_stages <= {1, 2}):
+            raise ValueError("fake_bmo stages must be a nonempty subset of {1, 2}")
+        if self.fake_stages and not fake:
+            raise ValueError(f"fake stages are for fake_bmo, not {self.strategy}")
 
     @classmethod
     def parse(cls, text: str) -> "AttackSpec":

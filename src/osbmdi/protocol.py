@@ -499,9 +499,7 @@ class Session:
         self.parties: tuple[PartyState, ...] = ()
         self.state_sets = (cfg.alice_state_set, cfg.bob_state_set)
         # the rounds in which a dishonest node draws its announcements
-        attack = cfg.attack
-        fake = attack is not None and attack.strategy == "fake_bmo"
-        self.fake_stages = attack.fake_stages if fake else frozenset()
+        self.fake_stages = frozenset() if cfg.attack is None else cfg.attack.fake_stages
         # per swap-round slot: announcement codes and case codes; the
         # surviving slots, and each side's item index at them
         self.bmo1_codes: np.ndarray | None = None

@@ -17,14 +17,16 @@ gate left-multiplies that matrix and moves the axes back; a measurement
 projects onto rows, and each projected row is already the amplitude vector of
 the surviving register.
 
-Stacked registers: ``StateVector.stack(ids, amps)`` holds k registers of one
-layout, one state per row of ``amps`` (shape ``(k, 2**n)``), named by the
-``ids`` of a template register.  Every free gate and measurement also takes
-a stack and acts on it row by row.  A single register draws its outcome from
-a ``Generator``; a stack takes one pre-drawn uniform per row, which row i
-uses as the single-register form uses its one ``rng.random()`` draw, and
-returns its outcomes as an array of codes.  ``rng.random(k)`` yields the
-same doubles as k scalar draws, so a round's draws keep the stream unchanged.
+Stacks are the kernel form: ``StateVector.stack(ids, amps)`` holds k
+registers of one layout, one state per row of ``amps`` (shape ``(k, 2**n)``),
+named by the ``ids`` of a template register.  Every free gate and measurement
+computes on that form; a single register goes through as a stack of one row
+and comes back as a single register.  A stack's measurement takes one
+pre-drawn uniform per row and returns its outcomes as an array of codes; a
+single register's takes a ``Generator``, draws its one ``rng.random()`` after
+the qubit checks, and returns a ``BellLabel`` or a bit.  ``rng.random(k)``
+yields the same doubles as k scalar draws, so a round's draws keep the stream
+unchanged.
 
 Bell-label convention: psi+/- live on |00> +/- |11>, phi+/- on |01> +/- |10>.
 Note this is swapped relative to the more common psi/phi usage; the whole
@@ -261,15 +263,25 @@ def tensor(a: StateVector, b: StateVector) -> StateVector:
     overlap = set(a.qubit_ids) & set(b.qubit_ids)
     if overlap:
         raise InvalidRegisterError(f"overlapping qubit ids: {sorted(overlap)}")
-    x, y = a.amplitudes, b.amplitudes
-    if x.ndim == 1 and y.ndim == 1:
-        # For 1-D inputs outer-then-flatten is np.kron, element for element.
-        return StateVector(a.qubit_ids + b.qubit_ids, np.outer(x, y).reshape(-1))
-    if x.ndim != y.ndim or len(x) != len(y):
-        raise InvalidRegisterError(f"cannot tensor stacks of shapes {x.shape} and {y.shape}")
-    return StateVector.stack(
-        a.qubit_ids + b.qubit_ids, (x[:, :, None] * y[:, None, :]).reshape(len(x), -1)
-    )
+    shapes = a.amplitudes.shape, b.amplitudes.shape
+    if shapes[0][:-1] != shapes[1][:-1]:  # two registers, or two stacks of one height
+        raise InvalidRegisterError("cannot tensor stacks of shapes {} and {}".format(*shapes))
+    x, y = _rows(a), _rows(b)
+    rows = (x[:, :, None] * y[:, None, :]).reshape(len(x), -1)
+    return _shaped(a, a.qubit_ids + b.qubit_ids, rows)
+
+
+def _rows(s: StateVector) -> np.ndarray:
+    """The kernel form of ``s``: a stack's ``(k, 2**n)`` rows, or a single
+    register as one row."""
+    return s.amplitudes.reshape(-1, 2**s.n_qubits)
+
+
+def _shaped(s: StateVector, ids: tuple[str, ...], rows: np.ndarray) -> StateVector:
+    """``rows`` over ``ids``, checked as a stack, in the form of ``s``: a
+    stack, or for a single register its one row."""
+    amps = StateVector.stack(ids, rows).amplitudes
+    return _trusted(ids, amps.reshape(s.amplitudes.shape[:-1] + (-1,)))
 
 
 @lru_cache(maxsize=1024)
@@ -283,30 +295,20 @@ def _front_index(n_qubits: int, axes: tuple[int, ...]) -> np.ndarray:
 
 
 def _to_front(s: StateVector, axes: tuple[int, ...]) -> np.ndarray:
-    """``(2**len(axes), rest)`` matrix of ``s`` with ``axes`` moved to the front
-    (one such matrix per row for a stack)."""
-    amps = s.amplitudes
-    if amps.ndim == 1:
-        return amps[_front_index(s.n_qubits, axes)]
-    return amps[:, _front_index(s.n_qubits, axes)]
+    """One ``(2**len(axes), rest)`` matrix per row of ``s``, with ``axes``
+    moved to the front."""
+    return _rows(s)[:, _front_index(s.n_qubits, axes)]
 
 
 def _from_front(m: np.ndarray, n_qubits: int, axes: tuple[int, ...]) -> np.ndarray:
-    """Inverse of ``_to_front``: the flat amplitude vector(s) in register order."""
-    if m.ndim == 2:
-        out = np.empty(m.size, dtype=complex)
-        out[_front_index(n_qubits, axes)] = m
-        return out
+    """Inverse of ``_to_front``: the rows' flat amplitude vectors in register order."""
     out = np.empty((len(m), 2**n_qubits), dtype=complex)
     out[:, _front_index(n_qubits, axes)] = m
     return out
 
 
 def _apply_matrix(s: StateVector, axes: tuple[int, ...], matrix: np.ndarray) -> StateVector:
-    amps = _from_front(matrix @ _to_front(s, axes), s.n_qubits, axes)
-    if amps.ndim == 1:
-        return StateVector(s.qubit_ids, amps)
-    return StateVector.stack(s.qubit_ids, amps)
+    return _shaped(s, s.qubit_ids, _from_front(matrix @ _to_front(s, axes), s.n_qubits, axes))
 
 
 def apply_pauli(s: StateVector, qubit_id: str, p: PauliLabel) -> StateVector:
@@ -351,89 +353,56 @@ def bell_measure(
 ) -> tuple[BellLabel, StateVector | None]:
     """Destructive Bell-basis measurement of the pair (q_a, q_b).
 
-    The outcome is Born-sampled from ``rng``; the measured qubits are removed
-    from the returned register (None when the register is exhausted).  A
-    stack takes an array of row uniforms for ``rng`` and returns the array of
-    label codes (positions in ``BELL_LABELS``) with the stack of surviving rows.
+    Row i picks the first label whose running probability exceeds its
+    uniform times the row's total; the measured qubits are removed from the
+    returned register (None when the register is exhausted).  A single
+    register draws its uniform from ``rng`` and gets back a ``BellLabel``; a
+    stack takes an array of row uniforms for ``rng`` and gets back the array
+    of label codes (positions in ``BELL_LABELS``).
     """
     if q_a == q_b:
         raise InvalidRegisterError("cannot Bell-measure a qubit against itself")
     branches = _BELL_BRAS @ _to_front(s, (s.axis(q_a), s.axis(q_b)))
-    if branches.ndim == 3:
-        return _bell_measure_rows(s, (q_a, q_b), branches, rng)
-    probs = (np.abs(branches) ** 2).sum(axis=1)
-    pick = _sample_index(probs, rng)
+    probs = (np.abs(branches) ** 2).sum(axis=2)
+    k = len(probs)
+    r = _row_uniforms(rng, k) * probs.sum(axis=1)
+    picks = np.minimum((np.cumsum(probs, axis=1) <= r[:, None]).sum(axis=1), 3)
     remaining = tuple(q for q in s.qubit_ids if q not in (q_a, q_b))
-    if not remaining:
-        return BELL_LABELS[pick], None
-    return BELL_LABELS[pick], StateVector(remaining, branches[pick] / np.sqrt(probs[pick]))
+    rest = None
+    if remaining:
+        rows = np.arange(k)
+        rest = _shaped(s, remaining, branches[rows, picks] / np.sqrt(probs[rows, picks])[:, None])
+    return (BELL_LABELS[picks[0]] if isinstance(rng, np.random.Generator) else picks), rest
 
 
 def comp_measure(
     s: StateVector, qubit_id: str, rng: np.random.Generator | np.ndarray
 ) -> tuple[int, StateVector | None]:
-    """Destructive computational-basis measurement of one qubit.  A stack
-    takes an array of row uniforms for ``rng`` and returns an array of bits."""
-    rows = _to_front(s, (s.axis(qubit_id),))
-    if rows.ndim == 3:
-        return _comp_measure_rows(s, qubit_id, rows, rng)
-    p1 = np.vdot(rows[1], rows[1]).real
-    bit = 1 if rng.random() < p1 else 0
-    p = p1 if bit else 1.0 - p1
+    """Destructive computational-basis measurement of one qubit: row i reads
+    1 when its uniform is below its p1.  A single register draws its uniform
+    from ``rng`` and gets back a bit; a stack takes an array of row uniforms
+    for ``rng`` and gets back an array of bits."""
+    front = _to_front(s, (s.axis(qubit_id),))
+    ones = front[:, 1]
+    p1 = (ones.real**2 + ones.imag**2).sum(axis=1)
+    read = _row_uniforms(rng, len(p1)) < p1
     remaining = tuple(q for q in s.qubit_ids if q != qubit_id)
-    if not remaining:
-        return bit, None
-    return bit, StateVector(remaining, rows[bit] / np.sqrt(p))
+    rest = None
+    if remaining:
+        norm = np.sqrt(np.where(read, p1, 1.0 - p1))[:, None]
+        rest = _shaped(s, remaining, np.where(read[:, None], ones, front[:, 0]) / norm)
+    bits = read.astype(np.intp)
+    return (int(bits[0]) if isinstance(rng, np.random.Generator) else bits), rest
 
 
-def _sample_index(probs: np.ndarray, rng: np.random.Generator) -> int:
-    total = probs.sum()
-    r = rng.random() * total
-    acc = 0.0
-    for i, p in enumerate(probs):
-        acc += p
-        if r < acc:
-            return i
-    return int(len(probs) - 1)
-
-
-def _row_uniforms(uniforms: np.ndarray, k: int) -> np.ndarray:
-    u = np.asarray(uniforms, dtype=float)
+def _row_uniforms(rng: np.random.Generator | np.ndarray, k: int) -> np.ndarray:
+    """The uniforms of k rows: a stack's array, or the one ``rng.random()``
+    draw of a single register's generator."""
+    single = isinstance(rng, np.random.Generator)
+    u = np.array([rng.random()]) if single else np.asarray(rng, dtype=float)
     if u.shape != (k,):
         raise InvalidRegisterError(f"a stack of {k} rows needs {k} uniforms, got shape {u.shape}")
     return u
-
-
-def _bell_measure_rows(
-    s: StateVector, pair: tuple[str, str], branches: np.ndarray, uniforms: np.ndarray
-) -> tuple[np.ndarray, StateVector | None]:
-    """Stacked ``bell_measure``: row i samples like ``_sample_index`` with
-    uniform i (first label whose running sum exceeds u * total)."""
-    probs = (np.abs(branches) ** 2).sum(axis=2)
-    k = len(probs)
-    r = _row_uniforms(uniforms, k) * probs.sum(axis=1)
-    picks = np.minimum((np.cumsum(probs, axis=1) <= r[:, None]).sum(axis=1), 3)
-    remaining = tuple(q for q in s.qubit_ids if q not in pair)
-    if not remaining:
-        return picks, None
-    rows = np.arange(k)
-    kept = branches[rows, picks] / np.sqrt(probs[rows, picks])[:, None]
-    return picks, StateVector.stack(remaining, kept)
-
-
-def _comp_measure_rows(
-    s: StateVector, qubit_id: str, front: np.ndarray, uniforms: np.ndarray
-) -> tuple[np.ndarray, StateVector | None]:
-    """Stacked ``comp_measure``: row i reads 1 when uniform i < p1 of row i."""
-    ones = front[:, 1]
-    p1 = (ones.real**2 + ones.imag**2).sum(axis=1)
-    read = _row_uniforms(uniforms, len(p1)) < p1
-    remaining = tuple(q for q in s.qubit_ids if q != qubit_id)
-    if not remaining:
-        return read.astype(np.intp), None
-    p = np.where(read, p1, 1.0 - p1)
-    kept = np.where(read[:, None], ones, front[:, 0]) / np.sqrt(p)[:, None]
-    return read.astype(np.intp), StateVector.stack(remaining, kept)
 
 
 @dataclass(frozen=True)
@@ -693,7 +662,7 @@ def run_round(
     on the store of the first, or ``QuantumError`` is raised.  A measuring
     request gets back its outcomes as an array of Bell label codes or bits,
     a gate request k Nones; the arenas and each ``rng`` end, and the
-    outcomes are, as after ``arena.<op>`` called on each item in order.  A
+    outcomes are, as after the items run one at a time in call order.  A
     measuring request draws its k uniforms up front, item i taking the i-th.
 
     The items run in dependency waves (``_plan_waves``), wave w of every
@@ -813,8 +782,8 @@ def _group_call(op, store, gloc, uniforms, param):
 
 
 def _engine_call(op, state, ta, tb, uniforms, param):
-    """The engine function of ``op`` on a register or a stack, as (outcome,
-    surviving state); looked up when called, so a tracer's wrappers see it."""
+    """The engine function of ``op`` on a stack, as (outcomes, surviving
+    state); looked up when called, so a tracer's wrappers see it."""
     if op == "bell_measure":
         return bell_measure(state, ta, tb, uniforms)
     if op == "comp_measure":
@@ -916,15 +885,16 @@ class QubitArena:
     disappear; every live qubit has one holder.
 
     The by-name methods (``indices``, ``names``, ``holders``, ``add_state``,
-    ``has``, ``state_of``, ``holder_of``, ``transfer`` and the scalar ops)
+    ``has``, ``state_of``, ``holder_of``, ``transfer`` and the by-name ops)
     read the arena's own name index, built on first use and kept by later
     registrations, which then reject a live name.  So arenas on one store
     may use the same names, and a name registered again after its qubit was
     measured names the new qubit.  ``state_of`` returns a copy of a row.
 
-    Sessions reach the engine only through rounds; the scalar op methods,
-    each on one materialized register written back (``_write``), are the
-    reference for the differential tests and the tracer.
+    The by-name ops (``apply_pauli``, ``apply_unitary``, ``apply_cnot``,
+    ``bell_measure``, ``comp_measure``) are one-item rounds, kept for
+    callers that hold names and for tracers that wrap them; each raises
+    before it draws.  Sessions run their rounds through ``run_round``.
     """
 
     def __init__(self, share: "QubitArena | None" = None) -> None:
@@ -1054,40 +1024,20 @@ class QubitArena:
             )
         store.held.put(qubits, store.holder_code(to))
 
-    def _write(self, state: StateVector) -> None:
-        """Write ``state`` back over its qubits' registers, as a new row."""
-        members = np.array([list(map(self._name_index().__getitem__, state.qubit_ids))])
-        self._store.append(state.amplitudes[None], members)
-
-    def _settle(self, measured: tuple[str, ...], rest: StateVector | None) -> None:
-        """Drop the measured qubits and write back what is left of their register."""
-        gone = self.indices(measured)
-        self._store.loc[gone] = 0
-        self._store.held[gone] = 0
-        if rest is not None:
-            self._write(rest)
-
-    def _joint(self, q_a: str, q_b: str) -> StateVector:
-        state = self.state_of(q_a)
-        if q_b in state.qubit_ids:
-            return state
-        return tensor(state, self.state_of(q_b))
-
     def apply_pauli(self, qubit_id: str, p: PauliLabel) -> None:
-        self._write(apply_pauli(self.state_of(qubit_id), qubit_id, p))
+        run_round("apply_pauli", [(self, self.indices((qubit_id,)), [p.symbol])])
 
     def apply_unitary(self, qubit_id: str, u: np.ndarray) -> None:
-        self._write(apply_unitary1q(self.state_of(qubit_id), qubit_id, u))
+        run_round("apply_unitary", [(self, self.indices((qubit_id,)), u)])
 
     def apply_cnot(self, control: str, target: str) -> None:
-        self._write(apply_cnot(self._joint(control, target), control, target))
+        run_round("apply_cnot", [(self, self.indices((control, target))[None], None)])
 
     def bell_measure(self, q_a: str, q_b: str, rng: np.random.Generator) -> BellLabel:
-        label, rest = bell_measure(self._joint(q_a, q_b), q_a, q_b, rng)
-        self._settle((q_a, q_b), rest)
-        return label
+        pair = self.indices((q_a, q_b))
+        if q_a == q_b:  # the round would draw before its engine call raises
+            raise InvalidRegisterError("cannot Bell-measure a qubit against itself")
+        return BELL_LABELS[run_round("bell_measure", [(self, pair[None], rng)])[0][0]]
 
     def comp_measure(self, qubit_id: str, rng: np.random.Generator) -> int:
-        bit, rest = comp_measure(self.state_of(qubit_id), qubit_id, rng)
-        self._settle((qubit_id,), rest)
-        return bit
+        return int(run_round("comp_measure", [(self, self.indices((qubit_id,)), rng)])[0][0])

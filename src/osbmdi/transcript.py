@@ -159,17 +159,15 @@ class Transcript:
         self._runs: list[_Run] = []
         self._len = 0
 
-    def append(self, actor: str, event: Event) -> TranscriptEntry:
-        """Log one announcement as a run of one; returns its record."""
+    def append(self, actor: str, event: Event) -> None:
+        """Log one announcement as a run of one."""
         cls = type(event)
         if cls not in _COLUMNS:
             raise TypeError(f"unknown event type {cls!r}")
-        seq = self._len
         kind = event.kind if cls is InitialStateReveal else None
         columns = tuple((getattr(event, f),) for f in _COLUMNS[cls])
-        self._runs.append(_Run(seq, 1, actor, cls, event.stage, kind, columns))
-        self._len = seq + 1
-        return TranscriptEntry(seq, actor, event)
+        self._runs.append(_Run(self._len, 1, actor, cls, event.stage, kind, columns))
+        self._len += 1
 
     def append_run(self, actor: str, event: type, stage: int, *columns: Iterable) -> None:
         """Log ``event(...)`` announcements by ``actor`` at ``stage``, one per

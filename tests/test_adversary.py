@@ -10,7 +10,14 @@ import math
 import numpy as np
 import pytest
 
-from osbmdi.adversary import AttackSpec, EveState, apply_leg_attack, disturb, fake_bmo_outcome
+from osbmdi.adversary import (
+    STRATEGIES,
+    AttackSpec,
+    EveState,
+    apply_leg_attack,
+    disturb,
+    fake_bmo_outcome,
+)
 from osbmdi.analysis import detection_rate
 from osbmdi.protocol import Mode, SessionConfig, run_lockstep, run_session
 from osbmdi.quantum import BELL_LABELS, BellLabel, QubitArena, make_bell
@@ -384,6 +391,21 @@ def test_attack_spec_validation():
             AttackSpec.parse(text)
     with pytest.raises(ValueError):
         AttackSpec(strategy="entangle_measure", alpha=1.0, beta=1.0)
+
+
+def test_fake_stages_belong_to_fake_bmo_only():
+    """``fake_stages`` defaults to {1} for fake_bmo and is empty for every
+    other strategy, which cannot be given any; fake_bmo needs at least one."""
+    for strategy in STRATEGIES:
+        spec = AttackSpec(strategy)
+        assert spec.fake_stages == frozenset({1} if strategy == "fake_bmo" else ())
+        assert AttackSpec.parse(strategy) == spec
+        if strategy != "fake_bmo":
+            with pytest.raises(ValueError, match="fake stages are for fake_bmo"):
+                AttackSpec(strategy, fake_stages=frozenset({1}))
+    assert AttackSpec("fake_bmo", fake_stages=frozenset({1})) == AttackSpec("fake_bmo")
+    with pytest.raises(ValueError, match="nonempty subset"):
+        AttackSpec("fake_bmo", fake_stages=frozenset())
 
 
 @pytest.mark.parametrize("alpha, beta", [(np.nan, 0.0), (1.0, np.nan), (np.inf, 0.0)])

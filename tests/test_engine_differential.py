@@ -4,7 +4,9 @@ The reference kernels below are the tensordot / moveaxis / take / kron forms
 the engine used before its axis-to-front kernels.  Each engine op must give
 the same amplitudes (to 1e-12), the same sampled outcome and the same number
 of draws from the random stream, must leave its inputs untouched, and must
-raise the same errors.
+raise the same errors, a measurement before it draws.  Rounds over arenas
+are compared with ``RefArena``, which runs the arena's by-name ops on the
+reference kernels.
 """
 import itertools
 
@@ -16,6 +18,7 @@ from hypothesis import strategies as st
 from osbmdi import quantum
 from osbmdi.quantum import (
     ATOL,
+    BELL_LABELS,
     BELL_VECTORS,
     PAULI_MATRICES,
     BellLabel,
@@ -119,6 +122,81 @@ def ref_comp_measure(s, qubit_id, rng):
     if not remaining:
         return bit, None
     return bit, (remaining, (v / np.sqrt(p)).reshape(-1))
+
+
+# --- reference arena ---------------------------------------------------------
+
+
+class RefArena:
+    """``QubitArena``'s by-name methods worked out on whole registers with the
+    ``ref_*`` kernels: the reference that rounds are compared with.  It calls
+    neither ``run_round`` nor an engine op, and raises what the arena raises,
+    word for word."""
+
+    def __init__(self):
+        self.regs = {}  # live qubit -> its register
+        self.held = {}  # live qubit -> its holder
+
+    def _put(self, ids, amps):
+        self.regs.update(dict.fromkeys(ids, StateVector(ids, amps)))
+
+    def add_state(self, state, holder):
+        live = next((q for q in state.qubit_ids if q in self.held), None)
+        if live is not None:
+            raise InvalidRegisterError(f"qubit {live!r} already registered")
+        self._put(state.qubit_ids, state.amplitudes.copy())
+        self.held.update(dict.fromkeys(state.qubit_ids, holder))
+
+    def add_bell_pairs(self, codes, firsts, seconds, holder):
+        for code, a, b in zip(codes, firsts, seconds):
+            self.add_state(StateVector((a, b), BELL_VECTORS[BELL_LABELS[code]]), holder)
+
+    def holders(self):
+        return dict(self.held)
+
+    def state_of(self, qubit_id):
+        if qubit_id not in self.held:
+            raise UnknownQubitError(f"qubit {qubit_id!r} not in arena")
+        return self.regs[qubit_id]
+
+    def holder_of(self, qubit_id):
+        self.state_of(qubit_id)
+        return self.held[qubit_id]
+
+    def transfer(self, qubit_id, to, expect=None):
+        held = self.holder_of(qubit_id)
+        if expect is not None and held != expect:
+            raise InvalidRegisterError(f"qubit {qubit_id!r} held by {held!r}, expected {expect!r}")
+        self.held[qubit_id] = to
+
+    def _joint(self, q_a, q_b):
+        a, b = self.state_of(q_a), self.state_of(q_b)
+        return a if a is b else StateVector(*ref_tensor(a, b))
+
+    def _settle(self, measured, rest):
+        for q in measured:
+            del self.regs[q], self.held[q]
+        if rest is not None:
+            self._put(*rest)
+
+    def apply_pauli(self, qubit_id, p):
+        self._put(*ref_apply_1q(self.state_of(qubit_id), qubit_id, PAULI_MATRICES[p]))
+
+    def apply_unitary(self, qubit_id, u):
+        self._put(*ref_apply_unitary1q(self.state_of(qubit_id), qubit_id, u))
+
+    def apply_cnot(self, control, target):
+        self._put(*ref_apply_cnot(self._joint(control, target), control, target))
+
+    def bell_measure(self, q_a, q_b, rng):
+        label, rest = ref_bell_measure(self._joint(q_a, q_b), q_a, q_b, rng)
+        self._settle((q_a, q_b), rest)
+        return label
+
+    def comp_measure(self, qubit_id, rng):
+        bit, rest = ref_comp_measure(self.state_of(qubit_id), qubit_id, rng)
+        self._settle((qubit_id,), rest)
+        return bit
 
 
 # --- helpers -------------------------------------------------------------------
@@ -271,39 +349,40 @@ def _rng():
     return np.random.default_rng(0)
 
 
+# Each case is called as ``case(s, rng)``; a gate ignores ``rng``.
 ERROR_CASES = [
-    ("pauli unknown", UnknownQubitError, lambda s: apply_pauli(s, "zz", PauliLabel.X),
-     lambda s: ref_apply_1q(s, "zz", PAULI_MATRICES[PauliLabel.X])),
-    ("unitary unknown", UnknownQubitError, lambda s: apply_unitary1q(s, "zz", np.eye(2)),
-     lambda s: ref_apply_unitary1q(s, "zz", np.eye(2))),
-    ("unitary shape", InvalidOperatorError, lambda s: apply_unitary1q(s, "q0", np.eye(3)),
-     lambda s: ref_apply_unitary1q(s, "q0", np.eye(3))),
+    ("pauli unknown", UnknownQubitError, lambda s, _: apply_pauli(s, "zz", PauliLabel.X),
+     lambda s, _: ref_apply_1q(s, "zz", PAULI_MATRICES[PauliLabel.X])),
+    ("unitary unknown", UnknownQubitError, lambda s, _: apply_unitary1q(s, "zz", np.eye(2)),
+     lambda s, _: ref_apply_unitary1q(s, "zz", np.eye(2))),
+    ("unitary shape", InvalidOperatorError, lambda s, _: apply_unitary1q(s, "q0", np.eye(3)),
+     lambda s, _: ref_apply_unitary1q(s, "q0", np.eye(3))),
     ("unitary not unitary", InvalidOperatorError,
-     lambda s: apply_unitary1q(s, "q0", np.diag([1.0, 2.0])),
-     lambda s: ref_apply_unitary1q(s, "q0", np.diag([1.0, 2.0]))),
+     lambda s, _: apply_unitary1q(s, "q0", np.diag([1.0, 2.0])),
+     lambda s, _: ref_apply_unitary1q(s, "q0", np.diag([1.0, 2.0]))),
     ("unitary not unitary and unknown qubit", InvalidOperatorError,
-     lambda s: apply_unitary1q(s, "zz", np.diag([1.0, 2.0])),
-     lambda s: ref_apply_unitary1q(s, "zz", np.diag([1.0, 2.0]))),
-    ("cnot same", InvalidRegisterError, lambda s: apply_cnot(s, "q0", "q0"),
-     lambda s: ref_apply_cnot(s, "q0", "q0")),
-    ("cnot same unknown", InvalidRegisterError, lambda s: apply_cnot(s, "zz", "zz"),
-     lambda s: ref_apply_cnot(s, "zz", "zz")),
-    ("cnot unknown control", UnknownQubitError, lambda s: apply_cnot(s, "zz", "q1"),
-     lambda s: ref_apply_cnot(s, "zz", "q1")),
-    ("cnot unknown target", UnknownQubitError, lambda s: apply_cnot(s, "q0", "zz"),
-     lambda s: ref_apply_cnot(s, "q0", "zz")),
-    ("bell same", InvalidRegisterError, lambda s: bell_measure(s, "q1", "q1", _rng()),
-     lambda s: ref_bell_measure(s, "q1", "q1", _rng())),
-    ("bell same unknown", InvalidRegisterError, lambda s: bell_measure(s, "zz", "zz", _rng()),
-     lambda s: ref_bell_measure(s, "zz", "zz", _rng())),
-    ("bell unknown first", UnknownQubitError, lambda s: bell_measure(s, "zz", "q1", _rng()),
-     lambda s: ref_bell_measure(s, "zz", "q1", _rng())),
-    ("bell unknown second", UnknownQubitError, lambda s: bell_measure(s, "q0", "zz", _rng()),
-     lambda s: ref_bell_measure(s, "q0", "zz", _rng())),
-    ("comp unknown", UnknownQubitError, lambda s: comp_measure(s, "zz", _rng()),
-     lambda s: ref_comp_measure(s, "zz", _rng())),
-    ("tensor overlap", InvalidRegisterError, lambda s: tensor(s, random_state(2, 1)),
-     lambda s: ref_tensor(s, random_state(2, 1))),
+     lambda s, _: apply_unitary1q(s, "zz", np.diag([1.0, 2.0])),
+     lambda s, _: ref_apply_unitary1q(s, "zz", np.diag([1.0, 2.0]))),
+    ("cnot same", InvalidRegisterError, lambda s, _: apply_cnot(s, "q0", "q0"),
+     lambda s, _: ref_apply_cnot(s, "q0", "q0")),
+    ("cnot same unknown", InvalidRegisterError, lambda s, _: apply_cnot(s, "zz", "zz"),
+     lambda s, _: ref_apply_cnot(s, "zz", "zz")),
+    ("cnot unknown control", UnknownQubitError, lambda s, _: apply_cnot(s, "zz", "q1"),
+     lambda s, _: ref_apply_cnot(s, "zz", "q1")),
+    ("cnot unknown target", UnknownQubitError, lambda s, _: apply_cnot(s, "q0", "zz"),
+     lambda s, _: ref_apply_cnot(s, "q0", "zz")),
+    ("bell same", InvalidRegisterError, lambda s, rng: bell_measure(s, "q1", "q1", rng),
+     lambda s, rng: ref_bell_measure(s, "q1", "q1", rng)),
+    ("bell same unknown", InvalidRegisterError, lambda s, rng: bell_measure(s, "zz", "zz", rng),
+     lambda s, rng: ref_bell_measure(s, "zz", "zz", rng)),
+    ("bell unknown first", UnknownQubitError, lambda s, rng: bell_measure(s, "zz", "q1", rng),
+     lambda s, rng: ref_bell_measure(s, "zz", "q1", rng)),
+    ("bell unknown second", UnknownQubitError, lambda s, rng: bell_measure(s, "q0", "zz", rng),
+     lambda s, rng: ref_bell_measure(s, "q0", "zz", rng)),
+    ("comp unknown", UnknownQubitError, lambda s, rng: comp_measure(s, "zz", rng),
+     lambda s, rng: ref_comp_measure(s, "zz", rng)),
+    ("tensor overlap", InvalidRegisterError, lambda s, _: tensor(s, random_state(2, 1)),
+     lambda s, _: ref_tensor(s, random_state(2, 1))),
 ]
 
 
@@ -311,12 +390,15 @@ ERROR_CASES = [
     "error,op,ref", [case[1:] for case in ERROR_CASES], ids=[case[0] for case in ERROR_CASES]
 )
 def test_errors_raise_where_the_reference_raises(error, op, ref):
+    """Each op raises where its reference does, before any draw."""
     s = random_state(3, 0)
     snap = frozen(s)
-    with pytest.raises(error):
-        ref(s)
-    with pytest.raises(error):
-        op(s)
+    drawn = _rng().bit_generator.state
+    for call in (ref, op):
+        rng = _rng()
+        with pytest.raises(error):
+            call(s, rng)
+        assert rng.bit_generator.state == drawn
     assert_untouched(snap)
 
 
@@ -454,7 +536,8 @@ def test_bad_stacks_raise(build):
 # --- arena round operations -------------------------------------------------------------
 #
 # Each ``run_round`` over one arena must leave the arena, the outcomes and the
-# random stream exactly as the scalar arena op called on every item in order.
+# random stream exactly as the reference arena's by-name op (``RefArena``)
+# called on every item in order.
 # The tests below name their items; ``named_round`` converts them at the
 # arena's by-name edge and compares outcome codes.
 
@@ -488,10 +571,10 @@ def named_round(op, requests):
 
 
 def random_arena(seed, n_regs, share=None):
-    """Two identical arenas of random 1-3 qubit registers r{i}_{j}, the first
-    on the store of ``share`` when given."""
+    """An arena and a reference arena of the same random 1-3 qubit registers
+    r{i}_{j}, the first on the store of ``share`` when given."""
     rng = np.random.default_rng(seed)
-    arenas = (QubitArena(share), QubitArena())
+    arenas = (QubitArena(share), RefArena())
     for i in range(n_regs):
         width = int(rng.integers(1, 4))
         state = random_state(width, int(rng.integers(1 << 20)), prefix=f"r{i}_")
@@ -566,9 +649,9 @@ def test_round_operations_match_scalar_calls(seed, n_regs):
 
 
 def chained_arena(k, share=None):
-    """Two identical arenas of k two-qubit registers c{i}a, c{i}b, the first
-    on the store of ``share`` when given."""
-    arenas = (QubitArena(share), QubitArena())
+    """An arena and a reference arena of the same k two-qubit registers
+    c{i}a, c{i}b, the first on the store of ``share`` when given."""
+    arenas = (QubitArena(share), RefArena())
     for i in range(k):
         state = random_state(2, i, prefix=f"c{i}")
         for arena in arenas:
@@ -690,7 +773,8 @@ def test_plan_waves_match_brute_force(data, joining, repeats):
 def test_rounds_of_a_few_items_run_stacked(monkeypatch):
     """Rounds of 1, 3 and 7 readouts in one arena make one stacked engine
     call per group of register width and axis, and leave outcomes, generator
-    and arena as the scalar op on each item in order (one 1-D call each)."""
+    and arena as the reference op on each item in order (which makes no
+    engine call)."""
     batched, scalar = chained_arena(8)
     calls = engine_calls(monkeypatch, "comp_measure")
     for seed, qubits, groups in (
@@ -701,8 +785,7 @@ def test_rounds_of_a_few_items_run_stacked(monkeypatch):
         calls.clear()
         run_both(batched, scalar, seed, "comp_measure",
                  lambda a, it, r: a.comp_measure(it, r), qubits)
-        assert calls[: len(groups)] == groups
-        assert [len(shape) for shape in calls[len(groups):]] == [1] * len(qubits)
+        assert calls == groups
 
 
 @pytest.mark.parametrize("seed", range(4))
@@ -784,6 +867,44 @@ def test_round_measuring_a_qubit_twice_raises_like_the_scalar_ops():
         with pytest.raises(UnknownQubitError):
             for q in qubits:
                 scalar.comp_measure(q, np.random.default_rng(0))
+
+
+# Each case is called as ``case(arena, rng)`` on ``random_arena(0, 4)``,
+# whose qubit r0_0 is live; a gate ignores ``rng``.
+ARENA_ERRORS = [
+    ("bell same qubit", InvalidRegisterError, lambda a, rng: a.bell_measure("r0_0", "r0_0", rng)),
+    ("bell same unknown", UnknownQubitError, lambda a, rng: a.bell_measure("zz", "zz", rng)),
+    ("bell unknown", UnknownQubitError, lambda a, rng: a.bell_measure("r0_0", "zz", rng)),
+    ("comp unknown", UnknownQubitError, lambda a, rng: a.comp_measure("zz", rng)),
+    ("pauli unknown", UnknownQubitError, lambda a, _: a.apply_pauli("zz", PauliLabel.X)),
+    ("unitary unknown", UnknownQubitError, lambda a, _: a.apply_unitary("zz", np.eye(2))),
+    ("unitary not unitary", InvalidOperatorError,
+     lambda a, _: a.apply_unitary("r0_0", np.diag([1.0, 2.0]))),
+    ("unitary shape", InvalidOperatorError, lambda a, _: a.apply_unitary("r0_0", np.eye(3))),
+    ("cnot same", InvalidRegisterError, lambda a, _: a.apply_cnot("r0_0", "r0_0")),
+    ("cnot unknown", UnknownQubitError, lambda a, _: a.apply_cnot("r0_0", "zz")),
+]
+
+
+@pytest.mark.parametrize(
+    "error,call", [c[1:] for c in ARENA_ERRORS], ids=[c[0] for c in ARENA_ERRORS]
+)
+def test_by_name_errors_raise_the_reference_message_before_any_draw(error, call):
+    """A by-name op that fails raises the reference arena's error word for
+    word, before it draws, and changes neither arena."""
+    arena, ref = random_arena(0, 4)
+    before = arena_contents(arena)
+    drawn = _rng().bit_generator.state
+    messages = []
+    for a in (ref, arena):
+        rng = _rng()
+        with pytest.raises(error) as caught:
+            call(a, rng)
+        messages.append(str(caught.value))
+        assert rng.bit_generator.state == drawn
+    assert messages[0] == messages[1]
+    assert arena_contents(arena) == before
+    assert_same_arena(arena, ref)
 
 
 def test_bell_pairs_match_add_state():
@@ -916,11 +1037,12 @@ def test_rounds_match_scalar_ops(data):
 
 
 def indexed_arena(seed, n_regs, share):
-    """An arena on the store of ``share`` and a standalone copy, of random
-    1-3 qubit registers r{i}_{j}, and each name's store index in the first:
-    the first registers through ``add_registers`` and is never asked a name."""
+    """An arena on the store of ``share`` and a reference arena, of the same
+    random 1-3 qubit registers r{i}_{j}, and each name's store index in the
+    first: the first registers through ``add_registers`` and is never asked
+    a name."""
     rng = np.random.default_rng(seed)
-    batched, scalar, at = QubitArena(share), QubitArena(), {}
+    batched, scalar, at = QubitArena(share), RefArena(), {}
     for i in range(n_regs):
         width = int(rng.integers(1, 4))
         state = random_state(width, int(rng.integers(1 << 20)), prefix=f"r{i}_")
@@ -996,7 +1118,7 @@ def test_index_paths_raise_the_by_name_messages():
     the failed call changes nothing."""
     psip = BellLabel.PSI_PLUS.code
     share = QubitArena()
-    first, second, ref = QubitArena(share), QubitArena(share), QubitArena()
+    first, second, ref = QubitArena(share), QubitArena(share), RefArena()
     a = first.add_bell_pairs([psip], ["x"], ["y"], "alice")[0]
     b = second.add_bell_pairs([psip], ["x"], ["y"], "bob")[0]
     ref.add_bell_pairs([psip], ["x"], ["y"], "bob")

@@ -25,8 +25,9 @@ PSIP = BellLabel.PSI_PLUS
 
 def test_entries_get_monotone_sequence_numbers():
     t = Transcript()
-    a = t.append("charlie", BMOAnnouncement(1, 0, PSIP))
-    b = t.append("alice", DecoyPositions("alice", 1, split_positions=(1,)))
+    t.append("charlie", BMOAnnouncement(1, 0, PSIP))
+    t.append("alice", DecoyPositions("alice", 1, split_positions=(1,)))
+    a, b = list(t)
     assert (a.seq, b.seq) == (0, 1)
     assert len(t) == 2
 
