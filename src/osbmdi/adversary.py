@@ -272,15 +272,15 @@ def disturb(
         out = qubits.copy()
         out[chosen] = qubits[chosen[rng.permutation(k)]]
         return out
-    codes = [NON_IDENTITY[rng.integers(3)].symbol for _ in range(k)]
+    codes = np.array([p.symbol for p in NON_IDENTITY])[rng.integers(len(NON_IDENTITY), size=k)]
     yield from engine_round(arena, "apply_pauli", qubits[chosen], codes)
     return qubits
 
 
-def fake_bmo_outcome(rng: np.random.Generator) -> int:
-    """Code (position in ``BELL_LABELS``) of a uniformly random label
-    announced without measuring."""
-    return int(rng.integers(4))
+def fake_bmo_outcome(rng: np.random.Generator, n: int) -> np.ndarray:
+    """Codes (positions in ``BELL_LABELS``) of n uniformly random labels announced
+    without measuring, as one block draw: the values and stream of n scalar draws."""
+    return rng.integers(len(BellLabel), size=n)
 
 
 def apply_leg_attack(

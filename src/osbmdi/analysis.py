@@ -22,9 +22,8 @@ from .adversary import (
     EveState,
     NoiseSpec,
     apply_leg_attack,
-    fake_bmo_outcome,
 )
-from .protocol import correlated_table, correlation_failures, run_lockstep
+from .protocol import correlated_table, correlation_failures, row_draws, run_lockstep
 from .quantum import (
     BellLabel,
     PauliLabel,
@@ -276,11 +275,11 @@ def cnot_attack_profile(alpha: complex, beta: complex) -> dict:
 #
 # Each experiment replays one verification check through the real measurement
 # path.  Its batch form ``failures(rng, n)`` runs n checks as a few stacked
-# engine calls over uniforms drawn in trial order, so the random stream and
-# every outcome are those of n checks run one after another; calling the
-# experiment runs the one-row batch and returns True when that check fails
-# (the attack is detected).  The ``adversary`` interceptor builds its state
-# once, on a one-slot arena.
+# engine calls over uniforms drawn in trial order (with a check's code, by
+# ``row_draws``), so the random stream and every outcome are those of n
+# checks run one after another; calling the experiment runs the one-row batch
+# and returns True when that check fails (the attack is detected).  The
+# ``adversary`` interceptor builds its state once, on a one-slot arena.
 # ---------------------------------------------------------------------------
 
 _PSIP = BellLabel.PSI_PLUS
@@ -346,11 +345,10 @@ _HONEST = _attack_slot("fake_bmo", [])[1]  # the dishonest node touches no qubit
 @_check_trial
 def trial_fake_bmo_case1(rng: np.random.Generator, n: int) -> int:
     """Both-decoy slot where the node announces without measuring."""
-    draws = [(fake_bmo_outcome(rng), rng.random(), rng.random()) for _ in range(n)]
-    announced, u_a, u_b = zip(*draws)
-    bits_a, _ = comp_measure(_rows(_HONEST.state_of("a0"), n), "a0", np.array(u_a))
-    bits_b, _ = comp_measure(_rows(_HONEST.state_of("b0"), n), "b0", np.array(u_b))
-    return _correlation_failures(np.array(announced), bits_a, bits_b)
+    announced, u = row_draws(rng, len(BellLabel), 2, n)  # as ``fake_bmo_outcome`` draws
+    bits_a, _ = comp_measure(_rows(_HONEST.state_of("a0"), n), "a0", u[:, 0])
+    bits_b, _ = comp_measure(_rows(_HONEST.state_of("b0"), n), "b0", u[:, 1])
+    return _correlation_failures(announced, bits_a, bits_b)
 
 
 def _entangled(alpha: complex, beta: complex) -> StateVector:
@@ -407,9 +405,8 @@ _PAULI_HITS = np.array([
 def trial_random_pauli_whole(rng: np.random.Generator, n: int) -> int:
     """Whole decoy pair with independent uniform non-identity Paulis on both
     halves (a full-leg disturbance hits both)."""
-    draws = [(int(rng.integers(9)), rng.random()) for _ in range(n)]
-    hits, u = zip(*draws)
-    return _whole_failures(StateVector.stack(("a0", "a1"), _PAULI_HITS[list(hits)]), np.array(u))
+    hits, u = row_draws(rng, len(_PAULI_HITS), 1, n)
+    return _whole_failures(StateVector.stack(("a0", "a1"), _PAULI_HITS[hits]), u[:, 0])
 
 
 # Rows per stacked batch: bounds a batch's arrays at any trial count.

@@ -112,6 +112,28 @@ def draw_codes(labels: Sequence[BellLabel], n: int, rng: np.random.Generator) ->
     return codes[rng.integers(len(labels), size=n)]
 
 
+def row_draws(rng: np.random.Generator, k: int, doubles: int, n: int) -> tuple:
+    """Codes and an ``(n, doubles)`` array of uniforms, as n rows of ``rng.integers(k)`` then
+    ``rng.random(doubles)`` draw them, from one block of raw PCG64 words, leaving ``rng`` as the
+    rows do.  A row's bounded draw is Lemire's on the low half of a fresh word or on the high half
+    the row before buffered; a row that would redraw, or another bit generator, runs the rows."""
+    bg, saved = rng.bit_generator, rng.bit_generator.state
+    held = saved.get("has_uint32", 0)
+    opened = (n + 1 - held) // 2  # every other row's bounded draw takes a fresh word
+    words = bg.random_raw(opened + n * doubles)
+    fresh = np.zeros(len(words), bool)
+    fresh[np.arange(opened) * (1 + 2 * doubles) + held * doubles] = True
+    lo_hi = words[fresh, None] >> np.uint64([0, 32]) & 0xFFFFFFFF
+    halves = np.append(np.uint64(saved.get("uinteger", 0)), lo_hi)  # in the order rows take them
+    m = halves[1 - held:][:n] * np.uint64(k)
+    if saved["bit_generator"] == "PCG64" and not np.any((m & 0xFFFFFFFF) < (2**32 - k) % k):
+        bg.state = {**bg.state, "has_uint32": (held + n) % 2, "uinteger": int(halves[-1])}
+        return (m >> 32).astype(np.intp), ((words[~fresh] >> 11) * 2.0**-53).reshape(n, doubles)
+    bg.state = saved
+    rows = np.reshape([(rng.integers(k), *rng.random(doubles)) for _ in range(n)], (n, 1 + doubles))
+    return rows[:, 0].astype(np.intp), rows[:, 1:]
+
+
 def _reject_repeats(what: str, labels: Sequence[BellLabel]) -> None:
     """A label set names each label once: a repeat would skew the uniform
     draw and every leakage and nested-share count built on the set size."""
@@ -631,7 +653,7 @@ class Session:
         if len(a_seq.qubits) != len(b_seq.qubits):
             raise ProtocolError("swap-round sequences differ in length")
         if 1 in self.fake_stages:
-            bmo1 = np.array([fake_bmo_outcome(self.rng) for _ in a_seq.qubits], dtype=np.intp)
+            bmo1 = fake_bmo_outcome(self.rng, len(a_seq.qubits))
         else:
             pairs = np.column_stack((a_seq.occupants, b_seq.occupants))
             bmo1 = yield from engine_round(self.arena, "bell_measure", pairs, self.rng)
@@ -735,7 +757,7 @@ class Session:
             occupants = party.seq2.occupants
             whole = party.seq2.whole_positions
             if fake:
-                outcomes = np.array([fake_bmo_outcome(self.rng) for _ in whole], dtype=np.intp)
+                outcomes = fake_bmo_outcome(self.rng, len(whole))
             else:
                 pairs = occupants[np.array(whole, dtype=np.intp).reshape(-1, 2)]
                 outcomes = yield from engine_round(self.arena, "bell_measure", pairs, self.rng)
@@ -746,18 +768,15 @@ class Session:
             split = party.seq2.split_positions
             homes = party.qubits[party.s2_split, 0]
             if fake:
-                # the node's bit is a draw, interleaved with the home readouts
-                c_bits, o_bits = [], []
-                for j in range(len(homes)):
-                    c_bits.append(int(self.rng.integers(2)))
-                    home = homes[j:j + 1]
-                    bit = yield from engine_round(self.arena, "comp_measure", home, self.rng)
-                    o_bits += bit.tolist()
+                # the node's bit is a draw, interleaved with the home readouts' uniforms
+                c_bits, u = row_draws(self.rng, 2, 1, len(homes))
+                o_bits = yield from engine_round(self.arena, "comp_measure", homes, u[:, 0])
             else:
                 pairs = np.column_stack((occupants[list(split)], homes))
                 flat = yield from engine_round(self.arena, "comp_measure", pairs.ravel(), self.rng)
-                c_bits, o_bits = flat[::2].tolist(), flat[1::2].tolist()
-            transcript.append_run("charlie", CorrelationRecord, 2, split, zip(c_bits, o_bits))
+                c_bits, o_bits = flat[::2], flat[1::2]
+            records = zip(c_bits.tolist(), o_bits.tolist())
+            transcript.append_run("charlie", CorrelationRecord, 2, split, records)
             report.stage2_split_checks += len(split)
             report.stage2_split_failures += correlation_failures(
                 c_bits, o_bits, _IS_CORRELATED[party.codes[party.s2_split]]

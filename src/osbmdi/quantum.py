@@ -321,13 +321,19 @@ _UNITARY_TOL = ATOL + 1e-5 * np.eye(2)
 _IDENTITY2 = np.eye(2)
 
 
-def apply_unitary1q(s: StateVector, qubit_id: str, u: np.ndarray) -> StateVector:
-    """Apply an arbitrary 2x2 unitary to one qubit."""
+def _unitary(u: np.ndarray) -> np.ndarray:
+    """``u`` as a complex array; raises unless it is a 2x2 unitary."""
     u = np.asarray(u, dtype=complex)
     if u.shape != (2, 2):
         raise InvalidOperatorError(f"operator shape {u.shape} is not 2x2")
     if not (np.abs(u.conj().T @ u - _IDENTITY2) <= _UNITARY_TOL).all():
         raise InvalidOperatorError("operator is not unitary")
+    return u
+
+
+def apply_unitary1q(s: StateVector, qubit_id: str, u: np.ndarray) -> StateVector:
+    """Apply an arbitrary 2x2 unitary to one qubit."""
+    u = _unitary(u)  # before the qubit lookup: a bad matrix is reported first
     return _apply_matrix(s, (s.axis(qubit_id),), u)
 
 
@@ -656,7 +662,7 @@ def run_round(
     ``op`` names an arena operation.  Request r is ``(arena, qubits, arg)``:
     ``qubits`` holds the store indices of its k items' targets, shape
     ``(k,)``, or ``(k, 2)`` for ``bell_measure`` and ``apply_cnot``; ``arg``
-    is the ``rng`` of a measurement, the k Pauli codes
+    is a measurement's ``rng`` or its k uniforms, the k Pauli codes
     (``PauliLabel.symbol``) of ``apply_pauli``, the one matrix of every item
     of ``apply_unitary``, and None for ``apply_cnot``.  Every arena must be
     on the store of the first, or ``QuantumError`` is raised.  A measuring
@@ -664,6 +670,8 @@ def run_round(
     a gate request k Nones; the arenas and each ``rng`` end, and the
     outcomes are, as after the items run one at a time in call order.  A
     measuring request draws its k uniforms up front, item i taking the i-th.
+    Every matrix is checked before the first item runs, so a bad one raises
+    before any arena changes.
 
     The items run in dependency waves (``_plan_waves``), wave w of every
     request together, so no register appears twice in a wave and each sees
@@ -695,14 +703,17 @@ def run_round(
     if measuring and waves[0] is not None:
         _reject_repeats(qidx, store.names)
     uniforms = outcomes = None
-    if measuring:
-        uniforms = _stacked([rng.random(c) for (_, _, rng), c in zip(requests, counts)])
+    if measuring:  # a request's rng draws its k uniforms here, or it brings them
+        uniforms = _stacked([
+            arg.random(c) if isinstance(arg, np.random.Generator) else _row_uniforms(arg, c)
+            for (_, _, arg), c in zip(requests, counts)
+        ])
     # the parameters a group may take, and each item's position among them
     params = pcode = None
     if op == "apply_pauli":
         params, pcode = _PAULI_ORDER, _stacked([np.asarray(c, np.intp) for _, _, c in requests])
     elif op == "apply_unitary":  # told apart by identity, one per request
-        params, ids = [u for _, _, u in requests], [id(u) for _, _, u in requests]
+        params, ids = [_unitary(u) for _, _, u in requests], [id(u) for _, _, u in requests]
         if len(set(ids)) > 1:
             pcode = np.repeat([ids.index(i) for i in ids], counts)
 

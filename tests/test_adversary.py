@@ -424,8 +424,8 @@ def test_fake_outcome_uniform():
     rng = np.random.default_rng(1)
     counts = {lab: 0 for lab in BellLabel}
     n = 8000
-    for _ in range(n):
-        counts[BELL_LABELS[fake_bmo_outcome(rng)]] += 1
+    for code in fake_bmo_outcome(rng, n).tolist():
+        counts[BELL_LABELS[code]] += 1
     se = math.sqrt(0.25 * 0.75 / n)
     for lab in BellLabel:
         assert abs(counts[lab] / n - 0.25) < 4 * se

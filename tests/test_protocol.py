@@ -1,6 +1,7 @@
 """Protocol-layer tests: preparation, cases, checks, encoding, sessions."""
 import dataclasses
 import hashlib
+import itertools
 import math
 import os
 import subprocess
@@ -31,6 +32,7 @@ from osbmdi.protocol import (
     draw_codes,
     insert_decoys,
     prepare_session,
+    row_draws,
     run_batch,
     run_session,
     session_rng,
@@ -151,6 +153,51 @@ def test_block_draws_match_scalar_draws():
                     f"draws (seed {seed}); session preparation draws would change"
                 )
                 assert block.random() == scalar.random()
+
+
+def _rows_one_by_one(rng, k, doubles, n):
+    rows = [(int(rng.integers(k)), [rng.random() for _ in range(doubles)]) for _ in range(n)]
+    return [code for code, _ in rows], [u for _, u in rows]
+
+
+# k = 3 * 2**30 + 1 makes Lemire's method draw again for about a quarter of
+# draws, so most of its blocks (all of 4097 rows) take the per-row fallback,
+# which runs the rows twice; fewer seeds keep its time near the others'.
+@pytest.mark.parametrize("k, seeds", [(2, 50), (4, 50), (9, 50), (3 * 2**30 + 1, 10)])
+def test_row_draws_match_per_row_draws(k, seeds):
+    # the detection trials and a fake node's split readouts draw interleaved
+    # rows from one block of raw words; their counts and the session digests
+    # hold only while that gives the per-row values and leaves the generator
+    # (its buffered high half included) where the rows leave it
+    for seed in range(seeds):
+        for doubles, n, held in itertools.product((1, 2), (0, 1, 2, 3, 7, 4097), (0, 1)):
+            block, rows = np.random.default_rng(seed), np.random.default_rng(seed)
+            if held:  # a bounded 32-bit draw leaves its word's high half buffered
+                block.integers(2), rows.integers(2)
+            assert block.bit_generator.state["has_uint32"] == held
+            codes, u = row_draws(block, k, doubles, n)
+            want_codes, want_u = _rows_one_by_one(rows, k, doubles, n)
+            same = (
+                codes.dtype == np.intp and u.shape == (n, doubles)
+                and codes.tolist() == want_codes and u.tolist() == want_u
+                and block.bit_generator.state == rows.bit_generator.state
+            )
+            assert same, (
+                f"numpy {np.__version__}: row_draws(k={k}, doubles={doubles}, n={n}) is not "
+                f"{n} per-row draws (seed {seed}, has_uint32 {held} on entry); the trial "
+                "counts and the fake-node session digests would change"
+            )
+            assert (block.integers(k), block.random()) == (rows.integers(k), rows.random())
+
+
+def test_row_draws_of_another_bit_generator_run_the_rows():
+    # only PCG64 words are rebuilt; another bit generator runs the rows
+    for n in (0, 1, 7):
+        block, rows = (np.random.Generator(np.random.MT19937(5)) for _ in range(2))
+        codes, u = row_draws(block, 9, 2, n)
+        want_codes, want_u = _rows_one_by_one(rows, 9, 2, n)
+        assert codes.tolist() == want_codes and u.tolist() == want_u and u.shape == (n, 2)
+        assert block.random(4).tolist() == rows.random(4).tolist()
 
 
 # --- decoy insertion --------------------------------------------------------------

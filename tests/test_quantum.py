@@ -1,6 +1,7 @@
 """Core engine tests: gates, measurements, expansions, label algebra."""
 import numpy as np
 import pytest
+from engine_reference import RefArena
 
 from osbmdi.quantum import (
     ATOL,
@@ -554,12 +555,12 @@ def _two_arenas(first, second):
 def test_arenas_on_one_store_keep_to_their_own_qubits():
     """Two arenas on one store register the same names.  Registration,
     transfers, reads, a round over both and every error touch only the arena
-    they are made on, as on two standalone arenas, and an error names the
-    qubit of the arena it is made on."""
+    they are made on, as on two reference arenas (``RefArena``, which runs no
+    round), and an error names the qubit of the arena it is made on."""
     first = QubitArena()
     second = QubitArena(first)
     assert second._store is first._store
-    ref_first, ref_second = QubitArena(), QubitArena()
+    ref_first, ref_second = RefArena(), RefArena()
     for pair in ((first, second), (ref_first, ref_second)):
         _two_arenas(*pair)
 
@@ -571,7 +572,8 @@ def test_arenas_on_one_store_keep_to_their_own_qubits():
     assert first.state_of("a").qubit_ids == ("a", "b") and second.state_of("a").qubit_ids == ("a",)
     assert label_of(first.state_of("c")) is PHIP and label_of(second.state_of("c")) is PSIM
     first.transfer_many(first.indices(["a", "b"]), "charlie", expect="alice")
-    ref_first.transfer_many(ref_first.indices(["a", "b"]), "charlie", expect="alice")
+    for q in ("a", "b"):
+        ref_first.transfer(q, "charlie", expect="alice")
     same()
     failures = [
         (lambda: second.state_of("d"), UnknownQubitError, "qubit 'd' not in arena"),
@@ -616,6 +618,42 @@ def test_arenas_on_one_store_keep_to_their_own_qubits():
         run_round("apply_pauli", [(second, second.indices(["a"]), [x]),
                                   (first, first.indices(["x"]), [x])])
     same()
+
+
+def test_a_gate_round_with_a_bad_matrix_changes_no_arena():
+    # every request's matrix is checked before the first wave: the Hadamard
+    # group of the first arena sorts first, and must not be written
+    first = QubitArena()
+    second = QubitArena(first)
+    _two_arenas(first, second)
+    before = _contents(first), _contents(second)
+    hadamard = np.array([[1, 1], [1, -1]]) * SQ2
+    with pytest.raises(InvalidOperatorError, match="operator is not unitary"):
+        run_round("apply_unitary", [(first, first.indices(["x", "a"]), hadamard),
+                                    (second, second.indices(["a"]), np.diag([1.0, 2.0]))])
+    assert (_contents(first), _contents(second)) == before
+
+
+def test_a_measuring_round_takes_uniforms_in_place_of_an_rng():
+    # a request's k uniforms give what its rng would have drawn; a request
+    # of the wrong count raises before any arena changes
+    arenas = []
+    for _ in range(2):
+        first = QubitArena()
+        arenas.append((first, QubitArena(first)))
+        _two_arenas(*arenas[-1])
+    (first, second), (pre_first, pre_second) = arenas
+    rngs = [np.random.default_rng(s) for s in (3, 4)]
+    uniforms = np.random.default_rng(3).random(2)
+    got = run_round("comp_measure", [
+        (first, first.indices(["x", "a"]), rngs[0]), (second, second.indices(["b"]), rngs[1])])
+    with pytest.raises(InvalidRegisterError, match="a stack of 2 rows needs 2 uniforms"):
+        run_round("comp_measure", [(pre_first, pre_first.indices(["x", "a"]), uniforms[:1])])
+    want = run_round("comp_measure", [
+        (pre_first, pre_first.indices(["x", "a"]), uniforms),
+        (pre_second, pre_second.indices(["b"]), np.random.default_rng(4))])
+    assert [bits.tolist() for bits in got] == [bits.tolist() for bits in want]
+    assert (_contents(first), _contents(second)) == (_contents(pre_first), _contents(pre_second))
 
 
 def test_a_round_over_two_stores_raises():
