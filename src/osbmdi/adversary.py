@@ -6,11 +6,12 @@ transit, so the protocol layer stays attack-agnostic.  Legs are named
 ``stage1_alice``, ``stage1_bob`` (swap-round transmissions) and
 ``stage2_alice``, ``stage2_bob`` (verification/decode-round transmissions).
 
-Interceptors take and return a leg's qubits as store indices.  Those that
-act on qubits, and Eve's ancilla readout, are step generators like the
-session: each yields its engine round as a request ``(arena, op, qubits,
-arg)`` (``quantum.engine_round``) for the session's lockstep driver, and
-returns its result.
+Interceptors are cohort functions: they take and return a leg's qubits as
+store indices, the leg of every session of a cohort at once, session after
+session.  Those that act on qubits, and Eve's ancilla readout, run their
+engine round as one ``quantum.run_round`` request over the whole leg; a
+strategy that draws (``disturb``, the ``fake_bmo`` announcements, the
+readout's uniforms) draws each session's part from that session's stream.
 
 The dishonest-measurement-node behavior (announcing outcomes without
 measuring) is carried on the same spec via ``fake_stages``; it is consulted
@@ -29,7 +30,7 @@ from .quantum import (
     BellLabel,
     PauliLabel,
     QubitArena,
-    engine_round,
+    run_round,
 )
 
 LEGS = ("stage1_alice", "stage1_bob", "stage2_alice", "stage2_bob")
@@ -204,12 +205,13 @@ class EveState:
 
     The qubits Eve holds are those the arena lists under the holder
     ``"eve"``; handles move, so Eve never holds a qubit an honest party still
-    believes it has.  ``ancillas`` lists per attacked leg the store indices
-    of its entangling ancillas, the ancilla of slot i at position i;
-    ``measure_ancillas`` reads them out after the session.
+    believes it has.  ``ancillas`` lists per attacked leg ``(leg, ancillas,
+    rows)``: the store indices of its entangling ancillas, the ancilla of the
+    leg's qubit i at position i, and the session (cohort row) of each;
+    ``measure_ancillas`` reads them out after the sessions.
     """
 
-    ancillas: list[tuple[str, np.ndarray]] = field(default_factory=list)
+    ancillas: list[tuple[str, np.ndarray, np.ndarray]] = field(default_factory=list)
     _fresh: int = 0
 
     def new_id(self, prefix: str) -> str:
@@ -232,8 +234,9 @@ def intercept_resend(arena: QubitArena, eve: EveState, qubits: np.ndarray) -> np
 
 
 def entangle_measure(
-    arena: QubitArena, eve: EveState, leg: str, qubits: np.ndarray, alpha: complex, beta: complex
-):
+    arena: QubitArena, eve: EveState, leg: str, qubits: np.ndarray, rows: np.ndarray,
+    alpha: complex, beta: complex,
+) -> np.ndarray:
     """CNOT a fresh ancilla (control) onto each travel qubit (target), as one
     ``apply_cnot`` round; the leg's ancillas are registered with one call.
 
@@ -243,44 +246,52 @@ def entangle_measure(
     names = [(eve.new_id("a"),) for _ in qubits]
     amps = np.tile([alpha, beta], (len(names), 1))
     ancillas = arena.add_registers(names, amps, "eve")[:, 0]
-    eve.ancillas.append((leg, ancillas))
-    yield from engine_round(arena, "apply_cnot", np.column_stack((ancillas, qubits)))
+    eve.ancillas.append((leg, ancillas, rows))
+    run_round("apply_cnot", [(arena, np.column_stack((ancillas, qubits)), None)])
     return qubits
 
 
-def flip_all(arena: QubitArena, qubits: np.ndarray):
+def flip_all(arena: QubitArena, qubits: np.ndarray) -> np.ndarray:
     """Apply X to every qubit on the leg, as one ``apply_pauli`` round."""
-    yield from engine_round(arena, "apply_pauli", qubits, np.full(len(qubits), PauliLabel.X.symbol))
+    run_round("apply_pauli", [(arena, qubits, np.full(len(qubits), PauliLabel.X.symbol))])
     return qubits
 
 
 def disturb(
-    arena: QubitArena, qubits: np.ndarray, rng: np.random.Generator, mode: str, fraction: float
-):
-    """Denial-of-service style tampering with a uniformly chosen slot subset.
+    arena: QubitArena, qubits: np.ndarray, rows: np.ndarray, rngs: list, mode: str, fraction: float
+) -> np.ndarray:
+    """Denial-of-service style tampering with a uniformly chosen slot subset
+    of each session's part of the leg, drawn from that session's stream.
 
-    ``reorder`` permutes the selected slots (within this leg only);
-    ``random_pauli`` draws an independent uniform non-identity Pauli for each
-    selected qubit, then applies them as one ``apply_pauli`` round.
+    ``reorder`` permutes the selected slots (within this leg and session
+    only); ``random_pauli`` draws an independent uniform non-identity Pauli
+    for each selected qubit, then applies the leg's as one ``apply_pauli``
+    round.
     """
-    n = len(qubits)
-    k = int(round(fraction * n))
-    if k == 0:
-        return qubits
-    chosen = np.sort(rng.choice(n, size=k, replace=False))
-    if mode == "reorder":
-        out = qubits.copy()
-        out[chosen] = qubits[chosen[rng.permutation(k)]]
-        return out
-    codes = np.array([p.symbol for p in NON_IDENTITY])[rng.integers(len(NON_IDENTITY), size=k)]
-    yield from engine_round(arena, "apply_pauli", qubits[chosen], codes)
-    return qubits
+    out, hit, codes = qubits.copy(), [], []
+    starts = np.flatnonzero(np.diff(rows, prepend=-1))
+    for start, end in zip(starts.tolist(), [*starts[1:].tolist(), len(rows)]):
+        k = int(round(fraction * (end - start)))
+        if k == 0:
+            continue
+        rng = rngs[rows[start]]
+        chosen = start + np.sort(rng.choice(end - start, size=k, replace=False))
+        if mode == "reorder":
+            out[chosen] = qubits[chosen[rng.permutation(k)]]
+        else:
+            hit.append(chosen)
+            codes.append(rng.integers(len(NON_IDENTITY), size=k))
+    if hit:
+        paulis = np.array([p.symbol for p in NON_IDENTITY])[np.concatenate(codes)]
+        run_round("apply_pauli", [(arena, qubits[np.concatenate(hit)], paulis)])
+    return out
 
 
-def fake_bmo_outcome(rng: np.random.Generator, n: int) -> np.ndarray:
+def fake_bmo_outcome(rngs: list, n: int) -> np.ndarray:
     """Codes (positions in ``BELL_LABELS``) of n uniformly random labels announced
-    without measuring, as one block draw: the values and stream of n scalar draws."""
-    return rng.integers(len(BellLabel), size=n)
+    without measuring, one row per stream, each as one block draw: the values and
+    stream of n scalar draws."""
+    return np.reshape([rng.integers(len(BellLabel), size=n) for rng in rngs], (len(rngs), n))
 
 
 def apply_leg_attack(
@@ -289,29 +300,37 @@ def apply_leg_attack(
     eve: EveState,
     leg: str,
     qubits: np.ndarray,
-    rng: np.random.Generator,
-):
-    """Run the configured strategy on one leg's qubits (store indices), as a
-    step generator of engine rounds; returns the arriving qubits."""
+    rows: np.ndarray,
+    rngs: list,
+) -> np.ndarray:
+    """Run the configured strategy on one leg's qubits (store indices,
+    session-major; ``rows[i]`` is the session of qubit i, whose stream is
+    ``rngs[rows[i]]``); returns the arriving qubits."""
     if spec is None or leg not in spec.legs or not len(qubits):
         return qubits
     if spec.strategy == "intercept_resend":
         return intercept_resend(arena, eve, qubits)
     if spec.strategy == "entangle_measure":
-        return (yield from entangle_measure(arena, eve, leg, qubits, spec.alpha, spec.beta))
+        return entangle_measure(arena, eve, leg, qubits, rows, spec.alpha, spec.beta)
     if spec.strategy == "flip_all":
-        return (yield from flip_all(arena, qubits))
+        return flip_all(arena, qubits)
     if spec.strategy == "disturb":
-        return (yield from disturb(arena, qubits, rng, spec.mode, spec.fraction))
+        return disturb(arena, qubits, rows, rngs, spec.mode, spec.fraction)
     return qubits
 
 
-def measure_ancillas(arena: QubitArena, eve: EveState, rng: np.random.Generator):
+def measure_ancillas(arena: QubitArena, eve: EveState, rngs: list) -> list[np.ndarray]:
     """Post-session computational-basis readout of Eve's ancillas, as one
-    ``comp_measure`` round; returns a ``(leg, slot, bit)`` record per ancilla."""
+    ``comp_measure`` round in which each session reads its own, leg by leg,
+    with uniforms from its stream ``rngs[row]``; returns the bits of each
+    entry of ``eve.ancillas``."""
     if not eve.ancillas:
         return []
-    slots = [(leg, slot) for leg, ancillas in eve.ancillas for slot in range(len(ancillas))]
-    qubits = np.concatenate([ancillas for _, ancillas in eve.ancillas])
-    bits = yield from engine_round(arena, "comp_measure", qubits, rng)
-    return [(leg, slot, bit) for (leg, slot), bit in zip(slots, bits.tolist())]
+    qubits = np.concatenate([ancillas for _, ancillas, _ in eve.ancillas])
+    rows = np.concatenate([rows for _, _, rows in eve.ancillas])
+    order = np.argsort(rows, kind="stable")
+    counts = np.bincount(rows, minlength=len(rngs)).tolist()
+    u = np.concatenate([rng.random(c) for rng, c in zip(rngs, counts)])
+    bits = np.empty(len(qubits), dtype=np.intp)
+    bits[order] = run_round("comp_measure", [(arena, qubits[order], u)])[0]
+    return np.split(bits, np.cumsum([len(a) for _, a, _ in eve.ancillas])[:-1])

@@ -23,7 +23,7 @@ from .adversary import (
     NoiseSpec,
     apply_leg_attack,
 )
-from .protocol import correlated_table, correlation_failures, row_draws, run_lockstep
+from .protocol import correlated_table, correlation_failures, row_draws
 from .quantum import (
     BellLabel,
     PauliLabel,
@@ -319,9 +319,10 @@ def _attack_slot(strategy: str, travel: list[str], **params) -> tuple[list[str],
     arena.add_bell_pairs([_PSIP.code], ["b0"], ["b1"], "bob")
     spec = AttackSpec(strategy, **params)
     leg = min(spec.legs, default=LEGS[0])
-    # these strategies draw nothing; a generator would load numpy.random at import
-    attack = apply_leg_attack(spec, arena, EveState(), leg, arena.indices(travel), None)
-    return arena.names(run_lockstep([attack])[0]), arena
+    qubits = arena.indices(travel)
+    # a one-session leg; these strategies draw nothing, so the session has no stream
+    arrived = apply_leg_attack(spec, arena, EveState(), leg, qubits, np.zeros_like(qubits), [None])
+    return arena.names(arrived), arena
 
 
 # the node Bell-measures a1 with the half of a fresh pair Eve sent on in place of b1

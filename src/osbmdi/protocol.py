@@ -23,8 +23,8 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass, field
 from functools import cache, lru_cache
-from itertools import accumulate
-from typing import Generator, Sequence
+from itertools import accumulate, chain, repeat
+from typing import Sequence
 
 import numpy as np
 
@@ -42,7 +42,6 @@ from .quantum import (
     PauliLabel,
     QuantumError,
     QubitArena,
-    engine_round,
     frame_correction,
     pauli_frame,
     run_round,
@@ -117,19 +116,21 @@ def row_draws(rng: np.random.Generator, k: int, doubles: int, n: int) -> tuple:
     ``rng.random(doubles)`` draw them, from one block of raw PCG64 words, leaving ``rng`` as the
     rows do.  A row's bounded draw is Lemire's on the low half of a fresh word or on the high half
     the row before buffered; a row that would redraw, or another bit generator, runs the rows."""
-    bg, saved = rng.bit_generator, rng.bit_generator.state
-    held = saved.get("has_uint32", 0)
-    opened = (n + 1 - held) // 2  # every other row's bounded draw takes a fresh word
-    words = bg.random_raw(opened + n * doubles)
-    fresh = np.zeros(len(words), bool)
-    fresh[np.arange(opened) * (1 + 2 * doubles) + held * doubles] = True
-    lo_hi = words[fresh, None] >> np.uint64([0, 32]) & 0xFFFFFFFF
-    halves = np.append(np.uint64(saved.get("uinteger", 0)), lo_hi)  # in the order rows take them
-    m = halves[1 - held:][:n] * np.uint64(k)
-    if saved["bit_generator"] == "PCG64" and not np.any((m & 0xFFFFFFFF) < (2**32 - k) % k):
-        bg.state = {**bg.state, "has_uint32": (held + n) % 2, "uinteger": int(halves[-1])}
-        return (m >> 32).astype(np.intp), ((words[~fresh] >> 11) * 2.0**-53).reshape(n, doubles)
-    bg.state = saved
+    bg = rng.bit_generator
+    if n != 1:  # one row runs directly: the block's state reads and writes cost more
+        saved = bg.state
+        held = saved.get("has_uint32", 0)
+        opened = (n + 1 - held) // 2  # every other row's bounded draw takes a fresh word
+        words = bg.random_raw(opened + n * doubles)
+        fresh = np.zeros(len(words), bool)
+        fresh[np.arange(opened) * (1 + 2 * doubles) + held * doubles] = True
+        lo_hi = words[fresh, None] >> np.uint64([0, 32]) & 0xFFFFFFFF
+        halves = np.append(np.uint64(saved.get("uinteger", 0)), lo_hi)  # in the order rows take them
+        m = halves[1 - held:][:n] * np.uint64(k)
+        if saved["bit_generator"] == "PCG64" and not np.any((m & 0xFFFFFFFF) < (2**32 - k) % k):
+            bg.state = {**bg.state, "has_uint32": (held + n) % 2, "uinteger": int(halves[-1])}
+            return (m >> 32).astype(np.intp), ((words[~fresh] >> 11) * 2.0**-53).reshape(n, doubles)
+        bg.state = saved
     rows = np.reshape([(rng.integers(k), *rng.random(doubles)) for _ in range(n)], (n, 1 + doubles))
     return rows[:, 0].astype(np.intp), rows[:, 1:]
 
@@ -230,44 +231,28 @@ def insert_decoys(n_base: int, n_decoys: int, rng: np.random.Generator) -> np.nd
     insertion preserves both relative orders, and the owner recovers the
     positions exactly from ``order``.  No decoys take no draw.
     """
-    total = n_base + n_decoys
+    decoy = np.zeros(n_base + n_decoys, dtype=bool)
+    decoy[_decoy_slots([n_base + n_decoys], n_decoys, [rng])] = True
+    return _slot_items(decoy, n_base)
+
+
+def _decoy_slots(
+    totals: Sequence[int], n_decoys: int, rngs: Sequence[np.random.Generator]
+) -> np.ndarray:
+    """Where n_decoys decoys go in sequences of ``totals`` slots, one sequence
+    per stream: a row of slots per sequence, in order, each row's set one
+    uniform draw from its stream.  No decoys take no draw."""
     if not n_decoys:
-        return np.arange(total)
-    decoy = np.zeros(total, dtype=bool)
-    decoy[rng.choice(total, size=n_decoys, replace=False)] = True
-    order = np.empty(total, dtype=np.intp)
-    order[~decoy] = np.arange(n_base)
-    order[decoy] = np.arange(n_base, total)
-    return order
+        return np.empty((len(rngs), 0), dtype=np.intp)
+    picks = [rng.choice(t, size=n_decoys, replace=False) for t, rng in zip(totals, rngs)]
+    return np.sort(picks, axis=1)
 
 
-@dataclass
-class ExtendedSequence:
-    """A party's travel sequence with verification qubits interleaved.
-
-    Slot i carries item ``order[i]`` of the ``n_base`` base items and then
-    the decoys (``insert_decoys``), whose travel qubit has the store index
-    ``qubits[i]``; ``occupants`` is what actually arrived at the measurement
-    node (attacks may substitute or permute).  The first ``2 * n_whole``
-    decoys are whole pairs' halves, pair by pair; the rest are split pairs'
-    traveling halves.
-    ``decoy`` marks the verification slots, and the message, split and
-    whole positions are worked out once.
-    """
-
-    order: np.ndarray
-    n_base: int
-    qubits: np.ndarray
-    n_whole: int = 0
-    occupants: np.ndarray | None = None
-
-    def __post_init__(self) -> None:
-        self.decoy = self.order >= self.n_base
-        self.message_positions = (~self.decoy).nonzero()[0]
-        at = self.decoy.nonzero()[0].tolist()
-        whole = 2 * self.n_whole
-        self.split_positions = tuple(at[whole:])
-        self.whole_positions = tuple(zip(at[0:whole:2], at[1:whole:2]))
+def _slot_items(decoy: np.ndarray, n_base: int) -> np.ndarray:
+    """The slot orders (``insert_decoys``) of verification-slot masks along
+    the last axis, each leaving n_base base slots."""
+    before = decoy.cumsum(axis=-1)  # decoys up to and including each slot
+    return np.where(decoy, n_base - 1 + before, np.arange(decoy.shape[-1]) - before)
 
 
 def classify_cases(a_decoy: np.ndarray, b_decoy: np.ndarray) -> np.ndarray:
@@ -351,15 +336,19 @@ def correlation_failures(
 
 
 @lru_cache(maxsize=64)
-def _pair_names(initial: str, counts: tuple[int, int, int, int]) -> tuple[tuple[str, ...], ...]:
-    """The qubit names of a party's prepared pairs, block by block (see
-    ``PartyState``), as two columns: the home halves (a whole decoy's half
-    0), then the traveling halves."""
+def _pair_names(
+    initial: str, counts: tuple[int, int, int, int], rows: int
+) -> tuple[tuple[str, ...], ...]:
+    """The qubit names of a party's prepared pairs in a cohort of ``rows``
+    sessions, row by row and block by block (see ``PartyState``), as two
+    columns: the home halves (a whole decoy's half 0), then the traveling
+    halves.  A name ends in its session's row."""
     first: list[str] = []
     second: list[str] = []
-    for tag, count, (s1, s2) in zip("mdws", counts, ("ht", "ht", "ab", "ht")):
-        first += [f"{initial}{tag}{i}{s1}" for i in range(count)]
-        second += [f"{initial}{tag}{i}{s2}" for i in range(count)]
+    for row in range(rows):
+        for tag, count, (s1, s2) in zip("mdws", counts, ("ht", "ht", "ab", "ht")):
+            first += [f"{initial}{tag}{i}{s1}.{row}" for i in range(count)]
+            second += [f"{initial}{tag}{i}{s2}.{row}" for i in range(count)]
     return tuple(first), tuple(second)
 
 
@@ -372,7 +361,7 @@ class PartyState:
     index in its block is its message or decoy index.  Pair i is the qubits
     at the store indices ``qubits[i]`` (the home half, a whole decoy's half
     0, then the traveling half), in the Bell state ``labels[i]``, whose code
-    is ``codes[i]``.  The session fills in ``seq1`` and ``seq2`` as it sends.
+    is ``codes[i]``.
     """
 
     name: str
@@ -383,8 +372,6 @@ class PartyState:
     s1_decoys: slice
     s2_whole: slice
     s2_split: slice
-    seq1: ExtendedSequence | None = None
-    seq2: ExtendedSequence | None = None
 
 
 @dataclass
@@ -441,12 +428,27 @@ class SessionReport:
         return self.symbols_correct / total if total else 1.0
 
 
-class _Abort(Exception):
-    """Stops a session whose report is marked aborted (``Session._abort``)."""
+# Party names, indexed by side.
+_NAMES = ("alice", "bob")
 
 
-def _bits_per_choice(set_size: int) -> int:
-    return (set_size - 1).bit_length()
+def _split(values: np.ndarray, counts: Sequence[int]) -> list[list]:
+    """A flat, session-major array as one list per session of ``counts`` items."""
+    values, ends = values.tolist(), list(accumulate(counts))
+    return [values[start:end] for start, end in zip([0, *ends], ends)]
+
+
+def _labelled(codes: Sequence[int], refs: Sequence[int] | None = None) -> tuple:
+    """``(ref, BellLabel)`` pairs of the label codes ``codes``, their refs
+    counting from 0 when not given."""
+    labels = map(BELL_LABELS.__getitem__, codes)
+    return tuple(enumerate(labels) if refs is None else zip(refs, labels))
+
+
+def _announce(report: SessionReport, stage: int, indices: Sequence[int], codes: list) -> None:
+    """Log the node's announcements of the label codes ``codes`` at ``indices``."""
+    labels = map(BELL_LABELS.__getitem__, codes)
+    report.transcript.append_run("charlie", BMOAnnouncement, stage, indices, labels)
 
 
 class Session:
@@ -454,36 +456,59 @@ class Session:
 
     All randomness (preparation draws, insertion positions, measurement
     sampling, attack sampling) comes from ``rng`` in a fixed order, so a
-    session is a pure function of (config, stream).
+    session is a pure function of (config, stream).  The session keeps its
+    results only in ``report``, made here: its cohort (``Cohort``) writes
+    each stage's announcements, check counts, case counts, symbols, nested
+    reports and Eve's views there as the stage runs, and an abort sets the
+    abort fields.  ``run`` runs the session as a cohort of one.
+    """
 
-    Per-party state is indexed by side, 0 = alice and 1 = bob (the
-    ``pauli_frame`` convention): ``parties[side]``, ``state_sets[side]`` and
-    ``known[side]`` (the codes of that party's knowledge of the partner's
-    initial labels, per pair index).
+    def __init__(
+        self,
+        cfg: SessionConfig,
+        rng: np.random.Generator,
+        session_index: int = 0,
+        payload: Sequence[int] | None = None,
+    ) -> None:
+        self.cfg = cfg
+        self.rng = rng
+        self.report = SessionReport(cfg.mode.value, cfg.n_pairs, session_index)
+        self.payload = None if payload is None else list(payload)
 
-    The session keeps its results only in ``report``, made in ``__init__``:
-    each stage writes its announcements, check counts, case counts,
-    symbols, nested reports and Eve's views there as it runs, an abort sets
-    the abort fields, and ``steps()`` returns that same report.
+    def run(self) -> SessionReport:
+        """Run this session alone to its report."""
+        return Cohort([self], QubitArena()).run()[0]
 
-    Bookkeeping runs once per block, leg or round, never per qubit, and
-    never by qubit name: preparation draws each party's labels per block
-    (``draw_codes``) and keeps the store indices ``add_bell_pairs`` returns
-    for its pairs; sequences, occupants and Eve's ancillas are index arrays,
-    each leg is one ``transfer_many`` each way, outcomes come back as code
-    arrays, checks and decoding are table lookups, and a round's
-    announcements are one transcript run (``Transcript.append_run``).
 
-    ``steps()`` is the session as a generator.  Each engine round is yielded
-    as a request ``(arena, op, qubits, arg)`` (see ``run_round``) and its
-    results come back through ``send``; ``run_lockstep``, the only driver,
-    serves the pending requests of a cohort of sessions, whose arenas are
-    views of one store (``share``), as one ``run_round`` per op.  Every qubit
-    operation, Eve's and the node's included, is such a request, in order:
+class Cohort:
+    """Sessions of one config run side by side: each stage runs once for all
+    of them, and each engine round is one ``run_round`` request over their
+    flat index arrays on one arena.
 
-      dialogue      a nested share's requests, on the nested session's
-                    arena (on this session's store), for each party with a
-                    private choice set;
+    A session is a row, its position in ``sessions``, and a party a side,
+    0 = alice and 1 = bob (the ``pauli_frame`` convention): ``codes`` and
+    ``qubits`` (shapes ``(rows, 2, pairs)`` and ``(rows, 2, pairs, 2)``) hold
+    each party's prepared pairs block by block, as ``PartyState`` describes
+    them, and ``known[side]`` (``(rows, n_pairs)``) the codes of that party's
+    knowledge of the partner's initial labels.  The swap round's arrays are
+    ``(rows, 2, slots)`` or ``(rows, slots)``.  The verify round's are ragged
+    (the number of case-IV survivors varies), flat and session-major, with
+    the row of each item beside them.  An abort clears the row's ``alive``
+    bit, and the later stages run over the rows still alive.
+
+    Only two things are done per session: the draws, which each session
+    makes from its own stream at each draw point, in the order it makes them
+    alone, and the writes to its report and transcript.  So a session's
+    report is the one it makes alone.  Everything else runs once per stage,
+    leg or round: outcomes come back as code arrays, checks and decoding are
+    table lookups, and a round's announcements are one transcript run
+    (``Transcript.append_run``) per session.
+
+    Every qubit operation, Eve's and the node's included, is a round over
+    the cohort's arena, in order:
+
+      dialogue      a nested share, as a nested cohort on this cohort's
+                    arena, for each party with a private choice set;
       every leg     ``apply_unitary`` over the leg's qubits for the channel
                     noise, if any; then the attack's round on the leg:
                     ``apply_cnot`` (entangle), ``apply_pauli`` (flip, or a
@@ -496,91 +521,108 @@ class Session:
                     ``comp_measure`` over its split pairs (the node's qubit,
                     then the home half);
       round 3       ``bell_measure`` over the aligned message slots;
-      wrap-up       ``comp_measure`` over Eve's live ancillas, if any.
+      wrap-up       ``comp_measure`` over Eve's ancillas, if any.
 
-    A round with no items is not yielded.  A dishonest node (``fake_bmo``)
-    draws its announcements instead of measuring; in round 2 it draws each
-    split slot's bit and then reads the home half as a one-item
-    ``comp_measure``, slot by slot.  An aborted session ends early.
+    A measuring round's uniforms are drawn per session, each from its own
+    stream, before the round.  A dishonest node (``fake_bmo``) draws its
+    announcements instead of measuring; in round 2 it draws each split
+    slot's bit with the uniform of the home half's readout (``row_draws``).
     """
 
-    def __init__(
-        self,
-        cfg: SessionConfig,
-        rng: np.random.Generator,
-        session_index: int = 0,
-        payload: Sequence[int] | None = None,
-        share: QubitArena | None = None,
-    ) -> None:
-        self.cfg = cfg
-        self.rng = rng
-        self.report = SessionReport(cfg.mode.value, cfg.n_pairs, session_index)
-        self.payload = None if payload is None else list(payload)
-        self.arena = QubitArena(share)
+    def __init__(self, sessions: Sequence[Session], arena: QubitArena) -> None:
+        self.cfg = cfg = sessions[0].cfg
+        self.arena = arena
         self.eve = EveState()
-        self.parties: tuple[PartyState, ...] = ()
+        self.rngs = [s.rng for s in sessions]
+        self.reports = [s.report for s in sessions]
+        self.payloads = [s.payload for s in sessions]
+        self.alive = np.ones(len(sessions), dtype=bool)
         self.state_sets = (cfg.alice_state_set, cfg.bob_state_set)
         # the rounds in which a dishonest node draws its announcements
         self.fake_stages = frozenset() if cfg.attack is None else cfg.attack.fake_stages
-        # per swap-round slot: announcement codes and case codes; the
-        # surviving slots, and each side's item index at them
-        self.bmo1_codes: np.ndarray | None = None
-        self.cases: np.ndarray | None = None
-        self.survivors: np.ndarray | None = None
-        self.survivor_items: list[np.ndarray] = []
         self.known: list[np.ndarray | None] = [None, None]
+        self.case_iii: dict[int, set[int]] = {}  # per row, bob's items at case III slots
+        self.message_slots: dict[str, np.ndarray] = {}  # per stage-2 leg
+        self.views: tuple | None = None  # the decoded rows' announcements, for Eve
 
-    # -- public ------------------------------------------------------------
+    def run(self) -> list[SessionReport]:
+        """Run every session to its report; returns the reports by row."""
+        self._prepare()
+        stages = [self._stage1, self._stage1_checks, self._encode_and_send,
+                  self._stage2_checks, self._decode_round]
+        if self.cfg.mode is Mode.QD:
+            stages.insert(0, self._nested_shares)
+        for stage in stages:
+            if not self.alive.any():
+                break
+            stage()
+        self._attach_ancilla_bits(measure_ancillas(self.arena, self.eve, self.rngs))
+        # alice's message-pair labels may be revealed when her choices are private
+        alice = set(range(self.cfg.n_pairs)) if len(self.cfg.alice_state_set) > 1 else set()
+        for row, report in enumerate(self.reports):
+            bob = self.case_iii.get(row, set())
+            validate_order(report.transcript, {"alice": alice, "bob": bob})
+        return self.reports
 
-    def run(self) -> SessionReport:
-        """Run this session alone to its report."""
-        return run_lockstep([self.steps()])[0]
+    def _live(self) -> tuple:
+        """The rows still alive, as an array and as an index of per-row arrays
+        (a slice while every row is), with their streams and reports."""
+        if self.alive.all():
+            return np.arange(len(self.alive)), slice(None), self.rngs, self.reports
+        live = self.alive.nonzero()[0]
+        rows = live.tolist()
+        return live, live, [self.rngs[r] for r in rows], [self.reports[r] for r in rows]
 
-    def steps(self) -> Generator[tuple, list, SessionReport]:
-        """The session as a generator of engine round requests ``(arena, op,
-        qubits, arg)``, each sent back its results; returns ``self.report``."""
-        try:
-            self._prepare()
-            if self.cfg.mode is Mode.QD:
-                yield from self._nested_shares()
-            yield from self._stage1()
-            yield from self._stage1_checks()
-            yield from self._encode_and_send()
-            yield from self._stage2_checks()
-            yield from self._decode_round()
-        except _Abort:
-            pass
-        records = yield from measure_ancillas(self.arena, self.eve, self.rng)
-        self._attach_ancilla_bits(records)
-        self._validate_transcript()
-        return self.report
+    def _rows(self, values: np.ndarray, live: np.ndarray) -> np.ndarray:
+        """A per-row array with ``values`` at the rows ``live``."""
+        if len(live) == len(self.alive):
+            return values
+        out = np.zeros((len(self.alive), *values.shape[1:]), dtype=values.dtype)
+        out[live] = values
+        return out
+
+    def _measure(self, op: str, qubits: np.ndarray, rngs: list, counts) -> np.ndarray:
+        """One measuring round; each session draws its items' uniforms."""
+        u = np.concatenate([rng.random(c) for rng, c in zip(rngs, counts)])
+        return run_round(op, [(self.arena, qubits, u)])[0]
+
+    def _abort(self, row: int, stage: str, rate: float, kind: str) -> None:
+        """Stop a session, recording in its report why."""
+        r = self.reports[row]
+        r.aborted, r.abort_stage, r.abort_rate, r.abort_kind = True, stage, rate, kind
+        self.alive[row] = False
 
     # -- preparation ---------------------------------------------------------
 
     def _prepare(self) -> None:
-        cfg = self.cfg
-        n = cfg.n_pairs
+        cfg, n, rows = self.cfg, self.cfg.n_pairs, len(self.rngs)
         counts = (n, cfg.stage1_decoy_count, cfg.whole_decoy_count, cfg.split_decoy_count)
         ends = list(accumulate(counts))
-        blocks = [slice(start, end) for start, end in zip([0, *ends], ends)]
-        parties = []
-        for name, state_set in zip(("alice", "bob"), self.state_sets):
-            codes = np.concatenate([
-                draw_codes(state_set, n, self.rng),
-                draw_codes(cfg.decoy_policy.labels, ends[-1] - n, self.rng),
-            ])
-            labels = list(map(BELL_LABELS.__getitem__, codes.tolist()))
-            qubits = self.arena.add_bell_pairs(codes, *_pair_names(name[0], counts), name)
-            parties.append(PartyState(name, qubits, codes, labels, *blocks))
-        self.parties = tuple(parties)
-        self.alice, self.bob = parties
+        self.blocks = [slice(start, end) for start, end in zip([0, *ends], ends)]
+        codes, qubits, decoys = [], [], cfg.decoy_policy.labels
+        for name, state_set in zip(_NAMES, self.state_sets):
+            codes.append(np.array([
+                np.concatenate([draw_codes(state_set, n, rng),
+                                draw_codes(decoys, ends[-1] - n, rng)])
+                for rng in self.rngs
+            ]))
+            names = _pair_names(name[0], counts, rows)
+            qubits.append(self.arena.add_bell_pairs(codes[-1].ravel(), *names, name))
+        self.codes = np.array(codes).swapaxes(0, 1)
+        self.qubits = np.array(qubits).reshape(2, rows, -1, 2).swapaxes(0, 1)
         for side, state_set in enumerate(self.state_sets):
             if len(state_set) == 1:
-                self.known[1 - side] = parties[side].codes[:n]
+                self.known[1 - side] = self.codes[:, side, :n]
+
+    def party(self, side: int, row: int) -> PartyState:
+        """The prepared pairs of one party of one session."""
+        codes = self.codes[row, side]
+        labels = list(map(BELL_LABELS.__getitem__, codes.tolist()))
+        return PartyState(_NAMES[side], self.qubits[row, side], codes, labels, *self.blocks)
 
     # -- dialogue preliminaries ----------------------------------------------
 
-    def _nested_shares(self):
+    def _nested_shares(self) -> None:
         """Dialogue step 1: each party with a private choice set transmits its
         prepared labels to the other through a nested direct-message session.
 
@@ -589,22 +631,24 @@ class Session:
         half the pair count always covers the payload.  A decoded index
         outside the set is a corrupt share and aborts the session; a wrong
         label inside the set cannot be seen by the parties and is only counted
-        (``SessionReport.nested_label_errors``).  The nested session's rounds
-        are yielded with this session's, so they join its cohort.
+        (``SessionReport.nested_label_errors``).  The nested sessions of the
+        live rows run as one nested cohort on this cohort's arena.
         """
         cfg = self.cfg
         n = cfg.n_pairs
         for side in (1, 0):
             state_set = self.state_sets[side]
-            if len(state_set) == 1:
+            live, sel, rngs, reports = self._live()
+            if len(state_set) == 1 or not len(live):
                 continue
-            bpc = _bits_per_choice(len(state_set))
+            bpc = (len(state_set) - 1).bit_length()  # bits per choice
             set_codes = np.fromiter(map(BELL_LABELS.index, state_set), np.intp, len(state_set))
-            prepared = self.parties[side].codes[:n]
-            choices = np.argmax(prepared[:, None] == set_codes, axis=1)
+            prepared = self.codes[sel, side, :n]
+            choices = np.argmax(prepared[:, :, None] == set_codes, axis=2)
             shifts = np.arange(bpc - 1, -1, -1)  # msb first
-            bits = np.append((choices[:, None] >> shifts & 1).ravel(), np.zeros(n * bpc % 2, int))
-            payload = (2 * bits[0::2] + bits[1::2]).tolist()  # two bits per symbol
+            bits = (choices[:, :, None] >> shifts & 1).reshape(len(live), -1)
+            bits = np.concatenate([bits, np.zeros((len(live), n * bpc % 2), int)], axis=1)
+            payloads = (2 * bits[:, 0::2] + bits[:, 1::2]).tolist()  # two bits per symbol
             nested_cfg = SessionConfig(
                 n_pairs=n * bpc,
                 mode=Mode.QSDC,
@@ -613,262 +657,288 @@ class Session:
                 error_threshold=cfg.error_threshold,
                 master_seed=cfg.master_seed,
             )
-            child = np.random.default_rng(int(self.rng.integers(2**63)))
-            nested = Session(nested_cfg, child, self.report.session_index, payload, self.arena)
-            rep = yield from nested.steps()
-            self.report.nested += (rep,)
-            if rep.aborted:
-                raise self._abort("nested", 1.0, "nested")
-            symbols = np.array(rep.decoded_symbols["bob"], dtype=np.intp)
-            bits = (symbols[:, None] >> np.array([1, 0]) & 1).ravel()
-            choices = bits[: n * bpc].reshape(n, bpc) @ (1 << shifts)
-            if choices.max() >= len(state_set):
-                raise self._abort("nested", 1.0, "nested")
-            self.known[1 - side] = set_codes[choices]
-            self.report.nested_label_errors += int(np.count_nonzero(set_codes[choices] != prepared))
+            nested = [
+                Session(nested_cfg, np.random.default_rng(int(rng.integers(2**63))),
+                        report.session_index, payload)
+                for rng, report, payload in zip(rngs, reports, payloads)
+            ]
+            symbols = np.zeros((len(live), len(payloads[0])), dtype=np.intp)
+            shares = Cohort(nested, self.arena).run()
+            for i, (report, rep) in enumerate(zip(reports, shares)):
+                report.nested += (rep,)
+                if not rep.aborted:
+                    symbols[i] = rep.decoded_symbols["bob"][: symbols.shape[1]]
+            bits = (symbols[:, :, None] >> np.array([1, 0]) & 1).reshape(len(live), -1)
+            choices = bits[:, : n * bpc].reshape(len(live), n, bpc) @ (1 << shifts)
+            known = set_codes[np.minimum(choices, len(state_set) - 1)]
+            self.known[1 - side] = self._rows(known, live)
+            corrupt = (choices.max(axis=1) >= len(state_set)).tolist()
+            errors = (known != prepared).sum(axis=1).tolist()
+            for row, rep, bad, wrong in zip(live.tolist(), shares, corrupt, errors):
+                if rep.aborted or bad:
+                    self._abort(row, "nested", 1.0, "nested")
+                else:
+                    self.reports[row].nested_label_errors += wrong
 
     # -- round 1: swap ---------------------------------------------------------
 
-    def _transmit(self, leg: str, party: PartyState, qubits: np.ndarray):
-        self.arena.transfer_many(qubits, "channel", expect=party.name)
+    def _transmit(self, side: int, stage: int, qubits: np.ndarray, rows: np.ndarray) -> np.ndarray:
+        """Send one party's qubits (store indices; ``rows`` gives each one's
+        session) through the channel to the node; returns what arrives."""
+        name, arena = _NAMES[side], self.arena
+        arena.transfer_many(qubits, "channel", expect=name)
         if self.cfg.noise is not None:
-            yield from engine_round(self.arena, "apply_unitary", qubits, self.cfg.noise.matrix())
-        arrived = yield from apply_leg_attack(
-            self.cfg.attack, self.arena, self.eve, leg, qubits, self.rng
-        )
-        self.arena.transfer_many(arrived, "charlie")
+            run_round("apply_unitary", [(arena, qubits, self.cfg.noise.matrix())])
+        leg = f"stage{stage}_{name}"
+        arrived = apply_leg_attack(self.cfg.attack, arena, self.eve, leg, qubits, rows, self.rngs)
+        arena.transfer_many(arrived, "charlie")
         return arrived
 
-    def _stage1(self):
+    def _stage1(self) -> None:
         n, k = self.cfg.n_pairs, self.cfg.stage1_decoy_count
-        for party in self.parties:
-            # the message pairs and stage-1 decoys are the first n + k pairs
-            order = insert_decoys(n, k, self.rng)
-            party.seq1 = ExtendedSequence(order, n, party.qubits[order, 1])
-        for party in self.parties:
-            party.seq1.occupants = yield from self._transmit(
-                f"stage1_{party.name}", party, party.seq1.qubits
-            )
-        a_seq, b_seq = self.alice.seq1, self.bob.seq1
-        if len(a_seq.qubits) != len(b_seq.qubits):
-            raise ProtocolError("swap-round sequences differ in length")
+        live, sel, rngs, reports = self._live()
+        S, L = len(live), n + k
+        # the message pairs and stage-1 decoys are the first n + k pairs
+        slots = np.array([_decoy_slots([L] * S, k, rngs) for _ in _NAMES])
+        decoy = np.zeros((2 * S, L), dtype=bool)
+        decoy[np.arange(2 * S)[:, None], slots.reshape(2 * S, k)] = True
+        orders = _slot_items(decoy, n).reshape(2, S, L)
+        travel, rows = self.qubits[sel, :, :, 1], np.arange(S)[:, None]
+        occupants = [
+            self._transmit(side, 1, travel[rows, side, order].ravel(), live.repeat(L))
+            for side, order in enumerate(orders)
+        ]
         if 1 in self.fake_stages:
-            bmo1 = fake_bmo_outcome(self.rng, len(a_seq.qubits))
+            bmo1 = fake_bmo_outcome(rngs, L)
         else:
-            pairs = np.column_stack((a_seq.occupants, b_seq.occupants))
-            bmo1 = yield from engine_round(self.arena, "bell_measure", pairs, self.rng)
-        self.bmo1_codes = bmo1
-        self._announce(1, range(len(bmo1)), bmo1)
+            bmo1 = self._measure("bell_measure", np.array(occupants).T, rngs, [L] * S)
+            bmo1 = bmo1.reshape(S, L)
+        for report, codes in zip(reports, bmo1.tolist()):
+            _announce(report, 1, range(L), codes)
+        self.slots1 = self._rows(slots.swapaxes(0, 1), live)
+        self.orders = self._rows(orders.swapaxes(0, 1), live)
+        self.bmo1 = self._rows(bmo1, live)
 
-    def _stage1_checks(self):
-        report, transcript = self.report, self.report.transcript
-        for party in self.parties:
-            transcript.append(
-                party.name,
-                DecoyPositions(party.name, 1, split_positions=party.seq1.split_positions),
-            )
-        for party in self.parties:
-            labels = tuple(enumerate(party.labels[party.s1_decoys]))
-            transcript.append(party.name, InitialStateReveal(party.name, 1, "decoy", labels))
-        orders = [party.seq1.order for party in self.parties]
-        self.cases = classify_cases(*(party.seq1.decoy for party in self.parties))
-        counts = np.bincount(self.cases, minlength=4).tolist()
-        report.case_counts = dict(zip(report.case_counts, counts))
-        use_msg = self.cfg.use_cases_ii_iii
-        checked = np.flatnonzero(self.cases == _CASE_I if use_msg else self.cases != _CASE_IV)
+    def _stage1_checks(self) -> None:
+        cfg, n = self.cfg, self.cfg.n_pairs
+        live, sel, rngs, reports = self._live()
+        orders = self.orders[sel]
+        cases = classify_cases(orders[:, 0] >= n, orders[:, 1] >= n)
+        self.cases = self._rows(cases, live)
+        checked = cases == _CASE_I if cfg.use_cases_ii_iii else cases != _CASE_IV
+        rows, slots = checked.nonzero()
+        at, items, per_row = live[rows], orders[rows, :, slots], checked.sum(axis=1)
+        homes = self.qubits[at[:, None], (0, 1), items, 0]
+        bits = self._measure("comp_measure", homes.ravel(), rngs, 2 * per_row).reshape(-1, 2)
+        codes = self.codes[at[:, None], (0, 1), items]
+        correlated = correlated_table()[codes[:, 0], codes[:, 1], self.bmo1[at, slots]]
+        fails = np.bincount(rows[(bits[:, 0] == bits[:, 1]) != correlated], minlength=len(live))
         # the entangled side of a mixed slot discloses its label for the
         # check: bob always, alice only when her choices are private
+        reveals = []
         for side, case in ((1, _CASE_III), (0, _CASE_II)):
-            if use_msg or side == 0 and len(self.cfg.alice_state_set) == 1:
+            if side == 0 and len(cfg.alice_state_set) == 1:
                 continue
-            party = self.parties[side]
-            refs = orders[side][self.cases == case].tolist()
-            if refs:
-                labels = tuple(zip(refs, map(party.labels.__getitem__, refs)))
-                transcript.append(party.name, InitialStateReveal(party.name, 1, "message", labels))
-        items = [order[checked] for order in orders]
-        homes = np.column_stack([p.qubits[i, 0] for p, i in zip(self.parties, items)])
-        flat = yield from engine_round(self.arena, "comp_measure", homes.ravel(), self.rng)
-        a_bits, b_bits = flat[::2], flat[1::2]
-        ids = checked.tolist()
-        transcript.append_run(
-            "alice", CorrelationRecord, 1, ids, zip(a_bits.tolist(), b_bits.tolist())
+            mixed_rows, mixed_slots = (cases == case).nonzero()
+            refs = orders[mixed_rows, side, mixed_slots]
+            per = np.bincount(mixed_rows, minlength=len(live))
+            labels = self.codes[live[mixed_rows], side, refs]
+            reveals.append((_NAMES[side], _split(refs, per), _split(labels, per)))
+        self.case_iii.update(zip(live.tolist(), map(set, reveals[0][1])))
+        shown = [] if cfg.use_cases_ii_iii else reveals
+        columns = zip(
+            live.tolist(), reports, self.slots1[sel].tolist(),
+            self.codes[sel, :, self.blocks[1]].tolist(),
+            (cases[:, :, None] == np.arange(4)).sum(axis=1).tolist(),
+            _split(slots, per_row), _split(bits, per_row), per_row.tolist(), fails.tolist(),
+            range(len(live)),
         )
-        alice, bob = self.parties
-        correlated = correlated_table()[
-            alice.codes[items[0]], bob.codes[items[1]], self.bmo1_codes[checked]
-        ]
-        report.stage1_checks = checks = len(ids)
-        report.stage1_failures = fails = correlation_failures(a_bits, b_bits, correlated)
-        rate = fails / checks if checks else 0.0
-        if rate > self.cfg.error_threshold:
-            raise self._abort("stage1", rate, "stage1_correlation")
+        for row, report, positions, decoy_codes, case_counts, ids, pairs, checks, f, i in columns:
+            transcript = report.transcript
+            for name, split in zip(_NAMES, positions):
+                transcript.append(name, DecoyPositions(name, 1, split_positions=tuple(split)))
+            for name, labels in zip(_NAMES, decoy_codes):
+                transcript.append(name, InitialStateReveal(name, 1, "decoy", _labelled(labels)))
+            for name, refs, labels in shown:
+                if refs[i]:
+                    reveal = InitialStateReveal(name, 1, "message", _labelled(labels[i], refs[i]))
+                    transcript.append(name, reveal)
+            transcript.append_run("alice", CorrelationRecord, 1, ids, map(tuple, pairs))
+            report.case_counts = dict(zip(report.case_counts, case_counts))
+            report.stage1_checks, report.stage1_failures = checks, f
+            rate = f / checks if checks else 0.0
+            if rate > cfg.error_threshold:
+                self._abort(row, "stage1", rate, "stage1_correlation")
 
     # -- round 2: encode, send, verify -----------------------------------------
 
-    def _encode_and_send(self):
-        if self.cfg.use_cases_ii_iii:
-            self.survivors = np.flatnonzero(self.cases != _CASE_I)
-        else:
-            self.survivors = np.flatnonzero(self.cases == _CASE_IV)
-        self.survivor_items = [party.seq1.order[self.survivors] for party in self.parties]
-        homes = [party.qubits[items, 0] for party, items in zip(self.parties, self.survivor_items)]
-        n_sym = len(self.survivors)
-        senders = (0, 1) if self.cfg.mode is Mode.QD else (0,)
-        for side in senders:
-            if side == 0 and self.payload is not None:
-                if len(self.payload) > n_sym:
-                    raise ProtocolError(
-                        f"payload of {len(self.payload)} symbols exceeds capacity {n_sym}"
-                    )
-                symbols = tuple(self.payload + [0] * (n_sym - len(self.payload)))
-            else:
-                symbols = tuple(self.rng.integers(0, 4, size=n_sym).tolist())
-            self.report.sent_symbols[self.parties[side].name] = symbols
+    def _encode_and_send(self) -> None:
+        cfg = self.cfg
+        live, sel, rngs, reports = self._live()
+        cases = self.cases[sel]
+        survive = cases != _CASE_I if cfg.use_cases_ii_iii else cases == _CASE_IV
+        rows, slots = survive.nonzero()
+        at = live[rows]
+        items, counts = self.orders[at, :, slots], survive.sum(axis=1)
+        homes = self.qubits[at[:, None], (0, 1), items, 0]
+        symbols = np.zeros_like(items)
+        for side in (0, 1) if cfg.mode is Mode.QD else (0,):
+            sent = []
+            for row, rng, report, n_sym in zip(live.tolist(), rngs, reports, counts.tolist()):
+                payload = self.payloads[row]
+                if side == 0 and payload is not None:
+                    if len(payload) > n_sym:
+                        raise ProtocolError(
+                            f"payload of {len(payload)} symbols exceeds capacity {n_sym}"
+                        )
+                    sent.append(payload + [0] * (n_sym - len(payload)))
+                else:
+                    sent.append(rng.integers(0, 4, size=n_sym).tolist())
+                report.sent_symbols[_NAMES[side]] = tuple(sent[-1])
             # a symbol is its Pauli's code
-            yield from engine_round(self.arena, "apply_pauli", homes[side], np.array(symbols))
-        for side, party in enumerate(self.parties):
-            whole = party.s2_whole
-            decoys = np.concatenate([party.qubits[whole].ravel(), party.qubits[party.s2_split, 1]])
-            order = insert_decoys(n_sym, len(decoys), self.rng)
-            qubits = np.concatenate([homes[side], decoys])[order]
-            party.seq2 = ExtendedSequence(
-                order, n_sym, qubits, n_whole=whole.stop - whole.start
-            )
-            party.seq2.occupants = yield from self._transmit(
-                f"stage2_{party.name}", party, qubits
-            )
+            symbols[:, side] = list(chain.from_iterable(sent))
+            run_round("apply_pauli", [(self.arena, homes[:, side], symbols[:, side])])
+        # per party, the whole decoys' two halves, then the split decoys' traveling halves
+        whole = self.qubits[sel, :, self.blocks[2]].reshape(len(live), 2, -1)
+        decoys = np.concatenate([whole, self.qubits[sel, :, self.blocks[3], 1]], axis=2)
+        lengths = (counts + decoys.shape[2]).tolist()
+        self.starts2 = np.array([0, *accumulate(lengths)][:-1])  # each row's first slot
+        rows2 = live.repeat(lengths)
+        slots2, self.occupants2 = [], []
+        for side, name in enumerate(_NAMES):
+            slots2.append(_decoy_slots(lengths, decoys.shape[2], rngs))
+            decoy = np.zeros(len(rows2), dtype=bool)
+            decoy[(slots2[-1] + self.starts2[:, None]).ravel()] = True
+            sent = np.empty(len(rows2), dtype=np.intp)
+            sent[~decoy], sent[decoy] = homes[:, side], decoys[:, side].ravel()
+            self.occupants2.append(self._transmit(side, 2, sent, rows2))
+            self.message_slots[f"stage2_{name}"] = ~decoy
+        self.slots2 = np.array(slots2).swapaxes(0, 1)
+        self.survivors = (at, slots, items, symbols)
+        self.n_sym = self._rows(counts, live)
 
-    def _stage2_checks(self):
-        report, transcript = self.report, self.report.transcript
-        transcript.append("charlie", Receipt(2))
-        for party in self.parties:
-            transcript.append(
-                party.name,
-                DecoyPositions(
-                    party.name,
-                    2,
-                    split_positions=party.seq2.split_positions,
-                    whole_positions=party.seq2.whole_positions,
-                ),
-            )
-        fake = 2 in self.fake_stages
-        for party in self.parties:
-            occupants = party.seq2.occupants
-            whole = party.seq2.whole_positions
-            if fake:
-                outcomes = fake_bmo_outcome(self.rng, len(whole))
-            else:
-                pairs = occupants[np.array(whole, dtype=np.intp).reshape(-1, 2)]
-                outcomes = yield from engine_round(self.arena, "bell_measure", pairs, self.rng)
-            self._announce(2, [i for i, _ in whole], outcomes)
-            report.stage2_gv_checks += len(whole)
-            failures = np.count_nonzero(outcomes != party.codes[party.s2_whole])
-            report.stage2_gv_failures += int(failures)
-            split = party.seq2.split_positions
-            homes = party.qubits[party.s2_split, 0]
-            if fake:
+    def _stage2_checks(self) -> None:
+        cfg = self.cfg
+        live, sel, rngs, reports = self._live()
+        S, whole, split = len(live), self.blocks[2], self.blocks[3]
+        n_whole, n_split = whole.stop - whole.start, split.stop - split.start
+        w = 2 * n_whole  # whole-pair slots per sequence
+        flat = self.slots2 + self.starts2[:, None, None]
+        outcomes, bits = [], []
+        for side in (0, 1):
+            occupants, homes = self.occupants2[side], self.qubits[sel, side, split, 0].ravel()
+            if 2 in self.fake_stages:
+                outcomes.append(fake_bmo_outcome(rngs, n_whole))
                 # the node's bit is a draw, interleaved with the home readouts' uniforms
-                c_bits, u = row_draws(self.rng, 2, 1, len(homes))
-                o_bits = yield from engine_round(self.arena, "comp_measure", homes, u[:, 0])
+                draws = [row_draws(rng, 2, 1, n_split) for rng in rngs]
+                u = np.concatenate([u[:, 0] for _, u in draws])
+                o_bits = run_round("comp_measure", [(self.arena, homes, u)])[0]
+                bits.append(np.array([np.concatenate([c for c, _ in draws]), o_bits]).T)
             else:
-                pairs = np.column_stack((occupants[list(split)], homes))
-                flat = yield from engine_round(self.arena, "comp_measure", pairs.ravel(), self.rng)
-                c_bits, o_bits = flat[::2], flat[1::2]
-            records = zip(c_bits.tolist(), o_bits.tolist())
-            transcript.append_run("charlie", CorrelationRecord, 2, split, records)
-            report.stage2_split_checks += len(split)
-            report.stage2_split_failures += correlation_failures(
-                c_bits, o_bits, _IS_CORRELATED[party.codes[party.s2_split]]
-            )
-        for party in self.parties:
-            labels = (
-                *enumerate(party.labels[party.s2_whole]),
-                *enumerate(party.labels[party.s2_split]),
-            )
-            transcript.append(party.name, InitialStateReveal(party.name, 2, "decoy", labels))
-        gv_fails, split_fails = report.stage2_gv_failures, report.stage2_split_failures
-        total = report.stage2_gv_checks + report.stage2_split_checks
-        rate = (gv_fails + split_fails) / total if total else 0.0
-        if rate > self.cfg.error_threshold:
-            failed = [kind for kind, n in (("gv", gv_fails), ("split", split_fails)) if n]
-            raise self._abort("stage2", rate, "stage2_" + "+".join(failed))
+                pairs = occupants[flat[:, side, :w]].reshape(-1, 2)
+                outcomes.append(self._measure("bell_measure", pairs, rngs, [n_whole] * S))
+                pairs = np.array([occupants[flat[:, side, w:].ravel()], homes]).T.ravel()
+                bits.append(self._measure("comp_measure", pairs, rngs, [2 * n_split] * S))
+        outcomes = np.reshape(outcomes, (2, S, n_whole)).swapaxes(0, 1)
+        bits = np.reshape(bits, (2, S, n_split, 2)).swapaxes(0, 1)
+        codes = self.codes[sel, :, whole.start:]
+        gv_fails = (outcomes != codes[:, :, :n_whole]).sum(axis=(1, 2))
+        uncorrelated = (bits[..., 0] == bits[..., 1]) != _IS_CORRELATED[codes[:, :, n_whole:]]
+        columns = zip(
+            live.tolist(), reports, self.slots2.tolist(), outcomes.tolist(), bits.tolist(),
+            codes.tolist(), gv_fails.tolist(), uncorrelated.sum(axis=(1, 2)).tolist(),
+        )
+        checks = w + 2 * n_split
+        for row, report, positions, announced, readouts, decoy_codes, gv, sp in columns:
+            transcript = report.transcript
+            transcript.append("charlie", Receipt(2))
+            for name, at in zip(_NAMES, positions):
+                pairs = tuple(zip(at[0:w:2], at[1:w:2]))
+                transcript.append(name, DecoyPositions(name, 2, tuple(at[w:]), pairs))
+            for at, codes, pairs in zip(positions, announced, readouts):
+                _announce(report, 2, at[0:w:2], codes)
+                transcript.append_run("charlie", CorrelationRecord, 2, at[w:], map(tuple, pairs))
+            for name, labels in zip(_NAMES, decoy_codes):
+                labelled = (*_labelled(labels[:n_whole]), *_labelled(labels[n_whole:]))
+                transcript.append(name, InitialStateReveal(name, 2, "decoy", labelled))
+            report.stage2_gv_checks, report.stage2_gv_failures = w, gv
+            report.stage2_split_checks, report.stage2_split_failures = 2 * n_split, sp
+            rate = (gv + sp) / checks if checks else 0.0
+            if rate > cfg.error_threshold:
+                failed = [kind for kind, count in (("gv", gv), ("split", sp)) if count]
+                self._abort(row, "stage2", rate, "stage2_" + "+".join(failed))
 
     # -- round 3: decode ---------------------------------------------------------
 
-    def _decode_round(self):
-        qd = self.cfg.mode is Mode.QD
-        n = self.cfg.n_pairs
-        if not qd and len(self.cfg.alice_state_set) > 1:
+    def _decode_round(self) -> None:
+        cfg, n = self.cfg, self.cfg.n_pairs
+        qd = cfg.mode is Mode.QD
+        live, sel, rngs, reports = self._live()
+        at, slots, items, symbols = self.survivors
+        keep = self.alive[at]
+        at, slots, items, symbols = at[keep], slots[keep], items[keep], symbols[keep]
+        counts = self.n_sym[sel].tolist()
+        prepared = self.codes[at[:, None], (0, 1), items]
+        reveals = repeat(None)
+        if not qd and len(cfg.alice_state_set) > 1:
             # the sender's choices are disclosed for decoding once the swap
             # round is committed; the receiver's stay private
-            refs = [i for i in self.survivor_items[0].tolist() if i < n]
-            labels = tuple(zip(refs, map(self.alice.labels.__getitem__, refs)))
-            reveal = InitialStateReveal("alice", 3, "message", labels)
-            self.report.transcript.append("alice", reveal)
-            self.known[1] = self.alice.codes[:n]
-        pairs = np.column_stack([p.seq2.occupants[p.seq2.message_positions] for p in self.parties])
-        bmo2 = yield from engine_round(self.arena, "bell_measure", pairs, self.rng)
-        self._announce(3, range(len(bmo2)), bmo2)
-        bmo1 = self.bmo1_codes[self.survivors]
-        prepared = [party.codes[items] for party, items in zip(self.parties, self.survivor_items)]
+            message = items[:, 0] < n
+            per = np.bincount(np.arange(len(live)).repeat(counts)[message], minlength=len(live))
+            reveals = zip(_split(prepared[message, 0], per), _split(items[message, 0], per))
+            self.known[1] = self.codes[:, 0, :n]
+        pairs = np.array([
+            occupants[self.message_slots[f"stage2_{name}"]][keep]
+            for occupants, name in zip(self.occupants2, _NAMES)
+        ]).T
+        bmo2 = self._measure("bell_measure", pairs, rngs, counts)
+        bmo1 = self.bmo1[at, slots]
         # each decoder recovers the other side's operator, reading that
         # side's message-pair labels from what it knows of them
-        sent, decoded = self.report.sent_symbols, self.report.decoded_symbols
+        decoded = {}
         for decoder in (1, 0) if qd else (1,):
             side = 1 - decoder
-            items = self.survivor_items[side]
-            init = list(prepared)
-            init[side] = np.where(
-                items < n, self.known[decoder].take(items, mode="clip"), prepared[side]
+            init = prepared.copy()
+            init[:, side] = np.where(
+                items[:, side] < n,
+                self.known[decoder][at, np.minimum(items[:, side], n - 1)],
+                prepared[:, side],
             )
-            own = np.array(sent[self.parties[decoder].name]) if qd else 4
-            symbols = decode_table()[init[0], init[1], bmo1, bmo2, own, side]
-            decoded[self.parties[decoder].name] = tuple(symbols.tolist())
-        self.report.eve_views = tuple(zip(
-            map(_VALUES.__getitem__, bmo1.tolist()), map(_VALUES.__getitem__, bmo2.tolist())
-        ))
+            own = symbols[:, decoder] if qd else 4
+            got = decode_table()[init[:, 0], init[:, 1], bmo1, bmo2, own, side]
+            decoded[_NAMES[decoder]] = _split(got, counts)
+        columns = zip(reports, counts, _split(bmo2, counts), reveals)
+        for i, (report, count, announced, reveal) in enumerate(columns):
+            if reveal is not None:
+                labels = _labelled(*reveal)
+                report.transcript.append("alice", InitialStateReveal("alice", 3, "message", labels))
+            _announce(report, 3, range(count), announced)
+            for name, rows in decoded.items():
+                report.decoded_symbols[name] = tuple(rows[i])
+        self.views = (reports, counts, bmo1, bmo2, keep)
 
     # -- wrap-up -------------------------------------------------------------------
 
-    def _abort(self, stage: str, rate: float, kind: str) -> _Abort:
-        """Record in the report why the session stops; returns the stop to raise."""
-        r = self.report
-        r.aborted, r.abort_stage, r.abort_rate, r.abort_kind = True, stage, rate, kind
-        return _Abort()
-
-    def _announce(self, stage: int, indices: Sequence[int], codes: np.ndarray) -> None:
-        """Log the node's announcements of the label codes ``codes`` at ``indices``."""
-        labels = map(BELL_LABELS.__getitem__, codes.tolist())
-        self.report.transcript.append_run("charlie", BMOAnnouncement, stage, indices, labels)
-
-    def _attach_ancilla_bits(self, records: list[tuple[str, int, int]]) -> None:
-        """File Eve's ``(leg, slot, bit)`` readouts under the message slot
-        they coupled to in round 2, completing the report's ``eve_views``."""
-        bits: dict[int, list[int]] = {}
-        if records:
-            survivor_at = {
-                (f"stage2_{party.name}", pos): k
-                for party in self.parties
-                if party.seq2 is not None
-                for k, pos in enumerate(party.seq2.message_positions.tolist())
-            }
-            for leg, slot, bit in records:
-                survivor = survivor_at.get((leg, slot))
-                if survivor is not None:
-                    bits.setdefault(survivor, []).append(bit)
-        self.report.eve_views = tuple(
-            (*view, tuple(bits.get(k, ()))) for k, view in enumerate(self.report.eve_views)
-        )
-
-    def _validate_transcript(self) -> None:
-        allowed: dict[str, set[int]] = {"alice": set(), "bob": set()}
-        if self.cases is not None:
-            # case III slots, where bob's message pair meets alice's decoy
-            allowed["bob"] = set(self.bob.seq1.order[self.cases == _CASE_III].tolist())
-        if len(self.cfg.alice_state_set) > 1:
-            allowed["alice"] = set(range(self.cfg.n_pairs))
-        validate_order(self.report.transcript, allowed)
+    def _attach_ancilla_bits(self, bits: list[np.ndarray]) -> None:
+        """Give each decoded session its ``eve_views``: per message slot, both
+        announcements and Eve's readouts (``bits``, one array per entry of
+        ``eve.ancillas``) of the ancillas coupled to that slot in round 2."""
+        if self.views is None:
+            return
+        reports, counts, bmo1, bmo2, keep = self.views
+        legs = [
+            leg_bits[self.message_slots[leg]][keep].tolist()
+            for (leg, _, _), leg_bits in zip(self.eve.ancillas, bits)
+            if leg in self.message_slots
+        ]
+        views = list(zip(
+            map(_VALUES.__getitem__, bmo1.tolist()),
+            map(_VALUES.__getitem__, bmo2.tolist()),
+            zip(*legs) if legs else repeat(()),
+        ))
+        ends = list(accumulate(counts))
+        for report, start, end in zip(reports, [0, *ends], ends):
+            report.eve_views = tuple(views[start:end])
 
 
 def session_rng(master_seed: int, session_index: int) -> np.random.Generator:
@@ -882,8 +952,9 @@ def prepare_session(
     """Build the prepared (pre-transmission) party states for inspection,
     with the rounds a dishonest node fakes and the (empty) transcript."""
     session = Session(cfg, session_rng(cfg.master_seed, session_index), session_index)
-    session._prepare()
-    return session.alice, session.bob, session.fake_stages, session.report.transcript
+    cohort = Cohort([session], QubitArena())
+    cohort._prepare()
+    return cohort.party(0, 0), cohort.party(1, 0), cohort.fake_stages, session.report.transcript
 
 
 def run_session(cfg: SessionConfig, session_index: int = 0) -> SessionReport:
@@ -892,58 +963,27 @@ def run_session(cfg: SessionConfig, session_index: int = 0) -> SessionReport:
     return session.run()
 
 
-# Sessions a batch runs in lockstep at a time, their arenas on one store.  A
-# merged round stacks this many sessions' items, which is already tall enough
-# to pay; the cap bounds the store, which keeps every register row of its
-# cohort until the cohort ends, the party states (about 30 kB per n_pairs=8
-# session) and the stacked arrays a batch holds at once.
-COHORT = 16
-
-
-def run_lockstep(steps: Sequence[Generator]) -> list:
-    """Run step generators side by side to their return values, in order.
-
-    A step generator yields engine round requests ``(arena, op, qubits, arg)``
-    and is sent back each round's results (``Session.steps``,
-    ``adversary.apply_leg_attack``).  Every step serves the one pending
-    request of each live generator: the requests of one op become one
-    ``run_round`` across their arenas, which must share one store.  Each
-    session draws from its own stream at its own turn, so its report is the
-    one it makes alone.
-    """
-    runs: list = list(steps)
-    reports: list = [None] * len(runs)
-    replies: dict[int, list | None] = dict.fromkeys(range(len(runs)))
-    while replies:
-        rounds: dict[str, list] = {}
-        for k, reply in replies.items():
-            try:
-                arena, op, qubits, arg = runs[k].send(reply)
-            except StopIteration as done:
-                reports[k], runs[k] = done.value, None
-                continue
-            rounds.setdefault(op, []).append((k, (arena, qubits, arg)))
-        replies = {}
-        for op, requests in rounds.items():
-            results = run_round(op, [request for _, request in requests])
-            replies.update((k, result) for (k, _), result in zip(requests, results))
-    return reports
+# Sessions a batch runs as one cohort, their qubits on one store.  A taller
+# cohort spreads each stage's fixed cost over more sessions; the cap bounds
+# the store, which keeps every register row of its cohort until the cohort
+# ends (a run attacked on every leg peaks 2.4 MB higher at 64 than at 32).
+COHORT = 32
 
 
 def run_batch(
     cfg: SessionConfig, sessions: int, workers: int = 1
 ) -> list[SessionReport]:
-    """Run independent sessions, ``COHORT`` at a time in lockstep with their
-    arenas on one store per cohort; results are ordered by session index, so
-    the outcome does not depend on scheduling."""
+    """Run independent sessions, ``COHORT`` at a time as one cohort on one
+    store; results are ordered by session index, so the outcome does not
+    depend on scheduling."""
     if workers <= 1:
         reports: list[SessionReport] = []
         for start in range(0, sessions, COHORT):
-            share = QubitArena()  # the cohort's one store
-            reports += run_lockstep([
-                Session(cfg, session_rng(cfg.master_seed, i), i, share=share).steps()
+            cohort = [
+                Session(cfg, session_rng(cfg.master_seed, i), i)
                 for i in range(start, min(start + COHORT, sessions))
-            ])
+            ]
+            reports += Cohort(cohort, QubitArena()).run()
         return reports
     from concurrent.futures import ThreadPoolExecutor
 

@@ -151,6 +151,9 @@ PAULI_MATRICES: dict[PauliLabel, np.ndarray] = {
     PauliLabel.Z: np.array([[1, 0], [0, -1]], dtype=complex),
 }
 
+# Row i is the matrix of the Pauli of symbol i.
+_PAULI_STACK = np.array([PAULI_MATRICES[p] for p in _PAULI_ORDER])
+
 BELL_VECTORS: dict[BellLabel, np.ndarray] = {
     BellLabel.PSI_PLUS: np.array([_SQ2, 0, 0, _SQ2], dtype=complex),
     BellLabel.PSI_MINUS: np.array([_SQ2, 0, 0, -_SQ2], dtype=complex),
@@ -311,9 +314,11 @@ def _apply_matrix(s: StateVector, axes: tuple[int, ...], matrix: np.ndarray) -> 
     return _shaped(s, s.qubit_ids, _from_front(matrix @ _to_front(s, axes), s.n_qubits, axes))
 
 
-def apply_pauli(s: StateVector, qubit_id: str, p: PauliLabel) -> StateVector:
-    """Apply I, X, iY or Z to one qubit."""
-    return _apply_matrix(s, (s.axis(qubit_id),), PAULI_MATRICES[p])
+def apply_pauli(s: StateVector, qubit_id: str, p: PauliLabel | np.ndarray) -> StateVector:
+    """Apply I, X, iY or Z to one qubit; a stack may take one per row, as
+    an array of symbols (``PauliLabel.symbol``)."""
+    matrix = PAULI_MATRICES[p] if isinstance(p, PauliLabel) else _PAULI_STACK[p]
+    return _apply_matrix(s, (s.axis(qubit_id),), matrix)
 
 
 # np.allclose(u^dag u, I, atol=ATOL) with its default rtol=1e-5 applied to |I|.
@@ -676,8 +681,9 @@ def run_round(
     The items run in dependency waves (``_plan_waves``), wave w of every
     request together, so no register appears twice in a wave and each sees
     its items in call order.  A wave's items are grouped by register widths,
-    target axes and parameter, and each group is one engine call
-    (``_group_call``) that gathers and scatters the rows of all its arenas.
+    target axes and ``apply_unitary`` matrix, and each group is one engine
+    call (``_group_call``) that gathers and scatters the rows of all its
+    arenas; a group's items keep their own uniforms or Pauli symbols.
     """
     if not requests:
         return []
@@ -699,20 +705,22 @@ def run_round(
     if not loc.all():
         missing = int(qidx.reshape(-1)[loc.argmin()])
         raise UnknownQubitError(f"qubit {store.names[missing]!r} not in arena")
+    if op == "apply_cnot" and np.any(qidx[:, 0] == qidx[:, 1]):
+        raise InvalidRegisterError("control and target must differ")
     waves = _plan_waves(loc // _BASE, joining)
     if measuring and waves[0] is not None:
         _reject_repeats(qidx, store.names)
-    uniforms = outcomes = None
+    rowargs = outcomes = None  # per item: a measurement's uniform, or a Pauli's symbol
     if measuring:  # a request's rng draws its k uniforms here, or it brings them
-        uniforms = _stacked([
+        rowargs = _stacked([
             arg.random(c) if isinstance(arg, np.random.Generator) else _row_uniforms(arg, c)
             for (_, _, arg), c in zip(requests, counts)
         ])
-    # the parameters a group may take, and each item's position among them
+    elif op == "apply_pauli":
+        rowargs = _stacked([np.asarray(c, np.intp) for _, _, c in requests])
+    # the matrices a group may take, and each item's position among them
     params = pcode = None
-    if op == "apply_pauli":
-        params, pcode = _PAULI_ORDER, _stacked([np.asarray(c, np.intp) for _, _, c in requests])
-    elif op == "apply_unitary":  # told apart by identity, one per request
+    if op == "apply_unitary":  # told apart by identity, one per request
         params, ids = [_unitary(u) for _, _, u in requests], [id(u) for _, _, u in requests]
         if len(set(ids)) > 1:
             pcode = np.repeat([ids.index(i) for i in ids], counts)
@@ -737,7 +745,7 @@ def run_round(
             first = 0 if items is None else items[0]
             result = _group_call(
                 op, store, wloc if g is None else wloc[g],
-                uniforms if items is None or uniforms is None else uniforms[items],
+                rowargs if items is None or rowargs is None else rowargs[items],
                 None if params is None else params[0 if pcode is None else pcode[first]],
             )
             if not measuring:
@@ -756,7 +764,7 @@ def run_round(
     return [outcomes[s:e] for s, e in zip(offsets, offsets[1:])]
 
 
-def _group_call(op, store, gloc, uniforms, param):
+def _group_call(op, store, gloc, rowargs, param):
     """One group of a wave: gather its rows from ``store``, make one engine
     call on them and scatter the result back; returns a measurement's outcomes.
 
@@ -779,7 +787,7 @@ def _group_call(op, store, gloc, uniforms, param):
         table_b = store.tables[wb]
         joint = tensor(joint, _trusted(_SLOTS[wa:wa + wb], table_b.amps.take(rows_b, 0)))
         xb += wa
-    outcomes, out = _engine_call(op, joint, _SLOTS[xa], _SLOTS[xb], uniforms, param)
+    outcomes, out = _engine_call(op, joint, _SLOTS[xa], _SLOTS[xb], rowargs, param)
     out = None if out is None else out.amplitudes
     if not (cross or op in ("bell_measure", "comp_measure")):
         table.amps[rows_a] = out  # a gate on one register: its rows in place
@@ -792,17 +800,17 @@ def _group_call(op, store, gloc, uniforms, param):
     return outcomes
 
 
-def _engine_call(op, state, ta, tb, uniforms, param):
+def _engine_call(op, state, ta, tb, rowargs, param):
     """The engine function of ``op`` on a stack, as (outcomes, surviving
     state); looked up when called, so a tracer's wrappers see it."""
     if op == "bell_measure":
-        return bell_measure(state, ta, tb, uniforms)
+        return bell_measure(state, ta, tb, rowargs)
     if op == "comp_measure":
-        return comp_measure(state, ta, uniforms)
+        return comp_measure(state, ta, rowargs)
     if op == "apply_cnot":
         return None, apply_cnot(state, ta, tb)
     if op == "apply_pauli":
-        return None, apply_pauli(state, ta, param)
+        return None, apply_pauli(state, ta, rowargs)
     return None, apply_unitary1q(state, ta, param)
 
 
@@ -874,15 +882,6 @@ def _reject_repeats(qidx: np.ndarray, names: list[str]) -> None:
     twice = ordered[1:][ordered[1:] == ordered[:-1]]
     if len(twice):
         raise UnknownQubitError(f"qubit {names[int(twice[0])]!r} is measured twice in one round")
-
-
-def engine_round(arena: "QubitArena", op: str, qubits: np.ndarray, arg=None):
-    """Yield one ``op`` round on ``arena`` as the request ``(arena, op,
-    qubits, arg)`` (see ``run_round``); return the results sent back.  A
-    round without items is not yielded, and returns no outcomes."""
-    if not len(qubits):
-        return _NO_OUTCOMES
-    return (yield arena, op, qubits, arg)
 
 
 class QubitArena:

@@ -19,7 +19,7 @@ from osbmdi.adversary import (
     fake_bmo_outcome,
 )
 from osbmdi.analysis import detection_rate
-from osbmdi.protocol import Mode, SessionConfig, run_lockstep, run_session
+from osbmdi.protocol import Mode, SessionConfig, run_session
 from osbmdi.quantum import BELL_LABELS, BellLabel, QubitArena, make_bell
 
 SQ2 = 1.0 / math.sqrt(2.0)
@@ -339,18 +339,36 @@ def test_reorder_detection_strictly_positive():
 def test_disturb_zero_selection_is_noop():
     arena = QubitArena()
     arena.add_state(make_bell(BellLabel.PSI_PLUS, "a", "b"), "alice")
-    attack = disturb(arena, ["a", "b"], np.random.default_rng(0), "reorder", 0.0)
-    assert run_lockstep([attack]) == [["a", "b"]]
+    rng = np.random.default_rng(0)
+    state = rng.bit_generator.state
+    qubits = arena.indices(["a", "b"])
+    out = disturb(arena, qubits, np.zeros(2, np.intp), [rng], "reorder", 0.0)
+    assert arena.names(out) == ["a", "b"] and rng.bit_generator.state == state
+
+
+def test_disturb_draws_each_sessions_slots_from_its_own_stream():
+    """A leg of two sessions: each session's part of the leg is permuted
+    within itself, by the draws a leg of that session alone makes."""
+    arena = QubitArena()
+    names = [f"q{i}" for i in range(10)]
+    arena.add_bell_pairs([0] * 5, names[0::2], names[1::2], "alice")
+    qubits = arena.indices(names)
+    rows = np.array([0] * 6 + [1] * 4)
+    out = disturb(arena, qubits, rows, [np.random.default_rng(s) for s in (3, 4)], "reorder", 0.5)
+    alone = [
+        disturb(arena, qubits[rows == r], np.zeros(c, np.intp), [np.random.default_rng(s)], "reorder", 0.5)
+        for r, c, s in ((0, 6, 3), (1, 4, 4))
+    ]
+    assert out.tolist() == np.concatenate(alone).tolist()
+    assert sorted(out[:6].tolist()) == qubits[:6].tolist() and out[:6].tolist() != qubits[:6].tolist()
 
 
 @pytest.mark.parametrize("strategy", ["intercept_resend", "entangle_measure"])
 def test_empty_leg_registers_nothing_and_yields_no_round(strategy):
     arena, eve = QubitArena(), EveState()
     spec = AttackSpec(strategy, legs=frozenset({"stage2_alice"}))
-    attack = apply_leg_attack(spec, arena, eve, "stage2_alice", [], None)
-    with pytest.raises(StopIteration) as done:
-        next(attack)
-    assert done.value.value == []
+    empty = np.empty(0, np.intp)
+    assert apply_leg_attack(spec, arena, eve, "stage2_alice", empty, empty, []) is empty
     assert not arena.holders() and not arena._store.tables
     assert not eve.ancillas and eve.new_id("a") == "ev_a1"
 
@@ -424,7 +442,8 @@ def test_fake_outcome_uniform():
     rng = np.random.default_rng(1)
     counts = {lab: 0 for lab in BellLabel}
     n = 8000
-    for code in fake_bmo_outcome(rng, n).tolist():
+    (codes,) = fake_bmo_outcome([rng], n)
+    for code in codes.tolist():
         counts[BELL_LABELS[code]] += 1
     se = math.sqrt(0.25 * 0.75 / n)
     for lab in BellLabel:

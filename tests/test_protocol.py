@@ -10,12 +10,13 @@ import sys
 import numpy as np
 import pytest
 
-from osbmdi import protocol
+from osbmdi import adversary, protocol
 from osbmdi.adversary import AttackSpec
 from osbmdi.analysis import NoiseSpec, cnot_attack_profile
 from osbmdi.protocol import (
     COHORT,
     DECODE_REFERENCE,
+    Cohort,
     CaseTag,
     ConfigError,
     DecoyPolicy,
@@ -493,12 +494,12 @@ def test_wrong_in_range_nested_labels_are_counted():
         decoy_policy=DecoyPolicy("fixed", (PHIP,)),
         noise=NoiseSpec("dephasing", 0.3),
     )
+    cohort = Cohort([Session(cfg, session_rng(cfg.master_seed, i), i) for i in range(100)], QubitArena())
     wrong_sessions = 0
-    for i in range(100):
-        session = Session(cfg, session_rng(cfg.master_seed, i), i)
-        rep = session.run()
+    for row, rep in enumerate(cohort.run()):
         assert not rep.aborted
-        truth = int(np.count_nonzero(session.known[0] != session.bob.codes[session.bob.pairs]))
+        # alice's knowledge of bob's labels against bob's message-pair labels
+        truth = int(np.count_nonzero(cohort.known[0][row] != cohort.codes[row, 1, :8]))
         assert rep.nested_label_errors == truth
         wrong_sessions += truth > 0
     assert wrong_sessions == 40
@@ -855,29 +856,63 @@ def test_sessions_never_look_up_a_qubit_name(name, monkeypatch):
     assert h.hexdigest() == SESSION_DIGESTS[name]
 
 
-@pytest.mark.parametrize(
-    "cfg",
-    [
-        SessionConfig(
-            n_pairs=8, master_seed=21,
-            attack=AttackSpec.parse(
-                "entangle_measure:beta2=0.05,"
-                "legs=stage1_alice+stage1_bob+stage2_alice+stage2_bob"
-            ),
-        ),
-        SessionConfig(n_pairs=8, mode=Mode.QD, master_seed=22, noise=NoiseSpec("dephasing", 0.3)),
-    ],
-    ids=["qsdc-entangle-all-legs", "qd-dephasing"],
-)
-def test_lockstep_matches_sessions_run_alone_across_cohorts(cfg):
+def _cohort_case(attack=None, threshold=0.0, **kwargs):
+    spec = None if attack is None else AttackSpec.parse(attack)
+    return SessionConfig(n_pairs=8, attack=spec, error_threshold=threshold, **kwargs)
+
+
+_ALL_LEGS = "legs=stage1_alice+stage1_bob+stage2_alice+stage2_bob"
+# (config, the exits its sessions take across the batch); the thresholds
+# make each attacked config stop sessions at more than one stage where its
+# attack allows that, so the cohort's later stages run with rows gone
+COHORT_CASES = {
+    "qsdc-entangle-all-legs": (
+        _cohort_case(f"entangle_measure:beta2=0.05,{_ALL_LEGS}", master_seed=21),
+        {None, "stage1", "stage2"},
+    ),
+    "qd-dephasing": (
+        _cohort_case(mode=Mode.QD, master_seed=22, noise=NoiseSpec("dephasing", 0.3)),
+        {None, "nested", "stage2"},
+    ),
+    "qsdc-intercept_resend-all-legs": (
+        _cohort_case(f"intercept_resend:{_ALL_LEGS}", 0.5, master_seed=23),
+        {None, "stage1", "stage2"},
+    ),
+    "qsdc-flip_all-all-legs": (_cohort_case(f"flip_all:{_ALL_LEGS}", master_seed=23), {"stage2"}),
+    "qsdc-disturb-random_pauli-all-legs": (
+        _cohort_case(f"disturb:mode=random_pauli,fraction=0.5,{_ALL_LEGS}", 0.4, master_seed=23),
+        {None, "stage1", "stage2"},
+    ),
+    "qsdc-disturb-reorder-all-legs": (
+        _cohort_case(f"disturb:mode=reorder,fraction=0.5,{_ALL_LEGS}", 0.2, master_seed=23),
+        {None, "stage1", "stage2"},
+    ),
+    "qsdc-fake_bmo-stages-1+2": (
+        _cohort_case("fake_bmo:stages=1+2", 0.5, master_seed=23),
+        {None, "stage1", "stage2"},
+    ),
+    "qd-two-label-sets-dephasing": (
+        _cohort_case(mode=Mode.QD, master_seed=24, alice_state_set=(PSIP, PHIM),
+                     bob_state_set=(PSIP, PSIM), noise=NoiseSpec("dephasing", 0.2)),
+        {None, "nested", "stage2"},
+    ),
+}
+
+
+@pytest.mark.parametrize("name", list(COHORT_CASES))
+def test_a_cohort_matches_its_sessions_run_alone(name):
+    """Two full cohorts and a partial one report exactly what each of their
+    sessions reports alone, with sessions leaving the cohort at the stages
+    listed, so its later stages run with some rows stopped."""
+    cfg, exits = COHORT_CASES[name]
     n = 2 * COHORT + 3
     batch = run_batch(cfg, n)
     assert [rep.session_index for rep in batch] == list(range(n))
     alone = [run_session(cfg, i) for i in range(n)]
     assert [_report_material(rep) for rep in batch] == [_report_material(rep) for rep in alone]
-    # sessions leave their cohort early, at more than one stage
-    stages = {rep.abort_stage for rep in batch}
-    assert None in stages and len(stages) >= 3
+    assert [rep.abort_rate for rep in batch] == [rep.abort_rate for rep in alone]
+    assert [rep.nested_label_errors for rep in batch] == [rep.nested_label_errors for rep in alone]
+    assert {rep.abort_stage for rep in batch} == exits
 
 
 def test_a_cohort_shares_one_store(monkeypatch):
@@ -909,9 +944,9 @@ ALL_LEGS = "legs=stage1_alice+stage1_bob+stage2_alice+stage2_bob"
 def test_sessions_reach_the_engine_only_through_rounds(attack, monkeypatch):
     """With the arena's scalar ops made to raise, every session still runs:
     the protocol's own rounds, the channel noise, the nested shares (two-label
-    sets on both sides), Eve's interceptions and ancilla readout, and the
-    dishonest node's readouts all go through the one lockstep driver of the
-    batch's cohort, which no step starts again."""
+    sets on both sides, as two nested cohorts), Eve's interceptions and
+    ancilla readout, and the dishonest node's readouts are all rounds on the
+    one store of the batch's one cohort."""
     cfg = SessionConfig(
         n_pairs=8, mode=Mode.QD, master_seed=31,
         alice_state_set=(PSIP, PHIM), bob_state_set=(PSIP, PSIM),
@@ -925,12 +960,16 @@ def test_sessions_reach_the_engine_only_through_rounds(attack, monkeypatch):
 
     for name in ("apply_pauli", "apply_unitary", "apply_cnot", "bell_measure", "comp_measure"):
         monkeypatch.setattr(QubitArena, name, scalar_op)
-    drivers = []
-    real = protocol.run_lockstep
-    monkeypatch.setattr(protocol, "run_lockstep", lambda steps: drivers.append(1) or real(steps))
+    stores, cohorts = set(), []
+    for module in (protocol, adversary):
+        real_round = module.run_round
+        monkeypatch.setattr(module, "run_round", lambda op, requests, real_round=real_round: stores.update(
+            arena._store for arena, _, _ in requests) or real_round(op, requests))
+    real_run = Cohort.run
+    monkeypatch.setattr(Cohort, "run", lambda cohort: cohorts.append(len(cohort.reports)) or real_run(cohort))
     batch = run_batch(cfg, 3)
     assert [_report_material(rep) for rep in batch] == want
-    assert len(drivers) == 1
+    assert len(stores) == 1 and cohorts == [3, 3, 3]
     assert all(len(rep.nested) == 2 and not rep.aborted for rep in batch)
     assert run_session(cfg, 1).transcript.serialize() == batch[1].transcript.serialize()
     if attack.startswith("entangle"):

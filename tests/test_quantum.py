@@ -133,6 +133,20 @@ def test_z_on_first_qubit_of_psi_plus_gives_psi_minus():
     assert np.allclose(s.amplitudes, BELL_VECTORS[PSIM], atol=1e-12)
 
 
+def test_apply_pauli_takes_one_pauli_per_row_of_a_stack():
+    # a stack with an array of symbols: row i gets the Pauli of symbol i, bit
+    # for bit what that Pauli alone does to the row
+    rng = np.random.default_rng(5)
+    rows = rng.normal(size=(8, 4)) + 1j * rng.normal(size=(8, 4))
+    stack = StateVector.stack(("a", "b"), rows / np.linalg.norm(rows, axis=1)[:, None])
+    symbols = np.array([0, 1, 2, 3, 3, 2, 1, 0])
+    got = apply_pauli(stack, "b", symbols).amplitudes
+    for row, symbol in zip(range(8), symbols):
+        one = StateVector.stack(("a", "b"), stack.amplitudes[row:row + 1])
+        want = apply_pauli(one, "b", PauliLabel.from_symbol(symbol)).amplitudes
+        assert got[row].tobytes() == want[0].tobytes()
+
+
 def test_apply_pauli_unknown_qubit():
     with pytest.raises(UnknownQubitError):
         apply_pauli(make_bell(PSIP, "a", "b"), "c", PauliLabel.X)
@@ -632,6 +646,21 @@ def test_a_gate_round_with_a_bad_matrix_changes_no_arena():
         run_round("apply_unitary", [(first, first.indices(["x", "a"]), hadamard),
                                     (second, second.indices(["a"]), np.diag([1.0, 2.0]))])
     assert (_contents(first), _contents(second)) == before
+
+
+def test_a_cnot_round_with_a_self_targeted_item_changes_no_register():
+    # control equal to target is rejected before the first wave: the group
+    # of the item (x, y), on one-qubit registers, sorts before that of (a, a),
+    # on a pair, and must not join x and y
+    arena = QubitArena()
+    arena.add_state(single_qubit("x", SQ2, SQ2), "alice")
+    arena.add_state(single_qubit("y", 1, 0), "alice")
+    arena.add_bell_pairs([PSIP.code], ["a"], ["b"], "alice")
+    before = _contents(arena)
+    with pytest.raises(InvalidRegisterError, match="control and target must differ"):
+        run_round("apply_cnot", [(arena, arena.indices(["x", "y", "a", "a"]).reshape(2, 2), None)])
+    assert _contents(arena) == before
+    assert arena.state_of("x").qubit_ids == ("x",) and arena.state_of("y").qubit_ids == ("y",)
 
 
 def test_a_measuring_round_takes_uniforms_in_place_of_an_rng():
