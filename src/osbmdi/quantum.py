@@ -9,13 +9,17 @@ new state, so values can be shared freely.  Measurements are destructive —
 the measured qubits are removed from the returned register and survive only
 as the classical record.
 
-Kernel convention: every gate and measurement first moves the qubits it acts
-on to the front, viewing the amplitudes as a ``(2**m, 2**(k-m))`` matrix.  The
-row index spells the m named qubits in the order given (first one most
-significant); the column index spells the other qubits in register order.  A
-gate left-multiplies that matrix and moves the axes back; a measurement
-projects onto rows, and each projected row is already the amplitude vector of
-the surviving register.
+Kernel convention: kernels are elementwise over a stack's rows; no gate is a
+matrix product.  A 1-qubit gate views each row as ``(2**a, 2, rest)`` around
+its qubit's axis a and writes the two halves as two multiply-adds of the old
+ones; CNOT gathers each row through an index permutation.  A measurement first
+gathers its qubits to the front: entry ``[c, f]`` is the column, over the
+stack's rows, of the amplitude whose measured qubits spell f (in the order
+given, first most significant) and whose other qubits spell c (in register
+order), so a projected column block is already the surviving register.  The
+Bell projection is sums and differences of the four front slices.  Every sum
+runs in a fixed order, so a row's bits do not depend on the stack's height: a
+stack's rows equal, bit for bit, the same rows run alone.
 
 Stacks are the kernel form: ``StateVector.stack(ids, amps)`` holds k
 registers of one layout, one state per row of ``amps`` (shape ``(k, 2**n)``),
@@ -208,8 +212,8 @@ class StateVector:
                 f"stack shape {amps.shape} is not (k, {2 ** len(ids)}) for {len(ids)} qubits"
             )
         parts = amps.view(np.float64)
-        norm2 = (parts * parts).sum(axis=1)
-        if not (abs(norm2 - 1.0) <= ATOL).all():
+        norm2 = np.einsum("ij,ij->i", parts, parts)
+        if not abs(norm2 - 1.0).max() <= ATOL:  # also rejects a NaN norm
             bad = int(np.argmin(abs(norm2 - 1.0) <= ATOL))
             raise InvalidRegisterError(f"row {bad} squared norm {norm2[bad]} is not 1")
         return _trusted(ids, amps)
@@ -289,36 +293,42 @@ def _shaped(s: StateVector, ids: tuple[str, ...], rows: np.ndarray) -> StateVect
 
 @lru_cache(maxsize=1024)
 def _front_index(n_qubits: int, axes: tuple[int, ...]) -> np.ndarray:
-    """Gather index that moves ``axes`` to the front (see the module docstring)."""
+    """Gather index that moves ``axes`` to the front (see the module docstring),
+    as ``(rest, 2**len(axes))``."""
     rest = tuple(ax for ax in range(n_qubits) if ax not in axes)
-    index = np.arange(2**n_qubits).reshape((2,) * n_qubits).transpose(axes + rest)
-    index = index.reshape(2 ** len(axes), -1)
+    index = np.arange(2**n_qubits).reshape((2,) * n_qubits).transpose(rest + axes)
+    index = index.reshape(-1, 2 ** len(axes))
     index.flags.writeable = False
     return index
 
 
 def _to_front(s: StateVector, axes: tuple[int, ...]) -> np.ndarray:
-    """One ``(2**len(axes), rest)`` matrix per row of ``s``, with ``axes``
-    moved to the front."""
-    return _rows(s)[:, _front_index(s.n_qubits, axes)]
+    """The rows of ``s`` with ``axes`` moved to the front, as ``(rest,
+    2**len(axes), k)``: each entry is a column over the stack's k rows."""
+    return _rows(s).T[_front_index(s.n_qubits, axes)]
 
 
-def _from_front(m: np.ndarray, n_qubits: int, axes: tuple[int, ...]) -> np.ndarray:
-    """Inverse of ``_to_front``: the rows' flat amplitude vectors in register order."""
-    out = np.empty((len(m), 2**n_qubits), dtype=complex)
-    out[:, _front_index(n_qubits, axes)] = m
-    return out
-
-
-def _apply_matrix(s: StateVector, axes: tuple[int, ...], matrix: np.ndarray) -> StateVector:
-    return _shaped(s, s.qubit_ids, _from_front(matrix @ _to_front(s, axes), s.n_qubits, axes))
+def _apply_1q(s: StateVector, axis: int, m: np.ndarray) -> StateVector:
+    """``m`` (2x2, or one per row: (k, 2, 2)) on ``axis``, as two multiply-adds
+    of the axis's halves; a single matrix's zero terms are skipped (0*x + y is y)."""
+    x = _rows(s).reshape(-1, 2**axis, 2, 2 ** (s.n_qubits - 1 - axis))
+    rows = m.ndim == 3
+    (a, b), (c, d) = m.transpose(1, 2, 0)[..., None, None] if rows else m.tolist()
+    out = np.empty_like(x)
+    for o, p, q in ((out[:, :, 0], a, b), (out[:, :, 1], c, d)):
+        if rows or (p and q):
+            np.multiply(p, x[:, :, 0], out=o)
+            o += q * x[:, :, 1]
+        else:
+            np.multiply(p or q, x[:, :, 0 if p else 1], out=o)
+    return _shaped(s, s.qubit_ids, out.reshape(len(out), -1))
 
 
 def apply_pauli(s: StateVector, qubit_id: str, p: PauliLabel | np.ndarray) -> StateVector:
     """Apply I, X, iY or Z to one qubit; a stack may take one per row, as
     an array of symbols (``PauliLabel.symbol``)."""
     matrix = PAULI_MATRICES[p] if isinstance(p, PauliLabel) else _PAULI_STACK[p]
-    return _apply_matrix(s, (s.axis(qubit_id),), matrix)
+    return _apply_1q(s, s.axis(qubit_id), matrix)
 
 
 # np.allclose(u^dag u, I, atol=ATOL) with its default rtol=1e-5 applied to |I|.
@@ -339,24 +349,24 @@ def _unitary(u: np.ndarray) -> np.ndarray:
 def apply_unitary1q(s: StateVector, qubit_id: str, u: np.ndarray) -> StateVector:
     """Apply an arbitrary 2x2 unitary to one qubit."""
     u = _unitary(u)  # before the qubit lookup: a bad matrix is reported first
-    return _apply_matrix(s, (s.axis(qubit_id),), u)
+    return _apply_1q(s, s.axis(qubit_id), u)
 
 
-# Rows and columns |control, target>: swaps |10> and |11>.
-_CNOT = np.array(
-    [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]], dtype=complex
-)
+@lru_cache(maxsize=1024)
+def _cnot_index(n: int, control: int, target: int) -> np.ndarray:
+    """Gather index of CNOT: i with the target bit flipped where the control bit is 1."""
+    i = np.arange(2**n)
+    index = i ^ ((i >> (n - 1 - control) & 1) << (n - 1 - target))
+    index.flags.writeable = False
+    return index
 
 
 def apply_cnot(s: StateVector, control: str, target: str) -> StateVector:
     """Controlled-NOT in the computational basis."""
     if control == target:
         raise InvalidRegisterError("control and target must differ")
-    return _apply_matrix(s, (s.axis(control), s.axis(target)), _CNOT)
-
-
-# Row i is <b_i| for the label of code i.
-_BELL_BRAS = _BELL_TABLE.conj()
+    index = _cnot_index(s.n_qubits, s.axis(control), s.axis(target))
+    return _shaped(s, s.qubit_ids, _rows(s)[:, index])
 
 
 def bell_measure(
@@ -373,16 +383,26 @@ def bell_measure(
     """
     if q_a == q_b:
         raise InvalidRegisterError("cannot Bell-measure a qubit against itself")
-    branches = _BELL_BRAS @ _to_front(s, (s.axis(q_a), s.axis(q_b)))
-    probs = (np.abs(branches) ** 2).sum(axis=2)
-    k = len(probs)
-    r = _row_uniforms(rng, k) * probs.sum(axis=1)
-    picks = np.minimum((np.cumsum(probs, axis=1) <= r[:, None]).sum(axis=1), 3)
+    f = _to_front(s, (s.axis(q_a), s.axis(q_b)))
+    k, lo, hi = f.shape[2], f[:, :2], f[:, :1:-1]
+    # <b_i| f in code order: (f0 + f3, f0 - f3, f1 + f2, f1 - f2) / sqrt(2)
+    branches = np.empty((len(f), 2, 2, k), dtype=complex)
+    np.add(lo, hi, out=branches[:, :, 0])
+    np.subtract(lo, hi, out=branches[:, :, 1])
+    parts = branches.view(np.float64)  # scaled as reals, without complex products
+    parts *= _SQ2
+    branches = branches.reshape(len(f), 4, k)
+    sq = np.abs(branches) ** 2
+    probs = sum(sq[1:], sq[0])  # (4, k), summed over rest in order
+    cum = np.array(list(accumulate(probs)))  # running sums in code order
+    r = _row_uniforms(rng, k) * cum[3]
+    picks = np.minimum((cum <= r).sum(axis=0), 3)
     remaining = tuple(q for q in s.qubit_ids if q not in (q_a, q_b))
     rest = None
     if remaining:
         rows = np.arange(k)
-        rest = _shaped(s, remaining, branches[rows, picks] / np.sqrt(probs[rows, picks])[:, None])
+        norm = np.sqrt(probs[picks, rows])
+        rest = _shaped(s, remaining, (branches[:, picks, rows] / norm).T)
     return (BELL_LABELS[picks[0]] if isinstance(rng, np.random.Generator) else picks), rest
 
 
@@ -393,15 +413,16 @@ def comp_measure(
     1 when its uniform is below its p1.  A single register draws its uniform
     from ``rng`` and gets back a bit; a stack takes an array of row uniforms
     for ``rng`` and gets back an array of bits."""
-    front = _to_front(s, (s.axis(qubit_id),))
-    ones = front[:, 1]
-    p1 = (ones.real**2 + ones.imag**2).sum(axis=1)
+    f = _to_front(s, (s.axis(qubit_id),))
+    ones = f[:, 1]
+    sq = ones.real**2 + ones.imag**2
+    p1 = sum(sq[1:], sq[0])
     read = _row_uniforms(rng, len(p1)) < p1
     remaining = tuple(q for q in s.qubit_ids if q != qubit_id)
     rest = None
     if remaining:
-        norm = np.sqrt(np.where(read, p1, 1.0 - p1))[:, None]
-        rest = _shaped(s, remaining, np.where(read[:, None], ones, front[:, 0]) / norm)
+        norm = np.sqrt(np.where(read, p1, 1.0 - p1))
+        rest = _shaped(s, remaining, (np.where(read, ones, f[:, 0]) / norm).T)
     bits = read.astype(np.intp)
     return (int(bits[0]) if isinstance(rng, np.random.Generator) else bits), rest
 

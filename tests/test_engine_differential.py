@@ -4,8 +4,10 @@ The reference kernels (``engine_reference``) are the tensordot / moveaxis /
 take / kron forms the engine used before its axis-to-front kernels.  Each engine op must give
 the same amplitudes (to 1e-12), the same sampled outcome and the same number
 of draws from the random stream, must leave its inputs untouched, and must
-raise the same errors, a measurement before it draws.  Rounds over arenas
-are compared with ``RefArena``, which runs the arena's by-name ops on the
+raise the same errors, a measurement before it draws.  The kernel contract
+is tighter: each kernel within 1e-15 of its reference, and a stack's rows
+equal to the same rows run alone, bit for bit.  Rounds over arenas are
+compared with ``RefArena``, which runs the arena's by-name ops on the
 reference kernels.
 """
 import itertools
@@ -356,6 +358,111 @@ def test_stacked_measurements_match_rows_on_bell_products():
         assert_stacked_measurement_matches_rows(bell_measure, stack, products, q_a, q_b)
     for q in stack.qubit_ids:
         assert_stacked_measurement_matches_rows(comp_measure, stack, products, q)
+
+
+# --- the kernel contract ------------------------------------------------------------------
+#
+# The kernels compute each row elementwise, so a row's amplitudes and outcome
+# are, bit for bit, those of the same row run alone, whatever the stack's
+# height; and each kernel agrees with its reference within 1e-15.
+
+HEIGHTS = (1, 2, 7, 64)
+DEPHASING = np.diag([1.0, np.exp(0.2j)])
+
+
+def kernel_ops(width, seed):
+    """Every op on a width-``width`` register, on every axis and ordered
+    pair, as ``(name, run)``: ``run(state, rows)`` applies it to a stack of
+    the rows ``rows`` (a slice of the first ``max(HEIGHTS)``) or to row
+    ``rows`` alone (an int), with that row's Pauli symbol or uniform."""
+    n = max(HEIGHTS)
+    symbols = np.random.default_rng(seed).integers(4, size=n)
+    uniforms = np.array([np.random.default_rng([seed, r]).random() for r in range(n)])
+    u = random_unitary(seed)
+
+    def paulis(rows):  # a stack's symbols, or one register's label
+        return symbols[rows] if isinstance(rows, slice) else PauliLabel.from_symbol(symbols[rows])
+
+    def draws(rows):  # a stack's uniforms, or the generator whose first draw is row's
+        return uniforms[rows] if isinstance(rows, slice) else np.random.default_rng([seed, rows])
+
+    ops = []
+    for q in ids_of(width):
+        ops += [(f"{p} on {q}", lambda s, rows, q=q, p=p: apply_pauli(s, q, p)) for p in PauliLabel]
+        ops += [
+            (f"row Paulis on {q}", lambda s, rows, q=q: apply_pauli(s, q, paulis(rows))),
+            (f"unitary on {q}", lambda s, rows, q=q: apply_unitary1q(s, q, u)),
+            (f"dephasing on {q}", lambda s, rows, q=q: apply_unitary1q(s, q, DEPHASING)),
+            (f"comp_measure {q}", lambda s, rows, q=q: comp_measure(s, q, draws(rows))),
+        ]
+    for a, b in itertools.permutations(ids_of(width), 2):
+        ops += [
+            (f"cnot {a} {b}", lambda s, rows, a=a, b=b: apply_cnot(s, a, b)),
+            (f"bell {a} {b}", lambda s, rows, a=a, b=b: bell_measure(s, a, b, draws(rows))),
+        ]
+    return ops
+
+
+def outcome_rows(result):
+    """An op's result as (outcome codes or None, amplitude rows or None)."""
+    outcome, state = result if isinstance(result, tuple) else (None, result)
+    if isinstance(outcome, BellLabel):
+        outcome = outcome.code
+    found = None if outcome is None else np.atleast_1d(outcome).tolist()
+    return found, None if state is None else state.amplitudes.reshape(-1, 2**state.n_qubits)
+
+
+@pytest.mark.parametrize("width", WIDTHS)
+def test_stacked_rows_equal_rows_run_alone_bit_for_bit(width):
+    rows = [random_state(width, seed) for seed in range(max(HEIGHTS))]
+    ids = rows[0].qubit_ids
+    for name, run in kernel_ops(width, width):
+        alone = [outcome_rows(run(row, r)) for r, row in enumerate(rows)]
+        for k in HEIGHTS:
+            stack = StateVector.stack(ids, np.array([row.amplitudes for row in rows[:k]]))
+            outcomes, amps = outcome_rows(run(stack, slice(0, k)))
+            for r, (want_outcome, want) in enumerate(alone[:k]):
+                where = f"{name}, row {r} of {k}"
+                assert outcomes is None or outcomes[r] == want_outcome[0], where
+                assert (amps is None) == (want is None), where
+                assert amps is None or np.array_equal(amps[r], want[0]), where
+
+
+def assert_within_1e15(got, want):
+    """``got`` against a reference's ``(ids, amps)``; None against None."""
+    assert (got is None) == (want is None)
+    if want is not None:
+        assert got.qubit_ids == want[0]
+        assert np.max(np.abs(got.amplitudes - want[1])) <= 1e-15
+
+
+@pytest.mark.parametrize("width", WIDTHS)
+def test_kernels_match_reference_within_1e15(width):
+    for seed in SEEDS:
+        s, u = random_state(width, seed), random_unitary(seed)
+        for q in s.qubit_ids:
+            for m in (u, DEPHASING):
+                assert_within_1e15(apply_unitary1q(s, q, m), ref_apply_unitary1q(s, q, m))
+            for p in PauliLabel:
+                assert_within_1e15(apply_pauli(s, q, p), ref_apply_1q(s, q, PAULI_MATRICES[p]))
+            bit, rest = comp_measure(s, q, np.random.default_rng(seed))
+            want_bit, want_rest = ref_comp_measure(s, q, np.random.default_rng(seed))
+            assert bit == want_bit
+            assert_within_1e15(rest, want_rest)
+        for a, b in itertools.permutations(s.qubit_ids, 2):
+            assert_within_1e15(apply_cnot(s, a, b), ref_apply_cnot(s, a, b))
+            label, rest = bell_measure(s, a, b, np.random.default_rng(seed))
+            want_label, want_rest = ref_bell_measure(s, a, b, np.random.default_rng(seed))
+            assert label is want_label
+            assert_within_1e15(rest, want_rest)
+    # a stack of per-row Paulis against the reference on each row
+    stack, rows = random_stack(width, 5)
+    symbols = np.arange(ROWS) % 4
+    for q in stack.qubit_ids:
+        got = apply_pauli(stack, q, symbols)
+        for row, r, sym in zip(got.amplitudes, rows, symbols):
+            want = ref_apply_1q(r, q, PAULI_MATRICES[PauliLabel.from_symbol(sym)])
+            assert_within_1e15(StateVector(got.qubit_ids, row), want)
 
 
 STACK_ERRORS = [
