@@ -310,17 +310,13 @@ def _to_front(s: StateVector, axes: tuple[int, ...]) -> np.ndarray:
 
 def _apply_1q(s: StateVector, axis: int, m: np.ndarray) -> StateVector:
     """``m`` (2x2, or one per row: (k, 2, 2)) on ``axis``, as two multiply-adds
-    of the axis's halves; a single matrix's zero terms are skipped (0*x + y is y)."""
+    of the axis's halves."""
     x = _rows(s).reshape(-1, 2**axis, 2, 2 ** (s.n_qubits - 1 - axis))
-    rows = m.ndim == 3
-    (a, b), (c, d) = m.transpose(1, 2, 0)[..., None, None] if rows else m.tolist()
+    (a, b), (c, d) = m.transpose(1, 2, 0)[..., None, None] if m.ndim == 3 else m.tolist()
     out = np.empty_like(x)
     for o, p, q in ((out[:, :, 0], a, b), (out[:, :, 1], c, d)):
-        if rows or (p and q):
-            np.multiply(p, x[:, :, 0], out=o)
-            o += q * x[:, :, 1]
-        else:
-            np.multiply(p or q, x[:, :, 0 if p else 1], out=o)
+        np.multiply(p, x[:, :, 0], out=o)
+        o += q * x[:, :, 1]
     return _shaped(s, s.qubit_ids, out.reshape(len(out), -1))
 
 
@@ -393,8 +389,8 @@ def bell_measure(
     parts *= _SQ2
     branches = branches.reshape(len(f), 4, k)
     sq = np.abs(branches) ** 2
-    probs = sum(sq[1:], sq[0])  # (4, k), summed over rest in order
-    cum = np.array(list(accumulate(probs)))  # running sums in code order
+    probs = _column_sum(sq)  # (4, k)
+    cum = np.cumsum(probs, axis=0)  # running sums in code order
     r = _row_uniforms(rng, k) * cum[3]
     picks = np.minimum((cum <= r).sum(axis=0), 3)
     remaining = tuple(q for q in s.qubit_ids if q not in (q_a, q_b))
@@ -416,7 +412,7 @@ def comp_measure(
     f = _to_front(s, (s.axis(qubit_id),))
     ones = f[:, 1]
     sq = ones.real**2 + ones.imag**2
-    p1 = sum(sq[1:], sq[0])
+    p1 = _column_sum(sq)
     read = _row_uniforms(rng, len(p1)) < p1
     remaining = tuple(q for q in s.qubit_ids if q != qubit_id)
     rest = None
@@ -425,6 +421,14 @@ def comp_measure(
         rest = _shaped(s, remaining, (np.where(read, ones, f[:, 0]) / norm).T)
     bits = read.astype(np.intp)
     return (int(bits[0]) if isinstance(rng, np.random.Generator) else bits), rest
+
+
+def _column_sum(sq: np.ndarray) -> np.ndarray:
+    """The sum over the front axis of ``sq`` (a power of two long), halving
+    it elementwise: one fixed order whatever the stack's height, in log2 calls."""
+    while len(sq) > 1:
+        sq = sq[: len(sq) // 2] + sq[len(sq) // 2 :]
+    return sq[0]
 
 
 def _row_uniforms(rng: np.random.Generator | np.ndarray, k: int) -> np.ndarray:

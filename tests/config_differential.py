@@ -15,8 +15,11 @@ qd with alice set ``psi+,phi-`` and dephasing 0.2 x thresholds 0/1 x
 
 Run from the repository root (a full run takes a few minutes per tree):
 
-    python tests/config_differential.py                  # print the digests
-    python tests/config_differential.py --against ../old  # list configs that differ
+    PYTHONPATH=src python tests/config_differential.py                  # print the digests
+    PYTHONPATH=src python tests/config_differential.py --against ../old  # list configs that differ
+
+The other tree runs with ``PYTHONPATH=<PATH>/src`` while this one runs, its
+lines going to a temporary file.
 
 The exit status is 1 when a config is flagged or differs, else 0.
 """
@@ -24,9 +27,13 @@ import argparse
 import dataclasses
 import hashlib
 import itertools
+import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
+
+SESSIONS = 20  # per config
 
 LEGS = ("stage1_alice", "stage1_bob", "stage2_alice", "stage2_bob")
 LEG_STRATEGIES = (
@@ -94,15 +101,15 @@ def digest(reports):
     return h.hexdigest()
 
 
-def lines(sessions):
+def lines():
     """One line per config: its name and the digest of its ``run_batch``
     reports, flagged when one-by-one ``run_session`` disagrees or it raises."""
     from osbmdi.protocol import run_batch, run_session
 
     for name, cfg in configs():
         try:
-            batch = digest(run_batch(cfg, sessions))
-            alone = digest(run_session(cfg, i) for i in range(sessions))
+            batch = digest(run_batch(cfg, SESSIONS))
+            alone = digest(run_session(cfg, i) for i in range(SESSIONS))
         except Exception as exc:  # a raising config is a finding, not a crash
             yield f"{name} RAISED {type(exc).__name__}: {exc}"
             continue
@@ -110,28 +117,24 @@ def lines(sessions):
 
 
 def main(argv=None):
-    here = Path(__file__).resolve().parents[1]
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    ap.add_argument("--src", default=str(here / "src"), help="package source to import")
-    ap.add_argument("--sessions", type=int, default=20, help="sessions per config")
     ap.add_argument("--against", metavar="PATH", help="a second tree to compare with")
     args = ap.parse_args(argv)
-    sys.path.insert(0, args.src)
 
     if args.against is None:
         flagged = 0
-        for line in lines(args.sessions):
+        for line in lines():
             print(line, flush=True)
             flagged += len(line.split()) != 2
         return 1 if flagged else 0
 
-    other = subprocess.Popen(
-        [sys.executable, __file__, "--src", str(Path(args.against) / "src"),
-         "--sessions", str(args.sessions)],
-        stdout=subprocess.PIPE, text=True,
-    )
-    ours = list(lines(args.sessions))
-    theirs = other.communicate()[0].splitlines()
+    env = dict(os.environ, PYTHONPATH=str(Path(args.against).resolve() / "src"))
+    with tempfile.TemporaryFile("w+") as out:
+        other = subprocess.Popen([sys.executable, __file__], stdout=out, env=env, text=True)
+        ours = list(lines())
+        other.wait()
+        out.seek(0)
+        theirs = out.read().splitlines()
     if other.returncode not in (0, 1) or len(theirs) != len(ours):
         print(f"the tree at {args.against} gave {len(theirs)} lines, exit {other.returncode}")
         return 1
