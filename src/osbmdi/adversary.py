@@ -7,11 +7,11 @@ transit, so the protocol layer stays attack-agnostic.  Legs are named
 ``stage2_alice``, ``stage2_bob`` (verification/decode-round transmissions).
 
 Interceptors are cohort functions: they take and return a leg's qubits as
-store indices, the leg of every session of a cohort at once, session after
+arena indices, the leg of every session of a cohort at once, session after
 session.  Those that act on qubits, and Eve's ancilla readout, run their
-engine round as one ``quantum.run_round`` request over the whole leg; a
-strategy that draws (``disturb``, the ``fake_bmo`` announcements, the
-readout's uniforms) draws each session's part from that session's stream.
+engine round as one ``quantum.run_round`` over the whole leg; a strategy
+that draws (``disturb``, the ``fake_bmo`` announcements, the readout's
+uniforms) draws each session's part from that session's stream.
 
 The dishonest-measurement-node behavior (announcing outcomes without
 measuring) is carried on the same spec via ``fake_stages``; it is consulted
@@ -206,7 +206,7 @@ class EveState:
     The qubits Eve holds are those the arena lists under the holder
     ``"eve"``; handles move, so Eve never holds a qubit an honest party still
     believes it has.  ``ancillas`` lists per attacked leg ``(leg, ancillas,
-    rows)``: the store indices of its entangling ancillas, the ancilla of the
+    rows)``: the arena indices of its entangling ancillas, the ancilla of the
     leg's qubit i at position i, and the session (cohort row) of each;
     ``measure_ancillas`` reads them out after the sessions.
     """
@@ -247,13 +247,13 @@ def entangle_measure(
     amps = np.tile([alpha, beta], (len(names), 1))
     ancillas = arena.add_registers(names, amps, "eve")[:, 0]
     eve.ancillas.append((leg, ancillas, rows))
-    run_round("apply_cnot", [(arena, np.column_stack((ancillas, qubits)), None)])
+    run_round("apply_cnot", arena, np.column_stack((ancillas, qubits)), None)
     return qubits
 
 
 def flip_all(arena: QubitArena, qubits: np.ndarray) -> np.ndarray:
     """Apply X to every qubit on the leg, as one ``apply_pauli`` round."""
-    run_round("apply_pauli", [(arena, qubits, np.full(len(qubits), PauliLabel.X.symbol))])
+    run_round("apply_pauli", arena, qubits, np.full(len(qubits), PauliLabel.X.symbol))
     return qubits
 
 
@@ -283,7 +283,7 @@ def disturb(
             codes.append(rng.integers(len(NON_IDENTITY), size=k))
     if hit:
         paulis = np.array([p.symbol for p in NON_IDENTITY])[np.concatenate(codes)]
-        run_round("apply_pauli", [(arena, qubits[np.concatenate(hit)], paulis)])
+        run_round("apply_pauli", arena, qubits[np.concatenate(hit)], paulis)
     return out
 
 
@@ -303,7 +303,7 @@ def apply_leg_attack(
     rows: np.ndarray,
     rngs: list,
 ) -> np.ndarray:
-    """Run the configured strategy on one leg's qubits (store indices,
+    """Run the configured strategy on one leg's qubits (arena indices,
     session-major; ``rows[i]`` is the session of qubit i, whose stream is
     ``rngs[rows[i]]``); returns the arriving qubits."""
     if spec is None or leg not in spec.legs or not len(qubits):
@@ -332,5 +332,5 @@ def measure_ancillas(arena: QubitArena, eve: EveState, rngs: list) -> list[np.nd
     counts = np.bincount(rows, minlength=len(rngs)).tolist()
     u = np.concatenate([rng.random(c) for rng, c in zip(rngs, counts)])
     bits = np.empty(len(qubits), dtype=np.intp)
-    bits[order] = run_round("comp_measure", [(arena, qubits[order], u)])[0]
+    bits[order] = run_round("comp_measure", arena, qubits[order], u)
     return np.split(bits, np.cumsum([len(a) for _, a, _ in eve.ancillas])[:-1])

@@ -62,7 +62,10 @@ def parse_grid(spec: str) -> list[float]:
             return [start]
         step = (stop - start) / (count - 1)
         return [start + k * step for k in range(count)]
-    return [_parse_scalar(item) for item in spec.split(",") if item.strip()]
+    atoms = [_parse_scalar(item) for item in spec.split(",") if item.strip()]
+    if not atoms:
+        raise ConfigError("grid must not be empty")
+    return atoms
 
 
 def _write_out(text: str, out_path: str | None) -> None:

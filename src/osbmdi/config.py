@@ -1,9 +1,9 @@
 """Configuration loading: documented key/value files, env overrides, flags.
 
 A config file is a plain text document of ``key = value`` lines (``#``
-starts a comment).  The recognized keys are those of ``_DEFAULTS``, which
-holds each key's default; README's configuration table says what each
-means, and a test holds the table to these keys.
+starts a comment), each key at most once.  The recognized keys are those
+of ``_DEFAULTS``, which holds each key's default; README's configuration
+table says what each means, and a test holds the table to these keys.
 
 Environment variables override file values and CLI flags override both; the
 variable for key ``k`` is ``OSBMDI_<K>`` (upper-case).
@@ -58,6 +58,8 @@ def parse_config_file(path: str) -> dict[str, str]:
                 key = key.strip().lower()
                 if key not in _KEYS:
                     raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
+                if key in values:
+                    raise ConfigError(f"{path}:{lineno}: key {key!r} is given twice")
                 values[key] = value.strip()
     except OSError as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc

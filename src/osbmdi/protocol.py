@@ -340,9 +340,10 @@ def _pair_names(
     initial: str, counts: tuple[int, int, int, int], rows: int
 ) -> tuple[tuple[str, ...], ...]:
     """The qubit names of a party's prepared pairs in a cohort of ``rows``
-    sessions, row by row and block by block (see ``PartyState``), as two
-    columns: the home halves (a whole decoy's half 0), then the traveling
-    halves.  A name ends in its session's row."""
+    sessions, row by row and block by block (``counts`` pairs per block, in
+    the order of ``Cohort.blocks``), as two columns: the home halves (a
+    whole decoy's half 0), then the traveling halves.  A name ends in its
+    session's row."""
     first: list[str] = []
     second: list[str] = []
     for row in range(rows):
@@ -350,28 +351,6 @@ def _pair_names(
             first += [f"{initial}{tag}{i}{s1}.{row}" for i in range(count)]
             second += [f"{initial}{tag}{i}{s2}.{row}" for i in range(count)]
     return tuple(first), tuple(second)
-
-
-@dataclass
-class PartyState:
-    """One party's prepared Bell pairs, as columns.
-
-    The pairs come in four blocks, the slices ``pairs`` (message pairs),
-    ``s1_decoys``, ``s2_whole`` and ``s2_split`` of every column; a pair's
-    index in its block is its message or decoy index.  Pair i is the qubits
-    at the store indices ``qubits[i]`` (the home half, a whole decoy's half
-    0, then the traveling half), in the Bell state ``labels[i]``, whose code
-    is ``codes[i]``.
-    """
-
-    name: str
-    qubits: np.ndarray
-    codes: np.ndarray
-    labels: list[BellLabel]
-    pairs: slice
-    s1_decoys: slice
-    s2_whole: slice
-    s2_split: slice
 
 
 @dataclass
@@ -482,19 +461,24 @@ class Session:
 
 class Cohort:
     """Sessions of one config run side by side: each stage runs once for all
-    of them, and each engine round is one ``run_round`` request over their
-    flat index arrays on one arena.
+    of them, and each engine round is one ``run_round`` over their flat
+    index arrays on the cohort's arena.
 
     A session is a row, its position in ``sessions``, and a party a side,
-    0 = alice and 1 = bob (the ``pauli_frame`` convention): ``codes`` and
+    0 = alice and 1 = bob (the ``pauli_frame`` convention).  ``codes`` and
     ``qubits`` (shapes ``(rows, 2, pairs)`` and ``(rows, 2, pairs, 2)``) hold
-    each party's prepared pairs block by block, as ``PartyState`` describes
-    them, and ``known[side]`` (``(rows, n_pairs)``) the codes of that party's
-    knowledge of the partner's initial labels.  The swap round's arrays are
-    ``(rows, 2, slots)`` or ``(rows, slots)``.  The verify round's are ragged
-    (the number of case-IV survivors varies), flat and session-major, with
-    the row of each item beside them.  An abort clears the row's ``alive``
-    bit, and the later stages run over the rows still alive.
+    each party's prepared pairs in four blocks, the slices ``blocks`` of the
+    pair axis: message pairs, stage-1 decoys, whole and split stage-2
+    decoys; a pair's index in its block is its message or decoy index.  Pair
+    i is in the Bell state of code ``codes[..., i]`` over the arena indices
+    ``qubits[..., i, :]``: the home half (a whole decoy's half 0), then the
+    traveling half.  ``known[side]`` (``(rows, n_pairs)``) holds the codes of
+    that party's knowledge of the partner's initial labels.  The swap
+    round's arrays are ``(rows, 2, slots)`` or ``(rows, slots)``.  The verify
+    round's are ragged (the number of case-IV survivors varies), flat and
+    session-major, with the row of each item beside them.  An abort clears
+    the row's ``alive`` bit, and the later stages run over the rows still
+    alive.
 
     Only two things are done per session: the draws, which each session
     makes from its own stream at each draw point, in the order it makes them
@@ -584,7 +568,7 @@ class Cohort:
     def _measure(self, op: str, qubits: np.ndarray, rngs: list, counts) -> np.ndarray:
         """One measuring round; each session draws its items' uniforms."""
         u = np.concatenate([rng.random(c) for rng, c in zip(rngs, counts)])
-        return run_round(op, [(self.arena, qubits, u)])[0]
+        return run_round(op, self.arena, qubits, u)
 
     def _abort(self, row: int, stage: str, rate: float, kind: str) -> None:
         """Stop a session, recording in its report why."""
@@ -613,12 +597,6 @@ class Cohort:
         for side, state_set in enumerate(self.state_sets):
             if len(state_set) == 1:
                 self.known[1 - side] = self.codes[:, side, :n]
-
-    def party(self, side: int, row: int) -> PartyState:
-        """The prepared pairs of one party of one session."""
-        codes = self.codes[row, side]
-        labels = list(map(BELL_LABELS.__getitem__, codes.tolist()))
-        return PartyState(_NAMES[side], self.qubits[row, side], codes, labels, *self.blocks)
 
     # -- dialogue preliminaries ----------------------------------------------
 
@@ -683,12 +661,12 @@ class Cohort:
     # -- round 1: swap ---------------------------------------------------------
 
     def _transmit(self, side: int, stage: int, qubits: np.ndarray, rows: np.ndarray) -> np.ndarray:
-        """Send one party's qubits (store indices; ``rows`` gives each one's
+        """Send one party's qubits (arena indices; ``rows`` gives each one's
         session) through the channel to the node; returns what arrives."""
         name, arena = _NAMES[side], self.arena
         arena.transfer_many(qubits, "channel", expect=name)
         if self.cfg.noise is not None:
-            run_round("apply_unitary", [(arena, qubits, self.cfg.noise.matrix())])
+            run_round("apply_unitary", arena, qubits, self.cfg.noise.matrix())
         leg = f"stage{stage}_{name}"
         arrived = apply_leg_attack(self.cfg.attack, arena, self.eve, leg, qubits, rows, self.rngs)
         arena.transfer_many(arrived, "charlie")
@@ -797,7 +775,7 @@ class Cohort:
                 report.sent_symbols[_NAMES[side]] = tuple(sent[-1])
             # a symbol is its Pauli's code
             symbols[:, side] = list(chain.from_iterable(sent))
-            run_round("apply_pauli", [(self.arena, homes[:, side], symbols[:, side])])
+            run_round("apply_pauli", self.arena, homes[:, side], symbols[:, side])
         # per party, the whole decoys' two halves, then the split decoys' traveling halves
         whole = self.qubits[sel, :, self.blocks[2]].reshape(len(live), 2, -1)
         decoys = np.concatenate([whole, self.qubits[sel, :, self.blocks[3], 1]], axis=2)
@@ -832,7 +810,7 @@ class Cohort:
                 # the node's bit is a draw, interleaved with the home readouts' uniforms
                 draws = [row_draws(rng, 2, 1, n_split) for rng in rngs]
                 u = np.concatenate([u[:, 0] for _, u in draws])
-                o_bits = run_round("comp_measure", [(self.arena, homes, u)])[0]
+                o_bits = run_round("comp_measure", self.arena, homes, u)
                 bits.append(np.array([np.concatenate([c for c, _ in draws]), o_bits]).T)
             else:
                 pairs = occupants[flat[:, side, :w]].reshape(-1, 2)
@@ -946,26 +924,15 @@ def session_rng(master_seed: int, session_index: int) -> np.random.Generator:
     return np.random.default_rng([master_seed, session_index])
 
 
-def prepare_session(
-    cfg: SessionConfig, session_index: int = 0
-) -> tuple[PartyState, PartyState, frozenset[int], Transcript]:
-    """Build the prepared (pre-transmission) party states for inspection,
-    with the rounds a dishonest node fakes and the (empty) transcript."""
-    session = Session(cfg, session_rng(cfg.master_seed, session_index), session_index)
-    cohort = Cohort([session], QubitArena())
-    cohort._prepare()
-    return cohort.party(0, 0), cohort.party(1, 0), cohort.fake_stages, session.report.transcript
-
-
 def run_session(cfg: SessionConfig, session_index: int = 0) -> SessionReport:
     """Execute one full session under its deterministic per-session stream."""
     session = Session(cfg, session_rng(cfg.master_seed, session_index), session_index)
     return session.run()
 
 
-# Sessions a batch runs as one cohort, their qubits on one store.  A taller
+# Sessions a batch runs as one cohort, their qubits on one arena.  A taller
 # cohort spreads each stage's fixed cost over more sessions; the cap bounds
-# the store, which keeps every register row of its cohort until the cohort
+# the arena, which keeps every register row of its cohort until the cohort
 # ends (a run attacked on every leg peaks 2.4 MB higher at 64 than at 32).
 COHORT = 32
 
@@ -974,7 +941,7 @@ def run_batch(
     cfg: SessionConfig, sessions: int, workers: int = 1
 ) -> list[SessionReport]:
     """Run independent sessions, ``COHORT`` at a time as one cohort on one
-    store; results are ordered by session index, so the outcome does not
+    arena; results are ordered by session index, so the outcome does not
     depend on scheduling."""
     if workers <= 1:
         reports: list[SessionReport] = []

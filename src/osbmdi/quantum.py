@@ -36,22 +36,23 @@ Bell-label convention: psi+/- live on |00> +/- |11>, phi+/- on |01> +/- |10>.
 Note this is swapped relative to the more common psi/phi usage; the whole
 package follows this labeling.
 
-Arena storage: a ``QubitArena`` is a view of a store (``_Store``) that the
-arenas of a cohort of sessions share.  The store keeps the registers as rows
+Arena storage: a ``QubitArena`` holds every qubit of a cohort of sessions
+(the parties' Bell pairs, the node's measurements and Eve's ancillas) as rows
 of one table per width (amplitudes beside member qubits), and per qubit a
 packed location (0 once measured), a holder code and a name.  Across the
-engine boundary qubits are store indices: registration returns them, rounds
-(``run_round``) take index arrays and return outcome codes, and names appear
-only in error messages and the arena's by-name methods.  A round splits its
-items into dependency waves and makes one engine call per group of a wave
-with one layout, gathering and scattering its rows with one index array.
+engine boundary qubits are arena indices: registration returns them, a round
+(``run_round``) takes an index array on one arena and returns outcome codes,
+and names appear only in error messages and the arena's by-name methods.  A
+round splits its items into dependency waves and makes one engine call per
+group of a wave with one layout, gathering and scattering its rows with one
+index array.
 """
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import accumulate, chain
+from itertools import chain
 from typing import Sequence
 
 import numpy as np
@@ -561,7 +562,7 @@ def frame_correction(start: BellLabel, end: BellLabel, side: int = 0) -> PauliLa
 
 
 # ---------------------------------------------------------------------------
-# Arena: a session's registers as rows of per-width tables, and rounds over it.
+# Arena: a cohort's registers as rows of per-width tables, and rounds over it.
 # ---------------------------------------------------------------------------
 
 # Round op -> (measures?, two target qubits per item?).
@@ -595,7 +596,7 @@ def _resized(a: np.ndarray, cap: int) -> np.ndarray:
 
 class _Table:
     """The registers of one width n: row r holds the amplitudes ``amps[r]``
-    (length 2**n) over the qubits ``members[r]`` (store indices, in register
+    (length 2**n) over the qubits ``members[r]`` (arena indices, in register
     order).  Rows are only appended, with capacity grown by doubling; a row
     that no qubit points at any more is dead."""
 
@@ -631,134 +632,58 @@ def _relocation(width: int, gone: tuple[int, ...]) -> tuple[list[int], np.ndarra
     return keep, step, offset
 
 
-class _Store:
-    """The registers of every arena on it, as tables by width (``_Table``),
-    and per qubit a packed location (``loc``, see ``_BASE``; 0 once
-    measured), a holder code (``held``, a position in the short table
-    ``holders``; 0 when not live) and a name.  Qubit indices are store-wide,
-    so one index array reaches the qubits of all its arenas."""
+def run_round(op: str, arena: "QubitArena", qubits: np.ndarray, arg) -> np.ndarray | None:
+    """One round of ``op`` over k items on ``arena``.
 
-    __slots__ = ("names", "loc", "held", "holders", "tables")
+    ``op`` names an arena operation.  ``qubits`` holds the arena indices of
+    the items' targets, shape ``(k,)``, or ``(k, 2)`` for ``bell_measure``
+    and ``apply_cnot``; ``arg`` is a measurement's ``rng`` or its k
+    uniforms, the k Pauli codes (``PauliLabel.symbol``) of ``apply_pauli``,
+    the one matrix of every item of ``apply_unitary``, and None for
+    ``apply_cnot``.  A measuring round returns its outcomes as an array of
+    Bell label codes or bits, a gate round None; the arena and ``rng`` end,
+    and the outcomes are, as after the items run one at a time in order.  A
+    measuring round draws its k uniforms up front, item i taking the i-th.
+    The matrix is checked before the first item runs, so a bad one raises
+    before the arena changes.
 
-    def __init__(self) -> None:
-        self.names: list[str] = []
-        self.loc = np.zeros(64, dtype=np.intp)
-        self.held = np.zeros(64, dtype=np.intp)
-        self.holders: list[str | None] = [None]
-        self.tables: dict[int, _Table] = {}
-
-    def holder_code(self, holder: str) -> int:
-        """The code of ``holder``, entered in the table on first use."""
-        if holder not in self.holders:
-            self.holders.append(holder)
-        return self.holders.index(holder)
-
-    def assign(self, names: list[str], holder: str) -> range:
-        """Indices for the new qubits ``names``, held by ``holder``; they
-        start measured (location 0)."""
-        start = len(self.names)
-        self.names += names
-        if len(self.names) > len(self.loc):
-            cap = max(len(self.names), 2 * len(self.loc))
-            self.loc, self.held = _resized(self.loc, cap), _resized(self.held, cap)
-        self.held[start:len(self.names)] = self.holder_code(holder)
-        return range(start, len(self.names))
-
-    def append(self, amps: np.ndarray | None, members: np.ndarray, gone: tuple = ()) -> None:
-        """Put k registers in new rows of the table of their width, and
-        relocate their qubits.  ``members`` (shape (k, n)) are store indices
-        in register order; the registers are ``amps`` (k, 2**m) over the
-        qubits left when the axes ``gone`` are taken out, which move to 0
-        (measured).  ``amps`` is None when every axis is gone."""
-        keep, step, offset = _relocation(members.shape[1], gone)
-        if amps is None:
-            self.loc.put(members, 0)
-            return
-        n = len(keep)
-        table = self.tables.get(n)
-        if table is None:
-            table = self.tables[n] = _Table(n, max(32, 2 * len(amps)))
-        start = table.extend(len(amps))
-        table.amps[start:table.size] = amps
-        table.members[start:table.size] = members[:, keep]
-        self.loc.put(members, np.multiply.outer(np.arange(start, table.size), step) + offset)
-
-
-def run_round(
-    op: str, requests: Sequence[tuple["QubitArena", np.ndarray, object]]
-) -> list:
-    """One round of ``op`` over the items of any number of arenas on one store.
-
-    ``op`` names an arena operation.  Request r is ``(arena, qubits, arg)``:
-    ``qubits`` holds the store indices of its k items' targets, shape
-    ``(k,)``, or ``(k, 2)`` for ``bell_measure`` and ``apply_cnot``; ``arg``
-    is a measurement's ``rng`` or its k uniforms, the k Pauli codes
-    (``PauliLabel.symbol``) of ``apply_pauli``, the one matrix of every item
-    of ``apply_unitary``, and None for ``apply_cnot``.  Every arena must be
-    on the store of the first, or ``QuantumError`` is raised.  A measuring
-    request gets back its outcomes as an array of Bell label codes or bits,
-    a gate request k Nones; the arenas and each ``rng`` end, and the
-    outcomes are, as after the items run one at a time in call order.  A
-    measuring request draws its k uniforms up front, item i taking the i-th.
-    Every matrix is checked before the first item runs, so a bad one raises
-    before any arena changes.
-
-    The items run in dependency waves (``_plan_waves``), wave w of every
-    request together, so no register appears twice in a wave and each sees
-    its items in call order.  A wave's items are grouped by register widths,
-    target axes and ``apply_unitary`` matrix, and each group is one engine
-    call (``_group_call``) that gathers and scatters the rows of all its
-    arenas; a group's items keep their own uniforms or Pauli symbols.
+    The items run in dependency waves (``_plan_waves``), so no register
+    appears twice in a wave and each sees its items in order.  A wave's
+    items are grouped by register widths and target axes, and each group is
+    one engine call (``_group_call``) that gathers and scatters its rows; a
+    group's items keep their own uniforms or Pauli symbols.
     """
-    if not requests:
-        return []
-    store = requests[0][0]._store
     measuring, joining = _ROUND_OPS[op]
-    parts, counts = [], []
-    for arena, qubits, _ in requests:
-        if arena._store is not store:
-            raise QuantumError("the arenas of one round must share one store")
-        parts.append(qubits)
-        counts.append(len(qubits))
-    if not sum(counts):
-        return [_NO_OUTCOMES if measuring else [] for _ in requests]
+    if not len(qubits):
+        return _NO_OUTCOMES if measuring else None
 
-    # item i: its target qubits' store indices qidx[i] and locations loc[i]
-    # (two for a joining op); a location // _BASE tells its register apart
-    qidx = np.concatenate(parts) if len(parts) > 1 else np.asarray(parts[0])
-    loc = store.loc.take(qidx)
+    # item i: its target qubits' indices qidx[i] and locations loc[i] (two
+    # for a joining op); a location // _BASE tells its register apart
+    qidx = np.asarray(qubits)
+    loc = arena._loc.take(qidx)
     if not loc.all():
         missing = int(qidx.reshape(-1)[loc.argmin()])
-        raise UnknownQubitError(f"qubit {store.names[missing]!r} not in arena")
+        raise UnknownQubitError(f"qubit {arena._names[missing]!r} not in arena")
     if op == "apply_cnot" and np.any(qidx[:, 0] == qidx[:, 1]):
         raise InvalidRegisterError("control and target must differ")
     waves = _plan_waves(loc // _BASE, joining)
     if measuring and waves[0] is not None:
-        _reject_repeats(qidx, store.names)
+        _reject_repeats(qidx, arena._names)
     rowargs = outcomes = None  # per item: a measurement's uniform, or a Pauli's symbol
-    if measuring:  # a request's rng draws its k uniforms here, or it brings them
-        rowargs = _stacked([
-            arg.random(c) if isinstance(arg, np.random.Generator) else _row_uniforms(arg, c)
-            for (_, _, arg), c in zip(requests, counts)
-        ])
+    if measuring:  # the rng draws the k uniforms here, or they are brought
+        k = len(qidx)
+        rowargs = arg.random(k) if isinstance(arg, np.random.Generator) else _row_uniforms(arg, k)
     elif op == "apply_pauli":
-        rowargs = _stacked([np.asarray(c, np.intp) for _, _, c in requests])
-    # the matrices a group may take, and each item's position among them
-    params = pcode = None
-    if op == "apply_unitary":  # told apart by identity, one per request
-        params, ids = [_unitary(u) for _, _, u in requests], [id(u) for _, _, u in requests]
-        if len(set(ids)) > 1:
-            pcode = np.repeat([ids.index(i) for i in ids], counts)
+        rowargs = np.asarray(arg, np.intp)
+    param = _unitary(arg) if op == "apply_unitary" else None
 
     for wave in waves:  # a wave or a group of None is every item
-        wloc = loc if wave is None else store.loc.take(qidx[wave])  # earlier waves moved some
+        wloc = loc if wave is None else arena._loc.take(qidx[wave])  # earlier waves moved some
         if joining:  # (width, axis) of both targets, and whether they lie in two registers
             wreg = wloc // _BASE
             key = (wloc % _ROW) @ _JOIN_KEY + (wreg[:, 0] != wreg[:, 1])
         else:
             key = wloc % _ROW
-            if pcode is not None:
-                key = key * len(params) + (pcode if wave is None else pcode[wave])
         if key.min() == key.max():
             groups = [None]
         else:
@@ -767,11 +692,9 @@ def run_round(
             groups = np.split(order, np.flatnonzero(ordered[1:] != ordered[:-1]) + 1)
         for g in groups:
             items = wave if g is None else g if wave is None else wave[g]
-            first = 0 if items is None else items[0]
             result = _group_call(
-                op, store, wloc if g is None else wloc[g],
-                rowargs if items is None or rowargs is None else rowargs[items],
-                None if params is None else params[0 if pcode is None else pcode[first]],
+                op, arena, wloc if g is None else wloc[g],
+                rowargs if items is None or rowargs is None else rowargs[items], param,
             )
             if not measuring:
                 continue
@@ -783,14 +706,13 @@ def run_round(
                 outcomes[items] = result
 
     if not measuring:
-        return [[None] * c for c in counts]
-    store.held.put(qidx, 0)
-    offsets = [0, *accumulate(counts)]
-    return [outcomes[s:e] for s, e in zip(offsets, offsets[1:])]
+        return None
+    arena._held.put(qidx, 0)
+    return outcomes
 
 
-def _group_call(op, store, gloc, rowargs, param):
-    """One group of a wave: gather its rows from ``store``, make one engine
+def _group_call(op, arena, gloc, rowargs, param):
+    """One group of a wave: gather its rows from ``arena``, make one engine
     call on them and scatter the result back; returns a measurement's outcomes.
 
     The group's target locations are ``gloc``.  A gate on one register
@@ -806,10 +728,10 @@ def _group_call(op, store, gloc, rowargs, param):
     else:
         a, rows_a, xb, cross = int(gloc[0]), rows, 0, False
     wa, xa = a // _BASE % _BASE, a % _BASE
-    table = store.tables[wa]
+    table = arena._tables[wa]
     joint = _trusted(_SLOTS[:wa], table.amps.take(rows_a, 0))
     if cross:
-        table_b = store.tables[wb]
+        table_b = arena._tables[wb]
         joint = tensor(joint, _trusted(_SLOTS[wa:wa + wb], table_b.amps.take(rows_b, 0)))
         xb += wa
     outcomes, out = _engine_call(op, joint, _SLOTS[xa], _SLOTS[xb], rowargs, param)
@@ -821,7 +743,7 @@ def _group_call(op, store, gloc, rowargs, param):
     if cross:
         members = np.concatenate([members, table_b.members.take(rows_b, 0)], axis=1)
     gone = (xa, xb) if op == "bell_measure" else (xa,) if op == "comp_measure" else ()
-    store.append(out, members, gone)
+    arena._append(out, members, gone)
     return outcomes
 
 
@@ -837,10 +759,6 @@ def _engine_call(op, state, ta, tb, rowargs, param):
     if op == "apply_pauli":
         return None, apply_pauli(state, ta, rowargs)
     return None, apply_unitary1q(state, ta, param)
-
-
-def _stacked(parts: list[np.ndarray]) -> np.ndarray:
-    return parts[0] if len(parts) == 1 else np.concatenate(parts)
 
 
 def _plan_waves(keys: np.ndarray, joining: bool) -> list[np.ndarray]:
@@ -900,7 +818,7 @@ def _join_waves(keys) -> list[np.ndarray]:
 
 def _reject_repeats(qidx: np.ndarray, names: list[str]) -> None:
     """Raise when a measuring round names one qubit in two items; ``qidx``
-    holds the items' target store indices, one or two per item."""
+    holds the items' target indices, one or two per item."""
     if qidx.ndim == 2:
         qidx = np.concatenate([qidx[:, 0], qidx[:, 1][qidx[:, 1] != qidx[:, 0]]])
     ordered = np.sort(qidx)
@@ -912,19 +830,22 @@ def _reject_repeats(qidx: np.ndarray, names: list[str]) -> None:
 class QubitArena:
     """Registry of disjoint registers with merge-on-demand and holder tracking.
 
-    A protocol session owns one arena, a view of a ``_Store``: its own, or
-    with ``QubitArena(share)`` that of ``share``, so that one round reaches
-    every arena on it with one index array.  Registration (``add_registers``,
-    ``add_bell_pairs``) returns the new qubits' store indices, which
-    ``transfer_many`` and rounds (``run_round``) take.  Measured qubits
-    disappear; every live qubit has one holder.
+    A cohort of sessions (``protocol.Cohort``), nested cohorts included,
+    keeps its qubits on one arena, so one round reaches every session with
+    one index array.  Per width the arena keeps a table of registers
+    (``_Table``), and per qubit a packed location (``_loc``, see ``_BASE``; 0
+    once measured), a holder code (``_held``, a position in the short table
+    ``_holders``; 0 when not live) and a name.  Registration
+    (``add_registers``, ``add_bell_pairs``) returns the new qubits' arena
+    indices, which ``transfer_many`` and rounds (``run_round``) take.
+    Measured qubits disappear; every live qubit has one holder.
 
     The by-name methods (``indices``, ``names``, ``holders``, ``add_state``,
     ``has``, ``state_of``, ``holder_of``, ``transfer`` and the by-name ops)
-    read the arena's own name index, built on first use and kept by later
-    registrations, which then reject a live name.  So arenas on one store
-    may use the same names, and a name registered again after its qubit was
-    measured names the new qubit.  ``state_of`` returns a copy of a row.
+    read an index of every name registered, built on first use and kept by
+    later registrations, which then reject a live name.  Registrations
+    before it may repeat names, as a nested cohort's do; a name names the
+    latest qubit registered under it.  ``state_of`` returns a copy of a row.
 
     The by-name ops (``apply_pauli``, ``apply_unitary``, ``apply_cnot``,
     ``bell_measure``, ``comp_measure``) are one-item rounds, kept for
@@ -932,37 +853,65 @@ class QubitArena:
     before it draws.  Sessions run their rounds through ``run_round``.
     """
 
-    def __init__(self, share: "QubitArena | None" = None) -> None:
-        self._store = _Store() if share is None else share._store
-        self._own: list[range] = []  # the store indices this arena registered
+    def __init__(self) -> None:
+        self._names: list[str] = []
+        self._loc = np.zeros(64, dtype=np.intp)
+        self._held = np.zeros(64, dtype=np.intp)
+        self._holders: list[str | None] = [None]
+        self._tables: dict[int, _Table] = {}
         self._index: dict[str, int] | None = None  # the by-name index, once built
 
     def _name_index(self) -> dict[str, int]:
-        """Each name this arena registered -> its latest store index."""
-        index = self._index
-        if index is None:
-            names = self._store.names
-            index = self._index = {}
-            for own in self._own:
-                index.update(zip(names[own.start:own.stop], own))
-        return index
+        """Each name this arena registered -> its latest index."""
+        if self._index is None:
+            self._index = dict(zip(self._names, range(len(self._names))))
+        return self._index
+
+    def _holder_code(self, holder: str) -> int:
+        """The code of ``holder``, entered in the table on first use."""
+        if holder not in self._holders:
+            self._holders.append(holder)
+        return self._holders.index(holder)
+
+    def _append(self, amps: np.ndarray | None, members: np.ndarray, gone: tuple = ()) -> None:
+        """Put k registers in new rows of the table of their width, and
+        relocate their qubits.  ``members`` (shape (k, n)) are arena indices
+        in register order; the registers are ``amps`` (k, 2**m) over the
+        qubits left when the axes ``gone`` are taken out, which move to 0
+        (measured).  ``amps`` is None when every axis is gone."""
+        keep, step, offset = _relocation(members.shape[1], gone)
+        if amps is None:
+            self._loc.put(members, 0)
+            return
+        n = len(keep)
+        table = self._tables.get(n)
+        if table is None:
+            table = self._tables[n] = _Table(n, max(32, 2 * len(amps)))
+        start = table.extend(len(amps))
+        table.amps[start:table.size] = amps
+        table.members[start:table.size] = members[:, keep]
+        self._loc.put(members, np.multiply.outer(np.arange(start, table.size), step) + offset)
 
     def _add(self, names: list[str], amps: np.ndarray, holder: str) -> np.ndarray:
         """Register ``names``, in order, as ``len(amps)`` checked registers of
         one width with the amplitude rows ``amps``, held by ``holder``; returns
-        their store indices, one row per register.  With a by-name index, no
-        name may be live."""
-        store, index = self._store, self._index
+        their indices, one row per register.  With a by-name index, no name
+        may be live."""
+        index = self._index
         if index is not None:
-            live = next((q for q in names if q in index and store.held[index[q]]), None)
+            live = next((q for q in names if q in index and self._held[index[q]]), None)
             if live is not None:
                 raise InvalidRegisterError(f"qubit {live!r} already registered")
-        own = store.assign(names, holder)
-        self._own.append(own)
+        start = len(self._names)
+        self._names += names
+        if len(self._names) > len(self._loc):
+            cap = max(len(self._names), 2 * len(self._loc))
+            self._loc, self._held = _resized(self._loc, cap), _resized(self._held, cap)
+        self._held[start:len(self._names)] = self._holder_code(holder)
         if index is not None:
-            index.update(zip(names, own))
-        members = np.arange(own.start, own.stop).reshape(len(amps), -1)
-        store.append(amps, members)
+            index.update(zip(names, range(start, len(self._names))))
+        members = np.arange(start, len(self._names)).reshape(len(amps), -1)
+        self._append(amps, members)
         return members
 
     def add_registers(
@@ -970,7 +919,7 @@ class QubitArena:
     ) -> np.ndarray:
         """Register k registers of one width n, register i over the qubits
         ``registers[i]`` with the amplitudes ``amps[i]`` (shape ``(k, 2**n)``),
-        with one check and one table write; returns the ``(k, n)`` store
+        with one check and one table write; returns the ``(k, n)`` arena
         indices."""
         if not len(registers):
             return np.empty((0, 0), dtype=np.intp)
@@ -987,7 +936,7 @@ class QubitArena:
         """Register pair i over (``firsts[i]``, ``seconds[i]``) in the Bell
         state of code ``codes[i]`` (its ``BellLabel.code``), as ``add_state``
         of ``make_bell`` would, with one write of rows of the Bell table;
-        returns the ``(k, 2)`` store indices."""
+        returns the ``(k, 2)`` arena indices."""
         if not len(codes):
             return np.empty((0, 2), dtype=np.intp)
         names = [None] * (2 * len(codes))
@@ -1006,19 +955,19 @@ class QubitArena:
         self.add_registers([state.qubit_ids], state.amplitudes[None], holder)
 
     def _live(self, qubit_id: str) -> int:
-        """The store index of the live qubit ``qubit_id``."""
+        """The arena index of the live qubit ``qubit_id``."""
         i = self._name_index().get(qubit_id)
-        if i is None or not self._store.held[i]:
+        if i is None or not self._held[i]:
             raise UnknownQubitError(f"qubit {qubit_id!r} not in arena")
         return i
 
     def indices(self, qubit_ids: Sequence[str]) -> np.ndarray:
-        """The store indices of the live qubits ``qubit_ids``."""
+        """The arena indices of the live qubits ``qubit_ids``."""
         return np.fromiter(map(self._live, qubit_ids), np.intp, len(qubit_ids))
 
     def names(self, qubits: np.ndarray) -> list[str]:
-        """The names of the qubits at the store indices ``qubits``."""
-        return list(map(self._store.names.__getitem__, np.asarray(qubits).tolist()))
+        """The names of the qubits at the arena indices ``qubits``."""
+        return list(map(self._names.__getitem__, np.asarray(qubits).tolist()))
 
     def holders(self) -> dict[str, str]:
         """Every live qubit's name -> its holder."""
@@ -1026,53 +975,51 @@ class QubitArena:
 
     def has(self, qubit_id: str) -> bool:
         i = self._name_index().get(qubit_id)
-        return i is not None and bool(self._store.held[i])
+        return i is not None and bool(self._held[i])
 
     def state_of(self, qubit_id: str) -> StateVector:
         """A copy of the register holding ``qubit_id``."""
-        store = self._store
-        row, n = divmod(int(store.loc[self._live(qubit_id)]) // _BASE, _BASE)
-        table = store.tables[n]
-        ids = tuple(map(store.names.__getitem__, table.members[row].tolist()))
+        row, n = divmod(int(self._loc[self._live(qubit_id)]) // _BASE, _BASE)
+        table = self._tables[n]
+        ids = tuple(map(self._names.__getitem__, table.members[row].tolist()))
         return _trusted(ids, table.amps[row].copy())
 
     def holder_of(self, qubit_id: str) -> str:
-        return self._store.holders[self._store.held[self._live(qubit_id)]]
+        return self._holders[self._held[self._live(qubit_id)]]
 
     def transfer(self, qubit_id: str, to: str, expect: str | None = None) -> None:
         self.transfer_many(self.indices((qubit_id,)), to, expect)
 
     def transfer_many(self, qubits: np.ndarray, to: str, expect: str | None = None) -> None:
-        """Hand the qubits at the store indices ``qubits`` to ``to``, all or
+        """Hand the qubits at the arena indices ``qubits`` to ``to``, all or
         nothing: the first that is not live, or not held by ``expect`` when
         given, raises as ``transfer`` would, and then no qubit has moved."""
-        store = self._store
-        held = store.held.take(qubits)
-        bad = held == 0 if expect is None else held != store.holder_code(expect)
+        held = self._held.take(qubits)
+        bad = held == 0 if expect is None else held != self._holder_code(expect)
         if bad.any():
             at = int(bad.argmax())
-            q = store.names[int(np.asarray(qubits)[at])]
+            q = self._names[int(np.asarray(qubits)[at])]
             if not held[at]:
                 raise UnknownQubitError(f"qubit {q!r} not in arena")
             raise InvalidRegisterError(
-                f"qubit {q!r} held by {store.holders[held[at]]!r}, expected {expect!r}"
+                f"qubit {q!r} held by {self._holders[held[at]]!r}, expected {expect!r}"
             )
-        store.held.put(qubits, store.holder_code(to))
+        self._held.put(qubits, self._holder_code(to))
 
     def apply_pauli(self, qubit_id: str, p: PauliLabel) -> None:
-        run_round("apply_pauli", [(self, self.indices((qubit_id,)), [p.symbol])])
+        run_round("apply_pauli", self, self.indices((qubit_id,)), [p.symbol])
 
     def apply_unitary(self, qubit_id: str, u: np.ndarray) -> None:
-        run_round("apply_unitary", [(self, self.indices((qubit_id,)), u)])
+        run_round("apply_unitary", self, self.indices((qubit_id,)), u)
 
     def apply_cnot(self, control: str, target: str) -> None:
-        run_round("apply_cnot", [(self, self.indices((control, target))[None], None)])
+        run_round("apply_cnot", self, self.indices((control, target))[None], None)
 
     def bell_measure(self, q_a: str, q_b: str, rng: np.random.Generator) -> BellLabel:
         pair = self.indices((q_a, q_b))
         if q_a == q_b:  # the round would draw before its engine call raises
             raise InvalidRegisterError("cannot Bell-measure a qubit against itself")
-        return BELL_LABELS[run_round("bell_measure", [(self, pair[None], rng)])[0][0]]
+        return BELL_LABELS[run_round("bell_measure", self, pair[None], rng)[0]]
 
     def comp_measure(self, qubit_id: str, rng: np.random.Generator) -> int:
-        return int(run_round("comp_measure", [(self, self.indices((qubit_id,)), rng)])[0][0])
+        return int(run_round("comp_measure", self, self.indices((qubit_id,)), rng)[0])

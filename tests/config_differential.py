@@ -21,6 +21,10 @@ Run from the repository root (a full run takes a few minutes per tree):
 The other tree runs with ``PYTHONPATH=<PATH>/src`` while this one runs, its
 lines going to a temporary file.
 
+``tests/config_differential.golden`` holds the digests of the tree that
+committed it; CI diffs a fresh run against it, so a changed or flagged
+config shows as a diff line.
+
 The exit status is 1 when a config is flagged or differs, else 0.
 """
 import argparse

@@ -37,8 +37,9 @@ def test_parse_grid_linspace_and_atoms():
 
 
 def test_parse_grid_rejects_empty():
-    with pytest.raises(ConfigError):
-        parse_grid("")
+    for spec in ("", ",", " , , "):
+        with pytest.raises(ConfigError, match="grid must not be empty"):
+            parse_grid(spec)
     with pytest.raises(ConfigError):
         parse_grid("0:1:0")
 
@@ -246,6 +247,15 @@ def test_run_missing_config_exit_one(tmp_path):
     assert code == 1
 
 
+def test_run_config_repeating_a_key_exit_one_no_report(tmp_path, capsys):
+    cfg = tmp_path / "twice.cfg"
+    cfg.write_text("n_pairs = 8\nseed = 3\nN_PAIRS = 64\n")
+    out = tmp_path / "never.txt"
+    assert run_cli(["run", "--config", str(cfg), "--sessions", "2", "--out", str(out)]) == 1
+    assert f"error: {cfg}:3: key 'n_pairs' is given twice" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_run_workers_do_not_change_bytes(tmp_path):
     out = tmp_path / "report.txt"
     base = ["run", "--sessions", "16", "--seed", "21", "--out", str(out)]
@@ -393,8 +403,10 @@ def test_sweep_non_finite_noise_grid_is_usage_error(tmp_path, capsys, grid):
     assert not out.exists()
 
 
-def test_sweep_empty_grid_is_usage_error():
-    assert run_cli(["sweep", "--kind", "noise", "--grid", " "]) == 1
+def test_sweep_empty_grid_is_usage_error(capsys):
+    for grid in (" ", ",", " , , "):
+        assert run_cli(["sweep", "--kind", "noise", "--grid", grid]) == 1
+        assert "error: grid must not be empty" in capsys.readouterr().err
 
 
 def test_sweep_unknown_attack_is_usage_error():

@@ -503,34 +503,36 @@ def codes(outcomes):
     return [o.code if isinstance(o, BellLabel) else o for o in outcomes]
 
 
-def index_requests(op, arena, items, rng):
-    """The ``run_round`` requests ``(arena, qubits, arg)`` of the named one
-    ``(arena, items, rng)``, whose items are those of the scalar op: qubit
-    names go through ``QubitArena.indices``, Paulis become codes, and a
-    unitary round's items become one request per run of one matrix."""
+def index_rounds(op, arena, items, arg):
+    """The ``run_round`` arguments ``(qubits, arg)`` of the named round
+    ``(items, arg)`` on ``arena``, whose items are those of the scalar op:
+    qubit names go through ``QubitArena.indices``, Paulis become codes, and
+    a unitary round's items become one round per run of one matrix."""
     if op == "apply_unitary":
         runs = [list(run) for _, run in itertools.groupby(items, key=lambda item: id(item[1]))]
-        return [(arena, arena.indices([q for q, _ in run]), run[0][1]) for run in runs]
+        return [(arena.indices([q for q, _ in run]), run[0][1]) for run in runs]
     if op == "apply_pauli":
-        return [(arena, arena.indices([q for q, _ in items]), [p.symbol for _, p in items])]
+        return [(arena.indices([q for q, _ in items]), [p.symbol for _, p in items])]
     if op in ("bell_measure", "apply_cnot"):
-        return [(arena, arena.indices([q for item in items for q in item]).reshape(-1, 2), rng)]
-    return [(arena, arena.indices(items), rng)]
+        return [(arena.indices([q for item in items for q in item]).reshape(-1, 2), arg)]
+    return [(arena.indices(items), arg)]
 
 
-def named_round(op, requests):
-    """``run_round`` over named requests: per request, the list of its
-    items' results (outcome codes, or None for a gate)."""
-    parts = [index_requests(op, *request) for request in requests]
-    got = iter(run_round(op, [request for part in parts for request in part]))
-    return [[x for _ in part for x in list(next(got))] for part in parts]
+def named_round(op, arena, items, arg):
+    """``run_round`` over named items: their results, outcome codes or None
+    for a gate."""
+    got = []
+    for qubits, a in index_rounds(op, arena, items, arg):
+        out = run_round(op, arena, qubits, a)
+        got += [None] * len(qubits) if out is None else out.tolist()
+    return got
 
 
-def random_arena(seed, n_regs, share=None):
+def random_arena(seed, n_regs):
     """An arena and a reference arena of the same random 1-3 qubit registers
-    r{i}_{j}, the first on the store of ``share`` when given."""
+    r{i}_{j}."""
     rng = np.random.default_rng(seed)
-    arenas = (QubitArena(share), RefArena())
+    arenas = (QubitArena(), RefArena())
     for i in range(n_regs):
         width = int(rng.integers(1, 4))
         state = random_state(width, int(rng.integers(1 << 20)), prefix=f"r{i}_")
@@ -563,7 +565,7 @@ def live_qubits(arena, rng):
 
 def run_both(batched, scalar, seed, op, one, items):
     rng_b, rng_s = np.random.default_rng(seed), np.random.default_rng(seed)
-    got = named_round(op, [(batched, items, rng_b)])[0]
+    got = named_round(op, batched, items, rng_b)
     want = [one(scalar, item, rng_s) for item in items]
     assert got == codes(want)
     assert rng_b.bit_generator.state == rng_s.bit_generator.state
@@ -582,13 +584,13 @@ def test_round_operations_match_scalar_calls(seed, n_regs):
 
     qubits = live_qubits(batched, rng)  # every qubit: registers repeat
     items = [(q, u) for q in qubits]
-    named_round("apply_unitary", [(batched, items, None)])
+    named_round("apply_unitary", batched, items, None)
     for q, m in items:
         scalar.apply_unitary(q, m)
     assert_same_arena(batched, scalar)
 
     items = [(q, paulis[int(rng.integers(4))]) for q in live_qubits(batched, rng)]
-    named_round("apply_pauli", [(batched, items, None)])
+    named_round("apply_pauli", batched, items, None)
     for q, p in items:
         scalar.apply_pauli(q, p)
     assert_same_arena(batched, scalar)
@@ -604,10 +606,10 @@ def test_round_operations_match_scalar_calls(seed, n_regs):
     assert not batched.holders() and not scalar.holders()
 
 
-def chained_arena(k, share=None):
+def chained_arena(k):
     """An arena and a reference arena of the same k two-qubit registers
-    c{i}a, c{i}b, the first on the store of ``share`` when given."""
-    arenas = (QubitArena(share), RefArena())
+    c{i}a, c{i}b."""
+    arenas = (QubitArena(), RefArena())
     for i in range(k):
         state = random_state(2, i, prefix=f"c{i}")
         for arena in arenas:
@@ -630,7 +632,7 @@ def test_bell_round_with_chained_registers_runs_in_waves(monkeypatch):
     batched, scalar = chained_arena(k)
     pairs = [(f"c{i}b", f"c{i + 1}a") for i in range(k - 1)]
     calls = engine_calls(monkeypatch, "bell_measure")
-    named_round("bell_measure", [(batched, pairs, np.random.default_rng(3))])
+    named_round("bell_measure", batched, pairs, np.random.default_rng(3))
     assert len(calls) == k - 1  # one call per wave
     batched, _ = chained_arena(k)
     run_both(batched, scalar, 3, "bell_measure",
@@ -645,7 +647,7 @@ def test_readout_round_of_shared_registers_runs_in_two_waves(monkeypatch):
     batched, scalar = chained_arena(k)
     qubits = [q for i in range(k) for q in (f"c{i}a", f"c{i}b")]
     calls = engine_calls(monkeypatch, "comp_measure")
-    named_round("comp_measure", [(batched, qubits, np.random.default_rng(4))])
+    named_round("comp_measure", batched, qubits, np.random.default_rng(4))
     assert calls == [(k, 4), (k, 2)]
     batched, _ = chained_arena(k)
     run_both(batched, scalar, 4, "comp_measure",
@@ -679,7 +681,7 @@ def test_cnot_round_matches_scalar_calls(k, monkeypatch):
     )
     for items in rounds:
         stacked.clear()
-        assert named_round("apply_cnot", [(batched, items, None)]) == [[None] * len(items)]
+        assert named_round("apply_cnot", batched, items, None) == [None] * len(items)
         assert all(stacked)
         calls = len(stacked)
         for control, target in items:
@@ -744,82 +746,12 @@ def test_rounds_of_a_few_items_run_stacked(monkeypatch):
         assert calls == groups
 
 
-@pytest.mark.parametrize("seed", range(4))
-def test_cross_arena_round_matches_each_arena_alone(seed):
-    """One round over five arenas, each with its own generator, leaves every
-    arena, outcome and generator as that arena's scalar calls would; groups
-    merge items of several arenas."""
-    share = QubitArena()  # every batched arena on one store
-    pairs = [random_arena(10 * seed + a, 24, share) for a in range(5)]
-    picks = np.random.default_rng(seed)
-    u = random_unitary(seed)
-    paulis = list(PauliLabel)
-
-    def bell_pairs(arena):
-        qubits = live_qubits(arena, picks)
-        return list(zip(qubits[0::2], qubits[1::2]))[: len(qubits) // 3]
-
-    rounds = (
-        ("apply_unitary", lambda a: [(q, u) for q in live_qubits(a, picks)],
-         lambda a, it, _: a.apply_unitary(*it)),
-        ("apply_pauli",
-         lambda a: [(q, paulis[int(picks.integers(4))]) for q in live_qubits(a, picks)],
-         lambda a, it, _: a.apply_pauli(*it)),
-        ("bell_measure", bell_pairs, lambda a, it, r: a.bell_measure(*it, r)),
-        ("comp_measure", lambda a: live_qubits(a, picks), lambda a, it, r: a.comp_measure(it, r)),
-    )
-    for op, make_items, one in rounds:
-        measuring = op.endswith("measure")
-        items = [make_items(batched) for batched, _ in pairs]
-        rngs = [np.random.default_rng([seed, a]) for a in range(len(pairs))]
-        got = named_round(op, [
-            (batched, its, rng if measuring else None)
-            for (batched, _), its, rng in zip(pairs, items, rngs)
-        ])
-        for a, ((batched, scalar), its, rng) in enumerate(zip(pairs, items, rngs)):
-            rng_s = np.random.default_rng([seed, a])
-            want = [one(scalar, item, rng_s) for item in its]
-            assert_same_arena(batched, scalar)
-            if measuring:
-                assert got[a] == codes(want)
-                assert rng.bit_generator.state == rng_s.bit_generator.state
-    assert all(not b.holders() and not s.holders() for b, s in pairs)
-
-
-def test_cross_arena_round_stacks_what_no_arena_could_stack_alone(monkeypatch):
-    """Two Bell measurements per arena, then both qubits of each joined
-    register, over four arenas: each arena brings two rows to a group, and
-    each group is one call on the rows of all four."""
-    stacked = []
-    for name in ("bell_measure", "comp_measure"):
-        real = getattr(quantum, name)
-        monkeypatch.setattr(quantum, name, lambda s, *a, real=real, name=name: (
-            stacked.append((name, len(s.amplitudes))) if s.amplitudes.ndim == 2 else None
-        ) or real(s, *a))
-    share = QubitArena()
-    pairs = [chained_arena(4, share) for _ in range(4)]
-    bell = [("c0b", "c1a"), ("c2b", "c3a")]
-    readout = ["c0a", "c1b", "c2a", "c3b"]
-    for op, items, one in (
-        ("bell_measure", bell, lambda a, it, r: a.bell_measure(*it, r)),
-        ("comp_measure", readout, lambda a, it, r: a.comp_measure(it, r)),
-    ):
-        rngs = [np.random.default_rng([7, a]) for a in range(len(pairs))]
-        got = named_round(op, [(batched, items, rng) for (batched, _), rng in zip(pairs, rngs)])
-        for a, ((batched, scalar), rng) in enumerate(zip(pairs, rngs)):
-            rng_s = np.random.default_rng([7, a])
-            assert got[a] == codes([one(scalar, item, rng_s) for item in items])
-            assert rng.bit_generator.state == rng_s.bit_generator.state
-            assert_same_arena(batched, scalar)
-    assert stacked == [("bell_measure", 8), ("comp_measure", 8), ("comp_measure", 8)]
-
-
 def test_round_measuring_a_qubit_twice_raises_like_the_scalar_ops():
     for k in (4, 24):  # a short round and a long one
         batched, scalar = chained_arena(k)
         qubits = [f"c{i}a" for i in range(k)] + ["c0a"]
         with pytest.raises(UnknownQubitError):
-            named_round("comp_measure", [(batched, qubits, np.random.default_rng(0))])
+            named_round("comp_measure", batched, qubits, np.random.default_rng(0))
         with pytest.raises(UnknownQubitError):
             for q in qubits:
                 scalar.comp_measure(q, np.random.default_rng(0))
@@ -913,11 +845,11 @@ def test_states_in_and_out_of_the_arena_never_change():
     bells = {lab: v.copy() for lab, v in BELL_VECTORS.items()}
     out = arena.state_of("r1"), arena.state_of("b0")
     held = [s.amplitudes.copy() for s in out]
-    named_round("apply_unitary", [(arena, [("r1", random_unitary(3)), ("b0", random_unitary(4))], None)])
-    named_round("apply_pauli", [(arena, [("r2", PauliLabel.IY), ("b1", PauliLabel.X)], None)])
+    named_round("apply_unitary", arena, [("r1", random_unitary(3)), ("b0", random_unitary(4))], None)
+    named_round("apply_pauli", arena, [("r2", PauliLabel.IY), ("b1", PauliLabel.X)], None)
     arena.apply_pauli("r0", PauliLabel.Z)
-    named_round("apply_cnot", [(arena, [("r0", "b1")], None)])
-    named_round("comp_measure", [(arena, ["r2", "b0"], np.random.default_rng(5))])
+    named_round("apply_cnot", arena, [("r0", "b1")], None)
+    named_round("comp_measure", arena, ["r2", "b0"], np.random.default_rng(5))
     arena.comp_measure("r1", np.random.default_rng(6))
     assert np.array_equal(added.amplitudes, before)
     assert all(np.array_equal(s.amplitudes, h) for s, h in zip(out, held))
@@ -963,120 +895,116 @@ _SCALAR = {
 @settings(max_examples=100, deadline=None, derandomize=True, database=None)
 @given(data=st.data())
 def test_rounds_match_scalar_ops(data):
-    """Random rounds of all five ops over 1-3 arenas of random 1-3 qubit
-    registers, with joining items and registers repeated within a round (so
-    several waves), leave outcomes, generators, holders and every live
-    register as the scalar op on each item in order."""
-    n_arenas = data.draw(st.integers(1, 3))
-    share = QubitArena()
-    pairs = [
-        random_arena(data.draw(st.integers(0, 2**16)), data.draw(st.integers(1, 4)), share)
-        for _ in range(n_arenas)
-    ]
+    """Random rounds of all five ops over random 1-3 qubit registers, with
+    joining items and registers repeated within a round (so several waves),
+    leave outcomes, generators, holders and every live register as the
+    scalar op on each item in order."""
+    batched, scalar = random_arena(data.draw(st.integers(0, 2**16)), data.draw(st.integers(1, 8)))
     for r in range(data.draw(st.integers(1, 4))):
         op = data.draw(st.sampled_from(sorted(_SCALAR)))
-        measuring = op.endswith("measure")
-        items = [_draw_items(data, op, sorted(scalar.holders())) for _, scalar in pairs]
-        rngs = [np.random.default_rng([r, a]) for a in range(n_arenas)]
-        got = named_round(op, [
-            (batched, its, rng if measuring else None)
-            for (batched, _), its, rng in zip(pairs, items, rngs)
-        ])
-        for a, ((batched, scalar), its) in enumerate(zip(pairs, items)):
-            rng = np.random.default_rng([r, a])
-            assert got[a] == codes([_SCALAR[op](scalar, item, rng) for item in its])
-            assert rngs[a].bit_generator.state == rng.bit_generator.state
-            assert_same_arena(batched, scalar)
+        items = _draw_items(data, op, sorted(scalar.holders()))
+        rng, rng_s = np.random.default_rng(r), np.random.default_rng(r)
+        got = named_round(op, batched, items, rng if op.endswith("measure") else None)
+        assert got == codes([_SCALAR[op](scalar, item, rng_s) for item in items])
+        assert rng.bit_generator.state == rng_s.bit_generator.state
+        assert_same_arena(batched, scalar)
 
 
-# --- rounds over store indices -------------------------------------------------------------
+# --- rounds over arena indices -------------------------------------------------------------
 
 
-def indexed_arena(seed, n_regs, share):
-    """An arena on the store of ``share`` and a reference arena, of the same
-    random 1-3 qubit registers r{i}_{j}, and each name's store index in the
-    first: the first registers through ``add_registers`` and is never asked
-    a name."""
+def indexed_arena(seed, n_regs, batched):
+    """A reference arena of random 1-3 qubit registers r{i}_{j}, the same
+    registers added to ``batched`` through ``add_registers``, which is never
+    asked a name, and each name's index in ``batched``."""
     rng = np.random.default_rng(seed)
-    batched, scalar, at = QubitArena(share), RefArena(), {}
+    scalar, at = RefArena(), {}
     for i in range(n_regs):
         width = int(rng.integers(1, 4))
         state = random_state(width, int(rng.integers(1 << 20)), prefix=f"r{i}_")
         qubits = batched.add_registers([state.qubit_ids], state.amplitudes[None], "node")
         at.update(zip(state.qubit_ids, qubits[0].tolist()))
         scalar.add_state(state, "node")
-    return batched, scalar, at
+    return scalar, at
+
+
+def assert_same_parts(batched, parts):
+    """Each reference arena of ``parts`` matches the qubits of ``batched``
+    that its ``at`` names, read with ``at`` as the by-name index."""
+    for scalar, at in parts:
+        batched._index = at
+        assert_same_arena(batched, scalar)
+    batched._index = None
 
 
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
 @given(data=st.data())
 def test_index_rounds_match_scalar_ops_on_arenas_sharing_names(data):
-    """Two arenas on one store with the same qubit names: rounds of all five
-    ops and hand-overs, built from the store indices registration returned,
-    leave outcome codes, generators, registers and holders as the scalar
-    by-name ops on two standalone arenas, and a hand-over that fails moves
-    nothing and raises what ``transfer`` of its first bad qubit raises."""
-    share = QubitArena()
+    """Two sets of registers with the same qubit names on one arena, as a
+    nested cohort's names repeat its parent's: rounds of all five ops and
+    hand-overs over both sets, built from the indices registration returned,
+    with each set's uniforms drawn from its own stream, leave outcome codes,
+    draws, registers and holders as the scalar by-name ops on two reference
+    arenas, one per set, and a hand-over that fails moves nothing and raises
+    what ``transfer`` of its first bad qubit raises."""
+    batched = QubitArena()
     n_regs = data.draw(st.integers(1, 4))
-    arenas = [indexed_arena(data.draw(st.integers(0, 2**16)), n_regs, share) for _ in range(2)]
+    parts = [indexed_arena(data.draw(st.integers(0, 2**16)), n_regs, batched) for _ in range(2)]
     for r in range(data.draw(st.integers(1, 5))):
         op = data.draw(st.sampled_from(sorted(_SCALAR) + ["transfer"]))
-        measuring = op.endswith("measure")
         u = data.draw(st.sampled_from(_UNITARIES))
         items = [_draw_items(data, op if op != "transfer" else "comp_measure",
-                             sorted(scalar.holders())) for _, scalar, _ in arenas]
+                             sorted(scalar.holders())) for scalar, _ in parts]
         if op == "apply_unitary":
-            items = [[q for q, _ in its] for its in items]
+            items = [[(q, u) for q, _ in its] for its in items]
+        named = [(scalar, at, item) for (scalar, at), its in zip(parts, items) for item in its]
         if op == "transfer":
             expect = data.draw(st.sampled_from([None, "node", "eve"]))
-            for (batched, scalar, at), its in zip(arenas, items):
-                qubits = np.array([at[q] for q in its], dtype=np.intp)
-                bad = [q for q in its if expect not in (None, scalar.holder_of(q))]
-                if bad:
-                    with pytest.raises(InvalidRegisterError) as bulk:
-                        batched.transfer_many(qubits, "eve", expect)
-                    with pytest.raises(InvalidRegisterError) as single:
-                        scalar.transfer(bad[0], "eve", expect)
-                    assert str(bulk.value) == str(single.value)
-                else:
+            qubits = np.array([at[q] for _, at, q in named], dtype=np.intp)
+            bad = [(ref, q) for ref, _, q in named if expect not in (None, ref.holder_of(q))]
+            if bad:
+                with pytest.raises(InvalidRegisterError) as bulk:
                     batched.transfer_many(qubits, "eve", expect)
-                    for q in its:
-                        scalar.transfer(q, "eve", expect)
-                assert_same_arena(batched, scalar)
-            continue
-        requests = []
-        rngs = [np.random.default_rng([r, a]) for a in range(2)]
-        for (batched, _, at), its, rng in zip(arenas, items, rngs):
-            if op == "apply_pauli":
-                qubits, arg = [at[q] for q, _ in its], [p.symbol for _, p in its]
-            elif op in ("bell_measure", "apply_cnot"):
-                qubits, arg = [[at[q] for q in item] for item in its], rng if measuring else None
+                with pytest.raises(InvalidRegisterError) as single:
+                    bad[0][0].transfer(bad[0][1], "eve", expect)
+                assert str(bulk.value) == str(single.value)
             else:
-                qubits, arg = [at[q] for q in its], u if op == "apply_unitary" else rng
-            shape = (-1, 2) if op in ("bell_measure", "apply_cnot") else (-1,)
-            requests.append((batched, np.array(qubits, dtype=np.intp).reshape(shape), arg))
-        got = run_round(op, requests)
-        for a, ((batched, scalar, _), its) in enumerate(zip(arenas, items)):
+                batched.transfer_many(qubits, "eve", expect)
+                for scalar, _, q in named:
+                    scalar.transfer(q, "eve", expect)
+            assert_same_parts(batched, parts)
+            continue
+        rngs = [np.random.default_rng([r, a]) for a in range(2)]
+        measuring = op.endswith("measure")
+        if op in ("bell_measure", "apply_cnot"):
+            qubits = np.array([[at[q] for q in item] for _, at, item in named], int).reshape(-1, 2)
+        else:  # an item is a qubit, or a qubit and its Pauli or matrix
+            qubits = np.array([at[item if measuring else item[0]] for _, at, item in named], int)
+        if measuring:
+            arg = np.concatenate([rng.random(len(its)) for rng, its in zip(rngs, items)])
+        elif op == "apply_pauli":
+            arg = [item[1].symbol for *_, item in named]
+        else:
+            arg = u if op == "apply_unitary" else None
+        got = run_round(op, batched, qubits, arg)
+        want = []
+        for a, ((scalar, _), its) in enumerate(zip(parts, items)):
             rng = np.random.default_rng([r, a])
-            if op == "apply_unitary":
-                its = [(q, u) for q in its]
-            want = [_SCALAR[op](scalar, item, rng) for item in its]
-            if measuring:
-                assert got[a].tolist() == codes(want)
+            want += [_SCALAR[op](scalar, item, rng) for item in its]
             assert rngs[a].bit_generator.state == rng.bit_generator.state
-            assert_same_arena(batched, scalar)
+        assert (got.tolist() if measuring else got) == (codes(want) if measuring else None)
+        assert_same_parts(batched, parts)
 
 
 def test_index_paths_raise_the_by_name_messages():
-    """Two arenas on one store register the same names.  Store indices that
-    are measured, repeated, held by another party or registered again raise
-    word for word what the by-name methods of a standalone arena raise, and
-    the failed call changes nothing."""
+    """Arena indices that are measured, repeated, held by another party or
+    registered again raise word for word what the by-name methods of a
+    reference arena raise, and the failed call changes nothing."""
     psip = BellLabel.PSI_PLUS.code
-    share = QubitArena()
-    first, second, ref = QubitArena(share), QubitArena(share), RefArena()
-    a = first.add_bell_pairs([psip], ["x"], ["y"], "alice")[0]
-    b = second.add_bell_pairs([psip], ["x"], ["y"], "bob")[0]
+    arena, ref = QubitArena(), RefArena()
+    a = arena.add_bell_pairs([psip], ["s"], ["t"], "alice")[0]
+    b = arena.add_bell_pairs([psip], ["x"], ["y"], "bob")[0]
+    ref.add_bell_pairs([psip], ["s"], ["t"], "alice")
     ref.add_bell_pairs([psip], ["x"], ["y"], "bob")
 
     def message(call, error):
@@ -1084,34 +1012,32 @@ def test_index_paths_raise_the_by_name_messages():
             call()
         return str(caught.value)
 
-    assert message(lambda: run_round("comp_measure", [
-        (first, a, np.random.default_rng(0)), (second, b[[1, 0, 1]], np.random.default_rng(0))
-    ]), UnknownQubitError) == "qubit 'y' is measured twice in one round"
-    assert message(lambda: second.transfer_many(b, "charlie", expect="alice"),
+    assert message(lambda: run_round("comp_measure", arena, np.concatenate([a, b[[1, 0, 1]]]),
+                                     np.random.default_rng(0)),
+                   UnknownQubitError) == "qubit 'y' is measured twice in one round"
+    assert message(lambda: arena.transfer_many(b, "charlie", expect="alice"),
                    InvalidRegisterError) == message(
         lambda: ref.transfer("x", "charlie", expect="alice"), InvalidRegisterError)
-    assert first.holders() == {"x": "alice", "y": "alice"}
-    assert second.holders() == ref.holders() == {"x": "bob", "y": "bob"}
+    assert arena.holders() == ref.holders() == {"s": "alice", "t": "alice", "x": "bob", "y": "bob"}
 
-    rng = np.random.default_rng(1)
-    run_round("comp_measure", [(second, b[:1], rng)])
+    run_round("comp_measure", arena, b[:1], np.random.default_rng(1))
     ref.comp_measure("x", np.random.default_rng(1))
-    assert message(lambda: run_round("apply_pauli", [(first, a, [1, 1]), (second, b, [1, 1])]),
+    assert message(lambda: run_round("apply_pauli", arena, np.concatenate([a, b]), [1] * 4),
                    UnknownQubitError) == message(lambda: ref.apply_pauli("x", PauliLabel.X),
                                                  UnknownQubitError) == "qubit 'x' not in arena"
-    assert message(lambda: second.transfer_many(b, "charlie"), UnknownQubitError) == message(
+    assert message(lambda: arena.transfer_many(b, "charlie"), UnknownQubitError) == message(
         lambda: ref.transfer("x", "charlie"), UnknownQubitError)
-    assert first.holders() == {"x": "alice", "y": "alice"}
-    assert second.holders() == ref.holders() == {"y": "bob"}
+    assert arena.holders() == ref.holders() == {"s": "alice", "t": "alice", "y": "bob"}
+    assert_same_arena(arena, ref)
 
     # with the by-name index built, a live name cannot be registered again;
-    # a measured one can, in its own arena only
-    assert message(lambda: second.add_bell_pairs([psip], ["z"], ["y"], "bob"),
+    # a measured one can
+    assert message(lambda: arena.add_bell_pairs([psip], ["z"], ["y"], "bob"),
                    InvalidRegisterError) == message(
         lambda: ref.add_bell_pairs([psip], ["z"], ["y"], "bob"), InvalidRegisterError)
-    again = second.add_bell_pairs([psip], ["x"], ["z"], "bob")[0]
+    again = arena.add_bell_pairs([psip], ["x"], ["z"], "bob")[0]
     ref.add_bell_pairs([psip], ["x"], ["z"], "bob")
-    assert again[0] != b[0] and second.indices(["x", "z"]).tolist() == again.tolist()
-    assert second.holders() == ref.holders() == {"y": "bob", "x": "bob", "z": "bob"}
-    assert first.holders() == {"x": "alice", "y": "alice"}
-    assert first.state_of("x").qubit_ids == ("x", "y")
+    assert again[0] != b[0] and arena.indices(["x", "z"]).tolist() == again.tolist()
+    holders = {"s": "alice", "t": "alice", "y": "bob", "x": "bob", "z": "bob"}
+    assert arena.holders() == ref.holders() == holders
+    assert_same_arena(arena, ref)

@@ -32,13 +32,12 @@ from osbmdi.protocol import (
     decode_table_rows,
     draw_codes,
     insert_decoys,
-    prepare_session,
     row_draws,
     run_batch,
     run_session,
     session_rng,
 )
-from osbmdi.quantum import BellLabel, PauliLabel, QubitArena
+from osbmdi.quantum import BellLabel, PauliLabel, QubitArena, label_of
 
 PSIP = BellLabel.PSI_PLUS
 PSIM = BellLabel.PSI_MINUS
@@ -105,25 +104,36 @@ def test_decoy_policy_parse_and_draw():
 # --- preparation ----------------------------------------------------------------
 
 
+def _prepared(cfg):
+    """A one-session cohort of ``cfg`` after preparation, and its labels by
+    side (``Cohort.codes`` as ``BellLabel``s)."""
+    cohort = Cohort([Session(cfg, session_rng(cfg.master_seed, 0))], QubitArena())
+    cohort._prepare()
+    return cohort, [[LABELS[c] for c in codes] for codes in cohort.codes[0].tolist()]
+
+
 def test_prepare_session_defaults():
     cfg = SessionConfig(n_pairs=4, master_seed=11)
-    alice, bob, fake_stages, transcript = prepare_session(cfg)
-    assert len(alice.labels[alice.pairs]) == 4 and len(bob.labels[bob.pairs]) == 4
-    assert all(label is PSIP for label in alice.labels[alice.pairs])
-    assert all(label in (PSIP, PSIM) for label in bob.labels[bob.pairs])
-    assert len(alice.labels[alice.s1_decoys]) == 2
-    assert len(alice.labels[alice.s2_whole]) + len(alice.labels[alice.s2_split]) == 2
-    assert all(label is PSIP for label in alice.labels[alice.s1_decoys.start:])
-    assert [LABELS[c] for c in alice.codes] == alice.labels
-    assert len(transcript) == 0
-    assert fake_stages == frozenset()
+    cohort, (alice, bob) = _prepared(cfg)
+    pairs, s1_decoys, s2_whole, s2_split = cohort.blocks
+    assert len(alice[pairs]) == 4 and len(bob[pairs]) == 4
+    assert all(label is PSIP for label in alice[pairs])
+    assert all(label in (PSIP, PSIM) for label in bob[pairs])
+    assert len(alice[s1_decoys]) == 2
+    assert len(alice[s2_whole]) + len(alice[s2_split]) == 2
+    assert all(label is PSIP for label in alice[s1_decoys.start:])
+    # each pair holds the Bell state of its code
+    arena = cohort.arena
+    assert [label_of(arena.state_of(arena.names(q)[0])) for q in cohort.qubits[0, 0]] == alice
+    assert len(cohort.reports[0].transcript) == 0
+    assert cohort.fake_stages == frozenset()
 
 
 def test_prepare_bob_draws_both_labels_across_seeds():
     seen = set()
     for seed in range(12):
-        _, bob, _, _ = prepare_session(SessionConfig(n_pairs=4, master_seed=seed))
-        seen.update(bob.labels[bob.pairs])
+        cohort, (_, bob) = _prepared(SessionConfig(n_pairs=4, master_seed=seed))
+        seen.update(bob[cohort.blocks[0]])
     assert seen == {PSIP, PSIM}
 
 
@@ -133,8 +143,8 @@ def test_prepare_random_decoy_policy():
         master_seed=3,
         decoy_policy=DecoyPolicy("random", ALL_LABELS),
     )
-    alice, _, _, _ = prepare_session(cfg)
-    labels = set(alice.labels[alice.s1_decoys.start:])
+    cohort, (alice, _) = _prepared(cfg)
+    labels = set(alice[cohort.blocks[1].start:])
     assert len(labels) > 1
 
 
@@ -839,7 +849,7 @@ def test_batch_digest_unchanged(name):
     "name", ["qsdc-a1-b2", "qd-a2-b3", "qsdc-entangle_measure-all-legs", "qd-intercept_resend"]
 )
 def test_sessions_never_look_up_a_qubit_name(name, monkeypatch):
-    """Sessions address qubits by store index: with the arenas' by-name
+    """Sessions address qubits by arena index: with the arenas' by-name
     index made to raise, a direct-messaging config, a dialogue with nested
     shares on both sides and two attacked configs report their pinned
     digests, alone and as one lockstep cohort."""
@@ -915,19 +925,18 @@ def test_a_cohort_matches_its_sessions_run_alone(name):
     assert {rep.abort_stage for rep in batch} == exits
 
 
-def test_a_cohort_shares_one_store(monkeypatch):
-    """Every round of a dialogue batch, nested shares included, is over the
-    arenas of one store, and each cohort has a store of its own."""
+def test_a_cohort_runs_on_one_arena(monkeypatch):
+    """Every round of a dialogue batch, nested shares included, is on the
+    arena of its cohort, and each cohort has an arena of its own."""
     cfg = SessionConfig(n_pairs=8, mode=Mode.QD, master_seed=5, alice_state_set=(PSIP, PHIM))
-    calls = []
+    arenas = []
     real = protocol.run_round
-    monkeypatch.setattr(protocol, "run_round", lambda op, requests: calls.append(
-        [arena._store for arena, _, _ in requests]) or real(op, requests))
+    monkeypatch.setattr(protocol, "run_round", lambda op, arena, *args: arenas.append(
+        arena) or real(op, arena, *args))
     batch = run_batch(cfg, COHORT + 3)
     assert all(len(rep.nested) == 2 for rep in batch)
-    assert all(store is stores[0] for stores in calls for store in stores)
-    runs = [stores[0] for i, stores in enumerate(calls) if i == 0 or stores[0] is not calls[i - 1][0]]
-    assert len(runs) == 2 and runs[0] is not runs[1]  # one store per cohort, in turn
+    runs = [arena for i, arena in enumerate(arenas) if i == 0 or arena is not arenas[i - 1]]
+    assert len(runs) == 2 and runs[0] is not runs[1]  # one arena per cohort, in turn
 
 
 ALL_LEGS = "legs=stage1_alice+stage1_bob+stage2_alice+stage2_bob"
@@ -946,7 +955,7 @@ def test_sessions_reach_the_engine_only_through_rounds(attack, monkeypatch):
     the protocol's own rounds, the channel noise, the nested shares (two-label
     sets on both sides, as two nested cohorts), Eve's interceptions and
     ancilla readout, and the dishonest node's readouts are all rounds on the
-    one store of the batch's one cohort."""
+    one arena of the batch's one cohort."""
     cfg = SessionConfig(
         n_pairs=8, mode=Mode.QD, master_seed=31,
         alice_state_set=(PSIP, PHIM), bob_state_set=(PSIP, PSIM),
@@ -960,16 +969,16 @@ def test_sessions_reach_the_engine_only_through_rounds(attack, monkeypatch):
 
     for name in ("apply_pauli", "apply_unitary", "apply_cnot", "bell_measure", "comp_measure"):
         monkeypatch.setattr(QubitArena, name, scalar_op)
-    stores, cohorts = set(), []
+    arenas, cohorts = set(), []
     for module in (protocol, adversary):
         real_round = module.run_round
-        monkeypatch.setattr(module, "run_round", lambda op, requests, real_round=real_round: stores.update(
-            arena._store for arena, _, _ in requests) or real_round(op, requests))
+        monkeypatch.setattr(module, "run_round", lambda op, arena, *args, real_round=real_round: (
+            arenas.add(arena)) or real_round(op, arena, *args))
     real_run = Cohort.run
     monkeypatch.setattr(Cohort, "run", lambda cohort: cohorts.append(len(cohort.reports)) or real_run(cohort))
     batch = run_batch(cfg, 3)
     assert [_report_material(rep) for rep in batch] == want
-    assert len(stores) == 1 and cohorts == [3, 3, 3]
+    assert len(arenas) == 1 and cohorts == [3, 3, 3]
     assert all(len(rep.nested) == 2 and not rep.aborted for rep in batch)
     assert run_session(cfg, 1).transcript.serialize() == batch[1].transcript.serialize()
     if attack.startswith("entangle"):

@@ -11,7 +11,6 @@ from osbmdi.quantum import (
     InvalidOperatorError,
     InvalidRegisterError,
     PauliLabel,
-    QuantumError,
     QubitArena,
     StateVector,
     UnknownQubitError,
@@ -557,55 +556,42 @@ def _contents(arena):
     }
 
 
-def _two_arenas(first, second):
-    """Fill two arenas with registers under the same names a, b, c, x."""
-    first.add_bell_pairs([PSIP.code, PHIP.code], ["a", "c"], ["b", "d"], "alice")
-    first.add_state(single_qubit("x", SQ2, SQ2), "alice")
-    second.add_state(single_qubit("a", 0, 1), "bob")
-    second.add_bell_pairs([PSIM.code], ["b"], ["c"], "bob")
-    second.add_state(single_qubit("x", 1, 0), "bob")
+def _fill(arena):
+    """Fill an arena with the registers (a, b), (c, d) and (x,)."""
+    arena.add_bell_pairs([PSIP.code, PHIP.code], ["a", "c"], ["b", "d"], "alice")
+    arena.add_state(single_qubit("x", SQ2, SQ2), "alice")
 
 
-def test_arenas_on_one_store_keep_to_their_own_qubits():
-    """Two arenas on one store register the same names.  Registration,
-    transfers, reads, a round over both and every error touch only the arena
-    they are made on, as on two reference arenas (``RefArena``, which runs no
-    round), and an error names the qubit of the arena it is made on."""
-    first = QubitArena()
-    second = QubitArena(first)
-    assert second._store is first._store
-    ref_first, ref_second = RefArena(), RefArena()
-    for pair in ((first, second), (ref_first, ref_second)):
-        _two_arenas(*pair)
+def test_an_arena_keeps_to_the_reference_arena():
+    """Registration, transfers, reads, a round and every error leave the
+    arena as they leave a reference arena (``RefArena``, which runs no
+    round), a failed call changes nothing, and a name registered again after
+    its qubit was measured names the new qubit."""
+    arena, ref = QubitArena(), RefArena()
+    for a in (arena, ref):
+        _fill(a)
 
     def same():
-        assert _contents(first) == _contents(ref_first)
-        assert _contents(second) == _contents(ref_second)
+        assert _contents(arena) == _contents(ref)
 
     same()
-    assert first.state_of("a").qubit_ids == ("a", "b") and second.state_of("a").qubit_ids == ("a",)
-    assert label_of(first.state_of("c")) is PHIP and label_of(second.state_of("c")) is PSIM
-    first.transfer_many(first.indices(["a", "b"]), "charlie", expect="alice")
+    assert arena.state_of("a").qubit_ids == ("a", "b") and label_of(arena.state_of("c")) is PHIP
+    arena.transfer_many(arena.indices(["a", "b"]), "charlie", expect="alice")
     for q in ("a", "b"):
-        ref_first.transfer(q, "charlie", expect="alice")
+        ref.transfer(q, "charlie", expect="alice")
     same()
     failures = [
-        (lambda: second.state_of("d"), UnknownQubitError, "qubit 'd' not in arena"),
-        (lambda: second.transfer_many(second.indices(["a", "d"]), "eve"),
-         UnknownQubitError, "qubit 'd'"),
-        (lambda: second.transfer_many(second.indices(["x", "a"]), "eve", expect="charlie"),
-         InvalidRegisterError, "qubit 'x' held by 'bob'"),
-        (lambda: first.add_bell_pairs([PSIP.code], ["y"], ["c"], "eve"),
+        (lambda: arena.state_of("e"), UnknownQubitError, "qubit 'e' not in arena"),
+        (lambda: arena.transfer_many(arena.indices(["a", "e"]), "eve"),
+         UnknownQubitError, "qubit 'e'"),
+        (lambda: arena.transfer_many(arena.indices(["a", "x"]), "eve", expect="charlie"),
+         InvalidRegisterError, "qubit 'x' held by 'alice'"),
+        (lambda: arena.add_bell_pairs([PSIP.code], ["y"], ["c"], "eve"),
          InvalidRegisterError, "qubit 'c' already registered"),
-        (lambda: second.add_state(single_qubit("x", 1, 0), "eve"),
+        (lambda: arena.add_state(single_qubit("x", 1, 0), "eve"),
          InvalidRegisterError, "qubit 'x' already registered"),
-        (lambda: run_round("comp_measure", [
-            (first, first.indices(["x"]), np.random.default_rng(0)),
-            (second, second.indices(["d"]), np.random.default_rng(0))]),
-         UnknownQubitError, "qubit 'd' not in arena"),
-        (lambda: run_round("comp_measure", [
-            (first, first.indices(["x", "c"]), np.random.default_rng(0)),
-            (second, second.indices(["b", "x", "b"]), np.random.default_rng(0))]),
+        (lambda: run_round("comp_measure", arena, arena.indices(["b", "x", "b"]),
+                           np.random.default_rng(0)),
          UnknownQubitError, "qubit 'b' is measured twice"),
     ]
     for call, error, message in failures:
@@ -613,39 +599,36 @@ def test_arenas_on_one_store_keep_to_their_own_qubits():
             call()
         same()
 
-    # one round over both arenas, the same names in each
-    rngs = [np.random.default_rng(s) for s in (1, 2)]
-    ref_rngs = [np.random.default_rng(s) for s in (1, 2)]
-    got = run_round("comp_measure", [
-        (first, first.indices(["x", "a"]), rngs[0]), (second, second.indices(["x", "b"]), rngs[1])])
-    want = [[ref.comp_measure(q, rng) for q in qs]
-            for ref, qs, rng in zip((ref_first, ref_second), (["x", "a"], ["x", "b"]), ref_rngs)]
-    assert [bits.tolist() for bits in got] == want
-    assert [r.bit_generator.state for r in rngs] == [r.bit_generator.state for r in ref_rngs]
+    rng, ref_rng = np.random.default_rng(1), np.random.default_rng(1)
+    x = arena.indices(["x"])
+    got = run_round("comp_measure", arena, arena.indices(["x", "a"]), rng)
+    assert got.tolist() == [ref.comp_measure(q, ref_rng) for q in ("x", "a")]
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
     same()
-    # a qubit measured in one arena is gone there only
-    assert first.has("c") and second.has("a") and not second.has("x")
-    second.add_state(single_qubit("x", 0, 1), "bob")
-    ref_second.add_state(single_qubit("x", 0, 1), "bob")
-    x = PauliLabel.X.symbol
+    # a measured qubit's index fails the whole round
+    flip = PauliLabel.X.symbol
     with pytest.raises(UnknownQubitError, match="qubit 'x' not in arena"):
-        run_round("apply_pauli", [(second, second.indices(["a"]), [x]),
-                                  (first, first.indices(["x"]), [x])])
+        run_round("apply_pauli", arena, np.concatenate([arena.indices(["c"]), x]), [flip, flip])
     same()
+    for a in (arena, ref):
+        a.add_state(single_qubit("x", 0, 1), "bob")
+    assert arena.indices(["x"]) != x
+    same()
+    # registrations before the by-name index is built may repeat a name,
+    # which then names the latest qubit registered under it
+    fresh = QubitArena()
+    latest = [fresh.add_registers([("x",)], np.eye(2)[:1], h)[0] for h in ("alice", "bob")][1]
+    assert fresh.indices(["x"]).tolist() == latest.tolist() and fresh.holder_of("x") == "bob"
 
 
 def test_a_gate_round_with_a_bad_matrix_changes_no_arena():
-    # every request's matrix is checked before the first wave: the Hadamard
-    # group of the first arena sorts first, and must not be written
-    first = QubitArena()
-    second = QubitArena(first)
-    _two_arenas(first, second)
-    before = _contents(first), _contents(second)
-    hadamard = np.array([[1, 1], [1, -1]]) * SQ2
+    # the matrix is checked before the first wave: no register may be written
+    arena = QubitArena()
+    _fill(arena)
+    before = _contents(arena)
     with pytest.raises(InvalidOperatorError, match="operator is not unitary"):
-        run_round("apply_unitary", [(first, first.indices(["x", "a"]), hadamard),
-                                    (second, second.indices(["a"]), np.diag([1.0, 2.0]))])
-    assert (_contents(first), _contents(second)) == before
+        run_round("apply_unitary", arena, arena.indices(["x", "a"]), np.diag([1.0, 2.0]))
+    assert _contents(arena) == before
 
 
 def test_a_cnot_round_with_a_self_targeted_item_changes_no_register():
@@ -658,42 +641,23 @@ def test_a_cnot_round_with_a_self_targeted_item_changes_no_register():
     arena.add_bell_pairs([PSIP.code], ["a"], ["b"], "alice")
     before = _contents(arena)
     with pytest.raises(InvalidRegisterError, match="control and target must differ"):
-        run_round("apply_cnot", [(arena, arena.indices(["x", "y", "a", "a"]).reshape(2, 2), None)])
+        run_round("apply_cnot", arena, arena.indices(["x", "y", "a", "a"]).reshape(2, 2), None)
     assert _contents(arena) == before
     assert arena.state_of("x").qubit_ids == ("x",) and arena.state_of("y").qubit_ids == ("y",)
 
 
 def test_a_measuring_round_takes_uniforms_in_place_of_an_rng():
-    # a request's k uniforms give what its rng would have drawn; a request
-    # of the wrong count raises before any arena changes
-    arenas = []
-    for _ in range(2):
-        first = QubitArena()
-        arenas.append((first, QubitArena(first)))
-        _two_arenas(*arenas[-1])
-    (first, second), (pre_first, pre_second) = arenas
-    rngs = [np.random.default_rng(s) for s in (3, 4)]
+    # k uniforms give what the rng would have drawn; the wrong count raises
+    # before the arena changes
+    drawn, brought = QubitArena(), QubitArena()
+    for arena in (drawn, brought):
+        _fill(arena)
+    before = _contents(brought)
+    got = run_round("comp_measure", drawn, drawn.indices(["x", "a"]), np.random.default_rng(3))
     uniforms = np.random.default_rng(3).random(2)
-    got = run_round("comp_measure", [
-        (first, first.indices(["x", "a"]), rngs[0]), (second, second.indices(["b"]), rngs[1])])
     with pytest.raises(InvalidRegisterError, match="a stack of 2 rows needs 2 uniforms"):
-        run_round("comp_measure", [(pre_first, pre_first.indices(["x", "a"]), uniforms[:1])])
-    want = run_round("comp_measure", [
-        (pre_first, pre_first.indices(["x", "a"]), uniforms),
-        (pre_second, pre_second.indices(["b"]), np.random.default_rng(4))])
-    assert [bits.tolist() for bits in got] == [bits.tolist() for bits in want]
-    assert (_contents(first), _contents(second)) == (_contents(pre_first), _contents(pre_second))
-
-
-def test_a_round_over_two_stores_raises():
-    alone, other = QubitArena(), QubitArena()
-    for arena in (alone, other):
-        arena.add_bell_pairs([PSIP.code], ["a"], ["b"], "alice")
-    before = _contents(alone), _contents(other)
-    rng = np.random.default_rng(0)
-    state = rng.bit_generator.state
-    with pytest.raises(QuantumError, match="one store"):
-        run_round("bell_measure", [(alone, alone.indices(["a", "b"]).reshape(1, 2), rng),
-                                   (other, other.indices(["a", "b"]).reshape(1, 2), rng)])
-    assert (_contents(alone), _contents(other)) == before
-    assert rng.bit_generator.state == state
+        run_round("comp_measure", brought, brought.indices(["x", "a"]), uniforms[:1])
+    assert _contents(brought) == before
+    want = run_round("comp_measure", brought, brought.indices(["x", "a"]), uniforms)
+    assert got.tolist() == want.tolist()
+    assert _contents(drawn) == _contents(brought)
