@@ -85,10 +85,9 @@ def _cmd_run(args: argparse.Namespace) -> int:
         "n_pairs": str(args.n_pairs) if args.n_pairs is not None else None,
         "attack": args.attack,
         "noise": args.noise,
-        "workers": str(args.workers) if args.workers is not None else None,
     }
     cfg, options = resolve(file_values, cli_values)
-    reports = run_batch(cfg, options.sessions, workers=options.workers)
+    reports = run_batch(cfg, options.sessions)
     manifest = RunManifest(
         config_path=args.config or "-",
         sessions=options.sessions,
@@ -112,12 +111,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
             f"channel={args.channel} apply_to={args.apply_to}"
         )
         text = render_table(("param", "fidelity"), curve, meta)
-    else:
-        if args.attack != "entangle_measure":
-            raise ConfigError(
-                "attack-strength sweeps support the entangle_measure strategy "
-                "(grid values are the squared ancilla amplitude)"
-            )
+    else:  # entangle_measure, the grid values its squared ancilla amplitude
         rows = []
         for beta2 in grid:
             if not 0.0 <= beta2 <= 1.0:
@@ -220,7 +214,6 @@ def build_parser() -> argparse.ArgumentParser:
     run_p.add_argument("--n-pairs", type=int, help="message pairs per session")
     run_p.add_argument("--attack", help="adversary strategy NAME[:k=v,...]")
     run_p.add_argument("--noise", help="collective channel noise NAME:PARAM")
-    run_p.add_argument("--workers", type=int, help="worker threads for the batch")
     run_p.add_argument("--out", help="report path (default: stdout)")
 
     sweep_p = sub.add_parser("sweep", help="noise or attack-strength curves")
@@ -236,7 +229,6 @@ def build_parser() -> argparse.ArgumentParser:
         default="pair",
         help="noise hits both qubits of a traveling pair or only the travel half",
     )
-    sweep_p.add_argument("--attack", default="entangle_measure")
     sweep_p.add_argument("--trials", type=int, default=20000)
     sweep_p.add_argument("--seed", type=int, default=0)
     sweep_p.add_argument("--out", help="table path (default: stdout)")
@@ -260,14 +252,16 @@ _parser = cache(build_parser)
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = _parser().parse_args(argv)
+    try:
+        args = _parser().parse_args(argv)
+    except SystemExit as exc:
+        # argparse exits 0 after --help or --version, and 2 once it has
+        # printed a usage error's usage and error: lines; that is exit 1 here
+        return 1 if exc.code else 0
     try:
         # looked up when called, so that a replaced ``_cmd_*`` function runs
         return globals()[f"_cmd_{args.command}"](args)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:  # a ConfigError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except MemoryError:  # the failed allocation's frames are gone by now

@@ -24,7 +24,6 @@ _DEFAULTS = {
     "n_pairs": "8",
     "sessions": "100",
     "seed": "0",
-    "workers": "1",
     "alice_states": "psi+",
     "bob_states": "psi+,psi-",
     "decoy_policy": "fixed:psi+",
@@ -41,7 +40,12 @@ _KEYS = tuple(_DEFAULTS)
 @dataclass(frozen=True)
 class RunOptions:
     sessions: int
-    workers: int
+
+    @property
+    def workers(self) -> int:
+        """Always 1.  It exists because ``perfbench/workloads.py`` reads it;
+        ROADMAP item 1 removes it."""
+        return 1
 
 
 def parse_config_file(path: str) -> dict[str, str]:
@@ -121,15 +125,13 @@ def resolve(
             use_cases_ii_iii=_parse_bool(merged["use_cases_ii_iii"]),
             m_split_decoys=m_split,
         )
-        options = RunOptions(sessions=int(merged["sessions"]), workers=int(merged["workers"]))
+        options = RunOptions(sessions=int(merged["sessions"]))
     except (ValueError, KeyError) as exc:
         if isinstance(exc, ConfigError):
             raise
         raise ConfigError(str(exc)) from exc
     if options.sessions <= 0:
         raise ConfigError("sessions must be positive")
-    if options.workers <= 0:
-        raise ConfigError("workers must be positive")
     return cfg, options
 
 

@@ -941,22 +941,19 @@ def run_batch(
     cfg: SessionConfig, sessions: int, workers: int = 1
 ) -> list[SessionReport]:
     """Run independent sessions, ``COHORT`` at a time as one cohort on one
-    arena; results are ordered by session index, so the outcome does not
-    depend on scheduling."""
-    if workers <= 1:
-        reports: list[SessionReport] = []
-        for start in range(0, sessions, COHORT):
-            cohort = [
-                Session(cfg, session_rng(cfg.master_seed, i), i)
-                for i in range(start, min(start + COHORT, sessions))
-            ]
-            reports += Cohort(cohort, QubitArena()).run()
-        return reports
-    from concurrent.futures import ThreadPoolExecutor
-
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        futures = [pool.submit(run_session, cfg, i) for i in range(sessions)]
-        return [f.result() for f in futures]
+    arena; results are ordered by session index.  ``workers`` accepts only 1:
+    it exists because ``perfbench/workloads.py`` passes it, and ROADMAP item
+    1 removes it."""
+    if workers != 1:
+        raise ValueError(f"workers must be 1, got {workers}")
+    reports: list[SessionReport] = []
+    for start in range(0, sessions, COHORT):
+        cohort = [
+            Session(cfg, session_rng(cfg.master_seed, i), i)
+            for i in range(start, min(start + COHORT, sessions))
+        ]
+        reports += Cohort(cohort, QubitArena()).run()
+    return reports
 
 
 # Reference decode table for the baseline configuration (sender fixed on

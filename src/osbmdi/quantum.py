@@ -644,8 +644,8 @@ def run_round(op: str, arena: "QubitArena", qubits: np.ndarray, arg) -> np.ndarr
     Bell label codes or bits, a gate round None; the arena and ``rng`` end,
     and the outcomes are, as after the items run one at a time in order.  A
     measuring round draws its k uniforms up front, item i taking the i-th.
-    The matrix is checked before the first item runs, so a bad one raises
-    before the arena changes.
+    The matrix and the count of uniforms or Pauli symbols are checked before
+    the first item runs, so a bad one raises before the arena changes.
 
     The items run in dependency waves (``_plan_waves``), so no register
     appears twice in a wave and each sees its items in order.  A wave's
@@ -669,12 +669,16 @@ def run_round(op: str, arena: "QubitArena", qubits: np.ndarray, arg) -> np.ndarr
     waves = _plan_waves(loc // _BASE, joining)
     if measuring and waves[0] is not None:
         _reject_repeats(qidx, arena._names)
+    k = len(qidx)
     rowargs = outcomes = None  # per item: a measurement's uniform, or a Pauli's symbol
     if measuring:  # the rng draws the k uniforms here, or they are brought
-        k = len(qidx)
         rowargs = arg.random(k) if isinstance(arg, np.random.Generator) else _row_uniforms(arg, k)
     elif op == "apply_pauli":
         rowargs = np.asarray(arg, np.intp)
+        if rowargs.shape != (k,):
+            raise InvalidRegisterError(
+                f"a round of {k} items needs {k} Pauli symbols, got shape {rowargs.shape}"
+            )
     param = _unitary(arg) if op == "apply_unitary" else None
 
     for wave in waves:  # a wave or a group of None is every item

@@ -226,9 +226,6 @@ def test_run_repeated_label_exit_one_no_report(tmp_path, capsys, line, message):
 @pytest.mark.parametrize(
     "flags,line,message",
     [
-        (["--workers", "0"], "", "workers must be positive"),
-        (["--workers", "-3"], "", "workers must be positive"),
-        ([], "workers = 0", "workers must be positive"),
         (["--sessions", "0"], "", "sessions must be positive"),
         ([], "sessions = -2", "sessions must be positive"),
     ],
@@ -239,6 +236,16 @@ def test_run_nonpositive_count_exit_one_no_report(tmp_path, capsys, flags, line,
     out = tmp_path / "never.txt"
     assert run_cli(["run", "--config", str(cfg), *flags, "--out", str(out)]) == 1
     assert f"error: {message}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_run_config_setting_workers_exit_one_no_report(tmp_path, capsys):
+    # a run has one schedule, so ``workers`` is not a key
+    cfg = tmp_path / "workers.cfg"
+    cfg.write_text("workers = 2\n")
+    out = tmp_path / "never.txt"
+    assert run_cli(["run", "--config", str(cfg), "--sessions", "2", "--out", str(out)]) == 1
+    assert f"error: {cfg}:1: unknown key 'workers'" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -254,15 +261,6 @@ def test_run_config_repeating_a_key_exit_one_no_report(tmp_path, capsys):
     assert run_cli(["run", "--config", str(cfg), "--sessions", "2", "--out", str(out)]) == 1
     assert f"error: {cfg}:3: key 'n_pairs' is given twice" in capsys.readouterr().err
     assert not out.exists()
-
-
-def test_run_workers_do_not_change_bytes(tmp_path):
-    out = tmp_path / "report.txt"
-    base = ["run", "--sessions", "16", "--seed", "21", "--out", str(out)]
-    run_cli(base + ["--workers", "1"])
-    first = out.read_bytes()
-    run_cli(base + ["--workers", "4"])
-    assert out.read_bytes() == first
 
 
 # SHA-256 of `run --sessions 30` reports without the out_path line, recorded
@@ -352,8 +350,6 @@ def test_sweep_attack_strength_tracks_beta2(tmp_path):
             "sweep",
             "--kind",
             "attack-strength",
-            "--attack",
-            "entangle_measure",
             "--grid",
             "0,0.25,0.5",
             "--trials",
@@ -416,6 +412,31 @@ def test_sweep_unknown_attack_is_usage_error():
     )
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["run", "--sessions", "abc"],
+        ["run", "--mode", "bogus"],
+        ["sweep", "--kind", "noise", "--grid", "0:1:3", "--trials", "x"],
+        ["run", "--sessions", "2", "--workers", "2"],
+        ["sweep", "--kind", "attack-strength", "--grid", "0.5", "--attack", "entangle_measure"],
+    ],
+)
+def test_argparse_usage_errors_exit_one(capsys, argv):
+    """A usage error argparse finds exits 1, as any other, not argparse's 2:
+    exit 2 means a run wrote a report and detected an attack."""
+    assert run_cli(argv) == 1
+    captured = capsys.readouterr()
+    assert "error:" in captured.err
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["run", "--help"], ["--version"]])
+def test_help_and_version_exit_zero(capsys, argv):
+    assert run_cli(argv) == 0
+    assert capsys.readouterr().out.startswith(("usage: osbmdi", "osbmdi "))
+
+
 # --- leakage and table2 ------------------------------------------------------------
 
 
@@ -461,7 +482,7 @@ def test_table2_command_exits_zero(capsys):
 # --- one process, many calls ----------------------------------------------------------
 
 # One of each exit: a report (0), a detected attack (2), a bad value (1), the
-# other commands, an argparse usage error (SystemExit 2) and ``--version``.
+# other commands, a usage error argparse finds (exit 1) and ``--version``.
 _INVOCATIONS = [
     ["run", "--sessions", "3", "--n-pairs", "4", "--seed", "7", "--mode", "qd"],
     ["run", "--sessions", "2", "--n-pairs", "4", "--attack", "intercept_resend"],
@@ -477,10 +498,7 @@ _INVOCATIONS = [
 def _in_process(argv):
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        try:
-            code = main(argv)
-        except SystemExit as exc:
-            code = exc.code
+        code = main(argv)
     return code, out.getvalue(), err.getvalue()
 
 
@@ -519,10 +537,9 @@ _VALUES = (
 )
 _SEEDS = _VALUES + ("18446744073709551616",)
 _FLAGS = {
-    "run": ["--seed", "--sessions", "--n-pairs", "--mode", "--attack", "--noise", "--workers"],
+    "run": ["--seed", "--sessions", "--n-pairs", "--mode", "--attack", "--noise"],
     "leakage": ["--alice-states", "--bob-states"],
-    "sweep": ["--kind", "--grid", "--label", "--channel", "--apply-to", "--attack",
-              "--trials", "--seed"],
+    "sweep": ["--kind", "--grid", "--label", "--channel", "--apply-to", "--trials", "--seed"],
 }
 
 
@@ -552,8 +569,9 @@ def bad_invocations(draw):
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
 @given(invocation=bad_invocations())
 def test_bad_input_exits_cleanly(tmp_path_factory, invocation):
-    """Whatever the values, a command exits 0, 1 or 2, says ``error:`` when it
-    exits 1, and never raises or prints a traceback."""
+    """Whatever the values, a command exits 0, 1 or 2 and never raises or
+    prints a traceback.  Exit 1 says ``error:`` and writes nothing to stdout;
+    exit 2 comes only from ``run``, with its report on stdout."""
     argv, text = invocation
     if argv[0] != "sweep":
         cfg = tmp_path_factory.mktemp("bad") / "bad.cfg"
@@ -561,13 +579,14 @@ def test_bad_input_exits_cleanly(tmp_path_factory, invocation):
         argv = [argv[0], "--config", str(cfg), *argv[1:]]
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        try:
-            code = main(argv)
-        except SystemExit as exc:  # argparse's usage errors
-            code = exc.code
+        code = main(argv)
     assert code in (0, 1, 2)
     if code == 1:
         assert "error:" in err.getvalue()
+        assert out.getvalue() == ""
+    if code == 2:
+        assert argv[0] == "run"
+        assert out.getvalue().startswith("# osbmdi report v1\n\n[manifest]\n")
     assert "Traceback" not in out.getvalue() + err.getvalue()
 
 

@@ -661,3 +661,15 @@ def test_a_measuring_round_takes_uniforms_in_place_of_an_rng():
     want = run_round("comp_measure", brought, brought.indices(["x", "a"]), uniforms)
     assert got.tolist() == want.tolist()
     assert _contents(drawn) == _contents(brought)
+
+
+@pytest.mark.parametrize("symbols", [[PauliLabel.X.symbol], [1, 2, 3], 1])
+def test_a_pauli_round_needs_one_symbol_per_item(symbols):
+    # too few symbols must not broadcast over the items, nor too many raise
+    # numpy's error; either raises before any register changes
+    arena = QubitArena()
+    arena.add_bell_pairs([PSIP.code, PHIP.code], ["a", "c"], ["b", "d"], "alice")
+    before = _contents(arena)
+    with pytest.raises(InvalidRegisterError, match="a round of 2 items needs 2 Pauli symbols"):
+        run_round("apply_pauli", arena, arena.indices(["a", "c"]), symbols)
+    assert _contents(arena) == before
