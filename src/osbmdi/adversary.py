@@ -26,12 +26,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .quantum import (
-    BellLabel,
-    PauliLabel,
-    QubitArena,
-    run_round,
-)
+from .quantum import BellLabel, PauliLabel, QubitArena, run_round
 
 LEGS = ("stage1_alice", "stage1_bob", "stage2_alice", "stage2_bob")
 
@@ -57,6 +52,15 @@ _KEY_STRATEGY = {
 
 # The Paulis a ``random_pauli`` disturbance draws from, uniformly.
 NON_IDENTITY = (PauliLabel.X, PauliLabel.IY, PauliLabel.Z)
+
+
+def number(kind: type, text: str, what: str) -> int | float:
+    """``kind(text)`` (int or float); a malformed number raises a ValueError naming ``what``."""
+    try:
+        return kind(text)
+    except ValueError:
+        noun = "an integer" if kind is int else "a number"
+        raise ValueError(f"{what} must be {noun}, got {text!r}") from None
 
 
 @dataclass(frozen=True)
@@ -128,17 +132,17 @@ class AttackSpec:
                         f"attack parameter {key!r} is for {_KEY_STRATEGY[key]}, not {name}"
                     )
                 if key == "beta2":
-                    b2 = float(value)
+                    b2 = number(float, value, "attack parameter 'beta2'")
                     if not 0.0 <= b2 <= 1.0:
                         raise ValueError("beta2 must be in [0, 1]")
-                    kwargs["beta"] = np.sqrt(b2)
-                    kwargs["alpha"] = np.sqrt(1.0 - b2)
+                    kwargs["alpha"], kwargs["beta"] = np.sqrt(1.0 - b2), np.sqrt(b2)
                 elif key == "mode":
                     kwargs["mode"] = value
                 elif key == "fraction":
-                    kwargs["fraction"] = float(value)
+                    kwargs["fraction"] = number(float, value, "attack parameter 'fraction'")
                 elif key == "stages":
-                    kwargs["fake_stages"] = frozenset(int(v) for v in value.split("+"))
+                    stages = (number(int, v, "attack parameter 'stages'") for v in value.split("+"))
+                    kwargs["fake_stages"] = frozenset(stages)
                 elif key == "legs":
                     kwargs["legs"] = frozenset(value.split("+"))
                 else:
@@ -193,7 +197,7 @@ class NoiseSpec:
         name, _, value = text.partition(":")
         if not value:
             raise ValueError("noise syntax is CHANNEL:PARAM, e.g. dephasing:0.35")
-        return cls(name.strip(), float(value))
+        return cls(name.strip(), number(float, value, "noise parameter"))
 
     def describe(self) -> str:
         return f"{self.channel}:{self.param:.10g}"
@@ -203,32 +207,25 @@ class NoiseSpec:
 class EveState:
     """What the adversary keeps between its interceptions.
 
-    The qubits Eve holds are those the arena lists under the holder
-    ``"eve"``; handles move, so Eve never holds a qubit an honest party still
-    believes it has.  ``ancillas`` lists per attacked leg ``(leg, ancillas,
-    rows)``: the arena indices of its entangling ancillas, the ancilla of the
-    leg's qubit i at position i, and the session (cohort row) of each;
+    Eve's qubits are registered unnamed and held by ``"eve"`` in the arena;
+    handles move, so Eve never holds a qubit an honest party still believes
+    it has.  ``ancillas`` lists per attacked leg ``(leg, ancillas, rows)``:
+    the arena indices of its entangling ancillas, the ancilla of the leg's
+    qubit i at position i, and the session (cohort row) of each;
     ``measure_ancillas`` reads them out after the sessions.
     """
 
     ancillas: list[tuple[str, np.ndarray, np.ndarray]] = field(default_factory=list)
-    _fresh: int = 0
-
-    def new_id(self, prefix: str) -> str:
-        self._fresh += 1
-        return f"ev_{prefix}{self._fresh}"
 
 
-def intercept_resend(arena: QubitArena, eve: EveState, qubits: np.ndarray) -> np.ndarray:
+def intercept_resend(arena: QubitArena, qubits: np.ndarray) -> np.ndarray:
     """Steal every travel qubit on the leg; forward halves of fresh Bell pairs.
 
     Eve keeps the stolen qubit and the partner half of each substituted pair
     for later inspection.  The leg's pairs are registered with one call, and
     its qubits change hands with another.
     """
-    names = [eve.new_id(prefix) for _ in qubits for prefix in "ks"]
-    kept, sent = names[0::2], names[1::2]
-    pairs = arena.add_bell_pairs([BellLabel.PSI_PLUS.code] * len(qubits), kept, sent, "eve")
+    pairs = arena.add_bell_pairs([BellLabel.PSI_PLUS.code] * len(qubits), None, None, "eve")
     arena.transfer_many(qubits, "eve")
     return pairs[:, 1]
 
@@ -243,9 +240,8 @@ def entangle_measure(
     Ancillas are retained and measured after the session; the travel qubits
     continue to the measurement node.
     """
-    names = [(eve.new_id("a"),) for _ in qubits]
-    amps = np.tile([alpha, beta], (len(names), 1))
-    ancillas = arena.add_registers(names, amps, "eve")[:, 0]
+    amps = np.tile([alpha, beta], (len(qubits), 1))
+    ancillas = arena.add_registers(None, amps, "eve")[:, 0]
     eve.ancillas.append((leg, ancillas, rows))
     run_round("apply_cnot", arena, np.column_stack((ancillas, qubits)), None)
     return qubits
@@ -309,7 +305,7 @@ def apply_leg_attack(
     if spec is None or leg not in spec.legs or not len(qubits):
         return qubits
     if spec.strategy == "intercept_resend":
-        return intercept_resend(arena, eve, qubits)
+        return intercept_resend(arena, qubits)
     if spec.strategy == "entangle_measure":
         return entangle_measure(arena, eve, leg, qubits, rows, spec.alpha, spec.beta)
     if spec.strategy == "flip_all":

@@ -310,10 +310,10 @@ def _correlation_failures(announced: np.ndarray, bits_a, bits_b) -> int:
     return correlation_failures(bits_a, bits_b, correlated_table()[psip, psip, announced])
 
 
-def _attack_slot(strategy: str, travel: list[str], **params) -> tuple[list[str], QubitArena]:
+def _attack_slot(strategy: str, travel: list[str], **params) -> tuple[np.ndarray, QubitArena]:
     """Psi+ pairs (a0, a1) and (b0, b1) on a fresh arena after ``strategy``
-    attacks the qubits named ``travel`` on its first default leg; the names
-    of the arriving qubits and the arena."""
+    attacks the qubits named ``travel`` on its first default leg; the arena
+    indices of the arriving qubits, and the arena."""
     arena = QubitArena()
     arena.add_bell_pairs([_PSIP.code], ["a0"], ["a1"], "alice")
     arena.add_bell_pairs([_PSIP.code], ["b0"], ["b1"], "bob")
@@ -322,12 +322,13 @@ def _attack_slot(strategy: str, travel: list[str], **params) -> tuple[list[str],
     qubits = arena.indices(travel)
     # a one-session leg; these strategies draw nothing, so the session has no stream
     arrived = apply_leg_attack(spec, arena, EveState(), leg, qubits, np.zeros_like(qubits), [None])
-    return arena.names(arrived), arena
+    return arrived, arena
 
 
 # the node Bell-measures a1 with the half of a fresh pair Eve sent on in place of b1
-(_IR_SENT,), _IR = _attack_slot("intercept_resend", ["b1"])
-_IR_NODE = tensor(_IR.state_of("a1"), _IR.state_of(_IR_SENT))
+_IR_ARRIVED, _IR = _attack_slot("intercept_resend", ["b1"])
+(_IR_SENT,) = _IR.names(_IR_ARRIVED)
+_IR_NODE = tensor(_IR.state_of("a1"), _IR.register(_IR_ARRIVED[0]))
 
 
 @_check_trial

@@ -6,14 +6,14 @@ of ``_DEFAULTS``, which holds each key's default; README's configuration
 table says what each means, and a test holds the table to these keys.
 
 Environment variables override file values and CLI flags override both; the
-variable for key ``k`` is ``OSBMDI_<K>`` (upper-case).
+variable for key ``k`` is ``OSBMDI_<K>``, and any other ``OSBMDI_`` one raises.
 """
 from __future__ import annotations
 
 import os
 from dataclasses import dataclass
 
-from .adversary import AttackSpec, NoiseSpec
+from .adversary import AttackSpec, NoiseSpec, number
 from .protocol import ConfigError, DecoyPolicy, Mode, SessionConfig
 from .quantum import BellLabel
 
@@ -71,12 +71,12 @@ def parse_config_file(path: str) -> dict[str, str]:
 
 
 def _env_overrides() -> dict[str, str]:
-    out = {}
-    for key in _KEYS:
-        value = os.environ.get(ENV_PREFIX + key.upper())
-        if value is not None:
-            out[key] = value
-    return out
+    """``OSBMDI_<K>`` values by key; an ``OSBMDI_`` variable of no key raises."""
+    keys = {ENV_PREFIX + key.upper(): key for key in _KEYS}
+    unknown = sorted(var for var in os.environ if var.startswith(ENV_PREFIX) and var not in keys)
+    if unknown:
+        raise ConfigError(f"unknown environment variable {unknown[0]}")
+    return {key: os.environ[var] for var, key in keys.items() if var in os.environ}
 
 
 def _parse_bool(text: str) -> bool:
@@ -111,21 +111,22 @@ def resolve(
     try:
         attack = AttackSpec.parse(merged["attack"]) if merged["attack"] else None
         noise = NoiseSpec.parse(merged["noise"]) if merged["noise"] else None
-        m_split = int(merged["m_split_decoys"]) if merged["m_split_decoys"] else None
+        split = merged["m_split_decoys"]
+        m_split = number(int, split, "m_split_decoys") if split else None
         cfg = SessionConfig(
-            n_pairs=int(merged["n_pairs"]),
+            n_pairs=number(int, merged["n_pairs"], "n_pairs"),
             mode=Mode(merged["mode"].lower()),
             alice_state_set=_parse_labels(merged["alice_states"]),
             bob_state_set=_parse_labels(merged["bob_states"]),
             decoy_policy=DecoyPolicy.parse(merged["decoy_policy"]),
             attack=attack,
             noise=noise,
-            error_threshold=float(merged["error_threshold"]),
-            master_seed=int(merged["seed"]),
+            error_threshold=number(float, merged["error_threshold"], "error_threshold"),
+            master_seed=number(int, merged["seed"], "seed"),
             use_cases_ii_iii=_parse_bool(merged["use_cases_ii_iii"]),
             m_split_decoys=m_split,
         )
-        options = RunOptions(sessions=int(merged["sessions"]))
+        options = RunOptions(sessions=number(int, merged["sessions"], "sessions"))
     except (ValueError, KeyError) as exc:
         if isinstance(exc, ConfigError):
             raise

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from functools import cache, lru_cache
+from functools import cache
 from itertools import accumulate, chain, repeat
 from typing import Sequence
 
@@ -335,24 +335,6 @@ def correlation_failures(
 # --- session data -------------------------------------------------------------
 
 
-@lru_cache(maxsize=64)
-def _pair_names(
-    initial: str, counts: tuple[int, int, int, int], rows: int
-) -> tuple[tuple[str, ...], ...]:
-    """The qubit names of a party's prepared pairs in a cohort of ``rows``
-    sessions, row by row and block by block (``counts`` pairs per block, in
-    the order of ``Cohort.blocks``), as two columns: the home halves (a
-    whole decoy's half 0), then the traveling halves.  A name ends in its
-    session's row."""
-    first: list[str] = []
-    second: list[str] = []
-    for row in range(rows):
-        for tag, count, (s1, s2) in zip("mdws", counts, ("ht", "ht", "ab", "ht")):
-            first += [f"{initial}{tag}{i}{s1}.{row}" for i in range(count)]
-            second += [f"{initial}{tag}{i}{s2}.{row}" for i in range(count)]
-    return tuple(first), tuple(second)
-
-
 @dataclass
 class SessionReport:
     """Everything observable about one finished (or aborted) session.
@@ -590,8 +572,7 @@ class Cohort:
                                 draw_codes(decoys, ends[-1] - n, rng)])
                 for rng in self.rngs
             ]))
-            names = _pair_names(name[0], counts, rows)
-            qubits.append(self.arena.add_bell_pairs(codes[-1].ravel(), *names, name))
+            qubits.append(self.arena.add_bell_pairs(codes[-1].ravel(), None, None, name))
         self.codes = np.array(codes).swapaxes(0, 1)
         self.qubits = np.array(qubits).reshape(2, rows, -1, 2).swapaxes(0, 1)
         for side, state_set in enumerate(self.state_sets):

@@ -1,4 +1,4 @@
-"""Exact pure-state engine for small registers of named qubits.
+"""Exact pure-state engine for small registers of qubits.
 
 Amplitude ordering is lexicographic over the register's qubit order, with
 the first qubit as the most significant bit and bit 0 meaning |0>.  That
@@ -39,13 +39,13 @@ package follows this labeling.
 Arena storage: a ``QubitArena`` holds every qubit of a cohort of sessions
 (the parties' Bell pairs, the node's measurements and Eve's ancillas) as rows
 of one table per width (amplitudes beside member qubits), and per qubit a
-packed location (0 once measured), a holder code and a name.  Across the
-engine boundary qubits are arena indices: registration returns them, a round
-(``run_round``) takes an index array on one arena and returns outcome codes,
-and names appear only in error messages and the arena's by-name methods.  A
-round splits its items into dependency waves and makes one engine call per
-group of a wave with one layout, gathering and scattering its rows with one
-index array.
+packed location (0 once measured) and a holder code.  Qubits are arena
+indices: registration returns them, a round (``run_round``) takes an index
+array on one arena and returns outcome codes, and ``register`` reads one
+back.  Sessions and Eve register qubits unnamed (qubit i reads ``#i``); the
+arena's by-name methods serve callers that give names.  A round splits its
+items into dependency waves and makes one engine call per group of a wave
+with one layout, gathering and scattering its rows with one index array.
 """
 from __future__ import annotations
 
@@ -663,12 +663,12 @@ def run_round(op: str, arena: "QubitArena", qubits: np.ndarray, arg) -> np.ndarr
     loc = arena._loc.take(qidx)
     if not loc.all():
         missing = int(qidx.reshape(-1)[loc.argmin()])
-        raise UnknownQubitError(f"qubit {arena._names[missing]!r} not in arena")
+        raise UnknownQubitError(f"qubit {arena._name(missing)!r} not in arena")
     if op == "apply_cnot" and np.any(qidx[:, 0] == qidx[:, 1]):
         raise InvalidRegisterError("control and target must differ")
     waves = _plan_waves(loc // _BASE, joining)
     if measuring and waves[0] is not None:
-        _reject_repeats(qidx, arena._names)
+        _reject_repeats(qidx, arena)
     k = len(qidx)
     rowargs = outcomes = None  # per item: a measurement's uniform, or a Pauli's symbol
     if measuring:  # the rng draws the k uniforms here, or they are brought
@@ -709,9 +709,6 @@ def run_round(op: str, arena: "QubitArena", qubits: np.ndarray, arg) -> np.ndarr
                     outcomes = np.empty(len(loc), dtype=np.intp)
                 outcomes[items] = result
 
-    if not measuring:
-        return None
-    arena._held.put(qidx, 0)
     return outcomes
 
 
@@ -820,7 +817,7 @@ def _join_waves(keys) -> list[np.ndarray]:
     return [np.array(wave) for wave in waves]
 
 
-def _reject_repeats(qidx: np.ndarray, names: list[str]) -> None:
+def _reject_repeats(qidx: np.ndarray, arena: "QubitArena") -> None:
     """Raise when a measuring round names one qubit in two items; ``qidx``
     holds the items' target indices, one or two per item."""
     if qidx.ndim == 2:
@@ -828,7 +825,8 @@ def _reject_repeats(qidx: np.ndarray, names: list[str]) -> None:
     ordered = np.sort(qidx)
     twice = ordered[1:][ordered[1:] == ordered[:-1]]
     if len(twice):
-        raise UnknownQubitError(f"qubit {names[int(twice[0])]!r} is measured twice in one round")
+        q = arena._name(int(twice[0]))
+        raise UnknownQubitError(f"qubit {q!r} is measured twice in one round")
 
 
 class QubitArena:
@@ -837,19 +835,19 @@ class QubitArena:
     A cohort of sessions (``protocol.Cohort``), nested cohorts included,
     keeps its qubits on one arena, so one round reaches every session with
     one index array.  Per width the arena keeps a table of registers
-    (``_Table``), and per qubit a packed location (``_loc``, see ``_BASE``; 0
-    once measured), a holder code (``_held``, a position in the short table
-    ``_holders``; 0 when not live) and a name.  Registration
+    (``_Table``), and per qubit a packed location (``_loc``, see ``_BASE``;
+    nonzero while the qubit is live) and a holder code (``_held``, a
+    position in the short table ``_holders``).  Registration
     (``add_registers``, ``add_bell_pairs``) returns the new qubits' arena
-    indices, which ``transfer_many`` and rounds (``run_round``) take.
-    Measured qubits disappear; every live qubit has one holder.
+    indices, which ``transfer_many``, ``register`` and rounds (``run_round``)
+    take.  Measured qubits disappear; every live qubit has one holder.
 
-    The by-name methods (``indices``, ``names``, ``holders``, ``add_state``,
-    ``has``, ``state_of``, ``holder_of``, ``transfer`` and the by-name ops)
-    read an index of every name registered, built on first use and kept by
-    later registrations, which then reject a live name.  Registrations
-    before it may repeat names, as a nested cohort's do; a name names the
-    latest qubit registered under it.  ``state_of`` returns a copy of a row.
+    A qubit has a name only if its registration gave one, which may not
+    start with ``#``: unnamed qubit i reads ``#i``.  The by-name methods
+    (``indices``, ``add_state``, ``has``, ``state_of``, ``holder_of``,
+    ``transfer`` and the by-name ops) read the names given; a live name
+    cannot be registered again, and a measured one names the latest qubit
+    given it.  ``register`` and ``state_of`` return a copy of a row.
 
     The by-name ops (``apply_pauli``, ``apply_unitary``, ``apply_cnot``,
     ``bell_measure``, ``comp_measure``) are one-item rounds, kept for
@@ -858,18 +856,16 @@ class QubitArena:
     """
 
     def __init__(self) -> None:
-        self._names: list[str] = []
-        self._loc = np.zeros(64, dtype=np.intp)
-        self._held = np.zeros(64, dtype=np.intp)
-        self._holders: list[str | None] = [None]
+        self._names: dict[int, str] = {}  # index -> the name it was given
+        self._index: dict[str, int] = {}  # name -> the latest index given it
+        self._loc = np.zeros(0, dtype=np.intp)  # one entry per qubit registered
+        self._held = np.zeros(0, dtype=np.intp)
+        self._holders: list[str] = []
         self._tables: dict[int, _Table] = {}
-        self._index: dict[str, int] | None = None  # the by-name index, once built
 
-    def _name_index(self) -> dict[str, int]:
-        """Each name this arena registered -> its latest index."""
-        if self._index is None:
-            self._index = dict(zip(self._names, range(len(self._names))))
-        return self._index
+    def _name(self, i: int) -> str:
+        """The name of qubit i, ``#i`` when it was registered without one."""
+        return self._names.get(i, f"#{i}")
 
     def _holder_code(self, holder: str) -> int:
         """The code of ``holder``, entered in the table on first use."""
@@ -896,97 +892,105 @@ class QubitArena:
         table.members[start:table.size] = members[:, keep]
         self._loc.put(members, np.multiply.outer(np.arange(start, table.size), step) + offset)
 
-    def _add(self, names: list[str], amps: np.ndarray, holder: str) -> np.ndarray:
-        """Register ``names``, in order, as ``len(amps)`` checked registers of
-        one width with the amplitude rows ``amps``, held by ``holder``; returns
-        their indices, one row per register.  With a by-name index, no name
-        may be live."""
-        index = self._index
-        if index is not None:
-            live = next((q for q in names if q in index and self._held[index[q]]), None)
-            if live is not None:
-                raise InvalidRegisterError(f"qubit {live!r} already registered")
-        start = len(self._names)
-        self._names += names
-        if len(self._names) > len(self._loc):
-            cap = max(len(self._names), 2 * len(self._loc))
-            self._loc, self._held = _resized(self._loc, cap), _resized(self._held, cap)
-        self._held[start:len(self._names)] = self._holder_code(holder)
-        if index is not None:
-            index.update(zip(names, range(start, len(self._names))))
-        members = np.arange(start, len(self._names)).reshape(len(amps), -1)
+    def _add(self, names: list[str] | None, amps: np.ndarray, holder: str) -> np.ndarray:
+        """Register the checked amplitude rows ``amps`` as registers of one
+        width held by ``holder``, their qubits named ``names`` in order, or
+        unnamed for None; returns their indices, one row per register."""
+        for q in names or ():
+            if q.startswith("#"):
+                raise InvalidRegisterError(f"qubit name {q!r} may not start with '#'")
+            if self.has(q):
+                raise InvalidRegisterError(f"qubit {q!r} already registered")
+        start, k = len(self._loc), len(amps) * (amps.shape[1].bit_length() - 1)
+        self._loc = np.concatenate([self._loc, np.zeros(k, np.intp)])
+        self._held = np.concatenate([self._held, np.full(k, self._holder_code(holder), np.intp)])
+        if names is not None:
+            self._names.update(zip(range(start, start + k), names))
+            self._index.update(zip(names, range(start, start + k)))
+        members = np.arange(start, start + k).reshape(len(amps), -1)
         self._append(amps, members)
         return members
 
     def add_registers(
-        self, registers: Sequence[Sequence[str]], amps: np.ndarray, holder: str
+        self, registers: Sequence[Sequence[str]] | None, amps: np.ndarray, holder: str
     ) -> np.ndarray:
-        """Register k registers of one width n, register i over the qubits
-        ``registers[i]`` with the amplitudes ``amps[i]`` (shape ``(k, 2**n)``),
-        with one check and one table write; returns the ``(k, n)`` arena
-        indices."""
-        if not len(registers):
+        """Register k registers of one width n with the amplitudes ``amps``
+        (shape ``(k, 2**n)``), register i over the qubits named
+        ``registers[i]``, or unnamed for None, with one check and one table
+        write; returns the ``(k, n)`` arena indices."""
+        if registers is None:
+            names, n = None, np.shape(amps)[-1].bit_length() - 1
+        elif not len(registers):
             return np.empty((0, 0), dtype=np.intp)
-        widths, names = set(map(len, registers)), list(chain.from_iterable(registers))
-        if len(widths) > 1 or len(amps) != len(registers):
-            raise InvalidRegisterError(f"{len(amps)} rows for registers of widths {widths}")
-        if len(set(names)) != len(names):
-            raise InvalidRegisterError("a qubit appears twice in the registers")
-        return self._add(names, StateVector.stack(_SLOTS[: widths.pop()], amps).amplitudes, holder)
+        else:
+            widths, names = set(map(len, registers)), list(chain.from_iterable(registers))
+            if len(widths) > 1 or len(amps) != len(registers):
+                raise InvalidRegisterError(f"{len(amps)} rows for registers of widths {widths}")
+            if len(set(names)) != len(names):
+                raise InvalidRegisterError("a qubit appears twice in the registers")
+            n = widths.pop()
+        return self._add(names, StateVector.stack(_SLOTS[:n], amps).amplitudes, holder)
 
     def add_bell_pairs(
-        self, codes: Sequence[int], firsts: Sequence[str], seconds: Sequence[str], holder: str
+        self, codes: Sequence[int], firsts: Sequence[str] | None,
+        seconds: Sequence[str] | None, holder: str,
     ) -> np.ndarray:
-        """Register pair i over (``firsts[i]``, ``seconds[i]``) in the Bell
-        state of code ``codes[i]`` (its ``BellLabel.code``), as ``add_state``
-        of ``make_bell`` would, with one write of rows of the Bell table;
+        """Register pair i in the Bell state of code ``codes[i]`` (its
+        ``BellLabel.code``), over the qubits named (``firsts[i]``,
+        ``seconds[i]``), or unnamed for None, as ``add_state`` of
+        ``make_bell`` would, with one write of rows of the Bell table;
         returns the ``(k, 2)`` arena indices."""
         if not len(codes):
             return np.empty((0, 2), dtype=np.intp)
-        names = [None] * (2 * len(codes))
-        names[0::2], names[1::2] = firsts, seconds
-        if len(set(names)) != len(names):
-            same = next(((a, b) for a, b in zip(firsts, seconds) if a == b), None)
-            raise InvalidRegisterError(
-                f"duplicate qubit ids in register: {same}" if same else
-                "a qubit appears in two pairs"
-            )
+        names = None if firsts is None else [None] * (2 * len(codes))
+        if names is not None:
+            names[0::2], names[1::2] = firsts, seconds
+            if len(set(names)) != len(names):
+                same = next(((a, b) for a, b in zip(firsts, seconds) if a == b), None)
+                raise InvalidRegisterError(
+                    f"duplicate qubit ids in register: {same}" if same else
+                    "a qubit appears in two pairs"
+                )
         return self._add(names, _BELL_TABLE.take(codes, 0), holder)
 
     def add_state(self, state: StateVector, holder: str) -> None:
         """Register ``state`` as one register."""
-        self._name_index()
         self.add_registers([state.qubit_ids], state.amplitudes[None], holder)
 
     def _live(self, qubit_id: str) -> int:
-        """The arena index of the live qubit ``qubit_id``."""
-        i = self._name_index().get(qubit_id)
-        if i is None or not self._held[i]:
+        """The arena index of the live qubit named ``qubit_id``."""
+        if not self.has(qubit_id):
             raise UnknownQubitError(f"qubit {qubit_id!r} not in arena")
-        return i
+        return self._index[qubit_id]
 
     def indices(self, qubit_ids: Sequence[str]) -> np.ndarray:
-        """The arena indices of the live qubits ``qubit_ids``."""
+        """The arena indices of the live qubits named ``qubit_ids``."""
         return np.fromiter(map(self._live, qubit_ids), np.intp, len(qubit_ids))
 
     def names(self, qubits: np.ndarray) -> list[str]:
         """The names of the qubits at the arena indices ``qubits``."""
-        return list(map(self._names.__getitem__, np.asarray(qubits).tolist()))
+        return list(map(self._name, np.asarray(qubits).tolist()))
 
     def holders(self) -> dict[str, str]:
         """Every live qubit's name -> its holder."""
-        return {q: self.holder_of(q) for q in self._name_index() if self.has(q)}
+        live = np.flatnonzero(self._loc).tolist()
+        return {self._name(i): self._holders[self._held[i]] for i in live}
 
     def has(self, qubit_id: str) -> bool:
-        i = self._name_index().get(qubit_id)
-        return i is not None and bool(self._held[i])
+        i = self._index.get(qubit_id)
+        return i is not None and bool(self._loc[i])
+
+    def register(self, i: int) -> StateVector:
+        """A copy of the register holding the live qubit at arena index i."""
+        if not self._loc[i]:
+            raise UnknownQubitError(f"qubit {self._name(i)!r} not in arena")
+        row, n = divmod(int(self._loc[i]) // _BASE, _BASE)
+        table = self._tables[n]
+        return _trusted(tuple(map(self._name, table.members[row].tolist())), table.amps[row].copy())
 
     def state_of(self, qubit_id: str) -> StateVector:
         """A copy of the register holding ``qubit_id``."""
-        row, n = divmod(int(self._loc[self._live(qubit_id)]) // _BASE, _BASE)
-        table = self._tables[n]
-        ids = tuple(map(self._names.__getitem__, table.members[row].tolist()))
-        return _trusted(ids, table.amps[row].copy())
+        return self.register(self._live(qubit_id))
 
     def holder_of(self, qubit_id: str) -> str:
         return self._holders[self._held[self._live(qubit_id)]]
@@ -998,12 +1002,13 @@ class QubitArena:
         """Hand the qubits at the arena indices ``qubits`` to ``to``, all or
         nothing: the first that is not live, or not held by ``expect`` when
         given, raises as ``transfer`` would, and then no qubit has moved."""
-        held = self._held.take(qubits)
-        bad = held == 0 if expect is None else held != self._holder_code(expect)
+        live = self._loc.take(qubits) != 0
+        held = np.where(live, self._held.take(qubits), -1)
+        bad = ~live if expect is None else held != self._holder_code(expect)
         if bad.any():
             at = int(bad.argmax())
-            q = self._names[int(np.asarray(qubits)[at])]
-            if not held[at]:
+            q = self._name(int(np.asarray(qubits)[at]))
+            if not live[at]:
                 raise UnknownQubitError(f"qubit {q!r} not in arena")
             raise InvalidRegisterError(
                 f"qubit {q!r} held by {self._holders[held[at]]!r}, expected {expect!r}"

@@ -370,7 +370,7 @@ def test_empty_leg_registers_nothing_and_yields_no_round(strategy):
     empty = np.empty(0, np.intp)
     assert apply_leg_attack(spec, arena, eve, "stage2_alice", empty, empty, []) is empty
     assert not arena.holders() and not arena._tables
-    assert not eve.ancillas and eve.new_id("a") == "ev_a1"
+    assert not eve.ancillas
 
 
 # --- attack spec -----------------------------------------------------------------------

@@ -109,6 +109,42 @@ def test_env_override_precedence(tmp_path, monkeypatch):
     assert cfg.master_seed == 3
 
 
+@pytest.mark.parametrize("names", [
+    ["OSBMDI_SESSONS"], ["OSBMDI_WORKERS"], ["OSBMDI_seed"], ["OSBMDI_WORKERS", "OSBMDI_SESSONS"],
+])
+def test_unknown_environment_variable_exits_one(monkeypatch, names):
+    """An ``OSBMDI_`` variable that names no key exits 1, as the key would
+    in a config file; of several, the first in sorted order is named."""
+    for key in [k for k in os.environ if k.startswith("OSBMDI_")]:
+        monkeypatch.delenv(key)
+    for name in names:
+        monkeypatch.setenv(name, "2")
+    got = _in_process(["run", "--sessions", "1", "--n-pairs", "2"])
+    assert got == (1, "", f"error: unknown environment variable {min(names)}\n")
+
+
+@pytest.mark.parametrize("line,flags,message", [
+    ("n_pairs = abc", [], "n_pairs must be an integer, got 'abc'"),
+    ("sessions = 2x", [], "sessions must be an integer, got '2x'"),
+    ("seed = 1.5", [], "seed must be an integer, got '1.5'"),
+    ("m_split_decoys = 1.5", [], "m_split_decoys must be an integer, got '1.5'"),
+    ("error_threshold = x", [], "error_threshold must be a number, got 'x'"),
+    ("", ["--noise", "dephasing:x"], "noise parameter must be a number, got 'x'"),
+    ("", ["--attack", "entangle_measure:beta2=abc"],
+     "attack parameter 'beta2' must be a number, got 'abc'"),
+    ("", ["--attack", "disturb:fraction=x"], "attack parameter 'fraction' must be a number, got 'x'"),
+    ("", ["--attack", "fake_bmo:stages="], "attack parameter 'stages' must be an integer, got ''"),
+])
+def test_a_malformed_number_names_its_key(tmp_path, monkeypatch, line, flags, message):
+    for key in [k for k in os.environ if k.startswith("OSBMDI_")]:
+        monkeypatch.delenv(key)
+    cfg, out = tmp_path / "bad.cfg", tmp_path / "report.txt"
+    cfg.write_text(line + "\n")
+    got = _in_process(["run", "--config", str(cfg), *flags, "--out", str(out)])
+    assert got == (1, "", f"error: {message}\n")
+    assert not out.exists()
+
+
 # --- run ------------------------------------------------------------------------
 
 

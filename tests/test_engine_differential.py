@@ -813,7 +813,7 @@ def test_bell_pairs_match_add_state():
             scalar.add_state(s, "eve")
     batched.add_registers([], np.empty((0, 2)), "eve")
     assert_same_arena(batched, scalar)
-    assert batched._name_index() == scalar._name_index()
+    assert batched._index == scalar._index
     with pytest.raises(InvalidRegisterError):
         batched.add_bell_pairs([BellLabel.PSI_PLUS.code], ["x"], ["p0t"], "bob")
     with pytest.raises(InvalidRegisterError):
@@ -915,38 +915,46 @@ def test_rounds_match_scalar_ops(data):
 
 def indexed_arena(seed, n_regs, batched):
     """A reference arena of random 1-3 qubit registers r{i}_{j}, the same
-    registers added to ``batched`` through ``add_registers``, which is never
-    asked a name, and each name's index in ``batched``."""
+    registers added to ``batched``, unnamed, through ``add_registers``, and
+    each name's index in ``batched``."""
     rng = np.random.default_rng(seed)
     scalar, at = RefArena(), {}
     for i in range(n_regs):
         width = int(rng.integers(1, 4))
         state = random_state(width, int(rng.integers(1 << 20)), prefix=f"r{i}_")
-        qubits = batched.add_registers([state.qubit_ids], state.amplitudes[None], "node")
+        qubits = batched.add_registers(None, state.amplitudes[None], "node")
         at.update(zip(state.qubit_ids, qubits[0].tolist()))
         scalar.add_state(state, "node")
     return scalar, at
 
 
 def assert_same_parts(batched, parts):
-    """Each reference arena of ``parts`` matches the qubits of ``batched``
-    that its ``at`` names, read with ``at`` as the by-name index."""
+    """The reference arenas of ``parts`` together match ``batched``, read by
+    index: each live qubit q of a reference arena is live in ``batched`` at
+    its ``at[q]``, which reads ``#`` and that index, with the same holder and
+    register."""
+    holders = {}
     for scalar, at in parts:
-        batched._index = at
-        assert_same_arena(batched, scalar)
-    batched._index = None
+        named = {f"#{i}": q for q, i in at.items()}
+        for q, holder in scalar.holders().items():
+            holders[f"#{at[q]}"] = holder
+            got, want = batched.register(at[q]), scalar.state_of(q)
+            assert tuple(named[i] for i in got.qubit_ids) == want.qubit_ids
+            assert np.max(np.abs(got.amplitudes - want.amplitudes)) <= 1e-12
+    assert batched.holders() == holders
 
 
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
 @given(data=st.data())
 def test_index_rounds_match_scalar_ops_on_arenas_sharing_names(data):
-    """Two sets of registers with the same qubit names on one arena, as a
-    nested cohort's names repeat its parent's: rounds of all five ops and
-    hand-overs over both sets, built from the indices registration returned,
-    with each set's uniforms drawn from its own stream, leave outcome codes,
-    draws, registers and holders as the scalar by-name ops on two reference
-    arenas, one per set, and a hand-over that fails moves nothing and raises
-    what ``transfer`` of its first bad qubit raises."""
+    """Two sets of unnamed registers on one arena, as a cohort and its
+    nested cohort register theirs, each matched with a reference arena of
+    the same names: rounds of all five ops and hand-overs over both sets,
+    built from the indices registration returned, with each set's uniforms
+    drawn from its own stream, leave outcome codes, draws, registers and
+    holders as the scalar by-name ops on the two reference arenas, and a
+    hand-over that fails moves nothing and raises what ``transfer`` of its
+    first bad qubit raises, its name read as ``#`` and its index."""
     batched = QubitArena()
     n_regs = data.draw(st.integers(1, 4))
     parts = [indexed_arena(data.draw(st.integers(0, 2**16)), n_regs, batched) for _ in range(2)]
@@ -961,13 +969,14 @@ def test_index_rounds_match_scalar_ops_on_arenas_sharing_names(data):
         if op == "transfer":
             expect = data.draw(st.sampled_from([None, "node", "eve"]))
             qubits = np.array([at[q] for _, at, q in named], dtype=np.intp)
-            bad = [(ref, q) for ref, _, q in named if expect not in (None, ref.holder_of(q))]
+            bad = [(ref, at, q) for ref, at, q in named if expect not in (None, ref.holder_of(q))]
             if bad:
                 with pytest.raises(InvalidRegisterError) as bulk:
                     batched.transfer_many(qubits, "eve", expect)
+                ref, at, q = bad[0]
                 with pytest.raises(InvalidRegisterError) as single:
-                    bad[0][0].transfer(bad[0][1], "eve", expect)
-                assert str(bulk.value) == str(single.value)
+                    ref.transfer(q, "eve", expect)
+                assert str(bulk.value) == str(single.value).replace(repr(q), repr(f"#{at[q]}"))
             else:
                 batched.transfer_many(qubits, "eve", expect)
                 for scalar, _, q in named:
@@ -1030,8 +1039,7 @@ def test_index_paths_raise_the_by_name_messages():
     assert arena.holders() == ref.holders() == {"s": "alice", "t": "alice", "y": "bob"}
     assert_same_arena(arena, ref)
 
-    # with the by-name index built, a live name cannot be registered again;
-    # a measured one can
+    # a live name cannot be registered again; a measured one can
     assert message(lambda: arena.add_bell_pairs([psip], ["z"], ["y"], "bob"),
                    InvalidRegisterError) == message(
         lambda: ref.add_bell_pairs([psip], ["z"], ["y"], "bob"), InvalidRegisterError)

@@ -112,7 +112,7 @@ def _prepared(cfg):
     return cohort, [[LABELS[c] for c in codes] for codes in cohort.codes[0].tolist()]
 
 
-def test_prepare_session_defaults():
+def test_prepare_defaults():
     cfg = SessionConfig(n_pairs=4, master_seed=11)
     cohort, (alice, bob) = _prepared(cfg)
     pairs, s1_decoys, s2_whole, s2_split = cohort.blocks
@@ -124,7 +124,7 @@ def test_prepare_session_defaults():
     assert all(label is PSIP for label in alice[s1_decoys.start:])
     # each pair holds the Bell state of its code
     arena = cohort.arena
-    assert [label_of(arena.state_of(arena.names(q)[0])) for q in cohort.qubits[0, 0]] == alice
+    assert [label_of(arena.register(q)) for q in cohort.qubits[0, 0, :, 0]] == alice
     assert len(cohort.reports[0].transcript) == 0
     assert cohort.fake_stages == frozenset()
 
@@ -848,15 +848,19 @@ def test_batch_digest_unchanged(name):
 @pytest.mark.parametrize(
     "name", ["qsdc-a1-b2", "qd-a2-b3", "qsdc-entangle_measure-all-legs", "qd-intercept_resend"]
 )
-def test_sessions_never_look_up_a_qubit_name(name, monkeypatch):
-    """Sessions address qubits by arena index: with the arenas' by-name
-    index made to raise, a direct-messaging config, a dialogue with nested
-    shares on both sides and two attacked configs report their pinned
-    digests, alone and as one lockstep cohort."""
-    def by_name(self):
-        raise AssertionError("a session looked up a qubit name")
+def test_sessions_register_no_qubit_name(name, monkeypatch):
+    """Sessions and Eve register unnamed qubits: with every registration
+    made to check that it gives no name, a direct-messaging config, a
+    dialogue with nested shares on both sides and two attacked configs
+    report their pinned digests, alone and as one lockstep cohort."""
+    add, holders = QubitArena._add, set()
 
-    monkeypatch.setattr(QubitArena, "_name_index", by_name)
+    def unnamed(self, names, amps, holder):
+        assert names is None, f"{holder} registered named qubits"
+        holders.add(holder)
+        return add(self, names, amps, holder)
+
+    monkeypatch.setattr(QubitArena, "_add", unnamed)
     cfg = _CONFIGS[name]
     assert all(len(run_session(cfg, i).nested) == 2 for i in range(2)) == name.startswith("qd-a2")
     assert session_digest(cfg) == SESSION_DIGESTS[name]
@@ -864,6 +868,7 @@ def test_sessions_never_look_up_a_qubit_name(name, monkeypatch):
     for rep in run_batch(cfg, 6):
         h.update(repr(_report_material(rep)).encode())
     assert h.hexdigest() == SESSION_DIGESTS[name]
+    assert holders == {"alice", "bob"} | ({"eve"} if cfg.attack else set())
 
 
 def _cohort_case(attack=None, threshold=0.0, **kwargs):

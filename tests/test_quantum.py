@@ -614,11 +614,32 @@ def test_an_arena_keeps_to_the_reference_arena():
         a.add_state(single_qubit("x", 0, 1), "bob")
     assert arena.indices(["x"]) != x
     same()
-    # registrations before the by-name index is built may repeat a name,
-    # which then names the latest qubit registered under it
-    fresh = QubitArena()
-    latest = [fresh.add_registers([("x",)], np.eye(2)[:1], h)[0] for h in ("alice", "bob")][1]
-    assert fresh.indices(["x"]).tolist() == latest.tolist() and fresh.holder_of("x") == "bob"
+
+
+def test_register_reads_a_qubit_by_index():
+    """``register(i)`` is ``state_of`` by index: an unnamed qubit i reads
+    ``#i``, a measured index raises the by-name message, and a given name
+    may not start with ``#``."""
+    arena = QubitArena()
+    _fill(arena)
+    (e, f), = arena.add_bell_pairs([PHIP.code], None, None, "eve")
+    a, x = arena.indices(["a", "x"]).tolist()
+    for i, q in ((a, "a"), (x, "x")):
+        assert arena.register(i).qubit_ids == arena.state_of(q).qubit_ids
+        assert arena.register(i).amplitudes.tolist() == arena.state_of(q).amplitudes.tolist()
+    assert arena.register(f).qubit_ids == (f"#{e}", f"#{f}") and label_of(arena.register(e)) is PHIP
+    assert arena.names([a, f]) == ["a", f"#{f}"] and arena.holders()[f"#{e}"] == "eve"
+    arena.comp_measure("x", np.random.default_rng(0))
+    run_round("comp_measure", arena, np.array([e, f]), np.random.default_rng(0))
+    for i, q in ((x, "x"), (f, f"#{f}")):
+        with pytest.raises(UnknownQubitError, match=f"^qubit '{q}' not in arena$"):
+            arena.register(i)
+    before = _contents(arena)
+    for call in (lambda: arena.add_state(single_qubit("#9", 1, 0), "bob"),
+                 lambda: arena.add_bell_pairs([PSIP.code], ["y"], ["#y"], "bob")):
+        with pytest.raises(InvalidRegisterError, match="qubit name '#.*' may not start with '#'"):
+            call()
+    assert _contents(arena) == before
 
 
 def test_a_gate_round_with_a_bad_matrix_changes_no_arena():
