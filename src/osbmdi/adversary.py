@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import Any, Callable
 
 import numpy as np
 
@@ -54,13 +55,20 @@ _KEY_STRATEGY = {
 NON_IDENTITY = (PauliLabel.X, PauliLabel.IY, PauliLabel.Z)
 
 
-def number(kind: type, text: str, what: str) -> int | float:
-    """``kind(text)`` (int or float); a malformed number raises a ValueError naming ``what``."""
+def exact(x: float, spec: str) -> str:
+    """``x`` in the format ``spec`` when that reads back as ``x``, else its repr."""
+    short = format(x, spec)
+    return short if float(short) == x else repr(x)
+
+
+def parsed(parse: Callable[[str], Any], text: str, what: str, expected: str = "") -> Any:
+    """``parse(text)``; a malformed ``text`` raises a ValueError ``<what> must be
+    <expected>, got '<text>'``, where ``expected`` defaults to a number (an integer for int)."""
     try:
-        return kind(text)
-    except ValueError:
-        noun = "an integer" if kind is int else "a number"
-        raise ValueError(f"{what} must be {noun}, got {text!r}") from None
+        return parse(text)
+    except (KeyError, ValueError):
+        expected = expected or ("an integer" if parse is int else "a number")
+        raise ValueError(f"{what} must be {expected}, got {text!r}") from None
 
 
 @dataclass(frozen=True)
@@ -132,16 +140,16 @@ class AttackSpec:
                         f"attack parameter {key!r} is for {_KEY_STRATEGY[key]}, not {name}"
                     )
                 if key == "beta2":
-                    b2 = number(float, value, "attack parameter 'beta2'")
+                    b2 = parsed(float, value, "attack parameter 'beta2'")
                     if not 0.0 <= b2 <= 1.0:
                         raise ValueError("beta2 must be in [0, 1]")
                     kwargs["alpha"], kwargs["beta"] = np.sqrt(1.0 - b2), np.sqrt(b2)
                 elif key == "mode":
                     kwargs["mode"] = value
                 elif key == "fraction":
-                    kwargs["fraction"] = number(float, value, "attack parameter 'fraction'")
+                    kwargs["fraction"] = parsed(float, value, "attack parameter 'fraction'")
                 elif key == "stages":
-                    stages = (number(int, v, "attack parameter 'stages'") for v in value.split("+"))
+                    stages = (parsed(int, v, "attack parameter 'stages'") for v in value.split("+"))
                     kwargs["fake_stages"] = frozenset(stages)
                 elif key == "legs":
                     kwargs["legs"] = frozenset(value.split("+"))
@@ -152,10 +160,11 @@ class AttackSpec:
     def describe(self) -> str:
         parts = [self.strategy]
         if self.strategy == "entangle_measure":
+            # rounded: no printed form of |beta|**2 rebuilds every alpha, beta
             parts.append(f"beta2={abs(self.beta) ** 2:.6g}")
         if self.strategy == "disturb":
             parts.append(f"mode={self.mode}")
-            parts.append(f"fraction={self.fraction:.6g}")
+            parts.append(f"fraction={exact(self.fraction, '.6g')}")
         if self.strategy == "fake_bmo":
             parts.append("stages=" + "+".join(str(s) for s in sorted(self.fake_stages)))
         if self.legs:
@@ -197,10 +206,10 @@ class NoiseSpec:
         name, _, value = text.partition(":")
         if not value:
             raise ValueError("noise syntax is CHANNEL:PARAM, e.g. dephasing:0.35")
-        return cls(name.strip(), number(float, value, "noise parameter"))
+        return cls(name.strip(), parsed(float, value, "noise parameter"))
 
     def describe(self) -> str:
-        return f"{self.channel}:{self.param:.10g}"
+        return f"{self.channel}:{exact(self.param, '.10g')}"
 
 
 @dataclass
@@ -225,7 +234,7 @@ def intercept_resend(arena: QubitArena, qubits: np.ndarray) -> np.ndarray:
     for later inspection.  The leg's pairs are registered with one call, and
     its qubits change hands with another.
     """
-    pairs = arena.add_bell_pairs([BellLabel.PSI_PLUS.code] * len(qubits), None, None, "eve")
+    pairs = arena.add_bell_pairs([BellLabel.PSI_PLUS.code] * len(qubits), "eve")
     arena.transfer_many(qubits, "eve")
     return pairs[:, 1]
 
@@ -241,7 +250,7 @@ def entangle_measure(
     continue to the measurement node.
     """
     amps = np.tile([alpha, beta], (len(qubits), 1))
-    ancillas = arena.add_registers(None, amps, "eve")[:, 0]
+    ancillas = arena.add_registers(amps, "eve")[:, 0]
     eve.ancillas.append((leg, ancillas, rows))
     run_round("apply_cnot", arena, np.column_stack((ancillas, qubits)), None)
     return qubits

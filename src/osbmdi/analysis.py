@@ -283,6 +283,7 @@ def cnot_attack_profile(alpha: complex, beta: complex) -> dict:
 # ---------------------------------------------------------------------------
 
 _PSIP = BellLabel.PSI_PLUS
+_A0, _A1, _B0, _B1 = range(4)  # the qubits a0, a1, b0, b1 of ``_attack_slot``
 
 
 def _check_trial(
@@ -310,52 +311,59 @@ def _correlation_failures(announced: np.ndarray, bits_a, bits_b) -> int:
     return correlation_failures(bits_a, bits_b, correlated_table()[psip, psip, announced])
 
 
-def _attack_slot(strategy: str, travel: list[str], **params) -> tuple[np.ndarray, QubitArena]:
-    """Psi+ pairs (a0, a1) and (b0, b1) on a fresh arena after ``strategy``
-    attacks the qubits named ``travel`` on its first default leg; the arena
-    indices of the arriving qubits, and the arena."""
+def _attack_slot(strategy: str, travel: list[int], **params) -> tuple[np.ndarray, QubitArena]:
+    """Psi+ pairs (a0, a1) and (b0, b1), unnamed at indices 0-3 of a fresh
+    arena, after ``strategy`` attacks the qubits at the indices ``travel`` on
+    its first default leg; the arena indices of the arriving qubits, and the arena."""
     arena = QubitArena()
-    arena.add_bell_pairs([_PSIP.code], ["a0"], ["a1"], "alice")
-    arena.add_bell_pairs([_PSIP.code], ["b0"], ["b1"], "bob")
+    arena.add_bell_pairs([_PSIP.code], "alice")
+    arena.add_bell_pairs([_PSIP.code], "bob")
     spec = AttackSpec(strategy, **params)
     leg = min(spec.legs, default=LEGS[0])
-    qubits = arena.indices(travel)
+    qubits = np.array(travel, dtype=np.intp)
     # a one-session leg; these strategies draw nothing, so the session has no stream
     arrived = apply_leg_attack(spec, arena, EveState(), leg, qubits, np.zeros_like(qubits), [None])
     return arrived, arena
 
 
-# the node Bell-measures a1 with the half of a fresh pair Eve sent on in place of b1
-_IR_ARRIVED, _IR = _attack_slot("intercept_resend", ["b1"])
-(_IR_SENT,) = _IR.names(_IR_ARRIVED)
-_IR_NODE = tensor(_IR.state_of("a1"), _IR.register(_IR_ARRIVED[0]))
+def _read(arena: QubitArena, i: int, ids: tuple[str, ...]) -> StateVector:
+    """The register holding qubit i of ``arena``, its qubits given ``ids``."""
+    return StateVector(ids, arena.register(i).amplitudes)
+
+
+# the node Bell-measures a1 with the half e1 of a fresh pair (e0, e1) Eve sent on in place of b1
+_IR_ARRIVED, _IR = _attack_slot("intercept_resend", [_B1])
+_IR_NODE = tensor(_read(_IR, _A1, ("a0", "a1")), _read(_IR, _IR_ARRIVED[0], ("e0", "e1")))
+_IR_B = _read(_IR, _B0, ("b0", "b1"))
 
 
 @_check_trial
 def trial_intercept_resend_case1(rng: np.random.Generator, n: int) -> int:
     """Both-decoy slot with the responder's travel half stolen and replaced."""
     u = rng.random((n, 3))
-    announced, rest = bell_measure(_rows(_IR_NODE, n), "a1", _IR_SENT, u[:, 0])
+    announced, rest = bell_measure(_rows(_IR_NODE, n), "a1", "e1", u[:, 0])
     bits_a, _ = comp_measure(rest, "a0", u[:, 1])
-    bits_b, _ = comp_measure(_rows(_IR.state_of("b0"), n), "b0", u[:, 2])
+    bits_b, _ = comp_measure(_rows(_IR_B, n), "b0", u[:, 2])
     return _correlation_failures(announced, bits_a, bits_b)
 
 
 _HONEST = _attack_slot("fake_bmo", [])[1]  # the dishonest node touches no qubit
+_HONEST_A, _HONEST_B = _read(_HONEST, _A0, ("a0", "a1")), _read(_HONEST, _B0, ("b0", "b1"))
 
 
 @_check_trial
 def trial_fake_bmo_case1(rng: np.random.Generator, n: int) -> int:
     """Both-decoy slot where the node announces without measuring."""
     announced, u = row_draws(rng, len(BellLabel), 2, n)  # as ``fake_bmo_outcome`` draws
-    bits_a, _ = comp_measure(_rows(_HONEST.state_of("a0"), n), "a0", u[:, 0])
-    bits_b, _ = comp_measure(_rows(_HONEST.state_of("b0"), n), "b0", u[:, 1])
+    bits_a, _ = comp_measure(_rows(_HONEST_A, n), "a0", u[:, 0])
+    bits_b, _ = comp_measure(_rows(_HONEST_B, n), "b0", u[:, 1])
     return _correlation_failures(announced, bits_a, bits_b)
 
 
 def _entangled(alpha: complex, beta: complex) -> StateVector:
-    """Pair (a0, a1) with an ancilla CNOT-coupled to a1, ordered (ancilla, a0, a1)."""
-    return _attack_slot("entangle_measure", ["a1"], alpha=alpha, beta=beta)[1].state_of("a1")
+    """Pair (a0, a1) with an ancilla e CNOT-coupled to a1, ordered (e, a0, a1)."""
+    arena = _attack_slot("entangle_measure", [_A1], alpha=alpha, beta=beta)[1]
+    return _read(arena, _A1, ("e", "a0", "a1"))
 
 
 def _whole_failures(pairs: StateVector, uniforms: np.ndarray) -> int:
@@ -392,9 +400,9 @@ def make_trial_entangle_whole(beta2: float) -> Callable[[np.random.Generator], b
 
 
 # Whole decoy pair with X on both halves: label unchanged, check blind.
-trial_flip_whole = _whole_check(_attack_slot("flip_all", ["a0", "a1"])[1].state_of("a0"))
+trial_flip_whole = _whole_check(_read(_attack_slot("flip_all", [_A0, _A1])[1], _A0, ("a0", "a1")))
 # Split decoy with X on the traveling half only: always anti-correlated.
-trial_flip_split = _split_check(_attack_slot("flip_all", ["a1"])[1].state_of("a0"))
+trial_flip_split = _split_check(_read(_attack_slot("flip_all", [_A1])[1], _A0, ("a0", "a1")))
 
 # Row 3 * i + j: the (a0, a1) psi+ pair after NON_IDENTITY[i] on a0 and [j] on a1.
 _PAULI_HITS = np.array([

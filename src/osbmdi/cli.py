@@ -18,6 +18,7 @@ import sys
 from functools import cache
 
 from . import __version__
+from .adversary import parsed
 from .analysis import (
     leakage_bits,
     make_trial_entangle_split,
@@ -42,7 +43,7 @@ def _parse_scalar(text: str) -> float:
         if den == 0:
             raise ConfigError(f"grid atom {text!r} divides by zero")
         return num * math.pi / den
-    return float(text)
+    return parsed(float, text, "grid atom")
 
 
 def parse_grid(spec: str) -> list[float]:
@@ -55,7 +56,7 @@ def parse_grid(spec: str) -> list[float]:
         if len(parts) != 3:
             raise ConfigError("linspace grid syntax is START:STOP:COUNT")
         start, stop = _parse_scalar(parts[0]), _parse_scalar(parts[1])
-        count = int(parts[2])
+        count = parsed(int, parts[2], "grid point count")
         if count < 1:
             raise ConfigError("grid point count must be positive")
         if count == 1:
@@ -208,9 +209,7 @@ def build_parser() -> argparse.ArgumentParser:
     run_p.add_argument("--config", help="path to a key = value config file")
     run_p.add_argument("--sessions", type=int, help="number of sessions")
     run_p.add_argument("--seed", type=int, help="64-bit master seed")
-    run_p.add_argument(
-        "--mode", choices=["qsdc", "qd", "qkd"], help="protocol mode (qkd is an alias of qsdc)"
-    )
+    run_p.add_argument("--mode", help="protocol mode: qsdc, qd, or qkd (an alias of qsdc)")
     run_p.add_argument("--n-pairs", type=int, help="message pairs per session")
     run_p.add_argument("--attack", help="adversary strategy NAME[:k=v,...]")
     run_p.add_argument("--noise", help="collective channel noise NAME:PARAM")

@@ -13,9 +13,8 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 
-from .adversary import AttackSpec, NoiseSpec, number
-from .protocol import ConfigError, DecoyPolicy, Mode, SessionConfig
-from .quantum import BellLabel
+from .adversary import AttackSpec, NoiseSpec, exact, parsed
+from .protocol import LABEL_SET, ConfigError, DecoyPolicy, Mode, SessionConfig, parse_labels
 
 ENV_PREFIX = "OSBMDI_"
 
@@ -79,20 +78,9 @@ def _env_overrides() -> dict[str, str]:
     return {key: os.environ[var] for var, key in keys.items() if var in os.environ}
 
 
-def _parse_bool(text: str) -> bool:
-    lowered = text.strip().lower()
-    if lowered in ("true", "1", "yes", "on"):
-        return True
-    if lowered in ("false", "0", "no", "off"):
-        return False
-    raise ConfigError(f"expected a boolean, got {text!r}")
-
-
-def _parse_labels(text: str) -> tuple[BellLabel, ...]:
-    try:
-        return tuple(BellLabel.parse(t.strip()) for t in text.split(","))
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+_BOOLEANS = {**dict.fromkeys(("true", "1", "yes", "on"), True),
+             **dict.fromkeys(("false", "0", "no", "off"), False)}
+_MODES = "one of " + ", ".join(mode.value for mode in Mode)
 
 
 def resolve(
@@ -112,21 +100,22 @@ def resolve(
         attack = AttackSpec.parse(merged["attack"]) if merged["attack"] else None
         noise = NoiseSpec.parse(merged["noise"]) if merged["noise"] else None
         split = merged["m_split_decoys"]
-        m_split = number(int, split, "m_split_decoys") if split else None
+        m_split = parsed(int, split, "m_split_decoys") if split else None
         cfg = SessionConfig(
-            n_pairs=number(int, merged["n_pairs"], "n_pairs"),
-            mode=Mode(merged["mode"].lower()),
-            alice_state_set=_parse_labels(merged["alice_states"]),
-            bob_state_set=_parse_labels(merged["bob_states"]),
+            n_pairs=parsed(int, merged["n_pairs"], "n_pairs"),
+            mode=parsed(lambda t: Mode(t.lower()), merged["mode"], "mode", _MODES),
+            alice_state_set=parsed(parse_labels, merged["alice_states"], "alice_states", LABEL_SET),
+            bob_state_set=parsed(parse_labels, merged["bob_states"], "bob_states", LABEL_SET),
             decoy_policy=DecoyPolicy.parse(merged["decoy_policy"]),
             attack=attack,
             noise=noise,
-            error_threshold=number(float, merged["error_threshold"], "error_threshold"),
-            master_seed=number(int, merged["seed"], "seed"),
-            use_cases_ii_iii=_parse_bool(merged["use_cases_ii_iii"]),
+            error_threshold=parsed(float, merged["error_threshold"], "error_threshold"),
+            master_seed=parsed(int, merged["seed"], "seed"),
+            use_cases_ii_iii=parsed(lambda t: _BOOLEANS[t.strip().lower()],
+                                    merged["use_cases_ii_iii"], "use_cases_ii_iii", "a boolean"),
             m_split_decoys=m_split,
         )
-        options = RunOptions(sessions=number(int, merged["sessions"], "sessions"))
+        options = RunOptions(sessions=parsed(int, merged["sessions"], "sessions"))
     except (ValueError, KeyError) as exc:
         if isinstance(exc, ConfigError):
             raise
@@ -144,7 +133,7 @@ def describe_config(cfg: SessionConfig) -> list[tuple[str, str]]:
         ("alice_states", ",".join(lab.value for lab in cfg.alice_state_set)),
         ("bob_states", ",".join(lab.value for lab in cfg.bob_state_set)),
         ("decoy_policy", cfg.decoy_policy.describe()),
-        ("error_threshold", f"{cfg.error_threshold:.10g}"),
+        ("error_threshold", exact(cfg.error_threshold, ".10g")),
         ("use_cases_ii_iii", "true" if cfg.use_cases_ii_iii else "false"),
         ("m_split_decoys", str(cfg.split_decoy_count)),
         ("attack", cfg.attack.describe() if cfg.attack else "none"),

@@ -35,6 +35,7 @@ from .adversary import (
     apply_leg_attack,
     fake_bmo_outcome,
     measure_ancillas,
+    parsed,
 )
 from .quantum import (
     BELL_LABELS,
@@ -135,6 +136,15 @@ def row_draws(rng: np.random.Generator, k: int, doubles: int, n: int) -> tuple:
     return rows[:, 0].astype(np.intp), rows[:, 1:]
 
 
+# What a label set holds, for messages about a malformed one.
+LABEL_SET = "Bell labels among " + ", ".join(_VALUES)
+
+
+def parse_labels(text: str) -> tuple[BellLabel, ...]:
+    """The comma-separated Bell labels of ``text``."""
+    return tuple(BellLabel.parse(t.strip()) for t in text.split(","))
+
+
 def _reject_repeats(what: str, labels: Sequence[BellLabel]) -> None:
     """A label set names each label once: a repeat would skew the uniform
     draw and every leakage and nested-share count built on the set size."""
@@ -165,7 +175,7 @@ class DecoyPolicy:
         kind, _, labels = text.partition(":")
         if not labels:
             raise ConfigError("decoy policy syntax is fixed:LABEL or random:L1,L2,...")
-        return cls(kind.strip(), tuple(BellLabel.parse(t.strip()) for t in labels.split(",")))
+        return cls(kind.strip(), parsed(parse_labels, labels, "decoy_policy labels", LABEL_SET))
 
     def describe(self) -> str:
         return f"{self.kind}:" + ",".join(lab.value for lab in self.labels)
@@ -223,19 +233,6 @@ class SessionConfig:
 # --- sequence machinery -------------------------------------------------------
 
 
-def insert_decoys(n_base: int, n_decoys: int, rng: np.random.Generator) -> np.ndarray:
-    """Uniformly interleave n_decoys decoy items into n_base base items.
-
-    Returns the slot order: slot i carries item ``order[i]`` of the base
-    items followed by the decoys.  Every position set is equally likely, the
-    insertion preserves both relative orders, and the owner recovers the
-    positions exactly from ``order``.  No decoys take no draw.
-    """
-    decoy = np.zeros(n_base + n_decoys, dtype=bool)
-    decoy[_decoy_slots([n_base + n_decoys], n_decoys, [rng])] = True
-    return _slot_items(decoy, n_base)
-
-
 def _decoy_slots(
     totals: Sequence[int], n_decoys: int, rngs: Sequence[np.random.Generator]
 ) -> np.ndarray:
@@ -249,8 +246,8 @@ def _decoy_slots(
 
 
 def _slot_items(decoy: np.ndarray, n_base: int) -> np.ndarray:
-    """The slot orders (``insert_decoys``) of verification-slot masks along
-    the last axis, each leaving n_base base slots."""
+    """The slot orders of verification-slot masks along the last axis: slot i
+    carries item ``order[i]`` of the n_base base items followed by the decoys."""
     before = decoy.cumsum(axis=-1)  # decoys up to and including each slot
     return np.where(decoy, n_base - 1 + before, np.arange(decoy.shape[-1]) - before)
 
@@ -572,7 +569,7 @@ class Cohort:
                                 draw_codes(decoys, ends[-1] - n, rng)])
                 for rng in self.rngs
             ]))
-            qubits.append(self.arena.add_bell_pairs(codes[-1].ravel(), None, None, name))
+            qubits.append(self.arena.add_bell_pairs(codes[-1].ravel(), name))
         self.codes = np.array(codes).swapaxes(0, 1)
         self.qubits = np.array(qubits).reshape(2, rows, -1, 2).swapaxes(0, 1)
         for side, state_set in enumerate(self.state_sets):

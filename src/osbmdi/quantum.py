@@ -40,19 +40,17 @@ Arena storage: a ``QubitArena`` holds every qubit of a cohort of sessions
 (the parties' Bell pairs, the node's measurements and Eve's ancillas) as rows
 of one table per width (amplitudes beside member qubits), and per qubit a
 packed location (0 once measured) and a holder code.  Qubits are arena
-indices: registration returns them, a round (``run_round``) takes an index
-array on one arena and returns outcome codes, and ``register`` reads one
-back.  Sessions and Eve register qubits unnamed (qubit i reads ``#i``); the
-arena's by-name methods serve callers that give names.  A round splits its
-items into dependency waves and makes one engine call per group of a wave
-with one layout, gathering and scattering its rows with one index array.
+indices, unnamed but by ``add_state``: registration returns them, a round
+(``run_round``) takes an index array on one arena and returns outcome codes,
+and ``register`` reads one back.  A round splits its items into dependency
+waves and makes one engine call per group of a wave with one layout,
+gathering and scattering its rows with one index array.
 """
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import chain
 from typing import Sequence
 
 import numpy as np
@@ -120,19 +118,10 @@ class PauliLabel(enum.Enum):
     Z = "Z"
 
     @property
-    def bits(self) -> tuple[int, int]:
-        """The symbol's two bits, msb first."""
-        return divmod(self.symbol, 2)
-
-    @property
     def symbol(self) -> int:
         """Two-bit symbol as an int in 0..3, the label's position in
         ``tuple(PauliLabel)`` (msb first: I=0, X=1, iY=2, Z=3)."""
         return _PAULI_ORDER.index(self)
-
-    @classmethod
-    def from_symbol(cls, symbol: int) -> "PauliLabel":
-        return _PAULI_ORDER[symbol]
 
     @classmethod
     def parse(cls, text: str) -> "PauliLabel":
@@ -241,23 +230,6 @@ def _trusted(ids: tuple[str, ...], amps: np.ndarray) -> StateVector:
     fields["qubit_ids"] = ids
     fields["amplitudes"] = amps
     return s
-
-
-def single_qubit(qubit_id: str, alpha: complex, beta: complex) -> StateVector:
-    """One-qubit state alpha|0> + beta|1> (must be normalized)."""
-    return StateVector((qubit_id,), np.array([alpha, beta], dtype=complex))
-
-
-def basis_state(qubit_ids: tuple[str, ...], bits: tuple[int, ...]) -> StateVector:
-    """Computational basis state |bits> over the given register."""
-    if len(qubit_ids) != len(bits):
-        raise InvalidRegisterError("bits/ids length mismatch")
-    amps = np.zeros(2 ** len(qubit_ids), dtype=complex)
-    index = 0
-    for b in bits:
-        index = (index << 1) | (b & 1)
-    amps[index] = 1.0
-    return StateVector(tuple(qubit_ids), amps)
 
 
 def make_bell(label: BellLabel, q_a: str, q_b: str) -> StateVector:
@@ -446,7 +418,6 @@ def _row_uniforms(rng: np.random.Generator | np.ndarray, k: int) -> np.ndarray:
 class BellExpansion:
     """Coefficients of a 4-qubit state in a Bell (x) Bell product basis."""
 
-    pairing: tuple[tuple[str, str], tuple[str, str]]
     coeffs: dict[tuple[BellLabel, BellLabel], complex]
 
     def coeff(self, first: BellLabel, second: BellLabel) -> complex:
@@ -454,14 +425,6 @@ class BellExpansion:
 
     def nonzero(self, tol: float = 1e-12) -> dict[tuple[BellLabel, BellLabel], complex]:
         return {k: c for k, c in self.coeffs.items() if abs(c) > tol}
-
-    def reconstruct(self) -> StateVector:
-        """Re-sum the expansion (register order: pairing flattened)."""
-        (a, b), (c, d) = self.pairing
-        amps = np.zeros(16, dtype=complex)
-        for (l1, l2), coeff in self.coeffs.items():
-            amps += coeff * np.kron(BELL_VECTORS[l1], BELL_VECTORS[l2])
-        return StateVector((a, b, c, d), amps)
 
 
 def bell_expand(
@@ -486,7 +449,7 @@ def bell_expand(
             total += abs(c_val) ** 2
     if abs(total - 1.0) > ATOL:
         raise InvalidRegisterError(f"expansion norm {total} is not 1")
-    return BellExpansion(((a, b), (c, d)), coeffs)
+    return BellExpansion(coeffs)
 
 
 def fidelity(s: StateVector, target: StateVector) -> float:
@@ -842,17 +805,14 @@ class QubitArena:
     indices, which ``transfer_many``, ``register`` and rounds (``run_round``)
     take.  Measured qubits disappear; every live qubit has one holder.
 
-    A qubit has a name only if its registration gave one, which may not
-    start with ``#``: unnamed qubit i reads ``#i``.  The by-name methods
-    (``indices``, ``add_state``, ``has``, ``state_of``, ``holder_of``,
-    ``transfer`` and the by-name ops) read the names given; a live name
-    cannot be registered again, and a measured one names the latest qubit
-    given it.  ``register`` and ``state_of`` return a copy of a row.
-
-    The by-name ops (``apply_pauli``, ``apply_unitary``, ``apply_cnot``,
-    ``bell_measure``, ``comp_measure``) are one-item rounds, kept for
-    callers that hold names and for tracers that wrap them; each raises
-    before it draws.  Sessions run their rounds through ``run_round``.
+    Only ``add_state`` names qubits, by its state's ids (none may start with
+    ``#``: unnamed qubit i reads ``#i``).  The by-name methods ``indices``,
+    ``has``, ``state_of``, ``holder_of``, ``transfer`` and the one-item
+    rounds ``apply_pauli``, ``apply_unitary``, ``apply_cnot``,
+    ``bell_measure`` and ``comp_measure`` (each raises before it draws) read
+    those names; a live name cannot be registered again, and a measured one
+    names the latest qubit given it.  ``register`` and ``state_of`` return a
+    copy of a row.
     """
 
     def __init__(self) -> None:
@@ -911,51 +871,27 @@ class QubitArena:
         self._append(amps, members)
         return members
 
-    def add_registers(
-        self, registers: Sequence[Sequence[str]] | None, amps: np.ndarray, holder: str
-    ) -> np.ndarray:
-        """Register k registers of one width n with the amplitudes ``amps``
-        (shape ``(k, 2**n)``), register i over the qubits named
-        ``registers[i]``, or unnamed for None, with one check and one table
-        write; returns the ``(k, n)`` arena indices."""
-        if registers is None:
-            names, n = None, np.shape(amps)[-1].bit_length() - 1
-        elif not len(registers):
+    def add_registers(self, amps: np.ndarray, holder: str) -> np.ndarray:
+        """Register k unnamed registers of one width n with the amplitudes
+        ``amps`` (shape ``(k, 2**n)``), with one check and one table write;
+        returns the ``(k, n)`` arena indices."""
+        if not len(amps):
             return np.empty((0, 0), dtype=np.intp)
-        else:
-            widths, names = set(map(len, registers)), list(chain.from_iterable(registers))
-            if len(widths) > 1 or len(amps) != len(registers):
-                raise InvalidRegisterError(f"{len(amps)} rows for registers of widths {widths}")
-            if len(set(names)) != len(names):
-                raise InvalidRegisterError("a qubit appears twice in the registers")
-            n = widths.pop()
-        return self._add(names, StateVector.stack(_SLOTS[:n], amps).amplitudes, holder)
+        n = np.shape(amps)[-1].bit_length() - 1
+        return self._add(None, StateVector.stack(_SLOTS[:n], amps).amplitudes, holder)
 
-    def add_bell_pairs(
-        self, codes: Sequence[int], firsts: Sequence[str] | None,
-        seconds: Sequence[str] | None, holder: str,
-    ) -> np.ndarray:
-        """Register pair i in the Bell state of code ``codes[i]`` (its
-        ``BellLabel.code``), over the qubits named (``firsts[i]``,
-        ``seconds[i]``), or unnamed for None, as ``add_state`` of
-        ``make_bell`` would, with one write of rows of the Bell table;
-        returns the ``(k, 2)`` arena indices."""
+    def add_bell_pairs(self, codes: Sequence[int], holder: str) -> np.ndarray:
+        """Register unnamed pair i in the Bell state of code ``codes[i]`` (its
+        ``BellLabel.code``), as ``add_state`` of ``make_bell`` would, with one
+        write of rows of the Bell table; returns the ``(k, 2)`` arena indices."""
         if not len(codes):
             return np.empty((0, 2), dtype=np.intp)
-        names = None if firsts is None else [None] * (2 * len(codes))
-        if names is not None:
-            names[0::2], names[1::2] = firsts, seconds
-            if len(set(names)) != len(names):
-                same = next(((a, b) for a, b in zip(firsts, seconds) if a == b), None)
-                raise InvalidRegisterError(
-                    f"duplicate qubit ids in register: {same}" if same else
-                    "a qubit appears in two pairs"
-                )
-        return self._add(names, _BELL_TABLE.take(codes, 0), holder)
+        return self._add(None, _BELL_TABLE.take(codes, 0), holder)
 
     def add_state(self, state: StateVector, holder: str) -> None:
-        """Register ``state`` as one register."""
-        self.add_registers([state.qubit_ids], state.amplitudes[None], holder)
+        """Register ``state`` as one register, its qubits named by its ids."""
+        amps = StateVector.stack(state.qubit_ids, state.amplitudes[None]).amplitudes
+        self._add(list(state.qubit_ids), amps, holder)
 
     def _live(self, qubit_id: str) -> int:
         """The arena index of the live qubit named ``qubit_id``."""
@@ -966,10 +902,6 @@ class QubitArena:
     def indices(self, qubit_ids: Sequence[str]) -> np.ndarray:
         """The arena indices of the live qubits named ``qubit_ids``."""
         return np.fromiter(map(self._live, qubit_ids), np.intp, len(qubit_ids))
-
-    def names(self, qubits: np.ndarray) -> list[str]:
-        """The names of the qubits at the arena indices ``qubits``."""
-        return list(map(self._name, np.asarray(qubits).tolist()))
 
     def holders(self) -> dict[str, str]:
         """Every live qubit's name -> its holder."""

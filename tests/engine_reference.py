@@ -8,7 +8,6 @@ import numpy as np
 
 from osbmdi.quantum import (
     ATOL,
-    BELL_LABELS,
     BELL_VECTORS,
     PAULI_MATRICES,
     BellLabel,
@@ -124,10 +123,6 @@ class RefArena:
             raise InvalidRegisterError(f"qubit {live!r} already registered")
         self._put(state.qubit_ids, state.amplitudes.copy())
         self.held.update(dict.fromkeys(state.qubit_ids, holder))
-
-    def add_bell_pairs(self, codes, firsts, seconds, holder):
-        for code, a, b in zip(codes, firsts, seconds):
-            self.add_state(StateVector((a, b), BELL_VECTORS[BELL_LABELS[code]]), holder)
 
     def holders(self):
         return dict(self.held)

@@ -343,16 +343,14 @@ def test_disturb_zero_selection_is_noop():
     state = rng.bit_generator.state
     qubits = arena.indices(["a", "b"])
     out = disturb(arena, qubits, np.zeros(2, np.intp), [rng], "reorder", 0.0)
-    assert arena.names(out) == ["a", "b"] and rng.bit_generator.state == state
+    assert out.tolist() == qubits.tolist() and rng.bit_generator.state == state
 
 
 def test_disturb_draws_each_sessions_slots_from_its_own_stream():
     """A leg of two sessions: each session's part of the leg is permuted
     within itself, by the draws a leg of that session alone makes."""
     arena = QubitArena()
-    names = [f"q{i}" for i in range(10)]
-    arena.add_bell_pairs([0] * 5, names[0::2], names[1::2], "alice")
-    qubits = arena.indices(names)
+    qubits = arena.add_bell_pairs([0] * 5, "alice").ravel()
     rows = np.array([0] * 6 + [1] * 4)
     out = disturb(arena, qubits, rows, [np.random.default_rng(s) for s in (3, 4)], "reorder", 0.5)
     alone = [

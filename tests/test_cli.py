@@ -145,6 +145,66 @@ def test_a_malformed_number_names_its_key(tmp_path, monkeypatch, line, flags, me
     assert not out.exists()
 
 
+_LABELS = "be Bell labels among psi+, psi-, phi+, phi-"
+# key -> (bad value, message, the flag that sets the key, if one does)
+_BAD_VALUES = {
+    "mode": ("bogus", "mode must be one of qsdc, qd, qkd, got 'bogus'", ["run", "--mode"]),
+    "use_cases_ii_iii": ("maybe", "use_cases_ii_iii must be a boolean, got 'maybe'", None),
+    "alice_states": ("foo", f"alice_states must {_LABELS}, got 'foo'",
+                     ["leakage", "--alice-states"]),
+    "bob_states": ("psi+,foo", f"bob_states must {_LABELS}, got 'psi+,foo'",
+                   ["leakage", "--bob-states"]),
+    "decoy_policy": ("fixed:foo", f"decoy_policy labels must {_LABELS}, got 'foo'", None),
+}
+
+
+@pytest.mark.parametrize("key,source", [
+    (key, source) for key, (*_, flag) in _BAD_VALUES.items()
+    for source in ("file", "env", "flag") if source != "flag" or flag
+])
+def test_a_bad_config_value_names_its_key(tmp_path, monkeypatch, key, source):
+    """A bad value of a key exits 1 with one ``error:`` line naming the key,
+    the same from a config file, an ``OSBMDI_*`` variable or a flag, and
+    prints nothing on stdout."""
+    value, message, flag = _BAD_VALUES[key]
+    for var in [k for k in os.environ if k.startswith("OSBMDI_")]:
+        monkeypatch.delenv(var)
+    argv = ["run", "--sessions", "1", "--n-pairs", "2"]
+    if source == "file":
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(f"{key} = {value}\n")
+        argv += ["--config", str(cfg)]
+    elif source == "env":
+        monkeypatch.setenv(f"OSBMDI_{key.upper()}", value)
+    else:
+        argv = flag + [value]
+    assert _in_process(argv) == (1, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize("grid,message", [
+    ("abc", "grid atom must be a number, got 'abc'"),
+    ("0:1:x", "grid point count must be an integer, got 'x'"),
+])
+def test_a_bad_sweep_grid_names_the_grid(grid, message):
+    got = _in_process(["sweep", "--kind", "noise", "--grid", grid])
+    assert got == (1, "", f"error: {message}\n")
+
+
+def test_the_manifest_prints_settings_exactly(tmp_path):
+    """A float setting prints in its short form when that reads back as the
+    same value, else as its repr."""
+    cfg = tmp_path / "exact.cfg"
+    cfg.write_text("error_threshold = 0.12345678901234\n")
+    for noise, fraction in (("0.12345678901234", "0.123456789"), ("0.3", "0.5")):
+        out = tmp_path / "report.txt"
+        main(["run", "--config", str(cfg), "--sessions", "1", "--n-pairs", "4", "--out", str(out),
+              "--noise", f"dephasing:{noise}", "--attack", f"disturb:fraction={fraction}"])
+        lines = out.read_text().splitlines()
+        assert f"noise = dephasing:{noise}" in lines
+        assert f"attack = disturb:mode=random_pauli,fraction={fraction},legs=stage2_alice" in lines
+        assert "error_threshold = 0.12345678901234" in lines
+
+
 # --- run ------------------------------------------------------------------------
 
 

@@ -42,6 +42,7 @@ from osbmdi.quantum import (
     apply_unitary1q,
     bell_measure,
     comp_measure,
+    make_bell,
     run_round,
     tensor,
 )
@@ -381,7 +382,7 @@ def kernel_ops(width, seed):
     u = random_unitary(seed)
 
     def paulis(rows):  # a stack's symbols, or one register's label
-        return symbols[rows] if isinstance(rows, slice) else PauliLabel.from_symbol(symbols[rows])
+        return symbols[rows] if isinstance(rows, slice) else tuple(PauliLabel)[symbols[rows]]
 
     def draws(rows):  # a stack's uniforms, or the generator whose first draw is row's
         return uniforms[rows] if isinstance(rows, slice) else np.random.default_rng([seed, rows])
@@ -461,7 +462,7 @@ def test_kernels_match_reference_within_1e15(width):
     for q in stack.qubit_ids:
         got = apply_pauli(stack, q, symbols)
         for row, r, sym in zip(got.amplitudes, rows, symbols):
-            want = ref_apply_1q(r, q, PAULI_MATRICES[PauliLabel.from_symbol(sym)])
+            want = ref_apply_1q(r, q, PAULI_MATRICES[tuple(PauliLabel)[sym]])
             assert_within_1e15(StateVector(got.qubit_ids, row), want)
 
 
@@ -795,42 +796,46 @@ def test_by_name_errors_raise_the_reference_message_before_any_draw(error, call)
     assert_same_arena(arena, ref)
 
 
+def assert_same_tables(a, b):
+    """Arenas ``a`` and ``b`` hold the same qubits at the same indices: the
+    same locations, holders and table rows."""
+    assert a._loc.tolist() == b._loc.tolist() and a._held.tolist() == b._held.tolist()
+    assert a._holders == b._holders and sorted(a._tables) == sorted(b._tables)
+    for n, table in a._tables.items():
+        other = b._tables[n]
+        assert table.size == other.size
+        assert table.members[:table.size].tolist() == other.members[:other.size].tolist()
+        assert table.amps[:table.size].tolist() == other.amps[:other.size].tolist()
+
+
 def test_bell_pairs_match_add_state():
     """Bulk registration, of Bell pairs or of registers of one width, leaves
     the arena (qubit indices included) that one ``add_state`` per register
-    leaves, and a rejected call leaves it unchanged."""
+    leaves, unnamed, and a rejected call leaves it unchanged."""
     batched, scalar = QubitArena(), QubitArena()
     labels = list(BellLabel) * 2
-    batched.add_bell_pairs([lab.code for lab in labels], [f"p{i}h" for i in range(len(labels))],
-                           [f"p{i}t" for i in range(len(labels))], "alice")
+    pairs = batched.add_bell_pairs([lab.code for lab in labels], "alice")
     for i, lab in enumerate(labels):
         scalar.add_state(StateVector((f"p{i}h", f"p{i}t"), BELL_VECTORS[lab].copy()), "alice")
+    assert pairs.tolist() == [scalar.indices((f"p{i}h", f"p{i}t")).tolist() for i in range(8)]
     for width in (1, 3):
         states = [random_state(width, seed, prefix=f"w{width}s{seed}_") for seed in range(5)]
         amps = np.array([s.amplitudes for s in states])
-        batched.add_registers([s.qubit_ids for s in states], amps, "eve")
+        registers = batched.add_registers(amps, "eve")
         for s in states:
             scalar.add_state(s, "eve")
-    batched.add_registers([], np.empty((0, 2)), "eve")
-    assert_same_arena(batched, scalar)
-    assert batched._index == scalar._index
-    with pytest.raises(InvalidRegisterError):
-        batched.add_bell_pairs([BellLabel.PSI_PLUS.code], ["x"], ["p0t"], "bob")
-    with pytest.raises(InvalidRegisterError):
-        batched.add_bell_pairs([BellLabel.PSI_PLUS.code], ["y"], ["y"], "bob")
-    one = np.array([[1.0, 0.0], [0.0, 1.0]])
-    for registers, amps in (
-        ([("x",), ("x",)], one),  # a name repeated in one call
-        ([("x", "y", "x")], random_state(3, 0).amplitudes[None]),
-        ([("x",), ("w1s2_0",)], one),  # a live name
-        ([("x",), ("y",)], np.array([[1.0, 0.0], [1.0, 1.0]])),  # a row not normalized
-        ([("x",), ("y", "z")], one),  # mixed widths
-        ([("x",), ("y",)], one[:1]),  # one row for two registers
-        ([("x",), ("y",)], np.ones((2, 4)) / 2),  # rows of the wrong width
+        assert registers.tolist() == [scalar.indices(s.qubit_ids).tolist() for s in states]
+    assert batched.add_registers(np.empty((0, 2)), "eve").shape == (0, 0)
+    assert batched.add_bell_pairs([], "eve").shape == (0, 2)
+    assert_same_tables(batched, scalar)
+    assert not batched._names and not batched._index
+    for amps in (
+        np.array([[1.0, 0.0], [1.0, 1.0]]),  # a row not normalized
+        np.ones((2, 3)) / np.sqrt(3),  # rows of no register's width
     ):
         with pytest.raises(InvalidRegisterError):
-            batched.add_registers(registers, amps, "bob")
-    assert_same_arena(batched, scalar)
+            batched.add_registers(amps, "bob")
+    assert_same_tables(batched, scalar)
 
 
 def test_states_in_and_out_of_the_arena_never_change():
@@ -841,15 +846,17 @@ def test_states_in_and_out_of_the_arena_never_change():
     added = random_state(3, 7, prefix="r")
     before = added.amplitudes.copy()
     arena.add_state(added, "node")
-    arena.add_bell_pairs([BellLabel.PSI_PLUS.code], ["b0"], ["b1"], "node")
+    (b0, b1), = arena.add_bell_pairs([BellLabel.PSI_PLUS.code], "node")
+    r0, r1, r2 = arena.indices(["r0", "r1", "r2"]).tolist()
     bells = {lab: v.copy() for lab, v in BELL_VECTORS.items()}
-    out = arena.state_of("r1"), arena.state_of("b0")
+    out = arena.state_of("r1"), arena.register(b0)
     held = [s.amplitudes.copy() for s in out]
-    named_round("apply_unitary", arena, [("r1", random_unitary(3)), ("b0", random_unitary(4))], None)
-    named_round("apply_pauli", arena, [("r2", PauliLabel.IY), ("b1", PauliLabel.X)], None)
+    run_round("apply_unitary", arena, np.array([r1]), random_unitary(3))
+    run_round("apply_unitary", arena, np.array([b0]), random_unitary(4))
+    run_round("apply_pauli", arena, np.array([r2, b1]), [PauliLabel.IY.symbol, PauliLabel.X.symbol])
     arena.apply_pauli("r0", PauliLabel.Z)
-    named_round("apply_cnot", arena, [("r0", "b1")], None)
-    named_round("comp_measure", arena, ["r2", "b0"], np.random.default_rng(5))
+    run_round("apply_cnot", arena, np.array([[r0, b1]]), None)
+    run_round("comp_measure", arena, np.array([r2, b0]), np.random.default_rng(5))
     arena.comp_measure("r1", np.random.default_rng(6))
     assert np.array_equal(added.amplitudes, before)
     assert all(np.array_equal(s.amplitudes, h) for s, h in zip(out, held))
@@ -922,7 +929,7 @@ def indexed_arena(seed, n_regs, batched):
     for i in range(n_regs):
         width = int(rng.integers(1, 4))
         state = random_state(width, int(rng.integers(1 << 20)), prefix=f"r{i}_")
-        qubits = batched.add_registers(None, state.amplitudes[None], "node")
+        qubits = batched.add_registers(state.amplitudes[None], "node")
         at.update(zip(state.qubit_ids, qubits[0].tolist()))
         scalar.add_state(state, "node")
     return scalar, at
@@ -1009,12 +1016,12 @@ def test_index_paths_raise_the_by_name_messages():
     """Arena indices that are measured, repeated, held by another party or
     registered again raise word for word what the by-name methods of a
     reference arena raise, and the failed call changes nothing."""
-    psip = BellLabel.PSI_PLUS.code
+    psip = BellLabel.PSI_PLUS
     arena, ref = QubitArena(), RefArena()
-    a = arena.add_bell_pairs([psip], ["s"], ["t"], "alice")[0]
-    b = arena.add_bell_pairs([psip], ["x"], ["y"], "bob")[0]
-    ref.add_bell_pairs([psip], ["s"], ["t"], "alice")
-    ref.add_bell_pairs([psip], ["x"], ["y"], "bob")
+    for r in (arena, ref):
+        r.add_state(make_bell(psip, "s", "t"), "alice")
+        r.add_state(make_bell(psip, "x", "y"), "bob")
+    a, b = arena.indices(["s", "t"]), arena.indices(["x", "y"])
 
     def message(call, error):
         with pytest.raises(error) as caught:
@@ -1040,12 +1047,13 @@ def test_index_paths_raise_the_by_name_messages():
     assert_same_arena(arena, ref)
 
     # a live name cannot be registered again; a measured one can
-    assert message(lambda: arena.add_bell_pairs([psip], ["z"], ["y"], "bob"),
+    assert message(lambda: arena.add_state(make_bell(psip, "z", "y"), "bob"),
                    InvalidRegisterError) == message(
-        lambda: ref.add_bell_pairs([psip], ["z"], ["y"], "bob"), InvalidRegisterError)
-    again = arena.add_bell_pairs([psip], ["x"], ["z"], "bob")[0]
-    ref.add_bell_pairs([psip], ["x"], ["z"], "bob")
-    assert again[0] != b[0] and arena.indices(["x", "z"]).tolist() == again.tolist()
+        lambda: ref.add_state(make_bell(psip, "z", "y"), "bob"), InvalidRegisterError)
+    for r in (arena, ref):
+        r.add_state(make_bell(psip, "x", "z"), "bob")
+    again = arena.indices(["x", "z"])
+    assert again[0] != b[0] and again.tolist() == [len(arena._loc) - 2, len(arena._loc) - 1]
     holders = {"s": "alice", "t": "alice", "y": "bob", "x": "bob", "z": "bob"}
     assert arena.holders() == ref.holders() == holders
     assert_same_arena(arena, ref)

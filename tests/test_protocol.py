@@ -1,6 +1,7 @@
 """Protocol-layer tests: preparation, cases, checks, encoding, sessions."""
 import dataclasses
 import hashlib
+import importlib.util
 import itertools
 import math
 import os
@@ -10,7 +11,7 @@ import sys
 import numpy as np
 import pytest
 
-from osbmdi import adversary, protocol
+from osbmdi import adversary, analysis, protocol
 from osbmdi.adversary import AttackSpec
 from osbmdi.analysis import NoiseSpec, cnot_attack_profile
 from osbmdi.protocol import (
@@ -30,14 +31,22 @@ from osbmdi.protocol import (
     decode_message,
     decode_table,
     decode_table_rows,
+    _decoy_slots,
+    _slot_items,
     draw_codes,
-    insert_decoys,
     row_draws,
     run_batch,
     run_session,
     session_rng,
 )
-from osbmdi.quantum import BellLabel, PauliLabel, QubitArena, label_of
+from osbmdi.quantum import (
+    BellLabel,
+    InvalidRegisterError,
+    PauliLabel,
+    QubitArena,
+    label_of,
+    make_bell,
+)
 
 PSIP = BellLabel.PSI_PLUS
 PSIM = BellLabel.PSI_MINUS
@@ -215,13 +224,18 @@ def test_row_draws_of_another_bit_generator_run_the_rows():
 
 
 def test_insert_decoys_uniform_positions():
-    # slot order over 4 base items (0-3) followed by 2 decoys (4, 5)
-    seen = set()
+    # slot orders over 4 base items (0-3) followed by 2 decoys (4, 5), as a
+    # cohort inserts them: one stream's draws of decoy slots, then the orders
+    # of the slot masks
     rng = np.random.default_rng(42)
-    for _ in range(2000):
-        order = insert_decoys(4, 2, rng)
+    slots = np.concatenate([_decoy_slots([6], 2, [rng]) for _ in range(2000)])
+    decoy = np.zeros((2000, 6), dtype=bool)
+    decoy[np.arange(2000)[:, None], slots] = True
+    seen = set()
+    for order, drawn in zip(_slot_items(decoy, 4), slots.tolist()):
         positions = tuple(np.flatnonzero(order >= 4).tolist())
         seen.add(positions)
+        assert list(positions) == drawn  # the owner recovers the positions
         # both relative orders preserved
         assert order[order < 4].tolist() == [0, 1, 2, 3]
         assert order[order >= 4].tolist() == [4, 5]
@@ -229,11 +243,12 @@ def test_insert_decoys_uniform_positions():
 
 
 def test_insert_decoys_reproducible_and_empty():
-    a = insert_decoys(4, 2, np.random.default_rng(9))
-    b = insert_decoys(4, 2, np.random.default_rng(9))
+    a = _decoy_slots([6], 2, [np.random.default_rng(9)])
+    b = _decoy_slots([6], 2, [np.random.default_rng(9)])
     assert a.tolist() == b.tolist()
     rng = np.random.default_rng(9)
-    assert insert_decoys(4, 0, rng).tolist() == [0, 1, 2, 3]
+    assert _decoy_slots([4], 0, [rng]).shape == (1, 0)
+    assert _slot_items(np.zeros(4, dtype=bool), 4).tolist() == [0, 1, 2, 3]
     assert rng.bit_generator.state == np.random.default_rng(9).bit_generator.state
 
 
@@ -331,10 +346,10 @@ def test_honest_sessions_with_random_decoy_labels(mode):
 
 
 def test_symbol_to_operator_mapping():
-    assert PauliLabel.from_symbol(0b01) is PauliLabel.X
-    assert PauliLabel.from_symbol(0) is PauliLabel.I
-    assert PauliLabel.from_symbol(0b10) is PauliLabel.IY
-    assert PauliLabel.from_symbol(0b11) is PauliLabel.Z
+    assert tuple(PauliLabel)[0b01] is PauliLabel.X
+    assert tuple(PauliLabel)[0] is PauliLabel.I
+    assert tuple(PauliLabel)[0b10] is PauliLabel.IY
+    assert tuple(PauliLabel)[0b11] is PauliLabel.Z
 
 
 def test_decode_message_examples():
@@ -401,7 +416,7 @@ def test_decode_table_matches_decode_message_everywhere():
     # answer, own encoding None (symbol 4) and both sides included
     table = decode_table()
     assert table.shape == (4, 4, 4, 4, 5, 2) and not table.flags.writeable
-    owns = (*(PauliLabel.from_symbol(s) for s in range(4)), None)
+    owns = (*PauliLabel, None)
     for a, b, m1, m2, own, side in np.ndindex(table.shape):
         expected = decode_message(LABELS[a], LABELS[b], LABELS[m1], LABELS[m2], owns[own], side)
         assert table[a, b, m1, m2, own, side] == expected.symbol
@@ -869,6 +884,40 @@ def test_sessions_register_no_qubit_name(name, monkeypatch):
         h.update(repr(_report_material(rep)).encode())
     assert h.hexdigest() == SESSION_DIGESTS[name]
     assert holders == {"alice", "bob"} | ({"eve"} if cfg.attack else set())
+
+
+def test_trial_arenas_register_no_qubit_name(monkeypatch):
+    """The one-slot arenas of ``analysis``'s trials, built fresh from its
+    source, register unnamed qubits too: ``add_state`` is the one entry that
+    names qubits, and it still rejects a live name and a name that starts
+    with ``#``, leaving the arena unchanged."""
+    add, given = QubitArena._add, []
+
+    def checked(self, names, amps, holder):
+        given.append((names, holder))
+        return add(self, names, amps, holder)
+
+    monkeypatch.setattr(QubitArena, "_add", checked)
+    spec = importlib.util.spec_from_file_location("osbmdi._fresh_analysis", analysis.__file__)
+    fresh = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, fresh)  # for its dataclasses
+    spec.loader.exec_module(fresh)
+    # intercept_resend, fake_bmo and flip_all twice; then the entangled arena
+    assert [holder for _, holder in given] == ["alice", "bob", "eve"] + ["alice", "bob"] * 3
+    fresh.make_trial_entangle_split(0.1)
+    assert [holder for _, holder in given[-3:]] == ["alice", "bob", "eve"]
+    assert all(names is None for names, _ in given)
+
+    arena = QubitArena()
+    arena.add_state(make_bell(PSIP, "a0", "a1"), "alice")
+    assert given[-1] == (["a0", "a1"], "alice")
+    for state, message in (
+        (make_bell(PSIP, "b0", "a1"), "qubit 'a1' already registered"),
+        (make_bell(PSIP, "b0", "#b1"), "qubit name '#b1' may not start with '#'"),
+    ):
+        with pytest.raises(InvalidRegisterError, match=f"^{message}$"):
+            arena.add_state(state, "bob")
+    assert arena.holders() == {"a0": "alice", "a1": "alice"} and len(arena._loc) == 2
 
 
 def _cohort_case(attack=None, threshold=0.0, **kwargs):

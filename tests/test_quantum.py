@@ -17,7 +17,6 @@ from osbmdi.quantum import (
     apply_cnot,
     apply_pauli,
     apply_unitary1q,
-    basis_state,
     bell_expand,
     bell_measure,
     comp_measure,
@@ -27,7 +26,6 @@ from osbmdi.quantum import (
     make_bell,
     pauli_frame,
     run_round,
-    single_qubit,
     swapped_home_label,
     tensor,
 )
@@ -85,7 +83,7 @@ def test_statevector_rejects_non_finite_amplitudes(amps):
 
 
 def test_tensor_of_basis_states():
-    s = tensor(single_qubit("a", 1, 0), single_qubit("b", 0, 1))
+    s = tensor(StateVector(("a",), [1, 0]), StateVector(("b",), [0, 1]))
     assert np.allclose(s.amplitudes, [0, 1, 0, 0])
     assert s.qubit_ids == ("a", "b")
 
@@ -142,7 +140,7 @@ def test_apply_pauli_takes_one_pauli_per_row_of_a_stack():
     got = apply_pauli(stack, "b", symbols).amplitudes
     for row, symbol in zip(range(8), symbols):
         one = StateVector.stack(("a", "b"), stack.amplitudes[row:row + 1])
-        want = apply_pauli(one, "b", PauliLabel.from_symbol(symbol)).amplitudes
+        want = apply_pauli(one, "b", tuple(PauliLabel)[symbol]).amplitudes
         assert got[row].tobytes() == want[0].tobytes()
 
 
@@ -173,7 +171,7 @@ def test_unitarity_tolerance_matches_allclose_boundary():
     # The accepted set is |u^dag u - I| <= ATOL + 1e-5 * |I| elementwise, the
     # tolerance np.allclose(u^dag u, I, atol=ATOL) applies with its default rtol.
     # |1> keeps its norm under the stretched |0> component, so the result is valid.
-    s = basis_state(("a", "b"), (1, 0))
+    s = StateVector(("a", "b"), [0, 0, 1, 0])
     diagonal = np.diag([np.sqrt(1.0 + 5e-6), 1.0])
     assert np.allclose(diagonal.conj().T @ diagonal, np.eye(2), atol=ATOL)
     assert np.array_equal(apply_unitary1q(s, "a", diagonal).amplitudes, s.amplitudes)
@@ -224,9 +222,9 @@ def test_gates_preserve_norm_on_random_states():
 
 
 def test_cnot_basis_action():
-    s = basis_state(("c", "t"), (1, 0))
+    s = StateVector(("c", "t"), [0, 0, 1, 0])
     out = apply_cnot(s, "c", "t")
-    assert np.allclose(out.amplitudes, basis_state(("c", "t"), (1, 1)).amplitudes)
+    assert np.allclose(out.amplitudes, [0, 0, 0, 1])
 
 
 def test_cnot_twice_is_identity():
@@ -247,7 +245,7 @@ def test_cnot_ancilla_onto_travel_qubit_branches():
     # expands to a*psi+_{ht}|0>_e + b*phi+_{ht}|1>_e.  Build the expected
     # 8-amplitude vector directly and compare.
     alpha, beta = 0.6, 0.8
-    s = tensor(make_bell(PSIP, "h", "t"), single_qubit("e", alpha, beta))
+    s = tensor(make_bell(PSIP, "h", "t"), StateVector(("e",), [alpha, beta]))
     out = apply_cnot(s, "e", "t")
     expect = alpha * np.kron(BELL_VECTORS[PSIP], [1, 0]) + beta * np.kron(
         BELL_VECTORS[PHIP], [0, 1]
@@ -300,7 +298,7 @@ def test_comp_measure_anticorrelation_of_phi_plus():
 
 def test_comp_measure_deterministic_one():
     rng = np.random.default_rng(1)
-    bit, rest = comp_measure(single_qubit("q", 0, 1), "q", rng)
+    bit, rest = comp_measure(StateVector(("q",), [0, 1]), "q", rng)
     assert bit == 1 and rest is None
 
 
@@ -315,7 +313,7 @@ def test_measure_unknown_qubit():
 def test_born_consistency_comp_measure():
     # >= 1e5 seeded trials against the analytic probability, 4 standard errors
     theta = 0.4
-    s = single_qubit("q", np.cos(theta), np.sin(theta))
+    s = StateVector(("q",), [np.cos(theta), np.sin(theta)])
     rng = np.random.default_rng(123)
     n = 100_000
     ones = sum(comp_measure(s, "q", rng)[0] for _ in range(n))
@@ -385,10 +383,13 @@ def test_expand_completeness_all_products(la, lb):
     homes = {k[0] for k in nz}
     announced = {k[1] for k in nz}
     assert homes == set(BellLabel) and announced == set(BellLabel)
-    rebuilt = exp.reconstruct()
-    reordered = np.transpose(
-        rebuilt.tensor_view(), [rebuilt.axis(q) for q in s.qubit_ids]
-    ).reshape(-1)
+    # the coefficients re-sum to the state, over the pairing's qubits in order
+    rebuilt = sum(
+        c * np.kron(BELL_VECTORS[l1], BELL_VECTORS[l2]) for (l1, l2), c in exp.coeffs.items()
+    )
+    order = ["1", "3", "2", "4"]
+    axes = [order.index(q) for q in s.qubit_ids]
+    reordered = np.transpose(rebuilt.reshape(2, 2, 2, 2), axes).reshape(-1)
     assert np.allclose(reordered, s.amplitudes, atol=1e-12)
 
 
@@ -475,12 +476,13 @@ def test_swapped_home_label_matches_measurement():
 
 
 def test_pauli_label_bit_encoding():
-    assert PauliLabel.I.bits == (0, 0)
-    assert PauliLabel.X.bits == (0, 1)
-    assert PauliLabel.IY.bits == (1, 0)
-    assert PauliLabel.Z.bits == (1, 1)
+    # a label's two bits, msb first, are those of its symbol
+    assert PauliLabel.I.symbol == 0b00
+    assert PauliLabel.X.symbol == 0b01
+    assert PauliLabel.IY.symbol == 0b10
+    assert PauliLabel.Z.symbol == 0b11
     for i in range(4):
-        assert PauliLabel.from_symbol(i).symbol == i
+        assert tuple(PauliLabel)[i].symbol == i
 
 
 # --- arena --------------------------------------------------------------------------
@@ -502,7 +504,7 @@ def test_arena_rejects_duplicate_registration():
     arena = QubitArena()
     arena.add_state(make_bell(PSIP, "1", "2"), "alice")
     with pytest.raises(InvalidRegisterError):
-        arena.add_state(single_qubit("1", 1, 0), "eve")
+        arena.add_state(StateVector(("1",), [1, 0]), "eve")
 
 
 def test_arena_holder_tracking():
@@ -517,7 +519,8 @@ def test_arena_holder_tracking():
 
 def test_transfer_many_is_all_or_nothing():
     arena = QubitArena()
-    arena.add_bell_pairs([PSIP.code] * 2, ["1", "3"], ["2", "4"], "alice")
+    arena.add_state(make_bell(PSIP, "1", "2"), "alice")
+    arena.add_state(make_bell(PSIP, "3", "4"), "alice")
     arena.transfer("3", "eve")
     holders = {q: arena.holder_of(q) for q in "1234"}
     # the first bad qubit gets transfer's own message; nothing moves
@@ -558,8 +561,9 @@ def _contents(arena):
 
 def _fill(arena):
     """Fill an arena with the registers (a, b), (c, d) and (x,)."""
-    arena.add_bell_pairs([PSIP.code, PHIP.code], ["a", "c"], ["b", "d"], "alice")
-    arena.add_state(single_qubit("x", SQ2, SQ2), "alice")
+    arena.add_state(make_bell(PSIP, "a", "b"), "alice")
+    arena.add_state(make_bell(PHIP, "c", "d"), "alice")
+    arena.add_state(StateVector(("x",), [SQ2, SQ2]), "alice")
 
 
 def test_an_arena_keeps_to_the_reference_arena():
@@ -586,9 +590,9 @@ def test_an_arena_keeps_to_the_reference_arena():
          UnknownQubitError, "qubit 'e'"),
         (lambda: arena.transfer_many(arena.indices(["a", "x"]), "eve", expect="charlie"),
          InvalidRegisterError, "qubit 'x' held by 'alice'"),
-        (lambda: arena.add_bell_pairs([PSIP.code], ["y"], ["c"], "eve"),
+        (lambda: arena.add_state(make_bell(PSIP, "y", "c"), "eve"),
          InvalidRegisterError, "qubit 'c' already registered"),
-        (lambda: arena.add_state(single_qubit("x", 1, 0), "eve"),
+        (lambda: arena.add_state(StateVector(("x",), [1, 0]), "eve"),
          InvalidRegisterError, "qubit 'x' already registered"),
         (lambda: run_round("comp_measure", arena, arena.indices(["b", "x", "b"]),
                            np.random.default_rng(0)),
@@ -611,7 +615,7 @@ def test_an_arena_keeps_to_the_reference_arena():
         run_round("apply_pauli", arena, np.concatenate([arena.indices(["c"]), x]), [flip, flip])
     same()
     for a in (arena, ref):
-        a.add_state(single_qubit("x", 0, 1), "bob")
+        a.add_state(StateVector(("x",), [0, 1]), "bob")
     assert arena.indices(["x"]) != x
     same()
 
@@ -622,21 +626,21 @@ def test_register_reads_a_qubit_by_index():
     may not start with ``#``."""
     arena = QubitArena()
     _fill(arena)
-    (e, f), = arena.add_bell_pairs([PHIP.code], None, None, "eve")
+    (e, f), = arena.add_bell_pairs([PHIP.code], "eve")
     a, x = arena.indices(["a", "x"]).tolist()
     for i, q in ((a, "a"), (x, "x")):
         assert arena.register(i).qubit_ids == arena.state_of(q).qubit_ids
         assert arena.register(i).amplitudes.tolist() == arena.state_of(q).amplitudes.tolist()
     assert arena.register(f).qubit_ids == (f"#{e}", f"#{f}") and label_of(arena.register(e)) is PHIP
-    assert arena.names([a, f]) == ["a", f"#{f}"] and arena.holders()[f"#{e}"] == "eve"
+    assert [arena._name(i) for i in (a, f)] == ["a", f"#{f}"] and arena.holders()[f"#{e}"] == "eve"
     arena.comp_measure("x", np.random.default_rng(0))
     run_round("comp_measure", arena, np.array([e, f]), np.random.default_rng(0))
     for i, q in ((x, "x"), (f, f"#{f}")):
         with pytest.raises(UnknownQubitError, match=f"^qubit '{q}' not in arena$"):
             arena.register(i)
     before = _contents(arena)
-    for call in (lambda: arena.add_state(single_qubit("#9", 1, 0), "bob"),
-                 lambda: arena.add_bell_pairs([PSIP.code], ["y"], ["#y"], "bob")):
+    for call in (lambda: arena.add_state(StateVector(("#9",), [1, 0]), "bob"),
+                 lambda: arena.add_state(make_bell(PSIP, "y", "#y"), "bob")):
         with pytest.raises(InvalidRegisterError, match="qubit name '#.*' may not start with '#'"):
             call()
     assert _contents(arena) == before
@@ -657,9 +661,9 @@ def test_a_cnot_round_with_a_self_targeted_item_changes_no_register():
     # of the item (x, y), on one-qubit registers, sorts before that of (a, a),
     # on a pair, and must not join x and y
     arena = QubitArena()
-    arena.add_state(single_qubit("x", SQ2, SQ2), "alice")
-    arena.add_state(single_qubit("y", 1, 0), "alice")
-    arena.add_bell_pairs([PSIP.code], ["a"], ["b"], "alice")
+    arena.add_state(StateVector(("x",), [SQ2, SQ2]), "alice")
+    arena.add_state(StateVector(("y",), [1, 0]), "alice")
+    arena.add_state(make_bell(PSIP, "a", "b"), "alice")
     before = _contents(arena)
     with pytest.raises(InvalidRegisterError, match="control and target must differ"):
         run_round("apply_cnot", arena, arena.indices(["x", "y", "a", "a"]).reshape(2, 2), None)
@@ -689,7 +693,8 @@ def test_a_pauli_round_needs_one_symbol_per_item(symbols):
     # too few symbols must not broadcast over the items, nor too many raise
     # numpy's error; either raises before any register changes
     arena = QubitArena()
-    arena.add_bell_pairs([PSIP.code, PHIP.code], ["a", "c"], ["b", "d"], "alice")
+    arena.add_state(make_bell(PSIP, "a", "b"), "alice")
+    arena.add_state(make_bell(PHIP, "c", "d"), "alice")
     before = _contents(arena)
     with pytest.raises(InvalidRegisterError, match="a round of 2 items needs 2 Pauli symbols"):
         run_round("apply_pauli", arena, arena.indices(["a", "c"]), symbols)
